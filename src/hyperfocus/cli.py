@@ -154,22 +154,24 @@ def _record_field(records: Sequence[dict]) -> GF:
         raise DataError(str(exc)) from None
 
 
+def _record_triple(gf: GF, v, i: int, what: str) -> Tuple[int, int, int]:
+    """A stored point or line: three field elements, not all zero, scaled."""
+    if (
+        not isinstance(v, list)
+        or len(v) != 3
+        or not all(isinstance(x, int) and 0 <= x < gf.q for x in v)
+    ):
+        raise DataError(f"record {i}: bad {what} {v!r}")
+    if v == [0, 0, 0]:
+        raise DataError(f"record {i}: zero triple")
+    return scale(gf, v)
+
+
 def _record_points(gf: GF, rec: dict, i: int) -> List[Tuple[int, int, int]]:
     pts = rec.get("points")
     if not isinstance(pts, list) or not pts:
         raise DataError(f"record {i}: missing points")
-    out = []
-    for p in pts:
-        if (
-            not isinstance(p, list)
-            or len(p) != 3
-            or not all(isinstance(x, int) and 0 <= x < gf.q for x in p)
-        ):
-            raise DataError(f"record {i}: bad point {p!r}")
-        if p == [0, 0, 0]:
-            raise DataError(f"record {i}: zero triple")
-        out.append(scale(gf, p))
-    return out
+    return [_record_triple(gf, p, i, "point") for p in pts]
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +211,12 @@ def cmd_search(args) -> int:
     )
     if report.discrepancy:
         print(f"discrepancy: {report.discrepancy}")
+        return EX_FAIL
     return EX_OK
+
+
+# claims a record may carry; verify recomputes each one that is present
+CLAIMS = ("k", "focus_count", "hyperconic", "conic", "nucleus", "digest")
 
 
 def cmd_verify(args) -> int:
@@ -220,24 +227,39 @@ def cmd_verify(args) -> int:
     gf = _record_field(records)
     ok = 0
     for i, rec in enumerate(records):
-        pts = _record_points(gf, rec, i)
+        pts = tuple(_record_points(gf, rec, i))
         arc_ok = is_arc(gf, pts)
-        line = LINE_AT_INFINITY
-        if arc_ok and len(pts) == 4:
-            line = diagonal_line(gf, tuple(pts))
-        exterior = arc_ok and is_exterior(gf, tuple(pts), line)
+        if "line" in rec:
+            line = _record_triple(gf, rec["line"], i, "line")
+        elif arc_ok and len(pts) == 4:
+            line = diagonal_line(gf, pts)
+        else:
+            line = LINE_AT_INFINITY
+        exterior = arc_ok and is_exterior(gf, pts, line)
         verdict, size = ("-", 0)
         if exterior:
-            verdict, size = classify_focus(gf, tuple(pts), line)
-        hyper = "-"
+            verdict, size = classify_focus(gf, pts, line)
+        wit = None
         if arc_ok and len(pts) >= 6:
-            hyper = str(hyperconic_witness(gf, tuple(pts)).found).lower()
-        good = arc_ok and exterior and verdict == HYPERFOCUSED
+            wit = hyperconic_witness(gf, pts)
+        found = wit is not None and wit.found
+        derived = {
+            "k": len(pts),
+            "focus_count": size if exterior else None,
+            "hyperconic": None if wit is None else wit.found,
+            "conic": list(wit.conic) if found else None,
+            "nucleus": list(wit.nucleus) if found else None,
+        }
+        if "digest" in rec:
+            derived["digest"] = arc_digest(gf, pts, line) if exterior else None
+        failed = [c for c in CLAIMS if c in rec and rec[c] != derived[c]]
+        good = arc_ok and exterior and verdict == HYPERFOCUSED and not failed
         ok += good
+        hyper = "-" if wit is None else str(wit.found).lower()
         print(
             f"arc={i} k={len(pts)} is_arc={str(arc_ok).lower()} "
             f"focus={size} verdict={verdict} hyperconic={hyper} "
-            f"ok={str(good).lower()}"
+            f"failed={','.join(failed) or '-'} ok={str(good).lower()}"
         )
     print(f"verified={ok}/{len(records)}")
     return EX_OK if ok == len(records) else EX_FAIL

@@ -791,7 +791,7 @@ def _load_checkpoint(path: str, digest: str):
         counters = new_counters()
         counters.update({k: int(v) for k, v in blob["counters"].items()})
         found = [tuple(tuple(int(x) for x in p) for p in arc) for arc in blob["found"]]
-    except (json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError) as exc:  # JSONDecodeError too
         raise CheckpointMismatch(f"corrupt checkpoint {path}: {exc}") from exc
     return cursor, counters, found
 

@@ -4,11 +4,28 @@ Deliberately written from the definitions, sharing as little code as
 possible with the package under test.
 """
 
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import List, Optional, Sequence, Tuple
 
+from hyperfocus.arcs import Arc, LineMeetsArc
+from hyperfocus.canon import serialize_arc
 from hyperfocus.field import GF
-from hyperfocus.plane import all_points, line_points, lines_through
+from hyperfocus.plane import (
+    LINE_AT_INFINITY,
+    Line,
+    Matrix,
+    Point,
+    all_points,
+    apply_point,
+    frame_map,
+    frobenius_point,
+    incident,
+    line_points,
+    line_through,
+    lines_through,
+    meet,
+    point_index,
+)
 
 
 def _row(gf: GF, p: Sequence[int]) -> List[int]:
@@ -124,3 +141,49 @@ def hyperconic_oracle(gf: GF, arc: Sequence[Tuple[int, int, int]]) -> bool:
         if not off or _is_nucleus(gf, conic_pts, off[0]):
             return True
     return False
+
+
+_DST_FRAME = ((0, 0, 1), (1, 0, 1), (0, 1, 0), (1, 1, 0))
+
+
+def normalize_frame(
+    gf: GF, arc: Arc, line: Line, triple: Sequence[Point]
+) -> Tuple[Matrix, Arc]:
+    """Projectivity and image arc putting (P1, P2, P3) in reference position.
+
+    The source frame (P3, P1, l^l1, l^l3) is always in general position
+    when the triple consists of arc points and the line is exterior, so
+    the map exists and is unique.
+    """
+    p1, p2, p3 = triple
+    if any(incident(gf, p, line) for p in (p1, p2, p3)):
+        raise LineMeetsArc("triple points must be off the line")
+    l1 = line_through(gf, p2, p3)
+    l3 = line_through(gf, p1, p2)
+    src = (p3, p1, meet(gf, line, l1), meet(gf, line, l3))
+    t = frame_map(gf, src, _DST_FRAME)
+    image = tuple(
+        sorted(
+            (apply_point(gf, t, p) for p in arc),
+            key=lambda p: point_index(gf, p),
+        )
+    )
+    return t, image
+
+
+def canonical_form_oracle(
+    gf: GF, arc: Arc, line: Line = LINE_AT_INFINITY
+) -> bytes:
+    """canonical_form by its definition: one projective frame map per
+    ordered triple, then every Frobenius power of the image, serialized
+    and compared as bytes."""
+    best: Optional[bytes] = None
+    for triple in permutations(arc, 3):
+        _, image = normalize_frame(gf, arc, line, triple)
+        for i in range(gf.s):
+            blob = serialize_arc(gf, [frobenius_point(gf, p, i) for p in image])
+            if best is None or blob < best:
+                best = blob
+    if best is None:
+        raise ValueError("arc too small for a triple")
+    return best

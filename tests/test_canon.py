@@ -1,6 +1,8 @@
 """Frobenius orbits, frame normalization, canonical forms."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -21,18 +23,22 @@ from hyperfocus.canon import (
     digest,
     equivalence_classes,
     frobenius_orbit_reps,
-    normalize_frame,
     serialize_arc,
 )
 from hyperfocus.field import make_field
 from hyperfocus.plane import (
     LINE_AT_INFINITY,
+    DegenerateFrame,
     all_points,
     apply_point,
     mat_det,
+    scale,
 )
 
+from oracles import canonical_form_oracle, normalize_frame
+
 QUAD = ((0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1))
+K12_RESULTS = Path(__file__).resolve().parent.parent / "results" / "k12.jsonl"
 
 
 def test_orbit_reps_q32(gf32):
@@ -189,3 +195,81 @@ def test_digest_shape():
     assert len(d) == 16
     assert d == digest(b"anything")
     assert d != digest(b"anything else")
+
+
+# --- the batched kernel against the per-triple oracle -----------------------
+
+
+def _k12_records():
+    return [json.loads(line) for line in K12_RESULTS.read_text().splitlines()]
+
+
+def _affine_hyperoval(gf):
+    """The conic X^2 + XY + aY^2 = Z^2 (t^2 + t + a irreducible) plus its
+    nucleus (0, 0, 1): a (q+2)-arc missing Z = 0."""
+    roots = {gf.mul(t, t) ^ t for t in gf.elements()}
+    a = next(a for a in gf.elements() if a not in roots)
+    pts = [
+        (x, y, 1)
+        for x in gf.elements()
+        for y in gf.elements()
+        if gf.mul(x, x) ^ gf.mul(x, y) ^ gf.mul(a, gf.mul(y, y)) == 1
+    ]
+    return make_arc(gf, pts + [(0, 0, 1)])
+
+
+def _random_affine_arc(gf, rng, size):
+    """A greedy random arc of affine points, or a random part of an affine
+    hyperoval when greedy growth stalls below the size."""
+    affine = [p for p in all_points(gf) if p[2] == 1]
+    for _ in range(10):
+        arc = ()
+        for p in rng.sample(affine, len(affine)):
+            if arc_accepts(gf, arc, p):
+                arc = extend_arc(gf, arc, p)
+                if len(arc) == size:
+                    return arc
+    return make_arc(gf, rng.sample(_affine_hyperoval(gf), size))
+
+
+def test_kernel_matches_oracle_on_k12_records(gf32):
+    for rec in random.Random(41).sample(_k12_records(), 6):
+        arc = make_arc(gf32, rec["points"])
+        assert canonical_form(gf32, arc) == canonical_form_oracle(gf32, arc)
+
+
+@pytest.mark.parametrize("s", [2, 3, 4])
+def test_kernel_matches_oracle_on_random_arcs(s):
+    gf = make_field(s)
+    rng = random.Random(43 + s)
+    for size in range(3, gf.q + 2):
+        arc = _random_affine_arc(gf, rng, size)
+        assert canonical_form(gf, arc) == canonical_form_oracle(gf, arc), size
+
+
+def test_kernel_matches_oracle_off_z0(gf8):
+    """On the exterior line X + Z = 0: the image of an affine hyperoval
+    under (x, y, z) -> (x, y, x + z), which sends Z = 0 to that line."""
+    oval = _affine_hyperoval(gf8)
+    moved = make_arc(gf8, [scale(gf8, (x, y, x ^ z)) for x, y, z in oval])
+    line = (1, 0, 1)
+    form = canonical_form(gf8, moved, line)
+    assert form == canonical_form_oracle(gf8, moved, line)
+    assert form == canonical_form(gf8, oval)
+
+
+def test_canonical_form_errors(gf8):
+    with pytest.raises(LineMeetsArc):
+        canonical_form(gf8, QUAD + ((1, 1, 0),))
+    with pytest.raises(LineMeetsArc):
+        canonical_form(gf8, QUAD, (1, 0, 1))
+    with pytest.raises(DegenerateFrame):
+        canonical_form(gf8, QUAD + ((0, 3, 1),))
+    with pytest.raises(ValueError):
+        canonical_form(gf8, QUAD[:2])
+
+
+def test_stored_digests_match(gf32):
+    """Every digest in results/k12.jsonl is its own record's fresh digest."""
+    for rec in _k12_records():
+        assert arc_digest(gf32, make_arc(gf32, rec["points"])) == rec["digest"]

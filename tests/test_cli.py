@@ -4,6 +4,7 @@ import io
 import json
 import re
 from contextlib import redirect_stdout, redirect_stderr
+from pathlib import Path
 
 import pytest
 
@@ -18,8 +19,11 @@ from hyperfocus.cli import (
     parse_felt,
     parse_pairs,
 )
+from hyperfocus import search
 from hyperfocus.cli import UsageError
 from hyperfocus.field import make_field
+
+K12_RESULTS = Path(__file__).resolve().parent.parent / "results" / "k12.jsonl"
 
 
 def run_cli(*argv):
@@ -108,6 +112,33 @@ def test_search_cli_checkpoint_mismatch(tmp_path):
     assert "checkpoint mismatch" in err
 
 
+def test_search_cli_corrupt_checkpoint(tmp_path):
+    ckpt = tmp_path / "part.ckpt"
+    code, _, _ = run_cli(
+        "search", "--s", "3", "--k", "10",
+        "--checkpoint", str(ckpt), "--max-shards", "1",
+    )
+    assert code == EX_OK
+    blob = json.loads(ckpt.read_text())
+    blob["cursor"] = ["x", 2]
+    ckpt.write_text(json.dumps(blob))
+    code, _, err = run_cli(
+        "search", "--s", "3", "--k", "10", "--checkpoint", str(ckpt)
+    )
+    assert code == EX_CHECKPOINT
+    assert "checkpoint mismatch: corrupt checkpoint" in err
+
+
+def test_search_cli_discrepancy_fails(monkeypatch):
+    """A completed search whose count differs from the expected one is a
+    failed verification."""
+    monkeypatch.setitem(search.EXPECTED_FOUND, (8, 0xB, 10), 41)
+    code, out, _ = run_cli("search", "--s", "3", "--k", "10")
+    assert code == EX_FAIL
+    assert "found=40 " in out
+    assert "discrepancy: expected 41 hyperfocused 10-arcs" in out
+
+
 def test_search_cli_bad_k():
     for k in ("13", "8", "16"):
         code, _, err = run_cli("search", "--s", "3", "--k", k)
@@ -185,6 +216,46 @@ def test_verify_flags_bad_arc(tmp_path):
     assert "verified=0/1" in out
 
 
+EDITED_CLAIMS = {
+    "k": 7,
+    "focus_count": 99,
+    "hyperconic": False,
+    "conic": [0, 0, 0, 0, 0, 1],
+    "nucleus": [0, 0, 1],
+    "digest": "deadbeef",
+}
+
+
+def _k12_record():
+    return json.loads(K12_RESULTS.read_text().splitlines()[0])
+
+
+def test_verify_checks_stored_claims(tmp_path):
+    """An edited k=12 record still holds a hyperfocused arc, but its
+    claims are false: verify names them and fails."""
+    rec = _k12_record()
+    path = tmp_path / "edited.jsonl"
+    path.write_text(json.dumps(rec) + "\n" + json.dumps({**rec, **EDITED_CLAIMS}) + "\n")
+    code, out, _ = run_cli("verify", str(path))
+    assert code == EX_FAIL
+    first, second, summary = out.splitlines()
+    assert first.endswith("failed=- ok=true")
+    assert "verdict=hyperfocused" in second
+    assert second.endswith("failed=k,focus_count,hyperconic,conic,nucleus,digest ok=false")
+    assert summary == "verified=1/2"
+
+
+@pytest.mark.parametrize("claim", sorted(EDITED_CLAIMS))
+def test_verify_names_each_failed_claim(tmp_path, claim):
+    rec = {**_k12_record(), claim: EDITED_CLAIMS[claim]}
+    path = tmp_path / "edited.jsonl"
+    path.write_text(json.dumps(rec) + "\n")
+    code, out, _ = run_cli("verify", str(path))
+    assert code == EX_FAIL
+    assert f"failed={claim} ok=false" in out
+    assert out.splitlines()[-1] == "verified=0/1"
+
+
 def test_verify_malformed_json(tmp_path):
     path = tmp_path / "broken.jsonl"
     path.write_text("{not json\n")
@@ -199,6 +270,9 @@ def test_verify_bad_points(tmp_path):
     path.write_text(json.dumps(rec) + "\n")
     assert run_cli("verify", str(path))[0] == EX_DATA
     rec = {"q": 8, "modulus": "0xb", "points": [[0, 0, 0], [0, 1, 1]]}
+    path.write_text(json.dumps(rec) + "\n")
+    assert run_cli("verify", str(path))[0] == EX_DATA
+    rec = {"q": 8, "modulus": "0xb", "points": [[0, 0, 1]], "line": [0, 0, 0]}
     path.write_text(json.dumps(rec) + "\n")
     assert run_cli("verify", str(path))[0] == EX_DATA
 

@@ -278,6 +278,18 @@ def test_checkpoint_mismatch(gf8, tmp_path):
         run_search(gf8, 10, SearchConfig(checkpoint=str(ckpt)))
 
 
+def test_checkpoint_bad_cursor(gf8, tmp_path):
+    """A cursor that is not a pair of ints is a corrupt checkpoint, not a
+    traceback."""
+    ckpt = tmp_path / "run.ckpt"
+    run_search(gf8, 10, SearchConfig(checkpoint=str(ckpt), max_shards=1))
+    blob = json.loads(ckpt.read_text())
+    blob["cursor"] = ["x", 2]
+    ckpt.write_text(json.dumps(blob))
+    with pytest.raises(CheckpointMismatch, match="corrupt"):
+        run_search(gf8, 10, SearchConfig(checkpoint=str(ckpt)))
+
+
 def test_extend_grid_worked_example(gf32):
     """A known surviving candidate extends to exactly one hyperfocused
     12-arc; its whole shard produces only verified extensions."""

@@ -1,7 +1,8 @@
 """Command-line front end: search, verify, construct, classify, field-dump.
 
 Summary output is machine-greppable key=value lines.  Exit codes follow
-sysexits where applicable: 0 success, 1 failed verification, 2
+sysexits where applicable: 0 success, 1 failed verification (including
+an internal search stage rejecting its predecessor's output), 2
 checkpoint-config mismatch, 64 usage error, 65 malformed input data,
 74 I/O error.
 """
@@ -36,6 +37,7 @@ from hyperfocus.search import (
     CheckpointMismatch,
     SearchConfig,
     SearchError,
+    VerificationError,
     run_search,
 )
 
@@ -430,6 +432,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CheckpointMismatch as exc:
         print(f"checkpoint mismatch: {exc}", file=sys.stderr)
         return EX_CHECKPOINT
+    except VerificationError as exc:
+        print(f"verification error: {exc}", file=sys.stderr)
+        return EX_FAIL
     except SearchError as exc:
         print(f"search error: {exc}", file=sys.stderr)
         return EX_USAGE

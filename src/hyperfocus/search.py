@@ -30,22 +30,17 @@ import itertools
 import json
 import os
 import sys
+import tempfile
 import time
 from dataclasses import dataclass
 from multiprocessing import Pool
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from hyperfocus.arcs import HYPERFOCUSED, Arc, classify_focus, make_arc
+from hyperfocus.arcs import HYPERFOCUSED, classify_focus, make_arc
 from hyperfocus.canon import arc_digest, frobenius_orbit_reps, serialize_arc
 from hyperfocus.conics import hyperconic_witness
 from hyperfocus.field import GF, make_field
-from hyperfocus.plane import (
-    LINE_AT_INFINITY,
-    Point,
-    frobenius_point,
-    point_index,
-    scale,
-)
+from hyperfocus.plane import LINE_AT_INFINITY, Point, frobenius_point
 
 try:
     import numpy as _np
@@ -84,6 +79,10 @@ class CheckpointMismatch(SearchError):
     """Checkpoint belongs to a different search configuration."""
 
 
+class VerificationError(SearchError):
+    """An internal stage produced something its successor rejects."""
+
+
 @dataclass(frozen=True)
 class Candidate8:
     """Seven field elements naming an 8-point candidate configuration."""
@@ -114,16 +113,14 @@ class Candidate8:
 class Prepared8:
     """A candidate that passed the arc and focus-count filters.
 
-    `focus` and `tangent_pencils` are the projective views consumed by
-    callers; the affine fields drive the extension stage.  The slope
-    index of a focus is its y/x ratio, with index q for the vertical
-    direction (0,1,0).
+    Everything is affine on Z=0.  Directions are slope indices: the
+    slope y/x, or q for the vertical direction (0,1,0).  Bit m of
+    `focus_mask` is set when some secant has direction m, and
+    `slope_counts[m]` counts those secants, so the focus of direction m
+    carries a pencil of 8 - 2 * slope_counts[m] tangents.
     """
 
     cand: Candidate8
-    arc: Arc
-    focus: Tuple[Point, ...]
-    tangent_pencils: Dict[Point, Tuple[Tuple[int, int, int], ...]]
     apts: Tuple[Tuple[int, int], ...]
     focus_mask: int
     slope_counts: Tuple[int, ...]
@@ -157,24 +154,6 @@ def shard_size(gf: GF, c: int) -> int:
     return pairs * (gf.q - 1 - c) * pairs
 
 
-def shard_candidates(gf: GF, a: int, c: int) -> Iterator[Candidate8]:
-    q = gf.q
-    for d in range(q):
-        for e in range(d + 1, q):
-            for f in range(c + 1, q):
-                for g in range(q):
-                    for h in range(g + 1, q):
-                        yield Candidate8(a, c, d, e, f, g, h)
-
-
-def enumerate_candidates8(gf: GF) -> Iterator[Candidate8]:
-    """Full candidate stream, lexicographic in (a, c, d, e, f, g, h)."""
-    reps = frobenius_orbit_reps(gf, exclude=frozenset({0}))
-    for a in reps:
-        for c in range(2, gf.q):
-            yield from shard_candidates(gf, a, c)
-
-
 # ---------------------------------------------------------------------------
 # affine predicates
 
@@ -185,79 +164,56 @@ def slope_index(gf: GF, p: Tuple[int, int], r: Tuple[int, int]) -> int:
     return gf.mul(p[1] ^ r[1], gf.inv(p[0] ^ r[0]))
 
 
-def _is_affine_arc(gf: GF, pts: Sequence[Tuple[int, int]]) -> bool:
-    # three points are collinear iff two of the pairs through the first
-    # share a direction, so scanning each anchor point's slope multiset
-    # catches every collinear triple at its least index
+def _slope_census(
+    gf: GF, pts: Sequence[Tuple[int, int]]
+) -> Optional[Tuple[int, List[int]]]:
+    """Focus bitmask and per-direction secant counts, or None for a non-arc.
+
+    Three points are collinear iff two of the secants through the first
+    share a direction, so checking each point's directions to the later
+    ones catches every collinear triple at its least index.
+    """
     if len(set(pts)) != len(pts):
-        return False
-    for i, p in enumerate(pts):
-        seen = set()
-        for r in pts[i + 1:]:
-            m = slope_index(gf, p, r)
-            if m in seen:
-                return False
-            seen.add(m)
-    return True
-
-
-def _slope_census(gf: GF, pts: Sequence[Tuple[int, int]]) -> Tuple[int, List[int]]:
-    """Focus bitmask over slope indices 0..q and per-index secant counts."""
+        return None
     counts = [0] * (gf.q + 1)
     mask = 0
     for i, p in enumerate(pts):
+        seen = 0
         for r in pts[i + 1:]:
             m = slope_index(gf, p, r)
+            if seen >> m & 1:
+                return None
+            seen |= 1 << m
             counts[m] += 1
-            mask |= 1 << m
+        mask |= seen
     return mask, counts
 
 
-def focus_point(gf: GF, m: int) -> Point:
-    """The point of Z=0 with slope index m."""
-    if m == gf.q:
-        return (0, 1, 0)
-    return scale(gf, (1, m, 0))
-
-
-def _tangents_of_slope(
-    gf: GF, pts: Sequence[Tuple[int, int]], m: int
-) -> List[Tuple[int, int, int]]:
-    """Tangent lines through the slope-m focus, as projective lines."""
-    buckets: Dict[int, int] = {}
-    for x, y in pts:
-        b = x if m == gf.q else (y ^ gf.mul(m, x))
-        buckets[b] = buckets.get(b, 0) + 1
-    out = []
-    for b in sorted(buckets):
-        if buckets[b] == 1:
-            raw = (1, 0, b) if m == gf.q else (m, 1, b)
-            out.append(scale(gf, raw))
-    return out
+def _directions(
+    gf: GF, p: Tuple[int, int], pts: Sequence[Tuple[int, int]], allowed: int = -1
+) -> Optional[int]:
+    """Bitmask of the directions from p to each of pts, or None when two
+    coincide (p and two of pts are collinear) or one is not in `allowed`."""
+    mask = 0
+    for r in pts:
+        bit = 1 << slope_index(gf, p, r)
+        if mask & bit or not bit & allowed:
+            return None
+        mask |= bit
+    return mask
 
 
 def prune8(gf: GF, cand: Candidate8, bounds: Tuple[int, int]):
     """Validate one candidate; returns Prepared8 or a rejection reason."""
     pts = cand.points()
-    if not _is_affine_arc(gf, pts):
+    census = _slope_census(gf, pts)
+    if census is None:
         return NOT_AN_ARC
-    mask, counts = _slope_census(gf, pts)
-    size = mask.bit_count()
+    mask, counts = census
     lo, hi = bounds
-    if not lo <= size <= hi:
+    if not lo <= mask.bit_count() <= hi:
         return FOCUS_COUNT
-    arc = make_arc(gf, [(x, y, 1) for x, y in pts])
-    focus_ms = [m for m in range(gf.q + 1) if counts[m]]
-    focus = tuple(
-        sorted((focus_point(gf, m) for m in focus_ms), key=lambda p: point_index(gf, p))
-    )
-    pencils = {
-        focus_point(gf, m): tuple(_tangents_of_slope(gf, pts, m)) for m in focus_ms
-    }
-    for star in ((0, 1, 0), (1, 1, 0), (1, 0, 0)):
-        if star not in pencils:
-            raise SearchError(f"frame focus {star} missing from {cand}")
-    return Prepared8(cand, arc, focus, pencils, pts, mask, tuple(counts))
+    return Prepared8(cand, pts, mask, tuple(counts))
 
 
 # ---------------------------------------------------------------------------
@@ -295,12 +251,11 @@ def _stream_shard_python(
             for g in range(q):
                 for h in range(g + 1, q):
                     cand = Candidate8(a, c, d, e, f, g, h)
-                    pts = cand.points()
-                    if not _is_affine_arc(gf, pts):
+                    census = _slope_census(gf, cand.points())
+                    if census is None:
                         continue
                     counters["arcs8"] += 1
-                    mask, _ = _slope_census(gf, pts)
-                    size = mask.bit_count()
+                    size = census[0].bit_count()
                     if size in (9, 10):
                         counters["focus_9_10"] += 1
                     if lo <= size <= hi:
@@ -454,16 +409,17 @@ def _secant_traces(gf: GF, pts: Sequence[Tuple[int, int]]) -> set:
     covered = set()
     for i, p in enumerate(pts):
         for r in pts[i + 1:]:
-            if p[0] == r[0]:
+            m = slope_index(gf, p, r)
+            if m == q:
                 covered.update((p[0], y) for y in range(q))
             else:
-                m = gf.mul(p[1] ^ r[1], gf.inv(p[0] ^ r[0]))
                 b = p[1] ^ gf.mul(m, p[0])
                 covered.update((x, gf.mul(m, x) ^ b) for x in range(q))
     return covered
 
 
 def _tangent_intercepts(gf: GF, pts: Sequence[Tuple[int, int]], m: int) -> List[int]:
+    """Intercepts b of the tangents y = m x + b (m non-vertical)."""
     buckets: Dict[int, int] = {}
     for x, y in pts:
         b = y ^ gf.mul(m, x)
@@ -471,76 +427,44 @@ def _tangent_intercepts(gf: GF, pts: Sequence[Tuple[int, int]], m: int) -> List[
     return sorted(b for b, n in buckets.items() if n == 1)
 
 
-class _CellInfo:
-    __slots__ = ("x", "y", "dirs", "mask")
-
-    def __init__(self, gf: GF, pts8, x: int, y: int):
-        self.x = x
-        self.y = y
-        self.dirs = tuple(slope_index(gf, (x, y), p) for p in pts8)
-        mask = 0
-        for m in self.dirs:
-            mask |= 1 << m
-        self.mask = mask
-
-
-def _collinear_affine(gf: GF, p, r, t) -> bool:
-    if p[0] == r[0]:
-        return t[0] == p[0]
-    m = gf.mul(p[1] ^ r[1], gf.inv(p[0] ^ r[0]))
-    b = p[1] ^ gf.mul(m, p[0])
-    return t[1] == (gf.mul(m, t[0]) ^ b)
-
-
 def _finish_extension(
-    gf: GF, prep: Prepared8, chosen: Sequence[_CellInfo], k: int
+    gf: GF, prep: Prepared8, added: Sequence[Tuple[int, int]], k: int
 ) -> Optional[Tuple[Point, ...]]:
     """Full from-scratch acceptance check of an extension candidate."""
-    new_pts = [(cell.x, cell.y) for cell in chosen]
-    pts = list(prep.apts) + new_pts
-    if not _is_affine_arc(gf, pts):
+    pts = list(prep.apts) + list(added)
+    census = _slope_census(gf, pts)
+    if census is None or census[0].bit_count() != k - 1:
         return None
-    mask, _ = _slope_census(gf, pts)
-    if mask.bit_count() != k - 1:
-        return None
-    # growth is monotone, so the k-arc focus set must contain the 8-arc's
-    assert mask & prep.focus_mask == prep.focus_mask
-    # no two added points may share a tangent of the 8-arc: their join
-    # must miss it entirely (one common point would be a collinear triple)
-    for u, v in itertools.combinations(new_pts, 2):
-        assert not any(_collinear_affine(gf, u, v, w) for w in prep.apts)
     return make_arc(gf, [(x, y, 1) for x, y in pts])
 
 
 def _grid_transversals(
-    gf: GF, prep: Prepared8, m1: int, m2: int, n_add: int, k: int
+    gf: GF, prep: Prepared8, covered: set, m1: int, m2: int, n_add: int, k: int
 ) -> List[Tuple[Point, ...]]:
     """Extensions for one pair of tangent pencils.
 
     Rows are the tangents of the slope-m1 pencil, columns those of the
     slope-m2 pencil; cell (i, j) is their intersection.  Each added
     point must lie on exactly one tangent of each pencil, so the added
-    set is an injective row-to-column assignment, searched depth-first
-    with incremental focus-count and collinearity pruning.
+    set is an injective row-to-column assignment, searched depth-first.
+    A cell joins iff it is off the 8-arc's secants (`covered`), its
+    directions to the 8-arc and the chosen cells are pairwise distinct,
+    and the focus count stays at most k - 1.
     """
     pts8 = prep.apts
     t1 = _tangent_intercepts(gf, pts8, m1)
     t2 = _tangent_intercepts(gf, pts8, m2)
-    if len(t1) != n_add or len(t2) != n_add:
-        raise SearchError("pencil size does not match the extension width")
-    covered = _secant_traces(gf, pts8)
     dm_inv = gf.inv(m1 ^ m2)
-    cells: List[List[Optional[_CellInfo]]] = []
+    cells: List[List[Optional[Tuple[Tuple[int, int], int]]]] = []
     for b1 in t1:
         row = []
         for b2 in t2:
             x = gf.mul(b1 ^ b2, dm_inv)
-            y = gf.mul(m1, x) ^ b1
-            row.append(None if (x, y) in covered else _CellInfo(gf, pts8, x, y))
+            p = (x, gf.mul(m1, x) ^ b1)
+            row.append(None if p in covered else (p, _directions(gf, p, pts8)))
         cells.append(row)
     out: List[Tuple[Point, ...]] = []
-    hi_mask = k - 1
-    chosen: List[_CellInfo] = []
+    chosen: List[Tuple[int, int]] = []
 
     def walk(i: int, used: int, fmask: int) -> None:
         if i == n_add:
@@ -549,41 +473,16 @@ def _grid_transversals(
                 out.append(arc)
             return
         for j in range(n_add):
-            if used & (1 << j):
+            if used >> j & 1 or cells[i][j] is None:
                 continue
-            cell = cells[i][j]
-            if cell is None:
+            p, to8 = cells[i][j]
+            dirs = _directions(gf, p, chosen)
+            if dirs is None or dirs & to8:
                 continue
-            nmask = fmask | cell.mask
-            ok = True
-            col = 0
-            for prev in chosen:
-                m = slope_index(gf, (cell.x, cell.y), (prev.x, prev.y))
-                nmask |= 1 << m
-                if m == gf.q:
-                    col += 1
-            if col > 1:
-                ok = False
-            if ok and nmask.bit_count() > hi_mask:
-                ok = False
-            if ok:
-                for u, v in itertools.combinations(chosen, 2):
-                    if _collinear_affine(
-                        gf, (u.x, u.y), (v.x, v.y), (cell.x, cell.y)
-                    ):
-                        ok = False
-                        break
-            if ok:
-                for prev in chosen:
-                    if any(
-                        _collinear_affine(gf, (cell.x, cell.y), (prev.x, prev.y), w)
-                        for w in pts8
-                    ):
-                        ok = False
-                        break
-            if ok:
-                chosen.append(cell)
-                walk(i + 1, used | (1 << j), nmask)
+            nmask = fmask | to8 | dirs
+            if nmask.bit_count() < k:
+                chosen.append(p)
+                walk(i + 1, used | 1 << j, nmask)
                 chosen.pop()
 
     walk(0, 0, prep.focus_mask)
@@ -593,24 +492,16 @@ def _grid_transversals(
 def _extend_grid(gf: GF, prep: Prepared8, n_add: int) -> List[Tuple[Point, ...]]:
     k = 8 + n_add
     want = (8 - n_add) // 2
-    pencil_ms = [m for m in range(gf.q + 1) if prep.slope_counts[m] == want]
+    # the four vertical pairs make the vertical count 4, never a pencil size
+    pencil_ms = [m for m in range(gf.q) if prep.slope_counts[m] == want]
     if len(pencil_ms) < 2:
         return []
+    covered = _secant_traces(gf, prep.apts)
     found: Dict[Tuple[Point, ...], None] = {}
     for m1, m2 in itertools.combinations(pencil_ms, 2):
-        for arc in _grid_transversals(gf, prep, m1, m2, n_add, k):
+        for arc in _grid_transversals(gf, prep, covered, m1, m2, n_add, k):
             found.setdefault(arc, None)
     return sorted(found, key=lambda a: serialize_arc(gf, a))
-
-
-def extend_to_12(gf: GF, prep: Prepared8) -> List[Tuple[Point, ...]]:
-    """All hyperfocused 12-arcs over the 4x4 grids of 4-tangent focus pairs."""
-    return _extend_grid(gf, prep, 4)
-
-
-def extend_to_14(gf: GF, prep: Prepared8) -> List[Tuple[Point, ...]]:
-    """All hyperfocused 14-arcs over the 6x6 grids of 6-tangent focus pairs."""
-    return _extend_grid(gf, prep, 6)
 
 
 def closure_completions(gf: GF, prep: Prepared8) -> List[Tuple[Point, ...]]:
@@ -628,52 +519,43 @@ def closure_completions(gf: GF, prep: Prepared8) -> List[Tuple[Point, ...]]:
         return []
     pts8 = prep.apts
     fmask = prep.focus_mask
-    covered = _secant_traces(gf, pts8)
     used_x = {x for x, _ in pts8}
-    col_pairs: List[Tuple[int, List[Tuple[int, int]]]] = []
+    # the points of each free column whose directions to the 8-arc are
+    # distinct and in the focus set, with those directions
+    to8: Dict[Tuple[int, int], int] = {}
+    col_pairs: List[List[Tuple[Tuple[int, int], Tuple[int, int]]]] = []
     for x in range(q):
         if x in used_x:
             continue
-        ys = [
-            y
-            for y in range(q)
-            if (x, y) not in covered
-            and all((1 << slope_index(gf, (x, y), p)) & fmask for p in pts8)
-        ]
-        pairs = [(y1, y2) for y1, y2 in itertools.combinations(ys, 2)]
-        if pairs:
-            col_pairs.append((x, pairs))
+        col = []
+        for y in range(q):
+            dirs = _directions(gf, (x, y), pts8, fmask)
+            if dirs is not None:
+                to8[(x, y)] = dirs
+                col.append((x, y))
+        if len(col) > 1:
+            col_pairs.append(list(itertools.combinations(col, 2)))
     out: Dict[Tuple[Point, ...], None] = {}
     chosen: List[Tuple[int, int]] = []
 
     def compatible(p: Tuple[int, int]) -> bool:
-        for r in chosen:
-            if not (1 << slope_index(gf, p, r)) & fmask:
-                return False
-            if any(_collinear_affine(gf, p, r, w) for w in pts8):
-                return False
-        for u, v in itertools.combinations(chosen, 2):
-            if _collinear_affine(gf, u, v, p):
-                return False
-        return True
+        dirs = _directions(gf, p, chosen, fmask)
+        return dirs is not None and not dirs & to8[p]
 
     def walk(start: int, depth: int) -> None:
         if depth == 3:
             pts = list(pts8) + chosen
-            if not _is_affine_arc(gf, pts):
-                return
-            mask, _ = _slope_census(gf, pts)
-            if mask.bit_count() == 13:
+            census = _slope_census(gf, pts)
+            if census is not None and census[0].bit_count() == 13:
                 out.setdefault(make_arc(gf, [(x, y, 1) for x, y in pts]), None)
             return
         for ci in range(start, len(col_pairs)):
-            x, pairs = col_pairs[ci]
-            for y1, y2 in pairs:
-                if not compatible((x, y1)):
+            for p1, p2 in col_pairs[ci]:
+                if not compatible(p1):
                     continue
-                chosen.append((x, y1))
-                if compatible((x, y2)):
-                    chosen.append((x, y2))
+                chosen.append(p1)
+                if compatible(p2):
+                    chosen.append(p2)
                     walk(ci + 1, depth + 1)
                     chosen.pop()
                 chosen.pop()
@@ -703,7 +585,7 @@ def process_shard(
     for cand in survivors:
         prep = prune8(gf, cand, (lo, hi))
         if not isinstance(prep, Prepared8):
-            raise SearchError(f"stream survivor failed revalidation: {cand}")
+            raise VerificationError(f"stream survivor failed revalidation: {cand}")
         arcs = _extend_grid(gf, prep, n_add)
         counters["extended"] += len(arcs)
         raw.extend(arcs)
@@ -756,10 +638,22 @@ def config_hash(gf: GF, k: int, bounds: Tuple[int, int]) -> str:
 
 
 def _atomic_write(path: str, data: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    """Write through a temp file of its own in the target's directory, so
+    concurrent writers of one path never share a temp file."""
+    fd, tmp = tempfile.mkstemp(
+        dir=os.path.dirname(path) or ".", prefix=os.path.basename(path) + ".", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(data)
+        # mkstemp creates the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _save_checkpoint(
@@ -842,7 +736,7 @@ def _postprocess(
         arc = make_arc(gf, pts)
         verdict, size = classify_focus(gf, arc, LINE_AT_INFINITY)
         if len(arc) != k or verdict != HYPERFOCUSED or size != k - 1:
-            raise SearchError(f"emitted arc fails verification: {pts}")
+            raise VerificationError(f"emitted arc fails verification: {pts}")
         counters["verified"] += 1
         wit = hyperconic_witness(gf, arc)
         record = {
@@ -873,6 +767,8 @@ def run_search(gf: GF, k: int, config: SearchConfig) -> SearchReport:
     t0 = time.monotonic()
     if k % 2 or not 10 <= k <= 14:
         raise SearchError(f"k={k} is not supported (even k in 10..14)")
+    if gf.q >= 64:
+        raise SearchError(f"q={gf.q} is not supported: focus bitmasks need q < 64")
     bounds = FOCUS_BOUNDS[k]
     engine = resolve_engine(gf, config.engine)
     digest = config_hash(gf, k, bounds)

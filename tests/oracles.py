@@ -1,14 +1,16 @@
 """Slow, independent reference implementations used only by the tests.
 
 Deliberately written from the definitions, sharing as little code as
-possible with the package under test.
+possible with the package under test.  The candidate enumerators and
+`extend_to_12` at the end are the test-only entry points into the
+search: the pipeline itself streams shards in numpy.
 """
 
 from itertools import combinations, permutations
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from hyperfocus.arcs import Arc, LineMeetsArc
-from hyperfocus.canon import serialize_arc
+from hyperfocus.canon import frobenius_orbit_reps, serialize_arc
 from hyperfocus.field import GF
 from hyperfocus.plane import (
     LINE_AT_INFINITY,
@@ -26,6 +28,7 @@ from hyperfocus.plane import (
     meet,
     point_index,
 )
+from hyperfocus.search import Candidate8, Prepared8, _extend_grid
 
 
 def _row(gf: GF, p: Sequence[int]) -> List[int]:
@@ -187,3 +190,26 @@ def canonical_form_oracle(
     if best is None:
         raise ValueError("arc too small for a triple")
     return best
+
+
+def shard_candidates(gf: GF, a: int, c: int) -> Iterator[Candidate8]:
+    """Every candidate of one (a, c) shard, lexicographic in (d, e, f, g, h)."""
+    q = gf.q
+    for d in range(q):
+        for e in range(d + 1, q):
+            for f in range(c + 1, q):
+                for g in range(q):
+                    for h in range(g + 1, q):
+                        yield Candidate8(a, c, d, e, f, g, h)
+
+
+def enumerate_candidates8(gf: GF) -> Iterator[Candidate8]:
+    """Full candidate stream, lexicographic in (a, c, d, e, f, g, h)."""
+    for a in frobenius_orbit_reps(gf, exclude=frozenset({0})):
+        for c in range(2, gf.q):
+            yield from shard_candidates(gf, a, c)
+
+
+def extend_to_12(gf: GF, prep: Prepared8) -> List[Tuple[Point, ...]]:
+    """All hyperfocused 12-arcs over the 4x4 grids of 4-tangent focus pairs."""
+    return _extend_grid(gf, prep, 4)

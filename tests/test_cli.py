@@ -20,6 +20,7 @@ from hyperfocus.cli import (
     parse_pairs,
 )
 from hyperfocus import search
+from hyperfocus.arcs import NEITHER
 from hyperfocus.cli import UsageError
 from hyperfocus.field import make_field
 
@@ -137,6 +138,22 @@ def test_search_cli_discrepancy_fails(monkeypatch):
     assert code == EX_FAIL
     assert "found=40 " in out
     assert "discrepancy: expected 41 hyperfocused 10-arcs" in out
+
+
+def test_search_cli_verification_error_fails(monkeypatch):
+    """An emitted arc that fails re-verification is a failed
+    verification (exit 1), not a usage error."""
+    monkeypatch.setattr(search, "classify_focus", lambda gf, arc, line: (NEITHER, 0))
+    code, _, err = run_cli("search", "--s", "3", "--k", "10")
+    assert code == EX_FAIL
+    assert "verification error: emitted arc fails verification" in err
+
+
+def test_search_cli_rejects_q64():
+    code, out, err = run_cli("search", "--s", "6", "--k", "12", "--max-shards", "0")
+    assert code == EX_USAGE
+    assert "q=64 is not supported" in err
+    assert out == ""
 
 
 def test_search_cli_bad_k():

@@ -1,12 +1,22 @@
 """Candidate stream, shard filters, grid extension, checkpointing."""
 
 import json
+import os
 import random
 
 import pytest
 
-from hyperfocus.arcs import HYPERFOCUSED, classify_focus, make_arc
+from hyperfocus import search
+from hyperfocus.arcs import (
+    HYPERFOCUSED,
+    classify_focus,
+    focus_set,
+    is_arc,
+    make_arc,
+    tangents_through,
+)
 from hyperfocus.canon import frobenius_orbit_reps
+from hyperfocus.field import make_field
 from hyperfocus.plane import LINE_AT_INFINITY
 from hyperfocus.search import (
     FOCUS_BOUNDS,
@@ -17,24 +27,31 @@ from hyperfocus.search import (
     Prepared8,
     SearchConfig,
     SearchError,
+    VerificationError,
+    _save_checkpoint,
+    _slope_census,
     config_hash,
-    enumerate_candidates8,
-    extend_to_12,
     closure_completions,
-    focus_point,
     merge_counters,
     new_counters,
     process_shard,
     prune8,
     resolve_engine,
     run_search,
-    shard_candidates,
     shard_list,
     shard_size,
     stream_shard,
 )
 
+from oracles import enumerate_candidates8, extend_to_12, shard_candidates
+
 ANCHORS = {(0, 0, 1), (0, 1, 1), (1, 0, 1)}
+
+
+def slope_of(gf, focus):
+    """Slope index of a point (x, y, 0) of the focus line: y/x, or q."""
+    x, y, _ = focus
+    return gf.q if x == 0 else gf.mul(y, gf.inv(x))
 
 
 def test_candidate_points_layout(gf32):
@@ -109,22 +126,21 @@ def test_prune8_reasons_and_survivor(gf32):
         seen[res] += 1
     assert prep is not None
     assert seen[NOT_AN_ARC] > 0 and seen[FOCUS_COUNT] > 0
+    assert prep.apts == prep.cand.points()
     assert prep.focus_size == 11
     assert prep.focus_mask.bit_count() == 11
-    assert len(prep.focus) == 11
     assert sum(prep.slope_counts) == 28  # 8 points, 28 secants
+    # the projective views, derived from the definitions
+    arc = make_arc(gf32, [(x, y, 1) for x, y in prep.apts])
+    focus = focus_set(gf32, arc, LINE_AT_INFINITY)
+    assert len(focus) == 11
+    assert sum(1 << slope_of(gf32, pt) for pt in focus) == prep.focus_mask
     # the three frame focuses are always present with their pencils
     for star in ((0, 1, 0), (1, 1, 0), (1, 0, 0)):
-        assert star in prep.tangent_pencils
-    for pt, pencil in prep.tangent_pencils.items():
-        m = next(
-            i
-            for i, n in enumerate(prep.slope_counts)
-            if n and focus_point(gf32, i) == pt
-        )
-        assert len(pencil) == 8 - 2 * prep.slope_counts[m]
-    arc_pts = {(x, y, 1) for x, y in prep.apts}
-    assert set(prep.arc) == arc_pts
+        assert star in focus
+    for pt in focus:
+        pencil = tangents_through(gf32, arc, pt)
+        assert len(pencil) == 8 - 2 * prep.slope_counts[slope_of(gf32, pt)]
 
 
 def test_stream_engines_agree_q8(gf8):
@@ -193,6 +209,12 @@ def test_run_search_rejects_bad_k(gf8):
         run_search(gf8, 13, SearchConfig())
     with pytest.raises(SearchError):
         run_search(gf8, 16, SearchConfig())
+
+
+def test_run_search_rejects_q64():
+    """Focus bitmasks need q < 64; the search refuses before any shard."""
+    with pytest.raises(SearchError, match="q=64"):
+        run_search(make_field(6), 12, SearchConfig(max_shards=0))
 
 
 def _anchored_ten_arcs(q8_arcs):
@@ -290,6 +312,22 @@ def test_checkpoint_bad_cursor(gf8, tmp_path):
         run_search(gf8, 10, SearchConfig(checkpoint=str(ckpt)))
 
 
+def test_checkpoint_write_keeps_foreign_tmp(gf8, tmp_path):
+    """The checkpoint is written through a temp file of its own: a file
+    that merely has the old fixed temp name is left alone."""
+    ckpt = tmp_path / "run.ckpt"
+    other = tmp_path / "run.ckpt.tmp"
+    other.write_text("another run's temp file")
+    digest = config_hash(gf8, 10, FOCUS_BOUNDS[10])
+    _save_checkpoint(str(ckpt), digest, (0, 2), new_counters(), [])
+    assert other.read_text() == "another run's temp file"
+    assert json.loads(ckpt.read_text())["cursor"] == [0, 2]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ckpt", "run.ckpt.tmp"]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert ckpt.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
 def test_extend_grid_worked_example(gf32):
     """A known surviving candidate extends to exactly one hyperfocused
     12-arc; its whole shard produces only verified extensions."""
@@ -306,7 +344,7 @@ def test_extend_grid_worked_example(gf32):
         assert isinstance(p, Prepared8)
         for arc in extend_to_12(gf32, p):
             assert len(arc) == 12
-            assert set(p.arc) <= set(arc)
+            assert {(x, y, 1) for x, y in p.apts} <= set(arc)
             kind, n = classify_focus(gf32, arc, LINE_AT_INFINITY)
             assert (kind, n) == (HYPERFOCUSED, 11)
             produced += 1
@@ -336,7 +374,7 @@ def test_closure_path_on_real_survivors(gf32):
         for arc in closure_completions(gf32, prep):
             kind, n = classify_focus(gf32, arc, LINE_AT_INFINITY)
             assert (kind, n) == (HYPERFOCUSED, 13)
-            assert set(prep.arc) <= set(arc)
+            assert {(x, y, 1) for x, y in prep.apts} <= set(arc)
         checked += 1
         if checked == 200:
             break
@@ -349,3 +387,73 @@ def test_process_shard_counts(gf8):
     assert counters["candidates"] == shard_size(gf8, 2)
     assert counters["extended"] == len(raw)
     assert counters["closure_survivors"] == 0  # closure is a k=14 path
+
+
+def test_process_shard_rejects_bad_survivor(gf8, monkeypatch):
+    """A stream survivor that prune8 rejects is an internal fault."""
+    monkeypatch.setattr(search, "prune8", lambda gf, cand, bounds: NOT_AN_ARC)
+    with pytest.raises(VerificationError, match="revalidation"):
+        process_shard(gf8, 10, 1, 2, "auto")
+
+
+# two 12-arcs, each reached from three of its 8-point sub-candidates
+K12_A = (
+    (0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 2, 1), (2, 1, 1), (2, 6, 1),
+    (6, 2, 1), (6, 9, 1), (9, 6, 1), (9, 28, 1), (28, 9, 1), (28, 28, 1),
+)
+K12_B = (
+    (0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 2, 1), (2, 2, 1), (2, 5, 1),
+    (6, 5, 1), (6, 14, 1), (9, 14, 1), (9, 20, 1), (28, 1, 1), (28, 20, 1),
+)
+SHARD_PINS = {
+    (12, 2, 2): (
+        dict(candidates=7134464, arcs8=2303404, focus_rejected=2303398,
+             prepared=6, extended=6),
+        [K12_A] * 3 + [K12_B] * 3,
+    ),
+    (14, 1, 3): (
+        dict(candidates=6888448, arcs8=2212408, focus_rejected=2208328,
+             prepared=4080, closure_survivors=2352),
+        [],
+    ),
+    (14, 2, 10): (
+        dict(candidates=5166336, arcs8=1670074, focus_rejected=1669914,
+             prepared=160),
+        [],
+    ),
+}
+
+
+@pytest.mark.parametrize("k,a,c", sorted(SHARD_PINS))
+def test_process_shard_pins_q32(gf32, k, a, c):
+    """Counters and raw arcs of three q=32 shards, pinned as literals:
+    the grid extension, the census and the k=14 closure."""
+    expected, arcs = SHARD_PINS[(k, a, c)]
+    counters, raw = process_shard(gf32, k, a, c, "auto")
+    assert counters == {**new_counters(), **expected}
+    assert raw == arcs
+
+
+@pytest.mark.parametrize("s", [3, 4, 5])
+def test_slope_census_matches_definitions(s):
+    """On random affine point sets the census rejects exactly the
+    non-arcs, and on arcs its mask is the focus set on Z=0."""
+    gf = make_field(s)
+    rng = random.Random(1000 + s)
+    arcs = 0
+    for _ in range(300):
+        pts = rng.sample([(x, y) for x in range(gf.q) for y in range(gf.q)],
+                         rng.randrange(3, 10))
+        proj = [(x, y, 1) for x, y in pts]
+        census = _slope_census(gf, pts)
+        assert (census is None) == (not is_arc(gf, proj))
+        if census is None:
+            continue
+        arcs += 1
+        mask, counts = census
+        focus = focus_set(gf, proj, LINE_AT_INFINITY)
+        assert mask == sum(1 << slope_of(gf, pt) for pt in focus)
+        assert sum(counts) == len(pts) * (len(pts) - 1) // 2
+        assert all((n > 0) == bool(mask >> m & 1) for m, n in enumerate(counts))
+    assert 0 < arcs < 300
+    assert _slope_census(gf, [(0, 0), (1, 1), (0, 0)]) is None  # repeated point

@@ -1,0 +1,22 @@
+"""Static checks over the package source."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "hyperfocus"
+
+
+def test_no_assert_statements():
+    """Guards in the package must be real checks: `python -O` strips
+    `assert` statements."""
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)
+        ]
+    assert found == []

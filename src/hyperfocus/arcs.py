@@ -1,4 +1,4 @@
-"""Arcs, their secants and tangents, and focus sets on exterior lines.
+"""Arcs, their secants, and focus sets on exterior lines.
 
 An arc is a tuple of points (no 3 collinear), canonically scaled and
 sorted by dense point index.  The focus set of an arc K on an exterior
@@ -20,7 +20,6 @@ from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from hyperfocus.field import GF
 from hyperfocus.plane import (
-    LINE_AT_INFINITY,
     Line,
     Point,
     all_points,
@@ -28,7 +27,6 @@ from hyperfocus.plane import (
     incident,
     line_points,
     line_through,
-    lines_through,
     meet,
     point_index,
     scale,
@@ -94,44 +92,8 @@ def secants(gf: GF, arc: Arc) -> List[Line]:
     return [line_through(gf, a, b) for a, b in itertools.combinations(arc, 2)]
 
 
-def arc_accepts(gf: GF, arc: Arc, p: Point) -> bool:
-    """True when arc + p is still an arc: p is new and off every secant."""
-    if p in arc:
-        return False
-    return not any(
-        collinear(gf, a, b, p) for a, b in itertools.combinations(arc, 2)
-    )
-
-
-def extend_arc(gf: GF, arc: Arc, p: Point) -> Arc:
-    p = scale(gf, p)
-    if p in arc:
-        raise PointInArc(f"{p} already in arc")
-    for a, b in itertools.combinations(arc, 2):
-        if collinear(gf, a, b, p):
-            raise PointOnSecant(f"{p} lies on the secant through {a} and {b}")
-    pts = sorted(arc + (p,), key=lambda t: point_index(gf, t))
-    return tuple(pts)
-
-
-def line_type(gf: GF, arc: Arc, m: Line) -> str:
-    """'secant', 'tangent', or 'exterior' by number of arc points on m."""
-    hits = sum(1 for p in arc if incident(gf, p, m))
-    if hits >= 2:
-        return "secant"
-    return "tangent" if hits == 1 else "exterior"
-
-
 def is_exterior(gf: GF, arc: Arc, m: Line) -> bool:
     return not any(incident(gf, p, m) for p in arc)
-
-
-def tangents_through(gf: GF, arc: Arc, p: Point) -> List[Line]:
-    """Tangent lines of the arc passing through an outside point p."""
-    p = scale(gf, p)
-    if p in arc:
-        raise PointInArc(f"{p} is an arc point")
-    return [m for m in lines_through(gf, p) if line_type(gf, arc, m) == "tangent"]
 
 
 def focus_set(gf: GF, arc: Arc, line: Line) -> Tuple[Point, ...]:
@@ -231,38 +193,6 @@ def double_translation_arc(
             raise PointOnSecant(f"{moved} lies on a secant of the arc")
     bigger_group = additive_closure(gf, list(group) + [(sx, sy)])
     return bigger_group, translation_arc(gf, bigger_group, base)
-
-
-def complete_to_hyperovals(gf: GF, arc: Arc, first_only: bool = False) -> List[Arc]:
-    """All hyperovals ((q+2)-arcs) containing the given arc.
-
-    Candidate points are those off every secant; the completion is a DFS
-    over them in index order.  Intended for small q.
-    """
-    want = gf.q + 2 - len(arc)
-    if want < 0:
-        return []
-    if want == 0:
-        return [arc]
-    cands = [p for p in all_points(gf) if arc_accepts(gf, arc, p)]
-    out: List[Arc] = []
-
-    def grow(cur: Arc, start: int) -> bool:
-        if len(cur) == gf.q + 2:
-            out.append(cur)
-            return first_only
-        for i in range(start, len(cands)):
-            p = cands[i]
-            if arc_accepts(gf, cur, p):
-                nxt = tuple(
-                    sorted(cur + (p,), key=lambda t: point_index(gf, t))
-                )
-                if grow(nxt, i + 1):
-                    return True
-        return False
-
-    grow(arc, 0)
-    return out
 
 
 def translation_hyperoval(gf: GF, i: int) -> Arc:
@@ -431,44 +361,3 @@ def enumerate_hyperfocused(gf: GF, line: Line) -> List[Arc]:
         found.extend(_enumerate_anchor(tab, anchor))
     found.sort(key=lambda t: (len(t), t))
     return [tuple(tab.off[i] for i in t) for t in found]
-
-
-def enumerate_hyperfocused_naive(gf: GF, line: Line) -> List[Arc]:
-    """Subset-DFS oracle: walk every arc disjoint from the line and keep
-    the hyperfocused ones.  Only viable for tiny q."""
-    tab = _LineTables(gf, line)
-    masks = tab.masks
-    fpos = tab.fpos
-    pair_lid = tab.pair_lid
-    n = len(tab.off)
-    out: List[Tuple[int, ...]] = []
-    members: List[int] = []
-
-    def walk(start: int, cov: int, focus: int) -> None:
-        k = len(members)
-        if k >= 2 and focus.bit_count() == k - 1:
-            out.append(tuple(members))
-        for nxt in range(start, n):
-            if cov & (1 << nxt):
-                continue
-            ncov = cov
-            nfoc = focus
-            for m in members:
-                t = pair_lid[m][nxt]
-                ncov |= masks[t]
-                nfoc |= 1 << fpos[t]
-            members.append(nxt)
-            walk(nxt + 1, ncov, nfoc)
-            members.pop()
-
-    walk(0, 0, 0)
-    out.sort(key=lambda t: (len(t), t))
-    return [tuple(tab.off[i] for i in t) for t in out]
-
-
-def hyperfocused_spectrum(gf: GF, line: Line) -> Dict[int, int]:
-    """Size -> count of hyperfocused arcs on the line."""
-    spec: Dict[int, int] = {}
-    for arc in enumerate_hyperfocused(gf, line):
-        spec[len(arc)] = spec.get(len(arc), 0) + 1
-    return spec

@@ -28,7 +28,6 @@ using the field's log/exp tables, then serializes only the winning row.
 from __future__ import annotations
 
 import hashlib
-import itertools
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -38,8 +37,6 @@ from hyperfocus.plane import (
     LINE_AT_INFINITY,
     DegenerateFrame,
     Line,
-    line_through,
-    meet,
     point_index,
 )
 from hyperfocus.arcs import Arc, LineMeetsArc
@@ -47,21 +44,6 @@ from hyperfocus.arcs import Arc, LineMeetsArc
 # Image entries per block of triples: bounds the kernel's temporaries for
 # large arcs; a 12-arc (1320 triples x 12 points) is one block.
 _BLOCK = 1 << 15
-
-
-def check_star(gf: GF, arc: Arc) -> bool:
-    """Reference position test: the three anchor points are in the arc,
-    every point is affine, and the three anchor focuses appear on Z = 0."""
-    pts = set(arc)
-    if not {(0, 0, 1), (0, 1, 1), (1, 0, 1)} <= pts:
-        return False
-    if any(p[2] != 1 for p in arc):
-        return False
-    focuses = set()
-    for a, b in itertools.combinations(arc, 2):
-        ln = line_through(gf, a, b)
-        focuses.add(meet(gf, ln, LINE_AT_INFINITY))
-    return {(0, 1, 0), (1, 1, 0), (1, 0, 0)} <= focuses
 
 
 def frobenius_orbit_reps(

@@ -190,7 +190,6 @@ def cmd_search(args) -> int:
         workers=args.workers,
         checkpoint=args.checkpoint,
         output=args.out,
-        engine=args.engine,
         max_shards=args.max_shards,
         progress=args.progress,
     )
@@ -388,7 +387,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--out", default=None)
     sp.add_argument("--checkpoint", default=None)
     sp.add_argument("--workers", type=int, default=None)
-    sp.add_argument("--engine", choices=("auto", "numpy", "python"), default="auto")
     sp.add_argument("--max-shards", type=int, default=None)
     sp.add_argument("--progress", action="store_true")
     sp.set_defaults(func=cmd_search)

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from hyperfocus.field import GF
-from hyperfocus.plane import Point, all_points, collinear, scale
-from hyperfocus.arcs import Arc, make_arc
+from hyperfocus.plane import Point, collinear, scale
+from hyperfocus.arcs import Arc
 
 Conic = Tuple[int, int, int, int, int, int]
 
@@ -128,31 +128,6 @@ def nucleus(gf: GF, conic: Conic) -> Point:
     if (d, e, f) == (0, 0, 0):
         raise ConicError("degenerate conic has no nucleus")
     return scale(gf, (f, e, d))
-
-
-def tangent_line(gf: GF, conic: Conic, p: Point) -> Tuple[int, int, int]:
-    """Tangent of the conic at a point of it: the gradient line."""
-    if not on_conic(gf, conic, p):
-        raise ConicError(f"{p} is not on the conic")
-    _, _, _, d, e, f = conic
-    x, y, z = p
-    m = gf.mul
-    grad = (m(d, y) ^ m(e, z), m(d, x) ^ m(f, z), m(e, x) ^ m(f, y))
-    return scale(gf, grad)
-
-
-def conic_points(gf: GF, conic: Conic) -> List[Point]:
-    return [p for p in all_points(gf) if on_conic(gf, conic, p)]
-
-
-def hyperconic(gf: GF, conic: Conic) -> Arc:
-    """Conic plus nucleus as a (q+2)-arc; validates the arc property."""
-    pts = conic_points(gf, conic)
-    pts.append(nucleus(gf, conic))
-    arc = make_arc(gf, pts)
-    if len(arc) != gf.q + 2:
-        raise ConicError(f"hyperconic has {len(arc)} points, expected {gf.q + 2}")
-    return arc
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Points, lines and collineations of PG(2, q) over GF(2^s).
+"""Points and lines of PG(2, q) over GF(2^s), and the Frobenius collineation.
 
 A point is a homogeneous triple (x, y, z) canonically scaled so its last
 nonzero coordinate is 1; equality is then plain tuple equality.  A line is
@@ -18,7 +18,6 @@ from hyperfocus.field import GF
 
 Point = Tuple[int, int, int]
 Line = Tuple[int, int, int]
-Matrix = Tuple[Tuple[int, int, int], Tuple[int, int, int], Tuple[int, int, int]]
 
 # The focus line used throughout: Z = 0, the line at infinity.
 LINE_AT_INFINITY: Line = (0, 0, 1)
@@ -38,10 +37,6 @@ class SameLine(ValueError):
 
 class DegenerateFrame(ValueError):
     """A frame needs 4 points, no 3 collinear."""
-
-
-class SingularMatrix(ValueError):
-    """Determinant zero: not a collineation."""
 
 
 def scale(gf: GF, t: Sequence[int]) -> Point:
@@ -156,102 +151,6 @@ def line_points(gf: GF, m: Line) -> List[Point]:
     pts.append(scale(gf, (b, a, 0)))
     pts.sort(key=lambda p: point_index(gf, p))
     return pts
-
-
-def lines_through(gf: GF, p: Point) -> List[Line]:
-    """The q + 1 lines through a point (coefficient triples, index order)."""
-    return line_points(gf, p)  # point/line duality: same incidence equation
-
-
-# --- collineations --------------------------------------------------------
-
-
-def mat_vec(gf: GF, t: Matrix, v: Sequence[int]) -> Tuple[int, int, int]:
-    m = gf.mul
-    return tuple(
-        m(row[0], v[0]) ^ m(row[1], v[1]) ^ m(row[2], v[2]) for row in t
-    )  # type: ignore[return-value]
-
-
-def apply_point(gf: GF, t: Matrix, p: Point) -> Point:
-    return scale(gf, mat_vec(gf, t, p))
-
-
-def mat_mul(gf: GF, a: Matrix, b: Matrix) -> Matrix:
-    m = gf.mul
-    return tuple(
-        tuple(
-            m(a[i][0], b[0][j]) ^ m(a[i][1], b[1][j]) ^ m(a[i][2], b[2][j])
-            for j in range(3)
-        )
-        for i in range(3)
-    )  # type: ignore[return-value]
-
-
-def mat_det(gf: GF, a: Matrix) -> int:
-    return det3(gf, a[0], a[1], a[2])
-
-
-def mat_inv(gf: GF, a: Matrix) -> Matrix:
-    """Inverse by adjugate; char 2 drops the cofactor signs."""
-    d = mat_det(gf, a)
-    if d == 0:
-        raise SingularMatrix("matrix is singular")
-    di = gf.inv(d)
-    m = gf.mul
-
-    def cof(i: int, j: int) -> int:
-        r = [k for k in range(3) if k != i]
-        c = [k for k in range(3) if k != j]
-        return m(a[r[0]][c[0]], a[r[1]][c[1]]) ^ m(a[r[0]][c[1]], a[r[1]][c[0]])
-
-    # adjugate = transpose of cofactor matrix
-    return tuple(
-        tuple(m(di, cof(j, i)) for j in range(3)) for i in range(3)
-    )  # type: ignore[return-value]
-
-
-def apply_line(gf: GF, t: Matrix, m: Line) -> Line:
-    """Image of a line under the point map t: coefficients go through
-    the inverse transpose."""
-    ti = mat_inv(gf, t)
-    w = tuple(
-        gf.mul(m[0], ti[0][j]) ^ gf.mul(m[1], ti[1][j]) ^ gf.mul(m[2], ti[2][j])
-        for j in range(3)
-    )
-    return scale(gf, w)
-
-
-def _std_frame_matrix(gf: GF, quad: Sequence[Point]) -> Matrix:
-    """Matrix sending the standard frame e1, e2, e3, (1,1,1) to quad."""
-    p1, p2, p3, p4 = quad
-    d = det3(gf, p1, p2, p3)
-    if d == 0:
-        raise DegenerateFrame("first three frame points are collinear")
-    # Solve [p1 p2 p3] lam = p4 by Cramer.
-    l1 = gf.div(det3(gf, p4, p2, p3), d)
-    l2 = gf.div(det3(gf, p1, p4, p3), d)
-    l3 = gf.div(det3(gf, p1, p2, p4), d)
-    if l1 == 0 or l2 == 0 or l3 == 0:
-        raise DegenerateFrame("fourth frame point lies on a side of the triangle")
-    cols = (
-        tuple(gf.mul(l1, x) for x in p1),
-        tuple(gf.mul(l2, x) for x in p2),
-        tuple(gf.mul(l3, x) for x in p3),
-    )
-    return tuple(
-        (cols[0][i], cols[1][i], cols[2][i]) for i in range(3)
-    )  # type: ignore[return-value]
-
-
-def frame_map(gf: GF, src: Sequence[Point], dst: Sequence[Point]) -> Matrix:
-    """The unique projectivity sending the frame src to the frame dst.
-
-    Both arguments are 4-tuples of points with no 3 collinear.
-    """
-    ms = _std_frame_matrix(gf, src)
-    md = _std_frame_matrix(gf, dst)
-    return mat_mul(gf, md, mat_inv(gf, ms))
 
 
 def frobenius_point(gf: GF, p: Point, i: int = 1) -> Point:

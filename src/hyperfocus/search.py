@@ -7,9 +7,15 @@ The candidate family is the normalized 8-point configuration
 in affine coordinates (third coordinate 1), four vertical pairs, with a
 ranging over Frobenius orbit representatives and the ordering
 constraints 1 < c < f, d < e, g < h removing within-frame duplicates.
-Candidates surviving the arc and focus-count filters are extended by
-4- or 6-point transversals of tangent-pencil grids, and every emitted
-arc is re-verified from the definition.
+A shard is filtered in numpy, one (f, g, h) cube per (d, e) pair, for
+the arc property and the focus-count bounds.  Survivors are extended by
+4- or 6-point transversals of tangent-pencil grids (plus a direct
+closure for k = 14), on affine points with directions as bitmasks.  No
+stage re-proves what the stage before it proved: the grid and closure
+searches accept a point only when the arc and focus-count conditions
+still hold, so each leaf is a hyperfocused arc by construction.  Every
+emitted arc is re-verified from the definition once, after the orbit
+closure.
 
 Work is sharded by the (a-index, c) prefix.  Shards are merged in a
 fixed order and the final records are sorted by canonical digest, so
@@ -34,7 +40,9 @@ import tempfile
 import time
 from dataclasses import dataclass
 from multiprocessing import Pool
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from hyperfocus.arcs import HYPERFOCUSED, classify_focus, make_arc
 from hyperfocus.canon import arc_digest, frobenius_orbit_reps, serialize_arc
@@ -42,16 +50,15 @@ from hyperfocus.conics import hyperconic_witness
 from hyperfocus.field import GF, make_field
 from hyperfocus.plane import LINE_AT_INFINITY, Point, frobenius_point
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 NOT_AN_ARC = "not-an-arc"
 FOCUS_COUNT = "focus-count"
 
 # target size -> (min, max) focus count demanded of the 8-point stage
 FOCUS_BOUNDS = {10: (9, 9), 12: (11, 11), 14: (9, 13)}
+
+# hashed into every checkpoint: raise it whenever a change alters what a
+# shard yields or what a checkpoint holds, so old checkpoints are refused
+CHECKPOINT_SCHEMA = 1
 
 # classification results the full runs are expected to reproduce
 EXPECTED_FOUND = {(32, 0x25, 12): 60, (32, 0x25, 14): 0}
@@ -148,12 +155,6 @@ def shard_list(gf: GF) -> List[Tuple[int, int]]:
     return [(i, c) for i in range(len(reps)) for c in range(2, gf.q)]
 
 
-def shard_size(gf: GF, c: int) -> int:
-    """Closed-form candidate count of one (a, c) shard."""
-    pairs = gf.q * (gf.q - 1) // 2
-    return pairs * (gf.q - 1 - c) * pairs
-
-
 # ---------------------------------------------------------------------------
 # affine predicates
 
@@ -217,95 +218,46 @@ def prune8(gf: GF, cand: Candidate8, bounds: Tuple[int, int]):
 
 
 # ---------------------------------------------------------------------------
-# stream filtering, reference path
+# stream filtering
 
-def _anchor_cross_lines(gf: GF, a: int) -> List[Tuple[int, int]]:
-    # non-vertical lines through two of the four anchor points, as (m, b)
-    return [(0, 0), (a, 0), (1, 1), (a ^ 1, 1)]
+def _require_small_field(gf: GF) -> None:
+    """Focus sets are uint64 bitmasks over the q + 1 directions."""
+    if gf.q >= 64:
+        raise SearchError(f"q={gf.q} is not supported: focus bitmasks need q < 64")
 
-
-def _stream_shard_python(
-    gf: GF,
-    a: int,
-    c: int,
-    lo: int,
-    hi: int,
-    de_pairs: Optional[Sequence[Tuple[int, int]]] = None,
-) -> Tuple[Dict[str, int], List[Candidate8]]:
-    """Brute-force shard filter: per-candidate arc test and slope census.
-
-    Exact but slow; it is the oracle the vectorized path is checked
-    against, and the fallback engine when numpy is unavailable.
-    """
-    q = gf.q
-    counters = new_counters()
-    survivors: List[Candidate8] = []
-    pairs = (
-        list(de_pairs)
-        if de_pairs is not None
-        else [(d, e) for d in range(q) for e in range(d + 1, q)]
-    )
-    counters["candidates"] = len(pairs) * (q - 1 - c) * (q * (q - 1) // 2)
-    for d, e in pairs:
-        for f in range(c + 1, q):
-            for g in range(q):
-                for h in range(g + 1, q):
-                    cand = Candidate8(a, c, d, e, f, g, h)
-                    census = _slope_census(gf, cand.points())
-                    if census is None:
-                        continue
-                    counters["arcs8"] += 1
-                    size = census[0].bit_count()
-                    if size in (9, 10):
-                        counters["focus_9_10"] += 1
-                    if lo <= size <= hi:
-                        counters["prepared"] += 1
-                        survivors.append(cand)
-                    else:
-                        counters["focus_rejected"] += 1
-    return counters, survivors
-
-
-# ---------------------------------------------------------------------------
-# stream filtering, vectorized path
 
 class _NumpyTables:
     """Per-field lookup tables for the vectorized shard filter."""
 
     def __init__(self, gf: GF):
-        if _np is None:
-            raise SearchError("numpy is not available")
-        if not hasattr(_np, "bitwise_count"):
-            raise SearchError("numpy lacks bitwise_count")
-        if gf.q >= 64:
-            raise SearchError("slope bitmasks need q < 64")
+        _require_small_field(gf)
         q = gf.q
-        mul = _np.zeros((q, q), dtype=_np.int64)
+        mul = np.zeros((q, q), dtype=np.int64)
         for x in range(1, q):
             for y in range(1, q):
                 mul[x, y] = gf.mul(x, y)
-        slope = _np.full((q, q), q, dtype=_np.int64)
+        slope = np.full((q, q), q, dtype=np.int64)
         for dx in range(1, q):
             inv = gf.inv(dx)
             for dy in range(q):
                 slope[dx, dy] = gf.mul(dy, inv)
         self.q = q
         self.mul = mul
-        self.slope_bit = (_np.uint64(1) << slope.astype(_np.uint64))
-        self.triu = _np.triu(_np.ones((q, q), dtype=bool), 1)
-        self.xs = _np.arange(q)
+        self.slope_bit = (np.uint64(1) << slope.astype(np.uint64))
+        self.triu = np.triu(np.ones((q, q), dtype=bool), 1)
+        self.xs = np.arange(q)
 
 
-def _stream_shard_numpy(
+def stream_shard(
     gf: GF,
-    tab: _NumpyTables,
     a: int,
     c: int,
     lo: int,
     hi: int,
     de_pairs: Optional[Sequence[Tuple[int, int]]] = None,
+    tables: Optional[_NumpyTables] = None,
 ) -> Tuple[Dict[str, int], List[Candidate8]]:
-    """Vectorized shard filter over the (f, g, h) cube per (d, e) pair.
+    """Shard filter, vectorized over the (f, g, h) cube per (d, e) pair.
 
     For fixed (a, c, d, e) the 28 secant directions of a candidate split
     into the 15 directions among the six fixed points and, for each new
@@ -313,9 +265,10 @@ def _stream_shard_numpy(
     the shared vertical.  OR-ing precomputed slope bitmasks gives the
     focus set of every candidate in the cube at once, and a candidate
     is an arc iff d, e avoid the anchor lines over x=c and g, h avoid
-    the 12 cross-secant traces over the row's x=f.
+    the 12 cross-secant traces over the row's x=f.  `de_pairs` restricts
+    the (d, e) pairs, `tables` reuses one field's tables across shards.
     """
-    np = _np
+    tab = tables if tables is not None else _NumpyTables(gf)
     q = tab.q
     counters = new_counters()
     survivors: List[Candidate8] = []
@@ -327,7 +280,8 @@ def _stream_shard_numpy(
     counters["candidates"] = len(pairs) * (q - 1 - c) * (q * (q - 1) // 2)
 
     anchors = ((0, 0), (0, 1), (1, 0), (1, a))
-    anchor_lines = _anchor_cross_lines(gf, a)
+    # non-vertical lines through two of the four anchors, as (m, b)
+    anchor_lines = [(0, 0), (a, 0), (1, 1), (a ^ 1, 1)]
     forb_de = {gf.mul(m, c) ^ b for m, b in anchor_lines}
     vert_bit = 1 << q
     base4 = vert_bit
@@ -374,49 +328,17 @@ def _stream_shard_numpy(
     return counters, survivors
 
 
-def stream_shard(
-    gf: GF,
-    a: int,
-    c: int,
-    lo: int,
-    hi: int,
-    engine: str = "auto",
-    de_pairs: Optional[Sequence[Tuple[int, int]]] = None,
-    tables: Optional[_NumpyTables] = None,
-) -> Tuple[Dict[str, int], List[Candidate8]]:
-    engine = resolve_engine(gf, engine)
-    if engine == "numpy":
-        tab = tables if tables is not None else _NumpyTables(gf)
-        return _stream_shard_numpy(gf, tab, a, c, lo, hi, de_pairs)
-    return _stream_shard_python(gf, a, c, lo, hi, de_pairs)
-
-
+# `resolve_engine` and the `engine` argument of `process_shard` remain
+# only for bench/run.py, which passes "auto"; numpy is the one engine.
 def resolve_engine(gf: GF, engine: str) -> str:
-    if engine == "auto":
-        usable = _np is not None and hasattr(_np, "bitwise_count") and gf.q < 64
-        return "numpy" if usable else "python"
-    if engine not in ("numpy", "python"):
+    if engine not in ("auto", "numpy"):
         raise SearchError(f"unknown engine {engine!r}")
-    return engine
+    _require_small_field(gf)
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
 # extension stage
-
-def _secant_traces(gf: GF, pts: Sequence[Tuple[int, int]]) -> set:
-    """Every affine point lying on a secant of the given points."""
-    q = gf.q
-    covered = set()
-    for i, p in enumerate(pts):
-        for r in pts[i + 1:]:
-            m = slope_index(gf, p, r)
-            if m == q:
-                covered.update((p[0], y) for y in range(q))
-            else:
-                b = p[1] ^ gf.mul(m, p[0])
-                covered.update((x, gf.mul(m, x) ^ b) for x in range(q))
-    return covered
-
 
 def _tangent_intercepts(gf: GF, pts: Sequence[Tuple[int, int]], m: int) -> List[int]:
     """Intercepts b of the tangents y = m x + b (m non-vertical)."""
@@ -427,55 +349,51 @@ def _tangent_intercepts(gf: GF, pts: Sequence[Tuple[int, int]], m: int) -> List[
     return sorted(b for b, n in buckets.items() if n == 1)
 
 
-def _finish_extension(
-    gf: GF, prep: Prepared8, added: Sequence[Tuple[int, int]], k: int
-) -> Optional[Tuple[Point, ...]]:
-    """Full from-scratch acceptance check of an extension candidate."""
-    pts = list(prep.apts) + list(added)
-    census = _slope_census(gf, pts)
-    if census is None or census[0].bit_count() != k - 1:
-        return None
-    return make_arc(gf, [(x, y, 1) for x, y in pts])
-
-
 def _grid_transversals(
-    gf: GF, prep: Prepared8, covered: set, m1: int, m2: int, n_add: int, k: int
+    gf: GF, prep: Prepared8, m1: int, t1: List[int], m2: int, t2: List[int]
 ) -> List[Tuple[Point, ...]]:
     """Extensions for one pair of tangent pencils.
 
-    Rows are the tangents of the slope-m1 pencil, columns those of the
-    slope-m2 pencil; cell (i, j) is their intersection.  Each added
-    point must lie on exactly one tangent of each pencil, so the added
-    set is an injective row-to-column assignment, searched depth-first.
-    A cell joins iff it is off the 8-arc's secants (`covered`), its
-    directions to the 8-arc and the chosen cells are pairwise distinct,
-    and the focus count stays at most k - 1.
+    Rows are the tangents y = m1 x + b of intercepts t1, columns those of
+    slope m2 and intercepts t2; cell (i, j) is their intersection.  Each
+    added point must lie on exactly one tangent of each pencil, so the
+    added set is an injective row-to-column assignment, searched
+    depth-first.  A cell joins iff its directions to the 8-arc and to the
+    chosen cells are pairwise distinct and disjoint, and the focus count
+    stays at most k - 1.  That makes the k points an arc, and an arc has
+    at least k - 1 focuses, so every leaf is hyperfocused.  A cell is
+    computed when the search first reaches it: most grids die in their
+    first rows.
     """
+    n_add = len(t1)
+    k = 8 + n_add
     pts8 = prep.apts
-    t1 = _tangent_intercepts(gf, pts8, m1)
-    t2 = _tangent_intercepts(gf, pts8, m2)
     dm_inv = gf.inv(m1 ^ m2)
-    cells: List[List[Optional[Tuple[Tuple[int, int], int]]]] = []
-    for b1 in t1:
-        row = []
-        for b2 in t2:
-            x = gf.mul(b1 ^ b2, dm_inv)
-            p = (x, gf.mul(m1, x) ^ b1)
-            row.append(None if p in covered else (p, _directions(gf, p, pts8)))
-        cells.append(row)
+    cells: Dict[Tuple[int, int], Tuple[Tuple[int, int], Optional[int]]] = {}
+
+    def cell(i: int, j: int) -> Tuple[Tuple[int, int], Optional[int]]:
+        # the directions are None exactly when the cell is on a secant of
+        # the 8-arc: every arc point has its vertical partner in the arc,
+        # so an arc point also repeats a direction (the vertical one)
+        if (i, j) not in cells:
+            x = gf.mul(t1[i] ^ t2[j], dm_inv)
+            p = (x, gf.mul(m1, x) ^ t1[i])
+            cells[i, j] = p, _directions(gf, p, pts8)
+        return cells[i, j]
+
     out: List[Tuple[Point, ...]] = []
     chosen: List[Tuple[int, int]] = []
 
     def walk(i: int, used: int, fmask: int) -> None:
         if i == n_add:
-            arc = _finish_extension(gf, prep, chosen, k)
-            if arc is not None:
-                out.append(arc)
+            out.append(make_arc(gf, [(x, y, 1) for x, y in list(pts8) + chosen]))
             return
         for j in range(n_add):
-            if used >> j & 1 or cells[i][j] is None:
+            if used >> j & 1:
                 continue
-            p, to8 = cells[i][j]
+            p, to8 = cell(i, j)
+            if to8 is None:
+                continue
             dirs = _directions(gf, p, chosen)
             if dirs is None or dirs & to8:
                 continue
@@ -490,16 +408,17 @@ def _grid_transversals(
 
 
 def _extend_grid(gf: GF, prep: Prepared8, n_add: int) -> List[Tuple[Point, ...]]:
-    k = 8 + n_add
+    # a focus with c secants carries 8 - 2c tangents; pencils of n_add
+    # tangents have c = want.  The four vertical pairs make the vertical
+    # count 4, never a pencil size.
     want = (8 - n_add) // 2
-    # the four vertical pairs make the vertical count 4, never a pencil size
     pencil_ms = [m for m in range(gf.q) if prep.slope_counts[m] == want]
     if len(pencil_ms) < 2:
         return []
-    covered = _secant_traces(gf, prep.apts)
+    tangents = {m: _tangent_intercepts(gf, prep.apts, m) for m in pencil_ms}
     found: Dict[Tuple[Point, ...], None] = {}
     for m1, m2 in itertools.combinations(pencil_ms, 2):
-        for arc in _grid_transversals(gf, prep, covered, m1, m2, n_add, k):
+        for arc in _grid_transversals(gf, prep, m1, tangents[m1], m2, tangents[m2]):
             found.setdefault(arc, None)
     return sorted(found, key=lambda a: serialize_arc(gf, a))
 
@@ -512,7 +431,9 @@ def closure_completions(gf: GF, prep: Prepared8) -> List[Tuple[Point, ...]]:
     form 3 new vertical pairs whose every secant direction to the 8-arc
     and to each other lies in the known focus mask.  This closes the
     rare case of fewer than two 6-tangent focuses, where the grid
-    search has nothing to enumerate.
+    search has nothing to enumerate.  Every direction a leaf accepts is
+    distinct per point and lies in the 13-bit mask, so each leaf is a
+    14-arc with exactly 13 focuses.
     """
     q = gf.q
     if prep.focus_mask.bit_count() != 13:
@@ -544,10 +465,8 @@ def closure_completions(gf: GF, prep: Prepared8) -> List[Tuple[Point, ...]]:
 
     def walk(start: int, depth: int) -> None:
         if depth == 3:
-            pts = list(pts8) + chosen
-            census = _slope_census(gf, pts)
-            if census is not None and census[0].bit_count() == 13:
-                out.setdefault(make_arc(gf, [(x, y, 1) for x, y in pts]), None)
+            arc = make_arc(gf, [(x, y, 1) for x, y in list(pts8) + chosen])
+            out.setdefault(arc, None)
             return
         for ci in range(start, len(col_pairs)):
             for p1, p2 in col_pairs[ci]:
@@ -572,14 +491,13 @@ def process_shard(
     k: int,
     a: int,
     c: int,
-    engine: str,
+    engine: str = "auto",
     tables: Optional[_NumpyTables] = None,
 ) -> Tuple[Dict[str, int], List[Tuple[Point, ...]]]:
     """Filter and extend one (a, c) shard; returns counters and raw arcs."""
+    resolve_engine(gf, engine)
     lo, hi = FOCUS_BOUNDS[k]
-    counters, survivors = stream_shard(
-        gf, a, c, lo, hi, engine=engine, tables=tables
-    )
+    counters, survivors = stream_shard(gf, a, c, lo, hi, tables=tables)
     n_add = k - 8
     raw: List[Tuple[Point, ...]] = []
     for cand in survivors:
@@ -607,7 +525,6 @@ class SearchConfig:
     workers: int = 1
     checkpoint: Optional[str] = None
     output: Optional[str] = None
-    engine: str = "auto"
     max_shards: Optional[int] = None
     progress: bool = False
 
@@ -630,11 +547,9 @@ class SearchReport:
 
 
 def config_hash(gf: GF, k: int, bounds: Tuple[int, int]) -> str:
-    blob = json.dumps(
-        {"q": gf.q, "modulus": gf.modulus, "k": k, "lo": bounds[0], "hi": bounds[1]},
-        sort_keys=True,
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    blob = dict(schema=CHECKPOINT_SCHEMA, q=gf.q, modulus=gf.modulus, k=k)
+    blob.update(lo=bounds[0], hi=bounds[1])
+    return hashlib.sha256(json.dumps(blob, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def _atomic_write(path: str, data: str) -> None:
@@ -690,28 +605,20 @@ def _load_checkpoint(path: str, digest: str):
     return cursor, counters, found
 
 
-_WORKER: Dict[str, object] = {}
+_WORKER: Dict[str, Any] = {}
 
 
-def _worker_init(s: int, modulus: int, k: int, engine: str) -> None:
+def _worker_init(s: int, modulus: int, k: int) -> None:
     gf = make_field(s, modulus)
-    _WORKER["gf"] = gf
-    _WORKER["k"] = k
-    _WORKER["engine"] = engine
-    _WORKER["tables"] = _NumpyTables(gf) if engine == "numpy" else None
+    reps = frobenius_orbit_reps(gf, exclude=frozenset({0}))
+    _WORKER.update(gf=gf, k=k, reps=reps, tables=_NumpyTables(gf))
 
 
 def _worker_shard(coords: Tuple[int, int]):
-    gf: GF = _WORKER["gf"]  # type: ignore[assignment]
-    reps = frobenius_orbit_reps(gf, exclude=frozenset({0}))
     a_idx, c = coords
+    w = _WORKER
     counters, raw = process_shard(
-        gf,
-        _WORKER["k"],  # type: ignore[arg-type]
-        reps[a_idx],
-        c,
-        _WORKER["engine"],  # type: ignore[arg-type]
-        _WORKER["tables"],  # type: ignore[arg-type]
+        w["gf"], w["k"], w["reps"][a_idx], c, tables=w["tables"]
     )
     return a_idx, c, counters, raw
 
@@ -732,11 +639,10 @@ def _postprocess(
             img = make_arc(gf, [frobenius_point(gf, p, i) for p in arc])
             unique.setdefault(img, None)
     entries = []
-    for pts in unique:
-        arc = make_arc(gf, pts)
+    for arc in unique:
         verdict, size = classify_focus(gf, arc, LINE_AT_INFINITY)
         if len(arc) != k or verdict != HYPERFOCUSED or size != k - 1:
-            raise VerificationError(f"emitted arc fails verification: {pts}")
+            raise VerificationError(f"emitted arc fails verification: {arc}")
         counters["verified"] += 1
         wit = hyperconic_witness(gf, arc)
         record = {
@@ -767,10 +673,8 @@ def run_search(gf: GF, k: int, config: SearchConfig) -> SearchReport:
     t0 = time.monotonic()
     if k % 2 or not 10 <= k <= 14:
         raise SearchError(f"k={k} is not supported (even k in 10..14)")
-    if gf.q >= 64:
-        raise SearchError(f"q={gf.q} is not supported: focus bitmasks need q < 64")
+    tables = _NumpyTables(gf)  # refuses q >= 64 before any work
     bounds = FOCUS_BOUNDS[k]
-    engine = resolve_engine(gf, config.engine)
     digest = config_hash(gf, k, bounds)
     shards = shard_list(gf)
     counters = new_counters()
@@ -807,15 +711,14 @@ def run_search(gf: GF, k: int, config: SearchConfig) -> SearchReport:
             )
 
     if workers == 1 or len(todo) <= 1:
-        tables = _NumpyTables(gf) if engine == "numpy" else None
         for a_idx, c in todo:
-            delta, raw = process_shard(gf, k, reps[a_idx], c, engine, tables)
+            delta, raw = process_shard(gf, k, reps[a_idx], c, tables=tables)
             handle(a_idx, c, delta, raw)
     else:
         with Pool(
             processes=min(workers, len(todo)),
             initializer=_worker_init,
-            initargs=(gf.s, gf.modulus, k, engine),
+            initargs=(gf.s, gf.modulus, k),
         ) as pool:
             for a_idx, c, delta, raw in pool.imap(_worker_shard, todo):
                 handle(a_idx, c, delta, raw)

@@ -1,35 +1,59 @@
-"""Slow, independent reference implementations used only by the tests.
+"""Slow, independent reference implementations and test-only helpers.
 
-Deliberately written from the definitions, sharing as little code as
-possible with the package under test.  The candidate enumerators and
-`extend_to_12` at the end are the test-only entry points into the
-search: the pipeline itself streams shards in numpy.
+The oracles are written from the definitions, sharing as little code as
+possible with the package under test.  The helpers are what only the
+tests need from the geometry: collineation matrices and frame maps, arc
+growth and tangent lines, conic point sets, the small-q exhaustive
+enumerator by subsets, and the shard-level entry points into the search.
+`stream_shard_python` is the per-candidate shard filter the numpy
+stream is checked against; the pipeline itself has no second engine.
 """
 
+import hashlib
+import json
 from itertools import combinations, permutations
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from hyperfocus.arcs import Arc, LineMeetsArc
+from hyperfocus.arcs import (
+    Arc,
+    LineMeetsArc,
+    PointInArc,
+    PointOnSecant,
+    _LineTables,
+    make_arc,
+)
 from hyperfocus.canon import frobenius_orbit_reps, serialize_arc
+from hyperfocus.conics import Conic, ConicError, nucleus, on_conic
 from hyperfocus.field import GF
 from hyperfocus.plane import (
     LINE_AT_INFINITY,
+    DegenerateFrame,
     Line,
-    Matrix,
     Point,
     all_points,
-    apply_point,
-    frame_map,
+    collinear,
+    det3,
     frobenius_point,
     incident,
     line_points,
     line_through,
-    lines_through,
     meet,
     point_index,
+    scale,
 )
-from hyperfocus.search import Candidate8, Prepared8, _extend_grid
+from hyperfocus.search import (
+    Candidate8,
+    Prepared8,
+    _extend_grid,
+    _slope_census,
+    new_counters,
+)
 
+Matrix = Tuple[Tuple[int, int, int], Tuple[int, int, int], Tuple[int, int, int]]
+
+
+# ---------------------------------------------------------------------------
+# conics and nested arcs
 
 def _row(gf: GF, p: Sequence[int]) -> List[int]:
     x, y, z = p
@@ -146,6 +170,100 @@ def hyperconic_oracle(gf: GF, arc: Sequence[Tuple[int, int, int]]) -> bool:
     return False
 
 
+# ---------------------------------------------------------------------------
+# lines through a point, collineations, frames
+
+def lines_through(gf: GF, p: Point) -> List[Line]:
+    """The q + 1 lines through a point (coefficient triples, index order)."""
+    return line_points(gf, p)  # point/line duality: same incidence equation
+
+
+class SingularMatrix(ValueError):
+    """Determinant zero: not a collineation."""
+
+
+def mat_vec(gf: GF, t: Matrix, v: Sequence[int]) -> Tuple[int, int, int]:
+    m = gf.mul
+    return tuple(
+        m(row[0], v[0]) ^ m(row[1], v[1]) ^ m(row[2], v[2]) for row in t
+    )  # type: ignore[return-value]
+
+
+def apply_point(gf: GF, t: Matrix, p: Point) -> Point:
+    return scale(gf, mat_vec(gf, t, p))
+
+
+def mat_mul(gf: GF, a: Matrix, b: Matrix) -> Matrix:
+    m = gf.mul
+    return tuple(
+        tuple(
+            m(a[i][0], b[0][j]) ^ m(a[i][1], b[1][j]) ^ m(a[i][2], b[2][j])
+            for j in range(3)
+        )
+        for i in range(3)
+    )  # type: ignore[return-value]
+
+
+def mat_det(gf: GF, a: Matrix) -> int:
+    return det3(gf, a[0], a[1], a[2])
+
+
+def mat_inv(gf: GF, a: Matrix) -> Matrix:
+    """Inverse by adjugate; char 2 drops the cofactor signs."""
+    d = mat_det(gf, a)
+    if d == 0:
+        raise SingularMatrix("matrix is singular")
+    di = gf.inv(d)
+    m = gf.mul
+
+    def cof(i: int, j: int) -> int:
+        r = [k for k in range(3) if k != i]
+        c = [k for k in range(3) if k != j]
+        return m(a[r[0]][c[0]], a[r[1]][c[1]]) ^ m(a[r[0]][c[1]], a[r[1]][c[0]])
+
+    # adjugate = transpose of cofactor matrix
+    return tuple(
+        tuple(m(di, cof(j, i)) for j in range(3)) for i in range(3)
+    )  # type: ignore[return-value]
+
+
+def apply_line(gf: GF, t: Matrix, m: Line) -> Line:
+    """Image of a line under the point map t: coefficients go through
+    the inverse transpose."""
+    ti = mat_inv(gf, t)
+    w = tuple(
+        gf.mul(m[0], ti[0][j]) ^ gf.mul(m[1], ti[1][j]) ^ gf.mul(m[2], ti[2][j])
+        for j in range(3)
+    )
+    return scale(gf, w)
+
+
+def std_frame_matrix(gf: GF, quad: Sequence[Point]) -> Matrix:
+    """Matrix sending the standard frame e1, e2, e3, (1,1,1) to quad."""
+    p1, p2, p3, p4 = quad
+    d = det3(gf, p1, p2, p3)
+    if d == 0:
+        raise DegenerateFrame("first three frame points are collinear")
+    # Solve [p1 p2 p3] lam = p4 by Cramer.
+    l1 = gf.div(det3(gf, p4, p2, p3), d)
+    l2 = gf.div(det3(gf, p1, p4, p3), d)
+    l3 = gf.div(det3(gf, p1, p2, p4), d)
+    if l1 == 0 or l2 == 0 or l3 == 0:
+        raise DegenerateFrame("fourth frame point lies on a side of the triangle")
+    cols = [[gf.mul(lam, x) for x in p] for lam, p in ((l1, p1), (l2, p2), (l3, p3))]
+    return tuple(zip(*cols))  # type: ignore[return-value]
+
+
+def frame_map(gf: GF, src: Sequence[Point], dst: Sequence[Point]) -> Matrix:
+    """The unique projectivity sending the frame src to the frame dst.
+
+    Both arguments are 4-tuples of points with no 3 collinear.
+    """
+    ms = std_frame_matrix(gf, src)
+    md = std_frame_matrix(gf, dst)
+    return mat_mul(gf, md, mat_inv(gf, ms))
+
+
 _DST_FRAME = ((0, 0, 1), (1, 0, 1), (0, 1, 0), (1, 1, 0))
 
 
@@ -192,15 +310,145 @@ def canonical_form_oracle(
     return best
 
 
-def shard_candidates(gf: GF, a: int, c: int) -> Iterator[Candidate8]:
-    """Every candidate of one (a, c) shard, lexicographic in (d, e, f, g, h)."""
-    q = gf.q
-    for d in range(q):
-        for e in range(d + 1, q):
-            for f in range(c + 1, q):
-                for g in range(q):
-                    for h in range(g + 1, q):
-                        yield Candidate8(a, c, d, e, f, g, h)
+# ---------------------------------------------------------------------------
+# arc growth, tangents, hyperovals, subset enumeration
+
+def arc_accepts(gf: GF, arc: Arc, p: Point) -> bool:
+    """True when arc + p is still an arc: p is new and off every secant."""
+    if p in arc:
+        return False
+    return not any(collinear(gf, a, b, p) for a, b in combinations(arc, 2))
+
+
+def extend_arc(gf: GF, arc: Arc, p: Point) -> Arc:
+    p = scale(gf, p)
+    if p in arc:
+        raise PointInArc(f"{p} already in arc")
+    for a, b in combinations(arc, 2):
+        if collinear(gf, a, b, p):
+            raise PointOnSecant(f"{p} lies on the secant through {a} and {b}")
+    pts = sorted(arc + (p,), key=lambda t: point_index(gf, t))
+    return tuple(pts)
+
+
+def line_type(gf: GF, arc: Arc, m: Line) -> str:
+    """'secant', 'tangent', or 'exterior' by number of arc points on m."""
+    hits = sum(1 for p in arc if incident(gf, p, m))
+    if hits >= 2:
+        return "secant"
+    return "tangent" if hits == 1 else "exterior"
+
+
+def tangents_through(gf: GF, arc: Arc, p: Point) -> List[Line]:
+    """Tangent lines of the arc passing through an outside point p."""
+    p = scale(gf, p)
+    if p in arc:
+        raise PointInArc(f"{p} is an arc point")
+    return [m for m in lines_through(gf, p) if line_type(gf, arc, m) == "tangent"]
+
+
+def complete_to_hyperovals(gf: GF, arc: Arc, first_only: bool = False) -> List[Arc]:
+    """All hyperovals ((q+2)-arcs) containing the given arc.
+
+    Candidate points are those off every secant; the completion is a DFS
+    over them in index order.  Intended for small q.
+    """
+    want = gf.q + 2 - len(arc)
+    if want < 0:
+        return []
+    if want == 0:
+        return [arc]
+    cands = [p for p in all_points(gf) if arc_accepts(gf, arc, p)]
+    out: List[Arc] = []
+
+    def grow(cur: Arc, start: int) -> bool:
+        if len(cur) == gf.q + 2:
+            out.append(cur)
+            return first_only
+        for i in range(start, len(cands)):
+            p = cands[i]
+            if arc_accepts(gf, cur, p):
+                nxt = tuple(sorted(cur + (p,), key=lambda t: point_index(gf, t)))
+                if grow(nxt, i + 1):
+                    return True
+        return False
+
+    grow(arc, 0)
+    return out
+
+
+def enumerate_hyperfocused_naive(gf: GF, line: Line) -> List[Arc]:
+    """Subset-DFS oracle: walk every arc disjoint from the line and keep
+    the hyperfocused ones.  Only viable for tiny q."""
+    tab = _LineTables(gf, line)
+    masks = tab.masks
+    fpos = tab.fpos
+    pair_lid = tab.pair_lid
+    n = len(tab.off)
+    out: List[Tuple[int, ...]] = []
+    members: List[int] = []
+
+    def walk(start: int, cov: int, focus: int) -> None:
+        k = len(members)
+        if k >= 2 and focus.bit_count() == k - 1:
+            out.append(tuple(members))
+        for nxt in range(start, n):
+            if cov & (1 << nxt):
+                continue
+            ncov = cov
+            nfoc = focus
+            for m in members:
+                t = pair_lid[m][nxt]
+                ncov |= masks[t]
+                nfoc |= 1 << fpos[t]
+            members.append(nxt)
+            walk(nxt + 1, ncov, nfoc)
+            members.pop()
+
+    walk(0, 0, 0)
+    out.sort(key=lambda t: (len(t), t))
+    return [tuple(tab.off[i] for i in t) for t in out]
+
+
+def conic_points(gf: GF, conic: Conic) -> List[Point]:
+    return [p for p in all_points(gf) if on_conic(gf, conic, p)]
+
+
+def hyperconic(gf: GF, conic: Conic) -> Arc:
+    """Conic plus nucleus as a (q+2)-arc; validates the arc property."""
+    pts = conic_points(gf, conic)
+    pts.append(nucleus(gf, conic))
+    arc = make_arc(gf, pts)
+    if len(arc) != gf.q + 2:
+        raise ConicError(f"hyperconic has {len(arc)} points, expected {gf.q + 2}")
+    return arc
+
+
+# ---------------------------------------------------------------------------
+# the search below the pipeline: shards, candidates, extension
+
+def shard_size(gf: GF, c: int) -> int:
+    """Closed-form candidate count of one (a, c) shard."""
+    pairs = gf.q * (gf.q - 1) // 2
+    return pairs * (gf.q - 1 - c) * pairs
+
+
+def schemaless_config_hash(gf: GF, k: int, bounds: Tuple[int, int]) -> str:
+    """The checkpoint hash of code whose `config_hash` had no schema."""
+    blob = {"q": gf.q, "modulus": gf.modulus, "k": k, "lo": bounds[0], "hi": bounds[1]}
+    return hashlib.sha256(json.dumps(blob, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def shard_candidates(
+    gf: GF, a: int, c: int, de_pairs: Optional[Sequence[Tuple[int, int]]] = None
+) -> Iterator[Candidate8]:
+    """Every candidate of one (a, c) shard, lexicographic in (d, e, f, g, h),
+    or only those whose (d, e) is in `de_pairs`."""
+    pairs = list(combinations(range(gf.q), 2))
+    for d, e in pairs if de_pairs is None else de_pairs:
+        for f in range(c + 1, gf.q):
+            for g, h in pairs:
+                yield Candidate8(a, c, d, e, f, g, h)
 
 
 def enumerate_candidates8(gf: GF) -> Iterator[Candidate8]:
@@ -213,3 +461,34 @@ def enumerate_candidates8(gf: GF) -> Iterator[Candidate8]:
 def extend_to_12(gf: GF, prep: Prepared8) -> List[Tuple[Point, ...]]:
     """All hyperfocused 12-arcs over the 4x4 grids of 4-tangent focus pairs."""
     return _extend_grid(gf, prep, 4)
+
+
+def stream_shard_python(
+    gf: GF,
+    a: int,
+    c: int,
+    lo: int,
+    hi: int,
+    de_pairs: Optional[Sequence[Tuple[int, int]]] = None,
+) -> Tuple[Dict[str, int], List[Candidate8]]:
+    """Brute-force shard filter: per-candidate arc test and slope census.
+
+    Exact but slow; the vectorized `stream_shard` is checked against it.
+    """
+    counters = new_counters()
+    survivors: List[Candidate8] = []
+    for cand in shard_candidates(gf, a, c, de_pairs):
+        counters["candidates"] += 1
+        census = _slope_census(gf, cand.points())
+        if census is None:
+            continue
+        counters["arcs8"] += 1
+        size = census[0].bit_count()
+        if size in (9, 10):
+            counters["focus_9_10"] += 1
+        if lo <= size <= hi:
+            counters["prepared"] += 1
+            survivors.append(cand)
+        else:
+            counters["focus_rejected"] += 1
+    return counters, survivors

@@ -12,10 +12,8 @@ from hyperfocus.arcs import (
     HYPERFOCUSED,
     NotAnArc,
     additive_closure,
-    arc_accepts,
     classify_focus,
     diagonal_line,
-    extend_arc,
     is_exterior,
     make_arc,
     secants,
@@ -28,7 +26,12 @@ from hyperfocus.field import make_field
 from hyperfocus.plane import LINE_AT_INFINITY, all_lines, all_points
 from hyperfocus.search import SearchConfig, run_search, shard_list
 
-from oracles import assert_no_nested_hyperfocused, hyperconic_oracle
+from oracles import (
+    arc_accepts,
+    assert_no_nested_hyperfocused,
+    extend_arc,
+    hyperconic_oracle,
+)
 
 
 def _verdict(num: int, desc: str, ok: bool) -> bool:

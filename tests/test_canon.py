@@ -9,9 +9,7 @@ import pytest
 from hyperfocus.arcs import (
     LineMeetsArc,
     additive_closure,
-    arc_accepts,
     classify_focus,
-    extend_arc,
     focus_count,
     make_arc,
     translation_arc,
@@ -19,7 +17,6 @@ from hyperfocus.arcs import (
 from hyperfocus.canon import (
     arc_digest,
     canonical_form,
-    check_star,
     digest,
     equivalence_classes,
     frobenius_orbit_reps,
@@ -30,12 +27,17 @@ from hyperfocus.plane import (
     LINE_AT_INFINITY,
     DegenerateFrame,
     all_points,
-    apply_point,
-    mat_det,
     scale,
 )
 
-from oracles import canonical_form_oracle, normalize_frame
+from oracles import (
+    apply_point,
+    arc_accepts,
+    canonical_form_oracle,
+    extend_arc,
+    mat_det,
+    normalize_frame,
+)
 
 QUAD = ((0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1))
 K12_RESULTS = Path(__file__).resolve().parent.parent / "results" / "k12.jsonl"
@@ -109,28 +111,11 @@ def test_normalize_frame_rejects_line_points(gf8):
         )
 
 
-def test_check_star(gf4, gf8):
-    assert check_star(gf4, make_arc(gf4, QUAD))
-    shifted = make_arc(gf8, [(x ^ 2, y ^ 5, 1) for x, y, _ in QUAD])
-    assert not check_star(gf8, shifted)
-
-
 def _random_z0_collineation(gf, rng):
     """Invertible matrix with last row (0, 0, *): stabilizes Z=0."""
     while True:
-        m = (
-            (
-                rng.randrange(gf.q),
-                rng.randrange(gf.q),
-                rng.randrange(gf.q),
-            ),
-            (
-                rng.randrange(gf.q),
-                rng.randrange(gf.q),
-                rng.randrange(gf.q),
-            ),
-            (0, 0, 1 + rng.randrange(gf.q - 1)),
-        )
+        rows = [tuple(rng.randrange(gf.q) for _ in range(3)) for _ in range(2)]
+        m = (*rows, (0, 0, 1 + rng.randrange(gf.q - 1)))
         if mat_det(gf, m):
             return m
 

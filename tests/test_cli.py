@@ -24,6 +24,8 @@ from hyperfocus.arcs import NEITHER
 from hyperfocus.cli import UsageError
 from hyperfocus.field import make_field
 
+from oracles import schemaless_config_hash
+
 K12_RESULTS = Path(__file__).resolve().parent.parent / "results" / "k12.jsonl"
 
 
@@ -128,6 +130,31 @@ def test_search_cli_corrupt_checkpoint(tmp_path):
     )
     assert code == EX_CHECKPOINT
     assert "checkpoint mismatch: corrupt checkpoint" in err
+
+
+def test_search_cli_old_checkpoint(tmp_path):
+    """A checkpoint written by code without a checkpoint schema is a
+    config mismatch, not a resume."""
+    ckpt = tmp_path / "part.ckpt"
+    code, _, _ = run_cli(
+        "search", "--s", "3", "--k", "10",
+        "--checkpoint", str(ckpt), "--max-shards", "1",
+    )
+    assert code == EX_OK
+    blob = json.loads(ckpt.read_text())
+    blob["config_hash"] = schemaless_config_hash(make_field(3), 10, (9, 9))
+    ckpt.write_text(json.dumps(blob))
+    code, _, err = run_cli(
+        "search", "--s", "3", "--k", "10", "--checkpoint", str(ckpt)
+    )
+    assert code == EX_CHECKPOINT
+    assert "written by a different configuration" in err
+
+
+def test_search_cli_has_no_engine_option():
+    code, out, err = run_cli("search", "--s", "3", "--k", "10", "--engine", "numpy")
+    assert code == EX_USAGE
+    assert "--engine" in err and out == ""
 
 
 def test_search_cli_discrepancy_fails(monkeypatch):

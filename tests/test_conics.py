@@ -1,33 +1,33 @@
 """Conic fitting, nuclei, hyperconic containment."""
 
 import random
-from itertools import combinations
 
 import pytest
 
-from hyperfocus.arcs import arc_accepts, make_arc, translation_hyperoval
+from hyperfocus.arcs import make_arc, translation_hyperoval
 from hyperfocus.conics import (
     ConicError,
     DegenerateInput,
     conic_through,
-    hyperconic,
     hyperconic_contains,
     hyperconic_witness,
     is_nondegenerate,
     nucleus,
     on_conic,
-    conic_points,
-    tangent_line,
 )
 from hyperfocus.plane import (
     all_points,
-    incident,
     line_points,
-    lines_through,
     scale,
 )
 
-from oracles import hyperconic_oracle
+from oracles import (
+    arc_accepts,
+    conic_points,
+    hyperconic,
+    hyperconic_oracle,
+    lines_through,
+)
 
 
 def _parabola_points(gf, ts):
@@ -89,17 +89,6 @@ def test_nucleus_meets_every_line_once(gf8):
     assert nuc not in pts
     for m in lines_through(gf8, nuc):
         assert sum(1 for p in line_points(gf8, m) if p in pts) == 1
-
-
-def test_tangent_line(gf8):
-    conic = (1, 0, 0, 0, 0, 1)
-    for p in conic_points(gf8, conic):
-        m = tangent_line(gf8, conic, p)
-        assert incident(gf8, p, m)
-        hits = [r for r in conic_points(gf8, conic) if incident(gf8, r, m)]
-        assert hits == [p]
-        # every tangent passes through the nucleus
-        assert incident(gf8, nucleus(gf8, conic), m)
 
 
 def test_hyperconic_is_arc(gf32):

@@ -12,22 +12,25 @@ from hyperfocus.plane import (
     SamePoint,
     all_lines,
     all_points,
-    apply_line,
-    apply_point,
     collinear,
-    frame_map,
     frobenius_point,
     incident,
     line_points,
     line_through,
-    lines_through,
-    mat_det,
-    mat_inv,
-    mat_mul,
     meet,
     point_from_index,
     point_index,
     scale,
+)
+
+from oracles import (
+    apply_line,
+    apply_point,
+    frame_map,
+    lines_through,
+    mat_det,
+    mat_inv,
+    mat_mul,
 )
 
 

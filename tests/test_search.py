@@ -13,7 +13,6 @@ from hyperfocus.arcs import (
     focus_set,
     is_arc,
     make_arc,
-    tangents_through,
 )
 from hyperfocus.canon import frobenius_orbit_reps
 from hyperfocus.field import make_field
@@ -39,11 +38,18 @@ from hyperfocus.search import (
     resolve_engine,
     run_search,
     shard_list,
-    shard_size,
     stream_shard,
 )
 
-from oracles import enumerate_candidates8, extend_to_12, shard_candidates
+from oracles import (
+    enumerate_candidates8,
+    extend_to_12,
+    schemaless_config_hash,
+    shard_candidates,
+    shard_size,
+    stream_shard_python,
+    tangents_through,
+)
 
 ANCHORS = {(0, 0, 1), (0, 1, 1), (1, 0, 1)}
 
@@ -149,8 +155,8 @@ def test_stream_engines_agree_q8(gf8):
     for k in (10, 12):
         lo, hi = FOCUS_BOUNDS[k]
         for a_idx, c in shard_list(gf8):
-            cp, sp = stream_shard(gf8, reps[a_idx], c, lo, hi, engine="python")
-            cn, sn = stream_shard(gf8, reps[a_idx], c, lo, hi, engine="numpy")
+            cp, sp = stream_shard_python(gf8, reps[a_idx], c, lo, hi)
+            cn, sn = stream_shard(gf8, reps[a_idx], c, lo, hi)
             assert cp == cn
             assert sp == sn
 
@@ -165,8 +171,8 @@ def test_stream_engines_agree_q32_sampled(gf32):
         if d < e and (d, e) not in de:
             de.append((d, e))
     lo, hi = FOCUS_BOUNDS[12]
-    cp, sp = stream_shard(gf32, 2, 7, lo, hi, engine="python", de_pairs=de)
-    cn, sn = stream_shard(gf32, 2, 7, lo, hi, engine="numpy", de_pairs=de)
+    cp, sp = stream_shard_python(gf32, 2, 7, lo, hi, de_pairs=de)
+    cn, sn = stream_shard(gf32, 2, 7, lo, hi, de_pairs=de)
     assert cp == cn
     assert sp == sn
 
@@ -181,11 +187,24 @@ def test_stream_counter_consistency(gf8):
 
 
 def test_resolve_engine(gf32):
+    """numpy is the only engine; the name stays for bench/run.py."""
     assert resolve_engine(gf32, "auto") == "numpy"
-    assert resolve_engine(gf32, "python") == "python"
     assert resolve_engine(gf32, "numpy") == "numpy"
-    with pytest.raises(SearchError):
-        resolve_engine(gf32, "fortran")
+    for name in ("python", "fortran"):
+        with pytest.raises(SearchError, match="unknown engine"):
+            resolve_engine(gf32, name)
+
+
+def test_library_calls_reject_q64():
+    """The stream's bitmasks need q < 64: the library entry points raise
+    instead of falling back to a per-candidate engine."""
+    gf64 = make_field(6)
+    with pytest.raises(SearchError, match="q=64"):
+        resolve_engine(gf64, "auto")
+    with pytest.raises(SearchError, match="q=64"):
+        stream_shard(gf64, 1, 2, 9, 13, de_pairs=[(0, 1)])
+    with pytest.raises(SearchError, match="q=64"):
+        process_shard(gf64, 14, 1, 2)
 
 
 def test_counters_helpers():
@@ -255,10 +274,11 @@ def test_positive_control_q8_k10(gf8, q8_hyperfocused, tmp_path):
 
 
 def test_run_search_determinism_q8(gf8, tmp_path):
+    """One worker and a pool of two write the same bytes."""
     out1 = tmp_path / "a.jsonl"
     out2 = tmp_path / "b.jsonl"
     run_search(gf8, 10, SearchConfig(output=str(out1)))
-    run_search(gf8, 10, SearchConfig(output=str(out2), engine="python"))
+    run_search(gf8, 10, SearchConfig(output=str(out2), workers=2))
     assert out1.read_bytes() == out2.read_bytes()
 
 
@@ -297,6 +317,17 @@ def test_checkpoint_mismatch(gf8, tmp_path):
         run_search(gf8, 10, SearchConfig(checkpoint=str(ckpt)))
     ckpt.write_text(json.dumps({"config_hash": "feedface", "cursor": [0, 2]}))
     with pytest.raises(CheckpointMismatch):
+        run_search(gf8, 10, SearchConfig(checkpoint=str(ckpt)))
+
+
+def test_checkpoint_from_older_code_refused(gf8, tmp_path):
+    """A checkpoint stamped with the hash that code without a checkpoint
+    schema computed for the same field, k and bounds is refused."""
+    old = schemaless_config_hash(gf8, 10, FOCUS_BOUNDS[10])
+    assert old != config_hash(gf8, 10, FOCUS_BOUNDS[10])
+    ckpt = tmp_path / "old.ckpt"
+    _save_checkpoint(str(ckpt), old, (0, 2), new_counters(), [])
+    with pytest.raises(CheckpointMismatch, match="different configuration"):
         run_search(gf8, 10, SearchConfig(checkpoint=str(ckpt)))
 
 

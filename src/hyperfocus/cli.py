@@ -104,16 +104,26 @@ def _field_from_args(args) -> GF:
         raise UsageError(str(exc)) from None
 
 
-def _default_workers() -> int:
-    env = os.environ.get("HYPERFOCUS_THREADS")
-    if env is None:
-        return 1
-    try:
-        n = int(env)
-    except ValueError:
-        raise UsageError(f"HYPERFOCUS_THREADS={env!r} is not an integer") from None
+def _search_workers(requested: Optional[int]) -> int:
+    """--workers, else HYPERFOCUS_THREADS, else 1; warns above the CPU count."""
+    n, source = requested, "--workers"
+    if n is None:
+        env = os.environ.get("HYPERFOCUS_THREADS")
+        if env is None:
+            return 1
+        try:
+            n = int(env)
+        except ValueError:
+            raise UsageError(f"HYPERFOCUS_THREADS={env!r} is not an integer") from None
+        source = "HYPERFOCUS_THREADS"
     if n < 1:
-        raise UsageError("HYPERFOCUS_THREADS must be >= 1")
+        raise UsageError(f"{source} must be >= 1")
+    cpus = os.cpu_count()
+    if cpus is not None and n > cpus:
+        print(
+            f"warning: {source}={n} exceeds the {cpus} CPUs of this machine",
+            file=sys.stderr,
+        )
     return n
 
 
@@ -418,8 +428,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "workers", None) is None and args.command == "search":
-            args.workers = _default_workers()
+        if args.command == "search":
+            args.workers = _search_workers(args.workers)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

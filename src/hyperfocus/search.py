@@ -7,15 +7,18 @@ The candidate family is the normalized 8-point configuration
 in affine coordinates (third coordinate 1), four vertical pairs, with a
 ranging over Frobenius orbit representatives and the ordering
 constraints 1 < c < f, d < e, g < h removing within-frame duplicates.
-A shard is filtered in numpy, one (f, g, h) cube per (d, e) pair, for
-the arc property and the focus-count bounds.  Survivors are extended by
-4- or 6-point transversals of tangent-pencil grids (plus a direct
-closure for k = 14), on affine points with directions as bitmasks.  No
-stage re-proves what the stage before it proved: the grid and closure
-searches accept a point only when the arc and focus-count conditions
-still hold, so each leaf is a hyperfocused arc by construction.  Every
-emitted arc is re-verified from the definition once, after the orbit
-closure.
+A shard is filtered in numpy, bound first, over chunks of (d, e) pairs:
+a cell (f, g) is admissible when its six directions to the fixed points
+are distinct (a popcount of 6), `arcs8` is counted in closed form per
+(d, e, f) row, and a cell whose 7-point focus count already exceeds the
+bound is cut before any (g, h) pair is formed.  Pair chunks and row
+blocks hold at most 2^13 entries.  Survivors are extended by 4- or
+6-point transversals of tangent-pencil grids (plus a direct closure for
+k = 14), on affine points with directions as bitmasks.  No stage
+re-proves what the stage before it proved: the grid and closure searches
+accept a point only when the arc and focus-count conditions still hold,
+so each leaf is a hyperfocused arc by construction.  Every emitted arc
+is re-verified from the definition once, after the orbit closure.
 
 Work is sharded by the (a-index, c) prefix.  Shards are merged in a
 fixed order and the final records are sorted by canonical digest, so
@@ -232,20 +235,20 @@ class _NumpyTables:
     def __init__(self, gf: GF):
         _require_small_field(gf)
         q = gf.q
-        mul = np.zeros((q, q), dtype=np.int64)
-        for x in range(1, q):
-            for y in range(1, q):
-                mul[x, y] = gf.mul(x, y)
         slope = np.full((q, q), q, dtype=np.int64)
         for dx in range(1, q):
             inv = gf.inv(dx)
             for dy in range(q):
                 slope[dx, dy] = gf.mul(dy, inv)
         self.q = q
-        self.mul = mul
         self.slope_bit = (np.uint64(1) << slope.astype(np.uint64))
         self.triu = np.triu(np.ones((q, q), dtype=bool), 1)
         self.xs = np.arange(q)
+
+
+# entries per pair chunk and per row block of the stream, so that its
+# temporaries stay small next to the process
+_CHUNK = 1 << 13
 
 
 def stream_shard(
@@ -257,16 +260,29 @@ def stream_shard(
     de_pairs: Optional[Sequence[Tuple[int, int]]] = None,
     tables: Optional[_NumpyTables] = None,
 ) -> Tuple[Dict[str, int], List[Candidate8]]:
-    """Shard filter, vectorized over the (f, g, h) cube per (d, e) pair.
+    """Shard filter: bound-first, batched over chunks of (d, e) pairs.
 
-    For fixed (a, c, d, e) the 28 secant directions of a candidate split
-    into the 15 directions among the six fixed points and, for each new
-    point (f, g) / (f, h), its six directions to the fixed points plus
-    the shared vertical.  OR-ing precomputed slope bitmasks gives the
-    focus set of every candidate in the cube at once, and a candidate
-    is an arc iff d, e avoid the anchor lines over x=c and g, h avoid
-    the 12 cross-secant traces over the row's x=f.  `de_pairs` restricts
-    the (d, e) pairs, `tables` reuses one field's tables across shards.
+    For fixed (a, c, d, e) the six fixed points are the anchors and
+    (c, d), (c, e).  The row of a cell (f, g), f > c, is the bitmask of
+    its six directions to them: the anchors' part R4 is shared by the
+    shard, and (c, y)'s part Rc[y] by every pair holding y, so a chunk's
+    rows are R4 | Rc[d] | Rc[e].  A cell is admissible, on no line
+    through two of the six points, iff its row has six bits; (f, g) and
+    (f, h) then make an 8-arc with any other admissible cell of the row,
+    so each (d, e, f) row adds C(n_ok, 2) to `arcs8` and
+    `focus_rejected = arcs8 - prepared`.  A pair (d, e) is skipped when
+    d or e lies on a line through two anchors (the anchors' directions
+    from (c, y) repeat).
+
+    The focus set of the six points is base6 = base4 | A[d] | A[e], with
+    A[y] the directions from (c, y) to the anchors.  The focus count of
+    a subset is a lower bound for the whole set, so a cell whose 7-point
+    count popcount(base6 | row) exceeds max(hi, 10) is in no survivor
+    and no count of 9 or 10; only rows with two cells left reach the
+    (g, h) stage, on those cells alone.  Pair chunks and row blocks are
+    capped at `_CHUNK` entries.  Survivors come in pairs order, then
+    (f, g, h) order.  `de_pairs` restricts the (d, e) pairs, `tables`
+    reuses one field's tables across shards.
     """
     tab = tables if tables is not None else _NumpyTables(gf)
     q = tab.q
@@ -279,53 +295,77 @@ def stream_shard(
     )
     counters["candidates"] = len(pairs) * (q - 1 - c) * (q * (q - 1) // 2)
 
-    anchors = ((0, 0), (0, 1), (1, 0), (1, a))
-    # non-vertical lines through two of the four anchors, as (m, b)
-    anchor_lines = [(0, 0), (a, 0), (1, 1), (a ^ 1, 1)]
-    forb_de = {gf.mul(m, c) ^ b for m, b in anchor_lines}
-    vert_bit = 1 << q
-    base4 = vert_bit
-    for m, _b in anchor_lines:
-        base4 |= 1 << m
-
-    xs = tab.xs
-    frow = (xs > c)[:, None, None]
     sb = tab.slope_bit
-    lo_u = np.uint8(lo)
-    hi_u = np.uint8(hi)
-
-    for d, e in pairs:
-        if d in forb_de or e in forb_de:
+    xs = tab.xs
+    fs = xs[c + 1:]
+    nf = len(fs)
+    anchors = ((0, 0), (0, 1), (1, 0), (1, a))
+    # directions of the lines through two anchors: 0, a, 1, a ^ 1, vertical
+    base4 = np.uint64(1 << q | 1 | 1 << a | 1 << 1 | 1 << (a ^ 1))
+    r4 = np.zeros((nf, q), dtype=np.uint64)
+    anc = np.zeros(q, dtype=np.uint64)
+    for ax, ay in anchors:
+        r4 |= sb[fs[:, None] ^ ax, xs[None, :] ^ ay]
+        anc |= sb[c ^ ax, xs ^ ay]
+    rc = sb[(fs ^ c)[None, :, None], xs[:, None, None] ^ xs[None, None, :]]
+    good = np.bitwise_count(anc) == 4
+    de = np.array([(d, e) for d, e in pairs if good[d] and good[e]], dtype=np.int64)
+    cap = max(hi, 10)
+    step = max(1, _CHUNK // max(1, nf * q))
+    for i in range(0, len(de), step):
+        d, e = de[i:i + step, 0], de[i:i + step, 1]
+        rows = (r4 | rc[d] | rc[e]).reshape(-1, q)
+        ok = np.bitwise_count(rows) == 6
+        n_ok = np.count_nonzero(ok, axis=1)
+        counters["arcs8"] += int((n_ok * (n_ok - 1)).sum()) // 2
+        m7 = rows | np.repeat(base4 | anc[d] | anc[e], nf)[:, None]
+        keep = ok & (np.bitwise_count(m7) <= cap)
+        n_keep = np.count_nonzero(keep, axis=1)
+        live = np.flatnonzero(n_keep >= 2)
+        if not len(live):
             continue
-        pts6 = anchors + ((c, d), (c, e))
-        base6 = base4
-        lines12 = list(anchor_lines)
-        for y0 in (d, e):
-            for ax, ay in anchors:
-                m = gf.mul(y0 ^ ay, gf.inv(c ^ ax))
-                base6 |= 1 << m
-                lines12.append((m, ay ^ gf.mul(m, ax)))
-        forb = np.zeros((q, q), dtype=bool)
-        for m, b in lines12:
-            forb[xs, tab.mul[m] ^ b] = True
-        r = np.zeros((q, q), dtype=np.uint64)
-        for px, py in pts6:
-            r |= sb[xs[:, None] ^ px, xs[None, :] ^ py]
-        masks = np.uint64(base6) | r[:, :, None] | r[:, None, :]
-        cnt = np.bitwise_count(masks).astype(np.uint8)
-        ok = ~forb
-        arcs = frow & ok[:, :, None] & ok[:, None, :] & tab.triu[None, :, :]
-        n_arcs = int(arcs.sum())
-        counters["arcs8"] += n_arcs
-        counters["focus_9_10"] += int((arcs & ((cnt == 9) | (cnt == 10))).sum())
-        sel = arcs & (cnt >= lo_u) & (cnt <= hi_u)
-        n_sel = int(sel.sum())
-        counters["prepared"] += n_sel
-        counters["focus_rejected"] += n_arcs - n_sel
-        if n_sel:
-            for f, g, h in np.argwhere(sel):
-                survivors.append(Candidate8(a, c, d, e, int(f), int(g), int(h)))
+        n910, hits = _row_pairs(tab, lo, hi, keep[live], m7[live], n_keep[live])
+        counters["focus_9_10"] += n910
+        for r, g, h in hits:
+            p, f = divmod(int(live[r]), nf)
+            survivors.append(Candidate8(a, c, int(d[p]), int(e[p]), c + 1 + f, g, h))
+    counters["prepared"] = len(survivors)
+    counters["focus_rejected"] = counters["arcs8"] - counters["prepared"]
     return counters, survivors
+
+
+def _row_pairs(
+    tab: _NumpyTables, lo: int, hi: int, keep, m7, n_keep
+) -> Tuple[int, List[Tuple[int, int, int]]]:
+    """The (g, h) stage over rows of kept cells, g < h both kept.
+
+    Returns the number of pairs with 9 or 10 focuses and, in (row, g, h)
+    order, the (row, g, h) whose focus count is within [lo, hi].  Each
+    row's kept cells are packed to its left in ascending g, so its pairs
+    are the strict upper triangle of a width x width block.
+    """
+    n = len(n_keep)
+    width = int(n_keep.max())
+    r_i, g_i = np.nonzero(keep)
+    slot = np.cumsum(keep, axis=1)[r_i, g_i] - 1
+    packed = np.zeros((n, width), dtype=np.uint64)
+    packed[r_i, slot] = m7[r_i, g_i]
+    gs = np.zeros((n, width), dtype=np.int64)
+    gs[r_i, slot] = g_i
+    filled = np.arange(width)[None, :] < n_keep[:, None]
+    triu = tab.triu[:width, :width]
+    n910 = 0
+    hits: List[Tuple[int, int, int]] = []
+    block = max(1, _CHUNK // (width * width))
+    for j in range(0, n, block):
+        pm = packed[j:j + block]
+        cnt = np.bitwise_count(pm[:, :, None] | pm[:, None, :])
+        pair = filled[j:j + block, None, :] & triu
+        n910 += int(np.count_nonzero(pair & (cnt >= 9) & (cnt <= 10)))
+        for r, gi, hj in zip(*np.nonzero(pair & (cnt >= lo) & (cnt <= hi))):
+            row = j + int(r)
+            hits.append((row, int(gs[row, gi]), int(gs[row, hj])))
+    return n910, hits
 
 
 # `resolve_engine` and the `engine` argument of `process_shard` remain
@@ -617,10 +657,11 @@ def _worker_init(s: int, modulus: int, k: int) -> None:
 def _worker_shard(coords: Tuple[int, int]):
     a_idx, c = coords
     w = _WORKER
+    t_shard = time.monotonic()
     counters, raw = process_shard(
         w["gf"], w["k"], w["reps"][a_idx], c, tables=w["tables"]
     )
-    return a_idx, c, counters, raw
+    return a_idx, c, counters, raw, time.monotonic() - t_shard
 
 
 def _postprocess(
@@ -693,7 +734,10 @@ def run_search(gf: GF, k: int, config: SearchConfig) -> SearchReport:
     reps = frobenius_orbit_reps(gf, exclude=frozenset({0}))
     workers = max(1, int(config.workers))
 
-    def handle(a_idx: int, c: int, delta: Dict[str, int], raw) -> None:
+    t_start = time.monotonic()
+    done_before = done
+
+    def handle(a_idx: int, c: int, delta: Dict[str, int], raw, shard_s: float) -> None:
         nonlocal done
         merge_counters(counters, delta)
         found_raw.extend(tuple(tuple(p) for p in arc) for arc in raw)
@@ -703,25 +747,31 @@ def run_search(gf: GF, k: int, config: SearchConfig) -> SearchReport:
                 config.checkpoint, digest, (a_idx, c), counters, found_raw
             )
         if config.progress:
+            # rate and ETA cover the shards of this invocation
+            ran = done - done_before
+            rate = ran / max(time.monotonic() - t_start, 1e-9)
             print(
                 f"shard a_idx={a_idx} c={c} prepared={counters['prepared']} "
-                f"raw={len(found_raw)}",
+                f"raw={len(found_raw)} shard_s={shard_s:.3f} "
+                f"done={done}/{len(shards)} rate={rate:.3f}/s "
+                f"eta_s={(len(todo) - ran) / rate:.1f}",
                 file=sys.stderr,
                 flush=True,
             )
 
     if workers == 1 or len(todo) <= 1:
         for a_idx, c in todo:
+            t_shard = time.monotonic()
             delta, raw = process_shard(gf, k, reps[a_idx], c, tables=tables)
-            handle(a_idx, c, delta, raw)
+            handle(a_idx, c, delta, raw, time.monotonic() - t_shard)
     else:
         with Pool(
             processes=min(workers, len(todo)),
             initializer=_worker_init,
             initargs=(gf.s, gf.modulus, k),
         ) as pool:
-            for a_idx, c, delta, raw in pool.imap(_worker_shard, todo):
-                handle(a_idx, c, delta, raw)
+            for result in pool.imap(_worker_shard, todo):
+                handle(*result)
 
     completed = done == len(shards)
     cursor = shards[done - 1] if done else None

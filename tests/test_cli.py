@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import re
 from contextlib import redirect_stdout, redirect_stderr
 from pathlib import Path
@@ -217,6 +218,62 @@ def test_search_cli_workers_env(tmp_path, monkeypatch):
         "search", "--s", "3", "--k", "10", "--max-shards", "1"
     )
     assert code == EX_USAGE
+    for bad in ("0", "-2"):
+        monkeypatch.setenv("HYPERFOCUS_THREADS", bad)
+        code, _, err = run_cli("search", "--s", "3", "--k", "10", "--max-shards", "1")
+        assert code == EX_USAGE and "HYPERFOCUS_THREADS must be >= 1" in err
+        code, _, err = run_cli(
+            "search", "--s", "3", "--k", "10", "--max-shards", "1", "--workers", bad
+        )
+        assert code == EX_USAGE and "--workers must be >= 1" in err
+
+
+def test_search_cli_progress_fields(capsys):
+    """Each --progress line names its shard and carries the shard's own
+    seconds, shards done of the run's total, the rate and the ETA."""
+    code = main(["search", "--s", "3", "--k", "10", "--max-shards", "3", "--progress"])
+    assert code == EX_OK
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("shard ")]
+    shards = search.shard_list(make_field(3))
+    assert len(lines) == 3
+    for i, line in enumerate(lines, 1):
+        fields = dict(kv.split("=", 1) for kv in line.split()[1:])
+        assert list(fields) == [
+            "a_idx", "c", "prepared", "raw", "shard_s", "done", "rate", "eta_s"
+        ]
+        assert (int(fields["a_idx"]), int(fields["c"])) == shards[i - 1]
+        assert fields["done"] == f"{i}/{len(shards)}"
+        assert fields["rate"].endswith("/s")
+        rate = float(fields["rate"][:-2])
+        assert float(fields["shard_s"]) >= 0 and rate > 0
+        assert float(fields["eta_s"]) == pytest.approx((3 - i) / rate, rel=0.01, abs=0.06)
+    assert float(fields["eta_s"]) == 0
+
+
+def test_search_elapsed_covers_shards(gf8, capsys):
+    """The report's elapsed time spans the whole run, every shard included."""
+    report = search.run_search(gf8, 10, search.SearchConfig(progress=True))
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("shard ")]
+    shard_s = [float(ln.split("shard_s=")[1].split()[0]) for ln in lines]
+    assert len(shard_s) == len(search.shard_list(gf8))
+    assert sum(shard_s) <= report.elapsed + 0.001 * len(shard_s)
+
+
+def test_search_cli_warns_above_cpu_count(monkeypatch, capsys):
+    """One stderr line when --workers or HYPERFOCUS_THREADS asks for more
+    processes than CPUs; a one-shard run never starts a pool."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(search, "Pool", None)
+    argv = ["search", "--s", "3", "--k", "10", "--max-shards", "1"]
+    assert main(argv + ["--workers", "3"]) == EX_OK
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["warning: --workers=3 exceeds the 2 CPUs of this machine"]
+    monkeypatch.setenv("HYPERFOCUS_THREADS", "5")
+    assert main(argv) == EX_OK
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["warning: HYPERFOCUS_THREADS=5 exceeds the 2 CPUs of this machine"]
+    assert main(argv + ["--workers", "2"]) == EX_OK
+    assert capsys.readouterr().err == ""
 
 
 # --- verify -----------------------------------------------------------------

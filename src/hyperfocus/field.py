@@ -125,9 +125,6 @@ class GF:
 
     # --- arithmetic -----------------------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -144,16 +141,6 @@ class GF:
         if a == 0:
             return 0
         return self.exp[self.log[a] + self.q - 1 - self.log[b]]
-
-    def pow(self, a: int, n: int) -> int:
-        """a^n with n any int; 0^0 = 1, negative n inverts a first."""
-        if a == 0:
-            if n == 0:
-                return 1
-            if n < 0:
-                raise ZeroDivisionError("negative power of 0 in GF(2^s)")
-            return 0
-        return self.exp[(self.log[a] * n) % (self.q - 1)]
 
     def frobenius(self, a: int, i: int = 1) -> int:
         """a^(2^i); i may be any int, acting as i mod s squarings."""
@@ -180,9 +167,6 @@ class GF:
 
     def elements(self) -> Iterator[int]:
         return iter(range(self.q))
-
-    def nonzero(self) -> Iterator[int]:
-        return iter(range(1, self.q))
 
     def __repr__(self) -> str:
         return f"GF(2^{self.s}, modulus=0x{self.modulus:X})"

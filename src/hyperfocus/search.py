@@ -12,13 +12,14 @@ a cell (f, g) is admissible when its six directions to the fixed points
 are distinct (a popcount of 6), `arcs8` is counted in closed form per
 (d, e, f) row, and a cell whose 7-point focus count already exceeds the
 bound is cut before any (g, h) pair is formed.  Pair chunks and row
-blocks hold at most 2^13 entries.  Survivors are extended by 4- or
-6-point transversals of tangent-pencil grids (plus a direct closure for
-k = 14), on affine points with directions as bitmasks.  No stage
-re-proves what the stage before it proved: the grid and closure searches
-accept a point only when the arc and focus-count conditions still hold,
-so each leaf is a hyperfocused arc by construction.  Every emitted arc
-is re-verified from the definition once, after the orbit closure.
+blocks hold at most 2^13 entries.  Each survivor is extended by one
+search for every k: the k - 8 added points form (k - 8)/2 vertical pairs
+in columns the 8-arc leaves free, found depth-first over those columns
+from a per-survivor table of direction bitmasks on affine points.  No
+stage re-proves what the stage before it proved: the search accepts a
+point only when the arc and focus-count conditions still hold, so each
+leaf is a hyperfocused arc by construction.  Every emitted arc is
+re-verified from the definition once, after the orbit closure.
 
 Work is sharded by the (a-index, c) prefix.  Shards are merged in a
 fixed order and the final records are sorted by canonical digest, so
@@ -35,7 +36,6 @@ collineation fixes the frame and the focus line.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import os
 import sys
@@ -126,8 +126,8 @@ class Prepared8:
     Everything is affine on Z=0.  Directions are slope indices: the
     slope y/x, or q for the vertical direction (0,1,0).  Bit m of
     `focus_mask` is set when some secant has direction m, and
-    `slope_counts[m]` counts those secants, so the focus of direction m
-    carries a pencil of 8 - 2 * slope_counts[m] tangents.
+    `slope_counts[m]` counts those secants; the extension reads only the
+    mask, the counts feed the `closure_survivors` tally.
     """
 
     cand: Candidate8
@@ -193,20 +193,6 @@ def _slope_census(
     return mask, counts
 
 
-def _directions(
-    gf: GF, p: Tuple[int, int], pts: Sequence[Tuple[int, int]], allowed: int = -1
-) -> Optional[int]:
-    """Bitmask of the directions from p to each of pts, or None when two
-    coincide (p and two of pts are collinear) or one is not in `allowed`."""
-    mask = 0
-    for r in pts:
-        bit = 1 << slope_index(gf, p, r)
-        if mask & bit or not bit & allowed:
-            return None
-        mask |= bit
-    return mask
-
-
 def prune8(gf: GF, cand: Candidate8, bounds: Tuple[int, int]):
     """Validate one candidate; returns Prepared8 or a rejection reason."""
     pts = cand.points()
@@ -242,6 +228,8 @@ class _NumpyTables:
                 slope[dx, dy] = gf.mul(dy, inv)
         self.q = q
         self.slope_bit = (np.uint64(1) << slope.astype(np.uint64))
+        # the same bits as Python ints, for the per-point extension search
+        self.slope_bits = self.slope_bit.tolist()
         self.triu = np.triu(np.ones((q, q), dtype=bool), 1)
         self.xs = np.arange(q)
 
@@ -380,146 +368,76 @@ def resolve_engine(gf: GF, engine: str) -> str:
 # ---------------------------------------------------------------------------
 # extension stage
 
-def _tangent_intercepts(gf: GF, pts: Sequence[Tuple[int, int]], m: int) -> List[int]:
-    """Intercepts b of the tangents y = m x + b (m non-vertical)."""
-    buckets: Dict[int, int] = {}
-    for x, y in pts:
-        b = y ^ gf.mul(m, x)
-        buckets[b] = buckets.get(b, 0) + 1
-    return sorted(b for b, n in buckets.items() if n == 1)
-
-
-def _grid_transversals(
-    gf: GF, prep: Prepared8, m1: int, t1: List[int], m2: int, t2: List[int]
+def closure_completions(
+    gf: GF, prep: Prepared8, k: int, tab: _NumpyTables
 ) -> List[Tuple[Point, ...]]:
-    """Extensions for one pair of tangent pencils.
+    """Every hyperfocused k-arc on Z=0 that contains the 8-arc `prep`.
 
-    Rows are the tangents y = m1 x + b of intercepts t1, columns those of
-    slope m2 and intercepts t2; cell (i, j) is their intersection.  Each
-    added point must lie on exactly one tangent of each pencil, so the
-    added set is an injective row-to-column assignment, searched
-    depth-first.  A cell joins iff its directions to the 8-arc and to the
-    chosen cells are pairwise distinct and disjoint, and the focus count
-    stays at most k - 1.  That makes the k points an arc, and an arc has
-    at least k - 1 focuses, so every leaf is hyperfocused.  A cell is
-    computed when the search first reaches it: most grids die in their
-    first rows.
+    The vertical direction is a focus of every survivor, and the k/2
+    secants through a focus of a hyperfocused k-arc match its points in
+    pairs.  The 8 points are matched vertically among themselves, so the
+    k - 8 added points form (k - 8)/2 vertical pairs, one pair in each of
+    some columns the 8-arc leaves free.
+
+    Row D[x, y] of the direction table is the bitmask of the directions
+    from (x, y) to the 8 points.  A point is admissible iff these are
+    distinct (popcount 8; an arc point, a point of a used column or of a
+    secant repeats one) and adding them leaves fewer than k focuses.  The
+    search takes columns in increasing order and, in each, a pair of
+    admissible points whose directions to the points already chosen are
+    distinct and disjoint from its row, with the focus count below k.
+    That makes the k points an arc, and an arc has at least k - 1
+    focuses, so every leaf is a hyperfocused k-arc.
     """
-    n_add = len(t1)
-    k = 8 + n_add
-    pts8 = prep.apts
-    dm_inv = gf.inv(m1 ^ m2)
-    cells: Dict[Tuple[int, int], Tuple[Tuple[int, int], Optional[int]]] = {}
-
-    def cell(i: int, j: int) -> Tuple[Tuple[int, int], Optional[int]]:
-        # the directions are None exactly when the cell is on a secant of
-        # the 8-arc: every arc point has its vertical partner in the arc,
-        # so an arc point also repeats a direction (the vertical one)
-        if (i, j) not in cells:
-            x = gf.mul(t1[i] ^ t2[j], dm_inv)
-            p = (x, gf.mul(m1, x) ^ t1[i])
-            cells[i, j] = p, _directions(gf, p, pts8)
-        return cells[i, j]
-
-    out: List[Tuple[Point, ...]] = []
-    chosen: List[Tuple[int, int]] = []
-
-    def walk(i: int, used: int, fmask: int) -> None:
-        if i == n_add:
-            out.append(make_arc(gf, [(x, y, 1) for x, y in list(pts8) + chosen]))
-            return
-        for j in range(n_add):
-            if used >> j & 1:
-                continue
-            p, to8 = cell(i, j)
-            if to8 is None:
-                continue
-            dirs = _directions(gf, p, chosen)
-            if dirs is None or dirs & to8:
-                continue
-            nmask = fmask | to8 | dirs
-            if nmask.bit_count() < k:
-                chosen.append(p)
-                walk(i + 1, used | 1 << j, nmask)
-                chosen.pop()
-
-    walk(0, 0, prep.focus_mask)
-    return out
-
-
-def _extend_grid(gf: GF, prep: Prepared8, n_add: int) -> List[Tuple[Point, ...]]:
-    # a focus with c secants carries 8 - 2c tangents; pencils of n_add
-    # tangents have c = want.  The four vertical pairs make the vertical
-    # count 4, never a pencil size.
-    want = (8 - n_add) // 2
-    pencil_ms = [m for m in range(gf.q) if prep.slope_counts[m] == want]
-    if len(pencil_ms) < 2:
-        return []
-    tangents = {m: _tangent_intercepts(gf, prep.apts, m) for m in pencil_ms}
-    found: Dict[Tuple[Point, ...], None] = {}
-    for m1, m2 in itertools.combinations(pencil_ms, 2):
-        for arc in _grid_transversals(gf, prep, m1, tangents[m1], m2, tangents[m2]):
-            found.setdefault(arc, None)
-    return sorted(found, key=lambda a: serialize_arc(gf, a))
-
-
-def closure_completions(gf: GF, prep: Prepared8) -> List[Tuple[Point, ...]]:
-    """Direct 14-arc completions of an 8-arc whose focus set has 13 points.
-
-    A hyperfocused 14-arc containing the 8 points has the same focus
-    set (pigeonhole over its 7 pairs per focus), so the 6 added points
-    form 3 new vertical pairs whose every secant direction to the 8-arc
-    and to each other lies in the known focus mask.  This closes the
-    rare case of fewer than two 6-tangent focuses, where the grid
-    search has nothing to enumerate.  Every direction a leaf accepts is
-    distinct per point and lies in the 13-bit mask, so each leaf is a
-    14-arc with exactly 13 focuses.
-    """
-    q = gf.q
-    if prep.focus_mask.bit_count() != 13:
-        return []
-    pts8 = prep.apts
+    n_pairs = (k - 8) // 2
+    xs = tab.xs
+    px = np.array([x for x, _ in prep.apts])
+    py = np.array([y for _, y in prep.apts])
+    to8 = np.bitwise_or.reduce(
+        tab.slope_bit[xs[None, :, None] ^ px[:, None, None], xs[None, None, :] ^ py[:, None, None]]
+    )
     fmask = prep.focus_mask
-    used_x = {x for x, _ in pts8}
-    # the points of each free column whose directions to the 8-arc are
-    # distinct and in the focus set, with those directions
-    to8: Dict[Tuple[int, int], int] = {}
-    col_pairs: List[List[Tuple[Tuple[int, int], Tuple[int, int]]]] = []
-    for x in range(q):
-        if x in used_x:
-            continue
-        col = []
-        for y in range(q):
-            dirs = _directions(gf, (x, y), pts8, fmask)
-            if dirs is not None:
-                to8[(x, y)] = dirs
-                col.append((x, y))
-        if len(col) > 1:
-            col_pairs.append(list(itertools.combinations(col, 2)))
-    out: Dict[Tuple[Point, ...], None] = {}
+    ok = (np.bitwise_count(to8) == 8) & (np.bitwise_count(to8 | np.uint64(fmask)) < k)
+    free = np.flatnonzero(np.count_nonzero(ok, axis=1) >= 2)
+    if len(free) < n_pairs:
+        return []
+    # each column: its admissible points as (x, y, directions to the 8-arc)
+    cols = [[(int(x), int(y), int(to8[x, y])) for y in np.flatnonzero(ok[x])] for x in free]
+    sb = tab.slope_bits
     chosen: List[Tuple[int, int]] = []
+    out: List[Tuple[Point, ...]] = []
 
-    def compatible(p: Tuple[int, int]) -> bool:
-        dirs = _directions(gf, p, chosen, fmask)
-        return dirs is not None and not dirs & to8[p]
+    def joined(x: int, y: int, dirs: int, mask: int) -> int:
+        """Focus mask once (x, y) joins `chosen`, or 0 when it cannot."""
+        for cx, cy in chosen:
+            bit = sb[x ^ cx][y ^ cy]
+            if dirs & bit:
+                return 0
+            dirs |= bit
+        mask |= dirs
+        return mask if mask.bit_count() < k else 0
 
-    def walk(start: int, depth: int) -> None:
-        if depth == 3:
-            arc = make_arc(gf, [(x, y, 1) for x, y in list(pts8) + chosen])
-            out.setdefault(arc, None)
+    def walk(start: int, mask: int) -> None:
+        left = n_pairs - len(chosen) // 2
+        if not left:
+            out.append(make_arc(gf, [(x, y, 1) for x, y in prep.apts + tuple(chosen)]))
             return
-        for ci in range(start, len(col_pairs)):
-            for p1, p2 in col_pairs[ci]:
-                if not compatible(p1):
+        for ci in range(start, len(cols) - left + 1):
+            col = cols[ci]
+            for i, (x, y1, d1) in enumerate(col):
+                m1 = joined(x, y1, d1, mask)
+                if not m1:
                     continue
-                chosen.append(p1)
-                if compatible(p2):
-                    chosen.append(p2)
-                    walk(ci + 1, depth + 1)
-                    chosen.pop()
+                chosen.append((x, y1))
+                for _, y2, d2 in col[i + 1:]:
+                    m2 = joined(x, y2, d2, m1)
+                    if m2:
+                        chosen.append((x, y2))
+                        walk(ci + 1, m2)
+                        chosen.pop()
                 chosen.pop()
 
-    walk(0, 0)
+    walk(0, fmask)
     return sorted(out, key=lambda a: serialize_arc(gf, a))
 
 
@@ -536,24 +454,23 @@ def process_shard(
 ) -> Tuple[Dict[str, int], List[Tuple[Point, ...]]]:
     """Filter and extend one (a, c) shard; returns counters and raw arcs."""
     resolve_engine(gf, engine)
+    tab = tables if tables is not None else _NumpyTables(gf)
     lo, hi = FOCUS_BOUNDS[k]
-    counters, survivors = stream_shard(gf, a, c, lo, hi, tables=tables)
-    n_add = k - 8
+    counters, survivors = stream_shard(gf, a, c, lo, hi, tables=tab)
     raw: List[Tuple[Point, ...]] = []
     for cand in survivors:
         prep = prune8(gf, cand, (lo, hi))
         if not isinstance(prep, Prepared8):
             raise VerificationError(f"stream survivor failed revalidation: {cand}")
-        arcs = _extend_grid(gf, prep, n_add)
-        counters["extended"] += len(arcs)
+        arcs = closure_completions(gf, prep, k, tab)
+        # k=14 survivors with 13 focuses and fewer than two directions of
+        # one secant (6-tangent focuses) are tallied apart
+        if k == 14 and prep.focus_size == 13 and prep.slope_counts.count(1) < 2:
+            counters["closure_survivors"] += 1
+            counters["closure_extended"] += len(arcs)
+        else:
+            counters["extended"] += len(arcs)
         raw.extend(arcs)
-        if k == 14:
-            six = sum(1 for n in prep.slope_counts if n == 1)
-            if prep.focus_size == 13 and six < 2:
-                counters["closure_survivors"] += 1
-                extra = closure_completions(gf, prep)
-                counters["closure_extended"] += len(extra)
-                raw.extend(extra)
     return counters, raw
 
 

@@ -43,8 +43,6 @@ from hyperfocus.plane import (
 )
 from hyperfocus.search import (
     Candidate8,
-    Prepared8,
-    _extend_grid,
     _slope_census,
     new_counters,
 )
@@ -456,11 +454,6 @@ def enumerate_candidates8(gf: GF) -> Iterator[Candidate8]:
     for a in frobenius_orbit_reps(gf, exclude=frozenset({0})):
         for c in range(2, gf.q):
             yield from shard_candidates(gf, a, c)
-
-
-def extend_to_12(gf: GF, prep: Prepared8) -> List[Tuple[Point, ...]]:
-    """All hyperfocused 12-arcs over the 4x4 grids of 4-tangent focus pairs."""
-    return _extend_grid(gf, prep, 4)
 
 
 def stream_shard_python(

@@ -60,8 +60,10 @@ def test_worked_examples_q32():
     gf = make_field(5, 0x25)
     # w^4 * w = w^5 = w^2 + 1
     assert gf.mul(0x10, 0x02) == 0x05
-    assert gf.pow(2, 31) == 1
-    assert gf.pow(2, 30) != 1
+    w = 1
+    for i in range(1, 32):  # w has multiplicative order 31
+        w = gf.mul(w, 2)
+        assert (w == 1) == (i == 31)
     assert gf.frobenius(2, 1) == 4
     assert gf.inv(1) == 1
     assert gf.mul(gf.inv(0x13), 0x13) == 1
@@ -70,7 +72,7 @@ def test_worked_examples_q32():
 def test_exp_log_roundtrip():
     for s in (2, 3, 5, 8):
         gf = make_field(s)
-        for a in gf.nonzero():
+        for a in range(1, gf.q):
             assert gf.exp[gf.log[a]] == a
         for i in range(gf.q - 1):
             assert gf.log[gf.exp[i]] == i
@@ -80,7 +82,8 @@ def test_exp_log_roundtrip():
 
 def test_field_axioms_random_triples():
     # 10^4 random triples per degree: associativity, distributivity,
-    # commutativity, inverses.
+    # commutativity, inverses.  Addition is xor, so its axioms hold by
+    # construction and only its interplay with mul is checked.
     for s in (2, 3, 4, 5):
         gf = make_field(s)
         rng = random.Random(1000 + s)
@@ -88,37 +91,13 @@ def test_field_axioms_random_triples():
             a = rng.randrange(gf.q)
             b = rng.randrange(gf.q)
             c = rng.randrange(gf.q)
-            assert gf.add(a, b) == gf.add(b, a)
             assert gf.mul(a, b) == gf.mul(b, a)
             assert gf.mul(a, gf.mul(b, c)) == gf.mul(gf.mul(a, b), c)
-            assert gf.add(a, gf.add(b, c)) == gf.add(gf.add(a, b), c)
-            assert gf.mul(a, gf.add(b, c)) == gf.add(gf.mul(a, b), gf.mul(a, c))
-            assert gf.add(a, a) == 0
+            assert gf.mul(a, b ^ c) == gf.mul(a, b) ^ gf.mul(a, c)
             assert gf.mul(a, 1) == a
             if a:
                 assert gf.mul(a, gf.inv(a)) == 1
                 assert gf.div(b, a) == gf.mul(b, gf.inv(a))
-
-
-def test_pow_consistency():
-    gf = make_field(5)
-    rng = random.Random(3)
-    for _ in range(200):
-        a = rng.randrange(1, 32)
-        n = rng.randrange(-40, 80)
-        expect = 1
-        if n >= 0:
-            for _ in range(n):
-                expect = gf.mul(expect, a)
-        else:
-            ai = gf.inv(a)
-            for _ in range(-n):
-                expect = gf.mul(expect, ai)
-        assert gf.pow(a, n) == expect
-    assert gf.pow(0, 0) == 1
-    assert gf.pow(0, 5) == 0
-    with pytest.raises(ZeroDivisionError):
-        gf.pow(0, -1)
 
 
 def test_frobenius_is_additive_and_multiplicative():
@@ -131,7 +110,7 @@ def test_frobenius_is_additive_and_multiplicative():
             i = rng.randrange(0, 3 * s)
             fa = gf.frobenius(a, i)
             fb = gf.frobenius(b, i)
-            assert gf.frobenius(gf.add(a, b), i) == gf.add(fa, fb)
+            assert gf.frobenius(a ^ b, i) == fa ^ fb
             assert gf.frobenius(gf.mul(a, b), i) == gf.mul(fa, fb)
         # order of the automorphism group
         for a in gf.elements():

@@ -42,8 +42,8 @@ from hyperfocus.search import (
 )
 
 from oracles import (
+    complete_to_hyperovals,
     enumerate_candidates8,
-    extend_to_12,
     schemaless_config_hash,
     shard_candidates,
     shard_size,
@@ -365,54 +365,89 @@ def test_checkpoint_write_keeps_foreign_tmp(gf8, tmp_path):
 def test_extend_grid_worked_example(gf32):
     """A known surviving candidate extends to exactly one hyperfocused
     12-arc; its whole shard produces only verified extensions."""
+    tab = search._NumpyTables(gf32)
     known = Candidate8(a=2, c=2, d=1, e=6, f=6, g=2, h=9)
     prep = prune8(gf32, known, FOCUS_BOUNDS[12])
     assert isinstance(prep, Prepared8)
-    arcs = extend_to_12(gf32, prep)
-    assert len(arcs) == 1
+    assert closure_completions(gf32, prep, 12, tab) == [K12_A]
     produced = 0
     _, survivors = stream_shard(gf32, 2, 2, *FOCUS_BOUNDS[12])
     assert known in survivors
     for cand in survivors:
         p = prune8(gf32, cand, FOCUS_BOUNDS[12])
         assert isinstance(p, Prepared8)
-        for arc in extend_to_12(gf32, p):
+        for arc in closure_completions(gf32, p, 12, tab):
             assert len(arc) == 12
             assert {(x, y, 1) for x, y in p.apts} <= set(arc)
             kind, n = classify_focus(gf32, arc, LINE_AT_INFINITY)
             assert (kind, n) == (HYPERFOCUSED, 11)
             produced += 1
-    assert produced > 0
-
-
-def test_closure_requires_full_focus_set(gf32):
-    """closure_completions is a no-op unless the 8-arc already shows all
-    13 focuses of a would-be 14-arc."""
-    _, survivors = stream_shard(gf32, 1, 2, *FOCUS_BOUNDS[12])
-    prep = prune8(gf32, survivors[0], FOCUS_BOUNDS[12])
-    assert isinstance(prep, Prepared8)
-    assert prep.focus_size == 11
-    assert closure_completions(gf32, prep) == []
+    assert produced == 6
 
 
 def test_closure_path_on_real_survivors(gf32):
-    """Exercise the 14-arc closure on genuine |F|=13 survivors; any
-    completion it returns must be a hyperfocused 14-arc."""
+    """Run the search on every k=14 survivor of one shard, at every focus
+    count they show (no 8-arc has 9 or 10 focuses, criterion 4); any
+    completion must be a hyperfocused 14-arc through the survivor."""
+    tab = search._NumpyTables(gf32)
     _, survivors = stream_shard(gf32, 1, 2, *FOCUS_BOUNDS[14])
-    checked = 0
+    sizes = set()
     for cand in survivors:
         prep = prune8(gf32, cand, FOCUS_BOUNDS[14])
         assert isinstance(prep, Prepared8)
-        if prep.focus_size != 13:
-            continue
-        for arc in closure_completions(gf32, prep):
+        sizes.add(prep.focus_size)
+        for arc in closure_completions(gf32, prep, 14, tab):
             kind, n = classify_focus(gf32, arc, LINE_AT_INFINITY)
             assert (kind, n) == (HYPERFOCUSED, 13)
             assert {(x, y, 1) for x, y in prep.apts} <= set(arc)
-        checked += 1
-        if checked == 200:
-            break
-    assert checked == 200
+    assert sizes == {11, 12, 13}
+
+
+def test_closure_finds_sixteen_arc_four_pairs_deep(gf32):
+    """Positive control at depth 4: over the additive subgroup
+    V = <1, 2, 4, 8> of GF(32), the points (x + x^2, x^2) form a
+    hyperfocused 16-arc with 15 focuses in 8 vertical pairs.  Moved by
+    (x, y) -> (x / 2, y + 5x) onto the normalized frame, four of its
+    pairs are a candidate 8-arc, and the search must find the other
+    four."""
+    gf = gf32
+    span = [0]
+    for g in (1, 2, 4, 8):
+        span += [v ^ g for v in span]
+    half = gf.inv(2)
+    arc16 = make_arc(gf, [
+        (gf.mul(x ^ gf.mul(x, x), half), gf.mul(x, x) ^ gf.mul(5, x ^ gf.mul(x, x)), 1)
+        for x in span
+    ])
+    assert classify_focus(gf, arc16, LINE_AT_INFINITY) == (HYPERFOCUSED, 15)
+    cols = {}
+    for x, y, _ in arc16:
+        cols.setdefault(x, []).append(y)
+    assert len(cols) == 8 and cols[0] == [0, 1] and cols[1] == [0, 1]
+    cand = Candidate8(1, 2, *cols[2], 3, *cols[3])
+    prep = prune8(gf, cand, (1, 15))
+    assert isinstance(prep, Prepared8)
+    arcs = closure_completions(gf, prep, 16, search._NumpyTables(gf))
+    assert arc16 in arcs
+    for arc in arcs:
+        assert {(x, y, 1) for x, y in prep.apts} <= set(arc)
+        assert classify_focus(gf, arc, LINE_AT_INFINITY) == (HYPERFOCUSED, 15)
+    assert len(set(arcs)) == len(arcs) == 42
+
+
+@pytest.mark.parametrize("f,g,h,n_ovals", [(3, 4, 11, 0), (3, 10, 12, 1), (4, 2, 3, 2)])
+def test_closure_matches_hyperoval_oracle_q16(gf16, f, g, h, n_ovals):
+    """Depth 5, against an independent oracle: in PG(2,16) an 18-arc is a
+    hyperoval, hyperfocused (17 focuses) on every exterior line, so at
+    k = 18 the search must return exactly the hyperovals through the
+    8-arc that miss Z=0, as the point-by-point completion finds them."""
+    prep = prune8(gf16, Candidate8(a=1, c=2, d=4, e=5, f=f, g=g, h=h), (1, 17))
+    assert isinstance(prep, Prepared8)
+    arc8 = make_arc(gf16, [(x, y, 1) for x, y in prep.apts])
+    ovals = {frozenset(o) for o in complete_to_hyperovals(gf16, arc8) if all(p[2] for p in o)}
+    got = closure_completions(gf16, prep, 18, search._NumpyTables(gf16))
+    assert {frozenset(a) for a in got} == ovals
+    assert len(got) == len(ovals) == n_ovals
 
 
 def test_process_shard_counts(gf8):
@@ -420,7 +455,7 @@ def test_process_shard_counts(gf8):
     counters, raw = process_shard(gf8, 10, reps[0], 2, "auto")
     assert counters["candidates"] == shard_size(gf8, 2)
     assert counters["extended"] == len(raw)
-    assert counters["closure_survivors"] == 0  # closure is a k=14 path
+    assert counters["closure_survivors"] == 0  # a k=14 tally
 
 
 def test_process_shard_rejects_bad_survivor(gf8, monkeypatch):

@@ -12,14 +12,18 @@ a cell (f, g) is admissible when its six directions to the fixed points
 are distinct (a popcount of 6), `arcs8` is counted in closed form per
 (d, e, f) row, and a cell whose 7-point focus count already exceeds the
 bound is cut before any (g, h) pair is formed.  Pair chunks and row
-blocks hold at most 2^13 entries.  Each survivor is extended by one
-search for every k: the k - 8 added points form (k - 8)/2 vertical pairs
-in columns the 8-arc leaves free, found depth-first over those columns
-from a per-survivor table of direction bitmasks on affine points.  No
-stage re-proves what the stage before it proved: the search accepts a
-point only when the arc and focus-count conditions still hold, so each
-leaf is a hyperfocused arc by construction.  Every emitted arc is
-re-verified from the definition once, after the orbit closure.
+blocks hold at most 2^13 entries.  A shard's survivors then pass two
+batched numpy stages, 256 survivors at a time.  A census re-checks each
+one as an arc within the focus bounds, from its 28 secant directions.
+The extension, one search for every k, adds (k - 8)/2 vertical pairs in
+columns the 8-arc leaves free: direction tables of blocks of 16
+survivors give each one's admissible points, a column early exit drops
+the survivors with too few free columns, and only the rest go to a
+depth-first search over column pairs.  No stage re-proves what the
+stage before it proved: the search accepts a point only when the arc
+and focus-count conditions still hold, so each leaf is a hyperfocused
+arc by construction.  Every emitted arc is re-verified from the
+definition once, after the orbit closure.
 
 Work is sharded by the (a-index, c) prefix.  Shards are merged in a
 fixed order and the final records are sorted by canonical digest, so
@@ -43,7 +47,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from multiprocessing import Pool
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -61,7 +65,7 @@ FOCUS_BOUNDS = {10: (9, 9), 12: (11, 11), 14: (9, 13)}
 
 # hashed into every checkpoint: raise it whenever a change alters what a
 # shard yields or what a checkpoint holds, so old checkpoints are refused
-CHECKPOINT_SCHEMA = 1
+CHECKPOINT_SCHEMA = 2
 
 # classification results the full runs are expected to reproduce
 EXPECTED_FOUND = {(32, 0x25, 12): 60, (32, 0x25, 14): 0}
@@ -78,6 +82,7 @@ COUNTER_KEYS = (
     "orbit_reps",
     "found",
     "verified",
+    "dfs_roots",
 )
 
 
@@ -121,17 +126,17 @@ class Candidate8:
 
 @dataclass(frozen=True)
 class Prepared8:
-    """A candidate that passed the arc and focus-count filters.
+    """A candidate that passed the batched census of `prune8`.
 
-    Everything is affine on Z=0.  Directions are slope indices: the
-    slope y/x, or q for the vertical direction (0,1,0).  Bit m of
-    `focus_mask` is set when some secant has direction m, and
-    `slope_counts[m]` counts those secants; the extension reads only the
-    mask, the counts feed the `closure_survivors` tally.
+    Everything is affine on Z=0, with the points `cand.points()`.
+    Directions are slope indices: the slope y/x, or q for the vertical
+    direction (0,1,0).  Bit m of `focus_mask` is set when some secant has
+    direction m, and `slope_counts[m]` counts those secants; the
+    extension reads only the mask, the counts feed the
+    `closure_survivors` tally.
     """
 
     cand: Candidate8
-    apts: Tuple[Tuple[int, int], ...]
     focus_mask: int
     slope_counts: Tuple[int, ...]
 
@@ -159,54 +164,6 @@ def shard_list(gf: GF) -> List[Tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# affine predicates
-
-def slope_index(gf: GF, p: Tuple[int, int], r: Tuple[int, int]) -> int:
-    """Secant direction of two affine points: slope, or q when vertical."""
-    if p[0] == r[0]:
-        return gf.q
-    return gf.mul(p[1] ^ r[1], gf.inv(p[0] ^ r[0]))
-
-
-def _slope_census(
-    gf: GF, pts: Sequence[Tuple[int, int]]
-) -> Optional[Tuple[int, List[int]]]:
-    """Focus bitmask and per-direction secant counts, or None for a non-arc.
-
-    Three points are collinear iff two of the secants through the first
-    share a direction, so checking each point's directions to the later
-    ones catches every collinear triple at its least index.
-    """
-    if len(set(pts)) != len(pts):
-        return None
-    counts = [0] * (gf.q + 1)
-    mask = 0
-    for i, p in enumerate(pts):
-        seen = 0
-        for r in pts[i + 1:]:
-            m = slope_index(gf, p, r)
-            if seen >> m & 1:
-                return None
-            seen |= 1 << m
-            counts[m] += 1
-        mask |= seen
-    return mask, counts
-
-
-def prune8(gf: GF, cand: Candidate8, bounds: Tuple[int, int]):
-    """Validate one candidate; returns Prepared8 or a rejection reason."""
-    pts = cand.points()
-    census = _slope_census(gf, pts)
-    if census is None:
-        return NOT_AN_ARC
-    mask, counts = census
-    lo, hi = bounds
-    if not lo <= mask.bit_count() <= hi:
-        return FOCUS_COUNT
-    return Prepared8(cand, pts, mask, tuple(counts))
-
-
-# ---------------------------------------------------------------------------
 # stream filtering
 
 def _require_small_field(gf: GF) -> None:
@@ -227,11 +184,17 @@ class _NumpyTables:
             for dy in range(q):
                 slope[dx, dy] = gf.mul(dy, inv)
         self.q = q
+        self.xs = np.arange(q)
+        self.slope = slope
         self.slope_bit = (np.uint64(1) << slope.astype(np.uint64))
         # the same bits as Python ints, for the per-point extension search
         self.slope_bits = self.slope_bit.tolist()
+        # p3[y0][x, y] = slope_bit[x, y ^ y0]: the directions from (x0, y0)
+        # to all affine points are the q contiguous rows p3[y0][xs ^ x0]
+        self.p3 = np.ascontiguousarray(
+            self.slope_bit[:, self.xs[:, None] ^ self.xs[None, :]].transpose(1, 0, 2)
+        )
         self.triu = np.triu(np.ones((q, q), dtype=bool), 1)
-        self.xs = np.arange(q)
 
 
 # entries per pair chunk and per row block of the stream, so that its
@@ -366,12 +329,83 @@ def resolve_engine(gf: GF, engine: str) -> str:
 
 
 # ---------------------------------------------------------------------------
+# 8-arc census
+
+# survivors per batch of `process_shard` and per direction-table block of
+# `closure_completions`, so that the batches' arrays and objects stay
+# small next to the process
+_SURVIVOR_BLOCK = 256
+_TABLE_BLOCK = 16
+
+# the 28 secants (_I[s], _J[s]) of an 8-point candidate, and the 7 through
+# each point
+_I, _J = np.triu_indices(8, 1)
+_THROUGH = np.array([np.flatnonzero((_I == i) | (_J == i)) for i in range(8)])
+# columns of (a, c, d, e, f, g, h, 0, 1) that hold the x and the y of the
+# 8 points, in `Candidate8.points` order
+_PX = [7, 7, 8, 8, 1, 1, 4, 4]
+_PY = [7, 8, 7, 0, 2, 3, 5, 6]
+
+
+def _point_coords(cands: Sequence[Candidate8]) -> Tuple[np.ndarray, np.ndarray]:
+    """The x and the y of each candidate's 8 points, two (n, 8) arrays."""
+    rows = np.array(
+        [(c.a, c.c, c.d, c.e, c.f, c.g, c.h, 0, 1) for c in cands], dtype=np.int64
+    ).reshape(-1, 9)
+    return rows[:, _PX], rows[:, _PY]
+
+
+def prune8(
+    gf: GF,
+    cands: Sequence[Candidate8],
+    bounds: Tuple[int, int],
+    tab: Optional[_NumpyTables] = None,
+) -> List[Union[Prepared8, str]]:
+    """Validate a batch of candidates: one Prepared8 or reason each.
+
+    The census gathers each candidate's 28 secant directions from the
+    slope tables in one numpy pass.  A candidate is an arc iff no point
+    repeats and the 7 directions from each point are distinct (popcount
+    7): a collinear triple repeats a direction at each of its points.
+    The focus mask is the OR of the 28 direction bits, and its popcount
+    must lie within `bounds`.  Its arrays hold 8 x 7 entries per
+    candidate, so callers bound the batch (`process_shard` passes
+    `_SURVIVOR_BLOCK` survivors at a time).
+    """
+    tab = tab if tab is not None else _NumpyTables(gf)
+    lo, hi = bounds
+    width = tab.q + 1
+    px, py = _point_coords(cands)
+    dx = px[:, _I] ^ px[:, _J]
+    dy = py[:, _I] ^ py[:, _J]
+    bits = tab.slope_bit[dx, dy]
+    distinct = np.bitwise_count(np.bitwise_or.reduce(bits[:, _THROUGH], axis=2)) == 7
+    arc = ((dx | dy) != 0).all(axis=1) & distinct.all(axis=1)
+    mask = np.bitwise_or.reduce(bits, axis=1)
+    size = np.bitwise_count(mask)
+    # per-direction secant counts, one bincount over row-offset slopes
+    slopes = tab.slope[dx, dy] + width * np.arange(len(cands))[:, None]
+    counts = np.bincount(slopes.ravel(), minlength=len(cands) * width)
+    out: List[Union[Prepared8, str]] = []
+    rows = zip(cands, arc.tolist(), mask.tolist(), size.tolist(),
+               counts.reshape(-1, width).tolist())
+    for cand, is_arc, fmask, n_focus, cnt in rows:
+        if not is_arc:
+            out.append(NOT_AN_ARC)
+        elif not lo <= n_focus <= hi:
+            out.append(FOCUS_COUNT)
+        else:
+            out.append(Prepared8(cand, fmask, tuple(cnt)))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # extension stage
 
 def closure_completions(
-    gf: GF, prep: Prepared8, k: int, tab: _NumpyTables
-) -> List[Tuple[Point, ...]]:
-    """Every hyperfocused k-arc on Z=0 that contains the 8-arc `prep`.
+    gf: GF, preps: Sequence[Prepared8], k: int, tab: _NumpyTables
+) -> List[Optional[List[Tuple[Point, ...]]]]:
+    """Every hyperfocused k-arc on Z=0 through each 8-arc of `preps`.
 
     The vertical direction is a focus of every survivor, and the k/2
     secants through a focus of a hyperfocused k-arc match its points in
@@ -379,28 +413,55 @@ def closure_completions(
     k - 8 added points form (k - 8)/2 vertical pairs, one pair in each of
     some columns the 8-arc leaves free.
 
-    Row D[x, y] of the direction table is the bitmask of the directions
-    from (x, y) to the 8 points.  A point is admissible iff these are
-    distinct (popcount 8; an arc point, a point of a used column or of a
-    secant repeats one) and adding them leaves fewer than k focuses.  The
-    search takes columns in increasing order and, in each, a pair of
+    Row D[x, y] of a survivor's direction table is the bitmask of the
+    directions from (x, y) to its 8 points.  A point is admissible iff
+    these are distinct (popcount 8; an arc point, a point of a used
+    column or of a secant repeats one) and adding them leaves fewer than
+    k focuses.  The tables are built for blocks of `_TABLE_BLOCK`
+    survivors: the four anchors' part once per value of a, and each
+    other point's part as q contiguous rows of `tab.p3`.  A survivor with
+    fewer than (k - 8)/2 columns of two admissible points has no
+    completion and gets None (the column early exit); the others get the
+    leaves of `_column_pairs`, sorted by `serialize_arc`.
+    """
+    if not preps:
+        return []
+    n_pairs = (k - 8) // 2
+    xs, p3 = tab.xs, tab.p3
+    px, py = _point_coords([prep.cand for prep in preps])
+    fmask = np.array([prep.focus_mask for prep in preps], dtype=np.uint64)
+    a_vals, a_of = np.unique(py[:, 3], return_inverse=True)  # y of (1, a)
+    anchors = np.stack([
+        np.bitwise_or.reduce([p3[y, xs ^ x] for x, y in ((0, 0), (0, 1), (1, 0), (1, a))])
+        for a in a_vals
+    ])
+    out: List[Optional[List[Tuple[Point, ...]]]] = []
+    for i in range(0, len(preps), _TABLE_BLOCK):
+        blk = slice(i, i + _TABLE_BLOCK)
+        table = anchors[a_of[blk]]
+        for j in range(4, 8):
+            table |= p3[py[blk, j, None], xs ^ px[blk, j, None]]
+        ok = np.bitwise_count(table) == 8
+        ok &= np.bitwise_count(table | fmask[blk, None, None]) < k
+        n_free = np.count_nonzero(np.count_nonzero(ok, axis=2) >= 2, axis=1)
+        for prep, to8, ok8, nf in zip(preps[blk], table, ok, n_free.tolist()):
+            out.append(_column_pairs(gf, prep, k, to8, ok8, tab) if nf >= n_pairs else None)
+    return out
+
+
+def _column_pairs(
+    gf: GF, prep: Prepared8, k: int, to8, ok, tab: _NumpyTables
+) -> List[Tuple[Point, ...]]:
+    """Depth-first search over the free columns of one survivor.
+
+    It takes columns in increasing order and, in each, a pair of
     admissible points whose directions to the points already chosen are
     distinct and disjoint from its row, with the focus count below k.
     That makes the k points an arc, and an arc has at least k - 1
     focuses, so every leaf is a hyperfocused k-arc.
     """
     n_pairs = (k - 8) // 2
-    xs = tab.xs
-    px = np.array([x for x, _ in prep.apts])
-    py = np.array([y for _, y in prep.apts])
-    to8 = np.bitwise_or.reduce(
-        tab.slope_bit[xs[None, :, None] ^ px[:, None, None], xs[None, None, :] ^ py[:, None, None]]
-    )
-    fmask = prep.focus_mask
-    ok = (np.bitwise_count(to8) == 8) & (np.bitwise_count(to8 | np.uint64(fmask)) < k)
     free = np.flatnonzero(np.count_nonzero(ok, axis=1) >= 2)
-    if len(free) < n_pairs:
-        return []
     # each column: its admissible points as (x, y, directions to the 8-arc)
     cols = [[(int(x), int(y), int(to8[x, y])) for y in np.flatnonzero(ok[x])] for x in free]
     sb = tab.slope_bits
@@ -420,7 +481,7 @@ def closure_completions(
     def walk(start: int, mask: int) -> None:
         left = n_pairs - len(chosen) // 2
         if not left:
-            out.append(make_arc(gf, [(x, y, 1) for x, y in prep.apts + tuple(chosen)]))
+            out.append(make_arc(gf, [(x, y, 1) for x, y in prep.cand.points() + tuple(chosen)]))
             return
         for ci in range(start, len(cols) - left + 1):
             col = cols[ci]
@@ -437,7 +498,7 @@ def closure_completions(
                         chosen.pop()
                 chosen.pop()
 
-    walk(0, fmask)
+    walk(0, prep.focus_mask)
     return sorted(out, key=lambda a: serialize_arc(gf, a))
 
 
@@ -452,25 +513,35 @@ def process_shard(
     engine: str = "auto",
     tables: Optional[_NumpyTables] = None,
 ) -> Tuple[Dict[str, int], List[Tuple[Point, ...]]]:
-    """Filter and extend one (a, c) shard; returns counters and raw arcs."""
+    """Filter and extend one (a, c) shard; returns counters and raw arcs.
+
+    The stream's survivors pass the census and the extension in batches
+    of `_SURVIVOR_BLOCK`; every survivor must pass the census again.
+    """
     resolve_engine(gf, engine)
     tab = tables if tables is not None else _NumpyTables(gf)
     lo, hi = FOCUS_BOUNDS[k]
     counters, survivors = stream_shard(gf, a, c, lo, hi, tables=tab)
     raw: List[Tuple[Point, ...]] = []
-    for cand in survivors:
-        prep = prune8(gf, cand, (lo, hi))
-        if not isinstance(prep, Prepared8):
-            raise VerificationError(f"stream survivor failed revalidation: {cand}")
-        arcs = closure_completions(gf, prep, k, tab)
-        # k=14 survivors with 13 focuses and fewer than two directions of
-        # one secant (6-tangent focuses) are tallied apart
-        if k == 14 and prep.focus_size == 13 and prep.slope_counts.count(1) < 2:
-            counters["closure_survivors"] += 1
-            counters["closure_extended"] += len(arcs)
-        else:
-            counters["extended"] += len(arcs)
-        raw.extend(arcs)
+    for i in range(0, len(survivors), _SURVIVOR_BLOCK):
+        batch = survivors[i:i + _SURVIVOR_BLOCK]
+        preps = prune8(gf, batch, (lo, hi), tab)
+        for cand, prep in zip(batch, preps, strict=True):
+            if not isinstance(prep, Prepared8):
+                raise VerificationError(f"stream survivor failed revalidation: {cand}")
+        for prep, arcs in zip(preps, closure_completions(gf, preps, k, tab), strict=True):
+            if arcs is None:
+                arcs = []
+            else:
+                counters["dfs_roots"] += 1
+            # k=14 survivors with 13 focuses and fewer than two directions
+            # of one secant (6-tangent focuses) are tallied apart
+            if k == 14 and prep.focus_size == 13 and prep.slope_counts.count(1) < 2:
+                counters["closure_survivors"] += 1
+                counters["closure_extended"] += len(arcs)
+            else:
+                counters["extended"] += len(arcs)
+            raw.extend(arcs)
     return counters, raw
 
 

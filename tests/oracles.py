@@ -42,8 +42,9 @@ from hyperfocus.plane import (
     scale,
 )
 from hyperfocus.search import (
+    FOCUS_COUNT,
+    NOT_AN_ARC,
     Candidate8,
-    _slope_census,
     new_counters,
 )
 
@@ -431,9 +432,62 @@ def shard_size(gf: GF, c: int) -> int:
     return pairs * (gf.q - 1 - c) * pairs
 
 
+def slope_index(gf: GF, p: Tuple[int, int], r: Tuple[int, int]) -> int:
+    """Secant direction of two affine points: slope, or q when vertical."""
+    if p[0] == r[0]:
+        return gf.q
+    return gf.mul(p[1] ^ r[1], gf.inv(p[0] ^ r[0]))
+
+
+def _slope_census(
+    gf: GF, pts: Sequence[Tuple[int, int]]
+) -> Optional[Tuple[int, List[int]]]:
+    """Focus bitmask and per-direction secant counts, or None for a non-arc.
+
+    The scalar reference for the batched census of `prune8`.  Three
+    points are collinear iff two of the secants through the first share
+    a direction, so checking each point's directions to the later ones
+    catches every collinear triple at its least index.
+    """
+    if len(set(pts)) != len(pts):
+        return None
+    counts = [0] * (gf.q + 1)
+    mask = 0
+    for i, p in enumerate(pts):
+        seen = 0
+        for r in pts[i + 1:]:
+            m = slope_index(gf, p, r)
+            if seen >> m & 1:
+                return None
+            seen |= 1 << m
+            counts[m] += 1
+        mask |= seen
+    return mask, counts
+
+
+def census_verdict(gf: GF, cand: Candidate8, bounds: Tuple[int, int]):
+    """What `prune8` must say of one candidate, from the scalar census:
+    NOT_AN_ARC, FOCUS_COUNT, or the (focus mask, slope counts) pair."""
+    census = _slope_census(gf, cand.points())
+    if census is None:
+        return NOT_AN_ARC
+    mask, counts = census
+    if not bounds[0] <= mask.bit_count() <= bounds[1]:
+        return FOCUS_COUNT
+    return mask, tuple(counts)
+
+
 def schemaless_config_hash(gf: GF, k: int, bounds: Tuple[int, int]) -> str:
     """The checkpoint hash of code whose `config_hash` had no schema."""
     blob = {"q": gf.q, "modulus": gf.modulus, "k": k, "lo": bounds[0], "hi": bounds[1]}
+    return hashlib.sha256(json.dumps(blob, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def schema1_config_hash(gf: GF, k: int, bounds: Tuple[int, int]) -> str:
+    """The checkpoint hash of code whose checkpoints held counters without
+    `dfs_roots` (checkpoint schema 1)."""
+    blob = {"schema": 1, "q": gf.q, "modulus": gf.modulus, "k": k}
+    blob.update(lo=bounds[0], hi=bounds[1])
     return hashlib.sha256(json.dumps(blob, sort_keys=True).encode()).hexdigest()[:16]
 
 

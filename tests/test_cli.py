@@ -77,7 +77,12 @@ def test_search_cli_summary(k10_cli):
     assert code == EX_OK
     assert "search k=10 q=8 modulus=0xb bounds=9..9 workers=1" in out
     assert "experimental=true" in out
-    assert re.search(r"candidates=\d+ arcs8=\d+", out)
+    # the eleven original counters keep their order; dfs_roots comes last
+    assert (
+        "candidates=35280 arcs8=62 focus_rejected=14 focus_9_10=48 prepared=48 "
+        "extended=48 closure_survivors=0 closure_extended=0 orbit_reps=16 "
+        "found=40 verified=40 dfs_roots=48\n"
+    ) in out
     assert "found=40 hyperconic=40/40" in out
     assert "discrepancy" not in out
     assert len(path.read_text().splitlines()) == 40

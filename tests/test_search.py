@@ -3,6 +3,7 @@
 import json
 import os
 import random
+from itertools import islice
 
 import pytest
 
@@ -28,7 +29,6 @@ from hyperfocus.search import (
     SearchError,
     VerificationError,
     _save_checkpoint,
-    _slope_census,
     config_hash,
     closure_completions,
     merge_counters,
@@ -42,8 +42,11 @@ from hyperfocus.search import (
 )
 
 from oracles import (
+    _slope_census,
+    census_verdict,
     complete_to_hyperovals,
     enumerate_candidates8,
+    schema1_config_hash,
     schemaless_config_hash,
     shard_candidates,
     shard_size,
@@ -117,27 +120,29 @@ def test_full_stream_q4_matches_unordered_dedup(gf4):
 def test_prune8_not_an_arc(gf32):
     # (0,0), (1,0), (2,0) are collinear on Y=0
     cand = Candidate8(a=2, c=2, d=0, e=5, f=4, g=6, h=7)
-    assert prune8(gf32, cand, FOCUS_BOUNDS[12]) == NOT_AN_ARC
+    assert prune8(gf32, [cand], FOCUS_BOUNDS[12]) == [NOT_AN_ARC]
 
 
 def test_prune8_reasons_and_survivor(gf32):
-    """Scan one shard until both rejection kinds and a survivor appear."""
+    """Scan one shard, a batch at a time, until both rejection kinds and
+    a survivor appear."""
     seen = {NOT_AN_ARC: 0, FOCUS_COUNT: 0}
     prep = None
-    for cand in shard_candidates(gf32, 2, 2):
-        res = prune8(gf32, cand, FOCUS_BOUNDS[12])
-        if isinstance(res, Prepared8):
-            prep = res
-            break
-        seen[res] += 1
-    assert prep is not None
+    cands = shard_candidates(gf32, 2, 2)
+    while prep is None:
+        batch = list(islice(cands, 4096))
+        assert batch
+        for res in prune8(gf32, batch, FOCUS_BOUNDS[12]):
+            if isinstance(res, Prepared8):
+                prep = res
+                break
+            seen[res] += 1
     assert seen[NOT_AN_ARC] > 0 and seen[FOCUS_COUNT] > 0
-    assert prep.apts == prep.cand.points()
     assert prep.focus_size == 11
     assert prep.focus_mask.bit_count() == 11
     assert sum(prep.slope_counts) == 28  # 8 points, 28 secants
     # the projective views, derived from the definitions
-    arc = make_arc(gf32, [(x, y, 1) for x, y in prep.apts])
+    arc = make_arc(gf32, [(x, y, 1) for x, y in prep.cand.points()])
     focus = focus_set(gf32, arc, LINE_AT_INFINITY)
     assert len(focus) == 11
     assert sum(1 << slope_of(gf32, pt) for pt in focus) == prep.focus_mask
@@ -334,6 +339,17 @@ def test_checkpoint_from_older_code_refused(gf8, tmp_path):
         run_search(gf8, 10, SearchConfig(checkpoint=str(ckpt)))
 
 
+def test_checkpoint_from_schema_1_refused(gf8, tmp_path):
+    """Checkpoints of schema 1 hold counters without `dfs_roots`; resuming
+    one would undercount it, so it is refused."""
+    old = schema1_config_hash(gf8, 10, FOCUS_BOUNDS[10])
+    assert old != config_hash(gf8, 10, FOCUS_BOUNDS[10])
+    ckpt = tmp_path / "old.ckpt"
+    _save_checkpoint(str(ckpt), old, (0, 2), new_counters(), [])
+    with pytest.raises(CheckpointMismatch, match="different configuration"):
+        run_search(gf8, 10, SearchConfig(checkpoint=str(ckpt)))
+
+
 def test_checkpoint_bad_cursor(gf8, tmp_path):
     """A cursor that is not a pair of ints is a corrupt checkpoint, not a
     traceback."""
@@ -367,18 +383,20 @@ def test_extend_grid_worked_example(gf32):
     12-arc; its whole shard produces only verified extensions."""
     tab = search._NumpyTables(gf32)
     known = Candidate8(a=2, c=2, d=1, e=6, f=6, g=2, h=9)
-    prep = prune8(gf32, known, FOCUS_BOUNDS[12])
+    [prep] = prune8(gf32, [known], FOCUS_BOUNDS[12])
     assert isinstance(prep, Prepared8)
-    assert closure_completions(gf32, prep, 12, tab) == [K12_A]
+    assert closure_completions(gf32, [prep], 12, tab) == [[K12_A]]
     produced = 0
     _, survivors = stream_shard(gf32, 2, 2, *FOCUS_BOUNDS[12])
     assert known in survivors
-    for cand in survivors:
-        p = prune8(gf32, cand, FOCUS_BOUNDS[12])
-        assert isinstance(p, Prepared8)
-        for arc in closure_completions(gf32, p, 12, tab):
+    preps = prune8(gf32, survivors, FOCUS_BOUNDS[12], tab)
+    assert all(isinstance(p, Prepared8) for p in preps)
+    results = closure_completions(gf32, preps, 12, tab)
+    assert len(results) == len(preps)
+    for p, arcs in zip(preps, results):
+        for arc in arcs:
             assert len(arc) == 12
-            assert {(x, y, 1) for x, y in p.apts} <= set(arc)
+            assert {(x, y, 1) for x, y in p.cand.points()} <= set(arc)
             kind, n = classify_focus(gf32, arc, LINE_AT_INFINITY)
             assert (kind, n) == (HYPERFOCUSED, 11)
             produced += 1
@@ -391,15 +409,17 @@ def test_closure_path_on_real_survivors(gf32):
     completion must be a hyperfocused 14-arc through the survivor."""
     tab = search._NumpyTables(gf32)
     _, survivors = stream_shard(gf32, 1, 2, *FOCUS_BOUNDS[14])
+    preps = prune8(gf32, survivors, FOCUS_BOUNDS[14], tab)
+    results = closure_completions(gf32, preps, 14, tab)
+    assert len(results) == len(preps) == len(survivors)
     sizes = set()
-    for cand in survivors:
-        prep = prune8(gf32, cand, FOCUS_BOUNDS[14])
+    for prep, arcs in zip(preps, results):
         assert isinstance(prep, Prepared8)
         sizes.add(prep.focus_size)
-        for arc in closure_completions(gf32, prep, 14, tab):
+        for arc in arcs or []:
             kind, n = classify_focus(gf32, arc, LINE_AT_INFINITY)
             assert (kind, n) == (HYPERFOCUSED, 13)
-            assert {(x, y, 1) for x, y in prep.apts} <= set(arc)
+            assert {(x, y, 1) for x, y in prep.cand.points()} <= set(arc)
     assert sizes == {11, 12, 13}
 
 
@@ -425,12 +445,12 @@ def test_closure_finds_sixteen_arc_four_pairs_deep(gf32):
         cols.setdefault(x, []).append(y)
     assert len(cols) == 8 and cols[0] == [0, 1] and cols[1] == [0, 1]
     cand = Candidate8(1, 2, *cols[2], 3, *cols[3])
-    prep = prune8(gf, cand, (1, 15))
+    [prep] = prune8(gf, [cand], (1, 15))
     assert isinstance(prep, Prepared8)
-    arcs = closure_completions(gf, prep, 16, search._NumpyTables(gf))
+    [arcs] = closure_completions(gf, [prep], 16, search._NumpyTables(gf))
     assert arc16 in arcs
     for arc in arcs:
-        assert {(x, y, 1) for x, y in prep.apts} <= set(arc)
+        assert {(x, y, 1) for x, y in prep.cand.points()} <= set(arc)
         assert classify_focus(gf, arc, LINE_AT_INFINITY) == (HYPERFOCUSED, 15)
     assert len(set(arcs)) == len(arcs) == 42
 
@@ -441,11 +461,12 @@ def test_closure_matches_hyperoval_oracle_q16(gf16, f, g, h, n_ovals):
     hyperoval, hyperfocused (17 focuses) on every exterior line, so at
     k = 18 the search must return exactly the hyperovals through the
     8-arc that miss Z=0, as the point-by-point completion finds them."""
-    prep = prune8(gf16, Candidate8(a=1, c=2, d=4, e=5, f=f, g=g, h=h), (1, 17))
+    [prep] = prune8(gf16, [Candidate8(a=1, c=2, d=4, e=5, f=f, g=g, h=h)], (1, 17))
     assert isinstance(prep, Prepared8)
-    arc8 = make_arc(gf16, [(x, y, 1) for x, y in prep.apts])
+    arc8 = make_arc(gf16, [(x, y, 1) for x, y in prep.cand.points()])
     ovals = {frozenset(o) for o in complete_to_hyperovals(gf16, arc8) if all(p[2] for p in o)}
-    got = closure_completions(gf16, prep, 18, search._NumpyTables(gf16))
+    # None: the column early exit found too few free columns
+    got = closure_completions(gf16, [prep], 18, search._NumpyTables(gf16))[0] or []
     assert {frozenset(a) for a in got} == ovals
     assert len(got) == len(ovals) == n_ovals
 
@@ -459,10 +480,48 @@ def test_process_shard_counts(gf8):
 
 
 def test_process_shard_rejects_bad_survivor(gf8, monkeypatch):
-    """A stream survivor that prune8 rejects is an internal fault."""
-    monkeypatch.setattr(search, "prune8", lambda gf, cand, bounds: NOT_AN_ARC)
+    """A stream survivor that the census rejects is an internal fault,
+    even when it is the last of the shard's batch."""
+    census = search.prune8
+
+    def last_rejected(gf, cands, bounds, tab=None):
+        verdicts = census(gf, cands, bounds, tab)
+        assert len(verdicts) > 1 and isinstance(verdicts[-1], Prepared8)
+        return verdicts[:-1] + [NOT_AN_ARC]
+
+    monkeypatch.setattr(search, "prune8", last_rejected)
     with pytest.raises(VerificationError, match="revalidation"):
         process_shard(gf8, 10, 1, 2, "auto")
+
+
+def test_process_shard_batches_every_survivor(gf32, monkeypatch):
+    """Shard (0, 10) at k=14 has more than 5,000 survivors: the census
+    sees each of them once, in stream order, and the extension sees
+    each census result, across many survivor batches and many
+    direction-table blocks."""
+    seen = {"census": [], "closure": [], "calls": 0}
+    census, closure = search.prune8, search.closure_completions
+
+    def census_spy(gf, cands, bounds, tab=None):
+        seen["census"] += cands
+        seen["calls"] += 1
+        return census(gf, cands, bounds, tab)
+
+    def closure_spy(gf, preps, k, tab):
+        seen["closure"] += [p.cand for p in preps]
+        results = closure(gf, preps, k, tab)
+        assert len(results) == len(preps)
+        return results
+
+    monkeypatch.setattr(search, "prune8", census_spy)
+    monkeypatch.setattr(search, "closure_completions", closure_spy)
+    a = frobenius_orbit_reps(gf32, exclude=frozenset({0}))[0]
+    counters, raw = process_shard(gf32, 14, a, 10)
+    _, survivors = stream_shard(gf32, a, 10, *FOCUS_BOUNDS[14])
+    assert len(survivors) == counters["prepared"] > 5000
+    assert seen["census"] == seen["closure"] == survivors
+    assert seen["calls"] > 10
+    assert raw == [] and counters["dfs_roots"] == 0
 
 
 # two 12-arcs, each reached from three of its 8-point sub-candidates
@@ -477,7 +536,7 @@ K12_B = (
 SHARD_PINS = {
     (12, 2, 2): (
         dict(candidates=7134464, arcs8=2303404, focus_rejected=2303398,
-             prepared=6, extended=6),
+             prepared=6, extended=6, dfs_roots=6),
         [K12_A] * 3 + [K12_B] * 3,
     ),
     (14, 1, 3): (
@@ -526,3 +585,44 @@ def test_slope_census_matches_definitions(s):
         assert all((n > 0) == bool(mask >> m & 1) for m, n in enumerate(counts))
     assert 0 < arcs < 300
     assert _slope_census(gf, [(0, 0), (1, 1), (0, 0)]) is None  # repeated point
+
+
+@pytest.mark.parametrize("s", [3, 4, 5])
+def test_batched_census_matches_oracle(s):
+    """The batched census of `prune8` gives, candidate by candidate, the
+    verdict of the scalar census: on random candidates of every a, half
+    of them with unconstrained coordinates (repeated points, points on
+    the frame's columns, non-arcs) and half normalized like the stream's,
+    in one batch three times the size `process_shard` passes."""
+
+    gf = make_field(s)
+    q = gf.q
+    rng = random.Random(2000 + s)
+    cands = []
+    for i in range(3 * search._SURVIVOR_BLOCK + 7):
+        a = rng.randrange(q)
+        if i % 2:
+            c = rng.randrange(2, q - 1)
+            f = rng.randrange(c + 1, q)
+            d, e = sorted(rng.sample(range(q), 2))
+            g, h = sorted(rng.sample(range(q), 2))
+        else:
+            c, d, e, f, g, h = (rng.randrange(q) for _ in range(6))
+        cands.append(Candidate8(a, c, d, e, f, g, h))
+    tab = search._NumpyTables(gf)
+    kinds = {NOT_AN_ARC: 0, FOCUS_COUNT: 0, "prepared": 0}
+    for bounds in ((1, q + 1), (q // 4 + 5, q // 4 + 6)):
+        verdicts = prune8(gf, cands, bounds, tab)
+        assert len(verdicts) == len(cands)
+        for cand, got in zip(cands, verdicts):
+            want = census_verdict(gf, cand, bounds)
+            if isinstance(got, Prepared8):
+                assert got.cand == cand
+                assert (got.focus_mask, got.slope_counts) == want
+                kinds["prepared"] += 1
+            else:
+                assert got == want
+                kinds[got] += 1
+    assert all(kinds.values()), kinds
+    assert any(len(set(c.points())) < 8 for c in cands)
+    assert len({c.a for c in cands}) == q

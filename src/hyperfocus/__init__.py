@@ -21,7 +21,12 @@ from hyperfocus.arcs import (
     translation_hyperoval,
 )
 from hyperfocus.conics import ConicError, hyperconic_contains, hyperconic_witness
-from hyperfocus.canon import arc_digest, canonical_form, frobenius_orbit_reps
+from hyperfocus.canon import (
+    arc_digest,
+    canonical_form,
+    canonical_forms,
+    frobenius_orbit_reps,
+)
 from hyperfocus.search import SearchConfig, SearchError, SearchReport, run_search
 
 __all__ = [
@@ -46,6 +51,7 @@ __all__ = [
     "hyperconic_witness",
     "arc_digest",
     "canonical_form",
+    "canonical_forms",
     "frobenius_orbit_reps",
     "SearchConfig",
     "SearchError",

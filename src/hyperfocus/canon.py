@@ -23,11 +23,15 @@ like the integer x*q + y, its dense point index.  Comparing serialized
 images is therefore comparing the sorted rows of those integers, and
 canonical_form does that for all n(n-1)(n-2) triples at once in numpy,
 using the field's log/exp tables, then serializes only the winning row.
+canonical_forms runs that kernel once per equivalence class of a list:
+every other member of the class is recognised by one exact lookup of its
+first triple's normalized images.
 """
 
 from __future__ import annotations
 
 import hashlib
+from itertools import permutations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -44,6 +48,8 @@ from hyperfocus.arcs import Arc, LineMeetsArc
 # Image entries per block of triples: bounds the kernel's temporaries for
 # large arcs; a 12-arc (1320 triples x 12 points) is one block.
 _BLOCK = 1 << 15
+# the six orderings of a triple, one per row
+_ORDERINGS = np.array(list(permutations(range(3))))
 
 
 def frobenius_orbit_reps(
@@ -89,7 +95,9 @@ class _Tables:
     an ordinate to its 2^i-th power and frob_x[i] does the same shifted
     left by s, so frob_x[i][X] | frob_y[i][Y] is the point index of the
     i-th Frobenius image of (X, Y).  uint16 holds every index and log sum
-    up to q = 256, uint32 beyond.
+    up to q = 256, uint32 beyond.  The kernel gathers from these tables
+    with `take`, which numpy runs about three times faster than the same
+    integer-array indexing on a 12-arc's (1320, 12) index arrays.
     """
 
     __slots__ = ("log", "exp", "frob_x", "frob_y")
@@ -119,10 +127,10 @@ def _tables(gf: GF) -> _Tables:
     return tab
 
 
-def _affine_ordinates(gf: GF, arc: Arc, line: Line) -> List[Tuple[int, int]]:
-    """(x, y) of each arc point after a fixed collineation sending the line
-    to Z = 0: with t the last nonzero coefficient of the line, the map
-    keeps the other two coordinates and puts the line's form last."""
+def _affine_ordinates(gf: GF, arc: Arc, line: Line) -> Tuple[np.ndarray, np.ndarray]:
+    """x and y arrays of the arc points after a fixed collineation sending
+    the line to Z = 0: with t the last nonzero coefficient of the line,
+    the map keeps the other two coordinates and puts the line's form last."""
     t = max(i for i in range(3) if line[i])
     r, u = (i for i in range(3) if i != t)
     out = []
@@ -132,7 +140,10 @@ def _affine_ordinates(gf: GF, arc: Arc, line: Line) -> List[Tuple[int, int]]:
             raise LineMeetsArc(f"{p} lies on the line {line}")
         wi = gf.inv(w)
         out.append((gf.mul(p[r], wi), gf.mul(p[u], wi)))
-    return out
+    if len(out) < 3:
+        raise ValueError("arc too small for a triple")
+    x, y = np.array(out, dtype=_tables(gf).log.dtype).T.copy()
+    return x, y
 
 
 def _lex_min_row(rows: np.ndarray) -> List[int]:
@@ -146,6 +157,71 @@ def _lex_min_row(rows: np.ndarray) -> List[int]:
     return rows[idx[0]].tolist()
 
 
+def _normalized_images(
+    gf: GF, tab: _Tables, x: np.ndarray, y: np.ndarray, p1, p2, p3
+) -> Tuple[np.ndarray, np.ndarray]:
+    """x and y of every point's image under the normalizing map of each
+    triple (p1, p2, p3) of point numbers: two (len(p3), n) arrays."""
+    lg, ex = tab.log.take, tab.exp.take
+    # M = [[a, b], [c, d]]: columns P1 - P3 and P2 - P3, as logs
+    la, lc = lg(x[p1] ^ x[p3]), lg(y[p1] ^ y[p3])
+    lb, ld = lg(x[p2] ^ x[p3]), lg(y[p2] ^ y[p3])
+    det = ex(la + ld) ^ ex(lb + lc)
+    if not det.all():
+        raise DegenerateFrame("three arc points are collinear")
+    linv = ((gf.q - 1) - lg(det))[:, None]
+    lux = lg(x ^ x[p3][:, None])
+    luy = lg(y ^ y[p3][:, None])
+    # M^-1 = [[d, b], [c, a]] / det in characteristic 2
+    img_x = ex(lg(ex(ld[:, None] + lux) ^ ex(lb[:, None] + luy)) + linv)
+    img_y = ex(lg(ex(lc[:, None] + lux) ^ ex(la[:, None] + luy)) + linv)
+    return img_x, img_y
+
+
+def _kernel(
+    gf: GF, x: np.ndarray, y: np.ndarray
+) -> Tuple[List[int], List[np.ndarray]]:
+    """The lex-min sorted image row over all ordered triples and Frobenius
+    powers, and the sorted frame-0 (no Frobenius) rows of the
+    index-increasing triples, in blocks.
+
+    Triples are taken ordering by ordering of the index-increasing ones,
+    identity first, so those rows are the first C(n, 3).
+    """
+    tab = _tables(gf)
+    n = len(x)
+    i1, i2, i3 = np.indices((n, n, n)).reshape(3, -1)
+    inc = np.stack([v[(i1 < i2) & (i2 < i3)] for v in (i1, i2, i3)])
+    i1, i2, i3 = np.concatenate([inc[order] for order in _ORDERINGS], axis=1)
+    n_inc = inc.shape[1]
+    best: Optional[List[int]] = None
+    frame0: List[np.ndarray] = []
+    step = max(1, _BLOCK // n)
+    for lo in range(0, len(i3), step):
+        blk = slice(lo, lo + step)
+        img_x, img_y = _normalized_images(gf, tab, x, y, i1[blk], i2[blk], i3[blk])
+        for i, (fx, fy) in enumerate(zip(tab.frob_x, tab.frob_y)):
+            rows = fx.take(img_x) | fy.take(img_y)
+            rows.sort(axis=1)
+            if i == 0 and lo < n_inc:
+                frame0.append(rows[: n_inc - lo])
+            cand = _lex_min_row(rows)
+            if best is None or cand < best:
+                best = cand
+    return best, frame0
+
+
+def _serialize_row(gf: GF, row: List[int]) -> bytes:
+    q = gf.q
+    return serialize_arc(gf, [(v // q, v % q, 1) for v in row])
+
+
+def _row_keys(rows: np.ndarray) -> List[bytes]:
+    """Each row's bytes, one dict key per row."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().tolist()
+
+
 def canonical_form(gf: GF, arc: Arc, line: Line = LINE_AT_INFINITY) -> bytes:
     """Lex-min serialized normalized image over all ordered triples of arc
     points and all Frobenius powers.
@@ -153,42 +229,48 @@ def canonical_form(gf: GF, arc: Arc, line: Line = LINE_AT_INFINITY) -> bytes:
     Invariant under every collineation fixing the line: such a map sends
     normalized images of one arc onto those of the other.
     """
-    pts = _affine_ordinates(gf, arc, line)
-    n = len(pts)
-    if n < 3:
-        raise ValueError("arc too small for a triple")
+    x, y = _affine_ordinates(gf, arc, line)
+    return _serialize_row(gf, _kernel(gf, x, y)[0])
+
+
+def canonical_forms(
+    gf: GF, arcs: Iterable[Arc], line: Line = LINE_AT_INFINITY
+) -> List[bytes]:
+    """canonical_form of each arc, with one full kernel per equivalence
+    class of the list.
+
+    If B is equivalent to an arc A already run, B = g(A) with g a
+    projectivity followed by a Frobenius power f.  Some ordering of B's
+    first triple is the image under g of an index-increasing triple of
+    A, and the normalizing map of that ordering, composed with g, sends
+    A's triple to the frame.  The frame has coordinates in GF(2), which f
+    fixes, so by uniqueness that map is f after A's normalizing map.  So
+    under one Frobenius power the normalized image of one ordering of B's
+    first triple is exactly one of A's frame-0 rows.  Each arc is probed
+    with the six orderings under every power, looked up as exact row
+    bytes; a hit is an exact equivalence and returns A's form, a miss
+    runs the kernel and adds the new class's frame-0 rows.  A non-arc is
+    the image of no arc and never hits, so every error is raised exactly
+    as canonical_form raises it.
+    """
     tab = _tables(gf)
-    lg, ex = tab.log, tab.exp
-    dtype = lg.dtype
-    x = np.array([p[0] for p in pts], dtype=dtype)
-    y = np.array([p[1] for p in pts], dtype=dtype)
-    i1, i2, i3 = np.indices((n, n, n)).reshape(3, -1)
-    keep = (i1 != i2) & (i2 != i3) & (i1 != i3)
-    i1, i2, i3 = i1[keep], i2[keep], i3[keep]
-    best: Optional[List[int]] = None
-    step = max(1, _BLOCK // n)
-    for lo in range(0, len(i3), step):
-        p1, p2, p3 = i1[lo : lo + step], i2[lo : lo + step], i3[lo : lo + step]
-        # M = [[a, b], [c, d]]: columns P1 - P3 and P2 - P3, as logs
-        la, lc = lg[x[p1] ^ x[p3]], lg[y[p1] ^ y[p3]]
-        lb, ld = lg[x[p2] ^ x[p3]], lg[y[p2] ^ y[p3]]
-        det = ex[la + ld] ^ ex[lb + lc]
-        if not det.all():
-            raise DegenerateFrame("three arc points are collinear")
-        linv = ((gf.q - 1) - lg[det])[:, None]
-        lux = lg[x ^ x[p3][:, None]]
-        luy = lg[y ^ y[p3][:, None]]
-        # M^-1 = [[d, b], [c, a]] / det in characteristic 2
-        img_x = ex[lg[ex[ld[:, None] + lux] ^ ex[lb[:, None] + luy]] + linv]
-        img_y = ex[lg[ex[lc[:, None] + lux] ^ ex[la[:, None] + luy]] + linv]
-        for fx, fy in zip(tab.frob_x, tab.frob_y):
-            rows = fx[img_x] | fy[img_y]
+    seen: Dict[bytes, bytes] = {}
+    forms: List[bytes] = []
+    for arc in arcs:
+        x, y = _affine_ordinates(gf, arc, line)
+        form = None
+        if seen:
+            img_x, img_y = _normalized_images(gf, tab, x, y, *_ORDERINGS.T)
+            rows = (tab.frob_x[:, img_x] | tab.frob_y[:, img_y]).reshape(-1, len(x))
             rows.sort(axis=1)
-            cand = _lex_min_row(rows)
-            if best is None or cand < best:
-                best = cand
-    q = gf.q
-    return serialize_arc(gf, [(v // q, v % q, 1) for v in best])
+            form = next(filter(None, map(seen.get, _row_keys(rows))), None)
+        if form is None:
+            best, frame0 = _kernel(gf, x, y)
+            form = _serialize_row(gf, best)
+            for rows in frame0:
+                seen.update(dict.fromkeys(_row_keys(rows), form))
+        forms.append(form)
+    return forms
 
 
 def digest(form: bytes) -> str:
@@ -204,6 +286,6 @@ def equivalence_classes(
 ) -> List[Tuple[str, List[int]]]:
     """Group arc indices by canonical form; classes ordered by form."""
     groups: Dict[bytes, List[int]] = {}
-    for i, arc in enumerate(arcs):
-        groups.setdefault(canonical_form(gf, arc, line), []).append(i)
+    for i, form in enumerate(canonical_forms(gf, arcs, line)):
+        groups.setdefault(form, []).append(i)
     return [(digest(form), groups[form]) for form in sorted(groups)]

@@ -28,10 +28,10 @@ from hyperfocus.arcs import (
     translation_arc,
     translation_hyperoval,
 )
-from hyperfocus.canon import arc_digest, equivalence_classes
+from hyperfocus.canon import arc_digest, canonical_forms, digest, equivalence_classes
 from hyperfocus.conics import hyperconic_witness
 from hyperfocus.field import GF, FieldError, make_field
-from hyperfocus.plane import LINE_AT_INFINITY, all_lines, incident, scale
+from hyperfocus.plane import LINE_AT_INFINITY, Line, all_lines, incident, scale
 from hyperfocus.search import (
     COUNTER_KEYS,
     CheckpointMismatch,
@@ -236,7 +236,9 @@ def cmd_verify(args) -> int:
         print("verified=0/0")
         return EX_OK
     gf = _record_field(records)
-    ok = 0
+    rows = []
+    # records whose stored digest is rechecked, grouped by focus line
+    by_line: Dict[Line, List[int]] = {}
     for i, rec in enumerate(records):
         pts = tuple(_record_points(gf, rec, i))
         arc_ok = is_arc(gf, pts)
@@ -260,18 +262,26 @@ def cmd_verify(args) -> int:
             "hyperconic": None if wit is None else wit.found,
             "conic": list(wit.conic) if found else None,
             "nucleus": list(wit.nucleus) if found else None,
+            "digest": None,
         }
-        if "digest" in rec:
-            derived["digest"] = arc_digest(gf, pts, line) if exterior else None
-        failed = [c for c in CLAIMS if c in rec and rec[c] != derived[c]]
-        good = arc_ok and exterior and verdict == HYPERFOCUSED and not failed
-        ok += good
+        if "digest" in rec and exterior:
+            by_line.setdefault(line, []).append(i)
         hyper = "-" if wit is None else str(wit.found).lower()
-        print(
+        summary = (
             f"arc={i} k={len(pts)} is_arc={str(arc_ok).lower()} "
-            f"focus={size} verdict={verdict} hyperconic={hyper} "
-            f"failed={','.join(failed) or '-'} ok={str(good).lower()}"
+            f"focus={size} verdict={verdict} hyperconic={hyper}"
         )
+        rows.append((pts, summary, exterior and verdict == HYPERFOCUSED, derived))
+    for line, idx in by_line.items():
+        forms = canonical_forms(gf, [rows[i][0] for i in idx], line)
+        for i, form in zip(idx, forms, strict=True):
+            rows[i][3]["digest"] = digest(form)
+    ok = 0
+    for rec, (_, summary, focused, derived) in zip(records, rows):
+        failed = [c for c in CLAIMS if c in rec and rec[c] != derived[c]]
+        good = focused and not failed
+        ok += good
+        print(f"{summary} failed={','.join(failed) or '-'} ok={str(good).lower()}")
     print(f"verified={ok}/{len(records)}")
     return EX_OK if ok == len(records) else EX_FAIL
 

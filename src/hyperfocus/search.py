@@ -52,7 +52,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from hyperfocus.arcs import HYPERFOCUSED, classify_focus, make_arc
-from hyperfocus.canon import arc_digest, frobenius_orbit_reps, serialize_arc
+from hyperfocus.canon import canonical_forms, frobenius_orbit_reps, serialize_arc
+from hyperfocus.canon import digest as form_digest
 from hyperfocus.conics import hyperconic_witness
 from hyperfocus.field import GF, make_field
 from hyperfocus.plane import LINE_AT_INFINITY, Point, frobenius_point
@@ -131,14 +132,14 @@ class Prepared8:
     Everything is affine on Z=0, with the points `cand.points()`.
     Directions are slope indices: the slope y/x, or q for the vertical
     direction (0,1,0).  Bit m of `focus_mask` is set when some secant has
-    direction m, and `slope_counts[m]` counts those secants; the
-    extension reads only the mask, the counts feed the
-    `closure_survivors` tally.
+    direction m, and `single_secant_dirs` counts the directions that carry
+    exactly one secant; the extension reads only the mask, the count
+    feeds the `closure_survivors` tally.
     """
 
     cand: Candidate8
     focus_mask: int
-    slope_counts: Tuple[int, ...]
+    single_secant_dirs: int
 
     @property
     def focus_size(self) -> int:
@@ -386,16 +387,16 @@ def prune8(
     # per-direction secant counts, one bincount over row-offset slopes
     slopes = tab.slope[dx, dy] + width * np.arange(len(cands))[:, None]
     counts = np.bincount(slopes.ravel(), minlength=len(cands) * width)
+    single = np.count_nonzero(counts.reshape(-1, width) == 1, axis=1)
     out: List[Union[Prepared8, str]] = []
-    rows = zip(cands, arc.tolist(), mask.tolist(), size.tolist(),
-               counts.reshape(-1, width).tolist())
-    for cand, is_arc, fmask, n_focus, cnt in rows:
+    rows = zip(cands, arc.tolist(), mask.tolist(), size.tolist(), single.tolist())
+    for cand, is_arc, fmask, n_focus, n_single in rows:
         if not is_arc:
             out.append(NOT_AN_ARC)
         elif not lo <= n_focus <= hi:
             out.append(FOCUS_COUNT)
         else:
-            out.append(Prepared8(cand, fmask, tuple(cnt)))
+            out.append(Prepared8(cand, fmask, n_single))
     return out
 
 
@@ -536,7 +537,7 @@ def process_shard(
                 counters["dfs_roots"] += 1
             # k=14 survivors with 13 focuses and fewer than two directions
             # of one secant (6-tangent focuses) are tallied apart
-            if k == 14 and prep.focus_size == 13 and prep.slope_counts.count(1) < 2:
+            if k == 14 and prep.focus_size == 13 and prep.single_secant_dirs < 2:
                 counters["closure_survivors"] += 1
                 counters["closure_extended"] += len(arcs)
             else:
@@ -667,20 +668,21 @@ def _postprocess(
         for i in range(gf.s):
             img = make_arc(gf, [frobenius_point(gf, p, i) for p in arc])
             unique.setdefault(img, None)
-    entries = []
     for arc in unique:
         verdict, size = classify_focus(gf, arc, LINE_AT_INFINITY)
         if len(arc) != k or verdict != HYPERFOCUSED or size != k - 1:
             raise VerificationError(f"emitted arc fails verification: {arc}")
         counters["verified"] += 1
+    entries = []
+    for arc, form in zip(unique, canonical_forms(gf, unique), strict=True):
         wit = hyperconic_witness(gf, arc)
         record = {
             "q": gf.q,
             "modulus": hex(gf.modulus),
             "k": k,
             "points": [list(p) for p in arc],
-            "digest": arc_digest(gf, arc),
-            "focus_count": size,
+            "digest": form_digest(form),
+            "focus_count": k - 1,
             "hyperconic": wit.found,
             "conic": list(wit.conic) if wit.found else None,
             "nucleus": list(wit.nucleus) if wit.found else None,

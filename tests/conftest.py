@@ -1,4 +1,5 @@
-"""Shared fixtures: fields, exhaustive small-q enumerations, full runs.
+"""Shared fixtures: fields, exhaustive small-q enumerations, full runs,
+and a count of the canon kernel's runs.
 
 The expensive artifacts (the q=8 exhaustive hyperfocused-arc list and
 the two full q=32 searches) are session-scoped so the acceptance tests
@@ -7,6 +8,7 @@ and the module tests share one computation.
 
 import pytest
 
+from hyperfocus import canon
 from hyperfocus.arcs import enumerate_hyperfocused
 from hyperfocus.field import make_field
 from hyperfocus.plane import LINE_AT_INFINITY
@@ -81,3 +83,17 @@ def k14_run(gf32, tmp_path_factory):
         gf32, 14, SearchConfig(workers=1, output=str(out), checkpoint=None)
     )
     return report, out.read_bytes()
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The size of each arc the full all-triples canon kernel runs on."""
+    calls = []
+    kernel = canon._kernel
+
+    def counted(gf, x, y):
+        calls.append(len(x))
+        return kernel(gf, x, y)
+
+    monkeypatch.setattr(canon, "_kernel", counted)
+    return calls

@@ -207,6 +207,25 @@ def mat_det(gf: GF, a: Matrix) -> int:
     return det3(gf, a[0], a[1], a[2])
 
 
+def random_z0_collineation(gf: GF, rng) -> Matrix:
+    """A random invertible matrix with last row (0, 0, *): it stabilizes
+    the line Z = 0."""
+    while True:
+        rows = [tuple(rng.randrange(gf.q) for _ in range(3)) for _ in range(2)]
+        m = (*rows, (0, 0, 1 + rng.randrange(gf.q - 1)))
+        if mat_det(gf, m):
+            return m
+
+
+def moved_arc(gf: GF, arc: Arc, rng, frob: Optional[int] = None) -> Arc:
+    """The image of the arc under a random collineation fixing Z = 0: a
+    random_z0_collineation, then the Frobenius power `frob` (random when
+    None)."""
+    t = random_z0_collineation(gf, rng)
+    i = rng.randrange(gf.s) if frob is None else frob
+    return make_arc(gf, [frobenius_point(gf, apply_point(gf, t, p), i) for p in arc])
+
+
 def mat_inv(gf: GF, a: Matrix) -> Matrix:
     """Inverse by adjugate; char 2 drops the cofactor signs."""
     d = mat_det(gf, a)
@@ -467,14 +486,15 @@ def _slope_census(
 
 def census_verdict(gf: GF, cand: Candidate8, bounds: Tuple[int, int]):
     """What `prune8` must say of one candidate, from the scalar census:
-    NOT_AN_ARC, FOCUS_COUNT, or the (focus mask, slope counts) pair."""
+    NOT_AN_ARC, FOCUS_COUNT, or the focus mask and the number of
+    directions that carry exactly one secant."""
     census = _slope_census(gf, cand.points())
     if census is None:
         return NOT_AN_ARC
     mask, counts = census
     if not bounds[0] <= mask.bit_count() <= bounds[1]:
         return FOCUS_COUNT
-    return mask, tuple(counts)
+    return mask, counts.count(1)
 
 
 def schemaless_config_hash(gf: GF, k: int, bounds: Tuple[int, int]) -> str:

@@ -17,6 +17,7 @@ from hyperfocus.arcs import (
 from hyperfocus.canon import (
     arc_digest,
     canonical_form,
+    canonical_forms,
     digest,
     equivalence_classes,
     frobenius_orbit_reps,
@@ -35,8 +36,9 @@ from oracles import (
     arc_accepts,
     canonical_form_oracle,
     extend_arc,
-    mat_det,
+    moved_arc,
     normalize_frame,
+    random_z0_collineation,
 )
 
 QUAD = ((0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1))
@@ -111,15 +113,6 @@ def test_normalize_frame_rejects_line_points(gf8):
         )
 
 
-def _random_z0_collineation(gf, rng):
-    """Invertible matrix with last row (0, 0, *): stabilizes Z=0."""
-    while True:
-        rows = [tuple(rng.randrange(gf.q) for _ in range(3)) for _ in range(2)]
-        m = (*rows, (0, 0, 1 + rng.randrange(gf.q - 1)))
-        if mat_det(gf, m):
-            return m
-
-
 def test_canonical_form_invariance(gf8):
     """The form survives every line-stabilizing projectivity and every
     Frobenius twist."""
@@ -130,7 +123,7 @@ def test_canonical_form_invariance(gf8):
     base = canonical_form(gf8, arc)
     rng = random.Random(29)
     for _ in range(8):
-        t = _random_z0_collineation(gf8, rng)
+        t = random_z0_collineation(gf8, rng)
         i = rng.randrange(gf8.s)
         moved = make_arc(
             gf8,
@@ -164,7 +157,7 @@ def test_equivalence_classes(gf8):
     group = additive_closure(gf8, [(1, 1), (2, 4), (4, 6)])
     arc = translation_arc(gf8, group)
     rng = random.Random(37)
-    t = _random_z0_collineation(gf8, rng)
+    t = random_z0_collineation(gf8, rng)
     moved = make_arc(gf8, [apply_point(gf8, t, p) for p in arc])
     quad = make_arc(gf8, QUAD)
     classes = equivalence_classes(gf8, [arc, moved, quad])
@@ -258,3 +251,96 @@ def test_stored_digests_match(gf32):
     """Every digest in results/k12.jsonl is its own record's fresh digest."""
     for rec in _k12_records():
         assert arc_digest(gf32, make_arc(gf32, rec["points"])) == rec["digest"]
+
+
+# --- one kernel per class ----------------------------------------------------
+
+
+def _class_pool(gf, rng, sizes, per_size=4, images=2):
+    """Up to `per_size` pairwise inequivalent random arcs of each size,
+    each with `images` collineation images under nontrivial Frobenius
+    powers, shuffled."""
+    pool = []
+    for size in sizes:
+        reps = {}
+        for _ in range(6 * per_size):
+            arc = _random_affine_arc(gf, rng, size)
+            reps.setdefault(canonical_form(gf, arc), arc)
+            if len(reps) == per_size:
+                break
+        for arc in reps.values():
+            pool.append(arc)
+            for j in range(images):
+                pool.append(moved_arc(gf, arc, rng, 1 + j % (gf.s - 1)))
+    rng.shuffle(pool)
+    return pool
+
+
+# q = 4 has two classes of 4-arcs and one of every other size
+@pytest.mark.parametrize(
+    "s, sizes, classes", [(2, (3, 4, 5, 6), 2), (3, (4, 5, 6, 7), 3), (4, (4, 5, 6), 4)]
+)
+def test_canonical_forms_match_kernel_on_shuffled_pools(s, sizes, classes, kernel_calls):
+    """Several classes of one size, and of several sizes in one batch,
+    each with Frobenius-twisted collineation images: the batch gives the
+    per-arc kernel's forms, runs the kernel once per class, and agrees
+    with the oracle on a sample."""
+    gf = make_field(s)
+    rng = random.Random(50 + s)
+    pool = _class_pool(gf, rng, sizes)
+    per_size = [_class_pool(gf, rng, (size,)) for size in sizes]
+    assert max(len({canonical_form(gf, a) for a in p}) for p in per_size) >= classes
+    for batch in per_size + [pool]:
+        want = [canonical_form(gf, arc) for arc in batch]
+        del kernel_calls[:]
+        assert canonical_forms(gf, batch) == want
+        assert len(kernel_calls) == len(set(want))
+    for arc in rng.sample(pool, 4):
+        assert canonical_forms(gf, [arc]) == [canonical_form_oracle(gf, arc)]
+
+
+def test_canonical_forms_off_z0(gf8):
+    """Equivalence on another exterior line, X + Z = 0."""
+    rng = random.Random(61)
+    arcs = _class_pool(gf8, rng, (6,), per_size=3)
+
+    def off(arc):
+        return make_arc(gf8, [scale(gf8, (x, y, x ^ z)) for x, y, z in arc])
+
+    assert canonical_forms(gf8, [off(a) for a in arcs], (1, 0, 1)) == [
+        canonical_form(gf8, a) for a in arcs
+    ]
+
+
+def test_canonical_forms_one_kernel_for_k12_records(gf32, kernel_calls):
+    """The 60 stored 12-arcs are one class: in any order they take one
+    kernel run, and every form is its record's digest."""
+    recs = _k12_records()
+    random.Random(67).shuffle(recs)
+    forms = canonical_forms(gf32, [make_arc(gf32, r["points"]) for r in recs])
+    assert [digest(f) for f in forms] == [r["digest"] for r in recs]
+    assert kernel_calls == [12]
+
+
+def test_canonical_forms_errors_in_a_batch(gf8):
+    """A batch raises what canonical_form raises on its bad member, also
+    when earlier arcs of the same size have filled the lookup."""
+    rng = random.Random(71)
+    good = _class_pool(gf8, rng, (5,), per_size=3, images=1)
+    cases = [
+        (LineMeetsArc, QUAD + ((1, 1, 0),)),
+        (DegenerateFrame, QUAD + ((0, 3, 1),)),  # collinear, not in the first triple
+        (DegenerateFrame, ((0, 0, 1), (0, 1, 1), (0, 3, 1), (1, 0, 1), (1, 1, 1))),
+        (ValueError, QUAD[:2]),
+    ]
+    for exc, bad in cases:
+        with pytest.raises(exc):
+            canonical_form(gf8, bad)
+        with pytest.raises(exc):
+            canonical_forms(gf8, good + [bad] + good)
+    with pytest.raises(LineMeetsArc):
+        canonical_forms(gf8, [QUAD, QUAD], (1, 0, 1))
+
+
+def test_canonical_forms_empty(gf8):
+    assert canonical_forms(gf8, []) == []

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import random
 import re
 from contextlib import redirect_stdout, redirect_stderr
 from pathlib import Path
@@ -24,8 +25,9 @@ from hyperfocus import search
 from hyperfocus.arcs import NEITHER
 from hyperfocus.cli import UsageError
 from hyperfocus.field import make_field
+from hyperfocus.plane import scale
 
-from oracles import schemaless_config_hash
+from oracles import moved_arc, schemaless_config_hash
 
 K12_RESULTS = Path(__file__).resolve().parent.parent / "results" / "k12.jsonl"
 
@@ -362,6 +364,43 @@ def test_verify_names_each_failed_claim(tmp_path, claim):
     assert out.splitlines()[-1] == "verified=0/1"
 
 
+def test_verify_sixty_records_and_an_edited_digest(tmp_path):
+    """The 60 stored records share one class; a copy of one of them with an
+    edited digest fails on that record alone."""
+    lines = K12_RESULTS.read_text().splitlines()
+    edited = {**json.loads(lines[7]), "digest": "0" * 16}
+    path = tmp_path / "k12.jsonl"
+    path.write_text("\n".join(lines + [json.dumps(edited)]) + "\n")
+    code, out, _ = run_cli("verify", str(path))
+    assert code == EX_FAIL
+    rows = out.splitlines()
+    assert rows[-1] == "verified=60/61"
+    assert [i for i, row in enumerate(rows[:-1]) if "failed=-" not in row] == [60]
+    assert rows[60].endswith("failed=digest ok=false")
+
+
+def test_verify_digest_on_each_records_line(tmp_path):
+    """Records on two focus lines: each digest is checked on the record's
+    own line.  The copy of a 12-arc moved by (x, y, z) -> (x, y, x + z)
+    lies on X + Z = 0's side and meets Z = 0, and keeps its digest."""
+    gf = make_field(5, 0x25)
+    rec = _k12_record()
+    moved = {
+        key: rec[key] for key in ("q", "modulus", "k", "focus_count", "digest")
+    }
+    moved["points"] = [list(scale(gf, (x, y, x ^ z))) for x, y, z in rec["points"]]
+    moved["line"] = [1, 0, 1]
+    wrong = {**moved, "digest": "0" * 16}
+    path = tmp_path / "lines.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in (rec, moved, wrong, rec)))
+    code, out, _ = run_cli("verify", str(path))
+    assert code == EX_FAIL
+    rows = out.splitlines()
+    assert [row.endswith("failed=- ok=true") for row in rows[:4]] == [True, True, False, True]
+    assert rows[2].endswith("failed=digest ok=false")
+    assert rows[4] == "verified=3/4"
+
+
 def test_verify_malformed_json(tmp_path):
     path = tmp_path / "broken.jsonl"
     path.write_text("{not json\n")
@@ -422,6 +461,29 @@ def test_classify_roundtrip(k10_cli):
     assert len(sizes) == int(m.group(1))
     for dig in re.findall(r"digest=([0-9a-f]+)", out):
         assert len(dig) == 16
+
+
+def test_classify_moved_copy_joins_the_class(tmp_path):
+    gf = make_field(5, 0x25)
+    lines = K12_RESULTS.read_text().splitlines()
+    copy = moved_arc(gf, json.loads(lines[0])["points"], random.Random(5), frob=2)
+    path = tmp_path / "k12.jsonl"
+    extra = {"q": 32, "modulus": "0x25", "points": [list(p) for p in copy]}
+    path.write_text("\n".join(lines + [json.dumps(extra)]) + "\n")
+    code, out, _ = run_cli("classify", str(path))
+    assert code == EX_OK
+    rows = out.splitlines()
+    assert rows[0] == "classes=1 arcs=61"
+    assert rows[1] == f"class=0 size=61 digest={json.loads(lines[0])['digest']}"
+
+
+def test_classify_one_kernel_per_class(k10_cli, kernel_calls):
+    """The 40 q=8 10-arcs cost one full kernel run per class reported."""
+    _, _, _, path = k10_cli
+    code, out, _ = run_cli("classify", str(path))
+    assert code == EX_OK
+    classes = int(re.match(r"classes=(\d+) arcs=40", out).group(1))
+    assert kernel_calls == [10] * classes
 
 
 def test_classify_rejects_mixed_lines(tmp_path):

@@ -140,7 +140,10 @@ def test_prune8_reasons_and_survivor(gf32):
     assert seen[NOT_AN_ARC] > 0 and seen[FOCUS_COUNT] > 0
     assert prep.focus_size == 11
     assert prep.focus_mask.bit_count() == 11
-    assert sum(prep.slope_counts) == 28  # 8 points, 28 secants
+    mask, counts = _slope_census(gf32, prep.cand.points())
+    assert mask == prep.focus_mask
+    assert sum(counts) == 28  # 8 points, 28 secants
+    assert prep.single_secant_dirs == counts.count(1)
     # the projective views, derived from the definitions
     arc = make_arc(gf32, [(x, y, 1) for x, y in prep.cand.points()])
     focus = focus_set(gf32, arc, LINE_AT_INFINITY)
@@ -151,7 +154,7 @@ def test_prune8_reasons_and_survivor(gf32):
         assert star in focus
     for pt in focus:
         pencil = tangents_through(gf32, arc, pt)
-        assert len(pencil) == 8 - 2 * prep.slope_counts[slope_of(gf32, pt)]
+        assert len(pencil) == 8 - 2 * counts[slope_of(gf32, pt)]
 
 
 def test_stream_engines_agree_q8(gf8):
@@ -618,7 +621,7 @@ def test_batched_census_matches_oracle(s):
             want = census_verdict(gf, cand, bounds)
             if isinstance(got, Prepared8):
                 assert got.cand == cand
-                assert (got.focus_mask, got.slope_counts) == want
+                assert (got.focus_mask, got.single_secant_dirs) == want
                 kinds["prepared"] += 1
             else:
                 assert got == want

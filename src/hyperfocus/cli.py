@@ -128,8 +128,11 @@ def _search_workers(requested: Optional[int]) -> int:
 
 
 def load_records(path: str) -> List[dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc}") from None
     records = []
     for i, line in enumerate(lines):
         line = line.strip()
@@ -360,11 +363,12 @@ def cmd_classify(args) -> int:
         print("classes=0 arcs=0")
         return EX_OK
     gf = _record_field(records)
-    lines = set()
-    for i, rec in enumerate(records):
-        if "line" in rec:
-            lines.add(tuple(rec["line"]))
-    if lines - {tuple(LINE_AT_INFINITY)}:
+    lines = {
+        _record_triple(gf, rec["line"], i, "line")
+        for i, rec in enumerate(records)
+        if "line" in rec
+    }
+    if lines - {LINE_AT_INFINITY}:
         raise DataError(f"records carry mixed focus lines: {sorted(lines)}")
     seen: Dict[Tuple, None] = {}
     for i, rec in enumerate(records):

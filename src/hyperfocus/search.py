@@ -13,8 +13,8 @@ are distinct (a popcount of 6), `arcs8` is counted in closed form per
 (d, e, f) row, and a cell whose 7-point focus count already exceeds the
 bound is cut before any (g, h) pair is formed.  Pair chunks and row
 blocks hold at most 2^13 entries.  A shard's survivors then pass two
-batched numpy stages, 256 survivors at a time.  A census re-checks each
-one as an arc within the focus bounds, from its 28 secant directions.
+batched numpy stages, 256 survivors at a time.  A census derives each
+one's coordinates and focus mask from its 28 secant directions.
 The extension, one search for every k, adds (k - 8)/2 vertical pairs in
 columns the 8-arc leaves free: direction tables of blocks of 16
 survivors give each one's admissible points, a column early exit drops
@@ -47,19 +47,16 @@ import tempfile
 import time
 from dataclasses import dataclass
 from multiprocessing import Pool
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from hyperfocus.arcs import HYPERFOCUSED, classify_focus, make_arc
+from hyperfocus.arcs import HYPERFOCUSED, ArcError, classify_focus, make_arc
 from hyperfocus.canon import canonical_forms, frobenius_orbit_reps, serialize_arc
 from hyperfocus.canon import digest as form_digest
 from hyperfocus.conics import hyperconic_witness
 from hyperfocus.field import GF, make_field
 from hyperfocus.plane import LINE_AT_INFINITY, Point, frobenius_point
-
-NOT_AN_ARC = "not-an-arc"
-FOCUS_COUNT = "focus-count"
 
 # target size -> (min, max) focus count demanded of the 8-point stage
 FOCUS_BOUNDS = {10: (9, 9), 12: (11, 11), 14: (9, 13)}
@@ -123,27 +120,6 @@ class Candidate8:
             (self.f, self.g),
             (self.f, self.h),
         )
-
-
-@dataclass(frozen=True)
-class Prepared8:
-    """A candidate that passed the batched census of `prune8`.
-
-    Everything is affine on Z=0, with the points `cand.points()`.
-    Directions are slope indices: the slope y/x, or q for the vertical
-    direction (0,1,0).  Bit m of `focus_mask` is set when some secant has
-    direction m, and `single_secant_dirs` counts the directions that carry
-    exactly one secant; the extension reads only the mask, the count
-    feeds the `closure_survivors` tally.
-    """
-
-    cand: Candidate8
-    focus_mask: int
-    single_secant_dirs: int
-
-    @property
-    def focus_size(self) -> int:
-        return self.focus_mask.bit_count()
 
 
 def new_counters() -> Dict[str, int]:
@@ -338,75 +314,48 @@ def resolve_engine(gf: GF, engine: str) -> str:
 _SURVIVOR_BLOCK = 256
 _TABLE_BLOCK = 16
 
-# the 28 secants (_I[s], _J[s]) of an 8-point candidate, and the 7 through
-# each point
+# the 28 secants (_I[s], _J[s]) of an 8-point candidate
 _I, _J = np.triu_indices(8, 1)
-_THROUGH = np.array([np.flatnonzero((_I == i) | (_J == i)) for i in range(8)])
 # columns of (a, c, d, e, f, g, h, 0, 1) that hold the x and the y of the
 # 8 points, in `Candidate8.points` order
 _PX = [7, 7, 8, 8, 1, 1, 4, 4]
 _PY = [7, 8, 7, 0, 2, 3, 5, 6]
 
 
-def _point_coords(cands: Sequence[Candidate8]) -> Tuple[np.ndarray, np.ndarray]:
-    """The x and the y of each candidate's 8 points, two (n, 8) arrays."""
+# `prune8` and `closure_completions` keep their names for bench/run.py,
+# whose `--trace 1` wraps them as the prepare and closure stages.
+def prune8(cands: Sequence[Candidate8], tab: _NumpyTables) -> Tuple[np.ndarray, ...]:
+    """What later stages read of a batch of stream survivors, 8-arcs whose
+    focus counts the stream has proved within the bounds; it checks nothing.
+
+    Per survivor: the x and the y of its 8 points (two (n, 8) arrays, in
+    `Candidate8.points` order), its focus mask, the OR of the direction
+    bits of its 28 secants (slope indices: y/x, or q for vertical), and
+    the number of directions with one secant, for `closure_survivors`.
+    """
     rows = np.array(
         [(c.a, c.c, c.d, c.e, c.f, c.g, c.h, 0, 1) for c in cands], dtype=np.int64
     ).reshape(-1, 9)
-    return rows[:, _PX], rows[:, _PY]
-
-
-def prune8(
-    gf: GF,
-    cands: Sequence[Candidate8],
-    bounds: Tuple[int, int],
-    tab: Optional[_NumpyTables] = None,
-) -> List[Union[Prepared8, str]]:
-    """Validate a batch of candidates: one Prepared8 or reason each.
-
-    The census gathers each candidate's 28 secant directions from the
-    slope tables in one numpy pass.  A candidate is an arc iff no point
-    repeats and the 7 directions from each point are distinct (popcount
-    7): a collinear triple repeats a direction at each of its points.
-    The focus mask is the OR of the 28 direction bits, and its popcount
-    must lie within `bounds`.  Its arrays hold 8 x 7 entries per
-    candidate, so callers bound the batch (`process_shard` passes
-    `_SURVIVOR_BLOCK` survivors at a time).
-    """
-    tab = tab if tab is not None else _NumpyTables(gf)
-    lo, hi = bounds
-    width = tab.q + 1
-    px, py = _point_coords(cands)
+    px, py = rows[:, _PX], rows[:, _PY]
     dx = px[:, _I] ^ px[:, _J]
     dy = py[:, _I] ^ py[:, _J]
-    bits = tab.slope_bit[dx, dy]
-    distinct = np.bitwise_count(np.bitwise_or.reduce(bits[:, _THROUGH], axis=2)) == 7
-    arc = ((dx | dy) != 0).all(axis=1) & distinct.all(axis=1)
-    mask = np.bitwise_or.reduce(bits, axis=1)
-    size = np.bitwise_count(mask)
+    fmask = np.bitwise_or.reduce(tab.slope_bit[dx, dy], axis=1)
     # per-direction secant counts, one bincount over row-offset slopes
-    slopes = tab.slope[dx, dy] + width * np.arange(len(cands))[:, None]
-    counts = np.bincount(slopes.ravel(), minlength=len(cands) * width)
+    width = tab.q + 1
+    slopes = tab.slope[dx, dy] + width * np.arange(len(rows))[:, None]
+    counts = np.bincount(slopes.ravel(), minlength=len(rows) * width)
     single = np.count_nonzero(counts.reshape(-1, width) == 1, axis=1)
-    out: List[Union[Prepared8, str]] = []
-    rows = zip(cands, arc.tolist(), mask.tolist(), size.tolist(), single.tolist())
-    for cand, is_arc, fmask, n_focus, n_single in rows:
-        if not is_arc:
-            out.append(NOT_AN_ARC)
-        elif not lo <= n_focus <= hi:
-            out.append(FOCUS_COUNT)
-        else:
-            out.append(Prepared8(cand, fmask, n_single))
-    return out
+    return px, py, fmask, single
 
 
 # ---------------------------------------------------------------------------
 # extension stage
 
 def closure_completions(
-    gf: GF, preps: Sequence[Prepared8], k: int, tab: _NumpyTables
+    gf: GF, px: np.ndarray, py: np.ndarray, fmask: np.ndarray, k: int, tab: _NumpyTables
 ) -> List[Optional[List[Tuple[Point, ...]]]]:
-    """Every hyperfocused k-arc on Z=0 through each 8-arc of `preps`.
+    """Every hyperfocused k-arc on Z=0 through each 8-arc of a `prune8`
+    census, given as its coordinates `px`, `py` and focus masks `fmask`.
 
     The vertical direction is a focus of every survivor, and the k/2
     secants through a focus of a hyperfocused k-arc match its points in
@@ -425,19 +374,17 @@ def closure_completions(
     completion and gets None (the column early exit); the others get the
     leaves of `_column_pairs`, sorted by `serialize_arc`.
     """
-    if not preps:
+    if not len(px):
         return []
     n_pairs = (k - 8) // 2
     xs, p3 = tab.xs, tab.p3
-    px, py = _point_coords([prep.cand for prep in preps])
-    fmask = np.array([prep.focus_mask for prep in preps], dtype=np.uint64)
     a_vals, a_of = np.unique(py[:, 3], return_inverse=True)  # y of (1, a)
     anchors = np.stack([
         np.bitwise_or.reduce([p3[y, xs ^ x] for x, y in ((0, 0), (0, 1), (1, 0), (1, a))])
         for a in a_vals
     ])
     out: List[Optional[List[Tuple[Point, ...]]]] = []
-    for i in range(0, len(preps), _TABLE_BLOCK):
+    for i in range(0, len(px), _TABLE_BLOCK):
         blk = slice(i, i + _TABLE_BLOCK)
         table = anchors[a_of[blk]]
         for j in range(4, 8):
@@ -445,23 +392,27 @@ def closure_completions(
         ok = np.bitwise_count(table) == 8
         ok &= np.bitwise_count(table | fmask[blk, None, None]) < k
         n_free = np.count_nonzero(np.count_nonzero(ok, axis=2) >= 2, axis=1)
-        for prep, to8, ok8, nf in zip(preps[blk], table, ok, n_free.tolist()):
-            out.append(_column_pairs(gf, prep, k, to8, ok8, tab) if nf >= n_pairs else None)
+        rows = zip(px[blk].tolist(), py[blk].tolist(), fmask[blk].tolist(), table, ok)
+        for row, nf in zip(rows, n_free.tolist()):
+            out.append(_column_pairs(gf, *row, k, tab) if nf >= n_pairs else None)
     return out
 
 
 def _column_pairs(
-    gf: GF, prep: Prepared8, k: int, to8, ok, tab: _NumpyTables
+    gf: GF, x8: List[int], y8: List[int], fmask: int, to8, ok, k: int, tab: _NumpyTables
 ) -> List[Tuple[Point, ...]]:
-    """Depth-first search over the free columns of one survivor.
+    """Depth-first search over the free columns of one survivor, the
+    8-arc of the points (x8[i], y8[i]) with the focus mask `fmask`.
 
     It takes columns in increasing order and, in each, a pair of
     admissible points whose directions to the points already chosen are
     distinct and disjoint from its row, with the focus count below k.
     That makes the k points an arc, and an arc has at least k - 1
-    focuses, so every leaf is a hyperfocused k-arc.
+    focuses, so every leaf is a hyperfocused k-arc, its points (x, y, 1)
+    sorted as `make_arc` would sort them.
     """
     n_pairs = (k - 8) // 2
+    base = list(zip(x8, y8))
     free = np.flatnonzero(np.count_nonzero(ok, axis=1) >= 2)
     # each column: its admissible points as (x, y, directions to the 8-arc)
     cols = [[(int(x), int(y), int(to8[x, y])) for y in np.flatnonzero(ok[x])] for x in free]
@@ -482,7 +433,7 @@ def _column_pairs(
     def walk(start: int, mask: int) -> None:
         left = n_pairs - len(chosen) // 2
         if not left:
-            out.append(make_arc(gf, [(x, y, 1) for x, y in prep.cand.points() + tuple(chosen)]))
+            out.append(tuple(sorted((x, y, 1) for x, y in base + chosen)))
             return
         for ci in range(start, len(cols) - left + 1):
             col = cols[ci]
@@ -499,7 +450,7 @@ def _column_pairs(
                         chosen.pop()
                 chosen.pop()
 
-    walk(0, prep.focus_mask)
+    walk(0, fmask)
     return sorted(out, key=lambda a: serialize_arc(gf, a))
 
 
@@ -517,27 +468,24 @@ def process_shard(
     """Filter and extend one (a, c) shard; returns counters and raw arcs.
 
     The stream's survivors pass the census and the extension in batches
-    of `_SURVIVOR_BLOCK`; every survivor must pass the census again.
+    of `_SURVIVOR_BLOCK`; the census re-proves nothing the stream proved.
     """
     resolve_engine(gf, engine)
     tab = tables if tables is not None else _NumpyTables(gf)
-    lo, hi = FOCUS_BOUNDS[k]
-    counters, survivors = stream_shard(gf, a, c, lo, hi, tables=tab)
+    counters, survivors = stream_shard(gf, a, c, *FOCUS_BOUNDS[k], tables=tab)
     raw: List[Tuple[Point, ...]] = []
     for i in range(0, len(survivors), _SURVIVOR_BLOCK):
-        batch = survivors[i:i + _SURVIVOR_BLOCK]
-        preps = prune8(gf, batch, (lo, hi), tab)
-        for cand, prep in zip(batch, preps, strict=True):
-            if not isinstance(prep, Prepared8):
-                raise VerificationError(f"stream survivor failed revalidation: {cand}")
-        for prep, arcs in zip(preps, closure_completions(gf, preps, k, tab), strict=True):
+        px, py, fmask, single = prune8(survivors[i:i + _SURVIVOR_BLOCK], tab)
+        # k=14 survivors with 13 focuses and fewer than two directions of
+        # one secant (6-tangent focuses) are tallied apart
+        apart = (k == 14) & (np.bitwise_count(fmask) == 13) & (single < 2)
+        results = closure_completions(gf, px, py, fmask, k, tab)
+        for arcs, closure in zip(results, apart.tolist(), strict=True):
             if arcs is None:
                 arcs = []
             else:
                 counters["dfs_roots"] += 1
-            # k=14 survivors with 13 focuses and fewer than two directions
-            # of one secant (6-tangent focuses) are tallied apart
-            if k == 14 and prep.focus_size == 13 and prep.single_secant_dirs < 2:
+            if closure:
                 counters["closure_survivors"] += 1
                 counters["closure_extended"] += len(arcs)
             else:
@@ -666,7 +614,11 @@ def _postprocess(
     unique: Dict[Tuple[Point, ...], None] = {}
     for arc in reps_found:
         for i in range(gf.s):
-            img = make_arc(gf, [frobenius_point(gf, p, i) for p in arc])
+            try:
+                img = make_arc(gf, [frobenius_point(gf, p, i) for p in arc])
+            except ArcError as exc:
+                msg = f"emitted arc fails verification: {exc} in {arc}"
+                raise VerificationError(msg) from exc
             unique.setdefault(img, None)
     for arc in unique:
         verdict, size = classify_focus(gf, arc, LINE_AT_INFINITY)
@@ -689,14 +641,10 @@ def _postprocess(
         }
         entries.append((record["digest"], serialize_arc(gf, arc), arc, record))
     entries.sort(key=lambda t: (t[0], t[1]))
-    records = []
-    arcs = []
-    for i, (_, _, arc, record) in enumerate(entries):
+    for i, (_, _, _, record) in enumerate(entries):
         record["arc_id"] = i
-        records.append(record)
-        arcs.append(arc)
-    counters["found"] = len(arcs)
-    return arcs, records
+    counters["found"] = len(entries)
+    return [e[2] for e in entries], [e[3] for e in entries]
 
 
 def run_search(gf: GF, k: int, config: SearchConfig) -> SearchReport:
@@ -704,6 +652,8 @@ def run_search(gf: GF, k: int, config: SearchConfig) -> SearchReport:
     t0 = time.monotonic()
     if k % 2 or not 10 <= k <= 14:
         raise SearchError(f"k={k} is not supported (even k in 10..14)")
+    if config.max_shards is not None and config.max_shards < 0:
+        raise SearchError(f"max_shards={config.max_shards} must be >= 0")
     tables = _NumpyTables(gf)  # refuses q >= 64 before any work
     bounds = FOCUS_BOUNDS[k]
     digest = config_hash(gf, k, bounds)

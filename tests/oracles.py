@@ -41,14 +41,13 @@ from hyperfocus.plane import (
     point_index,
     scale,
 )
-from hyperfocus.search import (
-    FOCUS_COUNT,
-    NOT_AN_ARC,
-    Candidate8,
-    new_counters,
-)
+from hyperfocus.search import Candidate8, new_counters
 
 Matrix = Tuple[Tuple[int, int, int], Tuple[int, int, int], Tuple[int, int, int]]
+
+# the verdicts of `census_verdict` on a candidate that is no stream survivor
+NOT_AN_ARC = "not-an-arc"
+FOCUS_COUNT = "focus-count"
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +462,7 @@ def _slope_census(
 ) -> Optional[Tuple[int, List[int]]]:
     """Focus bitmask and per-direction secant counts, or None for a non-arc.
 
-    The scalar reference for the batched census of `prune8`.  Three
+    The scalar reference for the stream and the census of `prune8`.  Three
     points are collinear iff two of the secants through the first share
     a direction, so checking each point's directions to the later ones
     catches every collinear triple at its least index.
@@ -485,9 +484,9 @@ def _slope_census(
 
 
 def census_verdict(gf: GF, cand: Candidate8, bounds: Tuple[int, int]):
-    """What `prune8` must say of one candidate, from the scalar census:
-    NOT_AN_ARC, FOCUS_COUNT, or the focus mask and the number of
-    directions that carry exactly one secant."""
+    """The scalar census of one candidate: NOT_AN_ARC, FOCUS_COUNT, or,
+    for an 8-arc within `bounds`, the focus mask and the number of
+    directions that carry exactly one secant, as `prune8` derives them."""
     census = _slope_census(gf, cand.points())
     if census is None:
         return NOT_AN_ARC

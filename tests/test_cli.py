@@ -184,6 +184,38 @@ def test_search_cli_verification_error_fails(monkeypatch):
     assert "verification error: emitted arc fails verification" in err
 
 
+@pytest.mark.parametrize("plant", ["repeated point", "collinear triple"])
+def test_search_cli_emitted_non_arc_fails(monkeypatch, plant):
+    """A raw arc that is no arc, planted after a shard's search, is caught
+    by the re-verification of the emitted arcs: exit 1, not a traceback."""
+    shard = search.process_shard
+
+    def planted(gf, k, a, c, *args, **kwargs):
+        counters, raw = shard(gf, k, a, c, *args, **kwargs)
+        if raw:
+            # raw[0] is sorted, so (0, 0) and (0, 1) come first
+            last = raw[0][0] if plant == "repeated point" else (0, 2, 1)
+            assert (0, 2, 1) not in raw[0]
+            raw = raw + [raw[0][:-1] + (last,)]
+        return counters, raw
+
+    monkeypatch.setattr(search, "process_shard", planted)
+    code, _, err = run_cli("search", "--s", "3", "--k", "10")
+    assert code == EX_FAIL
+    assert "verification error: emitted arc fails verification" in err
+
+
+def test_search_cli_rejects_negative_max_shards(tmp_path):
+    """--max-shards -1 would run every shard but the last as a partial run."""
+    ckpt = tmp_path / "run.ckpt"
+    code, out, err = run_cli(
+        "search", "--s", "3", "--k", "10", "--max-shards", "-1", "--checkpoint", str(ckpt)
+    )
+    assert code == EX_USAGE
+    assert "max_shards=-1 must be >= 0" in err and out == ""
+    assert not ckpt.exists()
+
+
 def test_search_cli_rejects_q64():
     code, out, err = run_cli("search", "--s", "6", "--k", "12", "--max-shards", "0")
     assert code == EX_USAGE
@@ -439,6 +471,15 @@ def test_verify_missing_file(tmp_path):
     assert "io error" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "classify"])
+def test_records_not_utf8(tmp_path, command):
+    path = tmp_path / "binary.jsonl"
+    path.write_bytes(b"\xff\xfe{}\n")
+    code, _, err = run_cli(command, str(path))
+    assert code == EX_DATA
+    assert "is not UTF-8 text" in err
+
+
 def test_verify_empty_file(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
@@ -498,6 +539,23 @@ def test_classify_rejects_mixed_lines(tmp_path):
     code, _, err = run_cli("classify", str(path))
     assert code == EX_DATA
     assert "mixed focus lines" in err
+
+
+def test_classify_reads_the_line_as_verify_does(k10_cli, tmp_path):
+    """A stored line is a scaled triple: [0, 0, 2] is Z = 0, and a line
+    that is no triple is malformed data."""
+    _, _, _, path = k10_cli
+    recs = [json.loads(line) for line in path.read_text().splitlines()]
+    scaled = tmp_path / "scaled.jsonl"
+    scaled.write_text("".join(json.dumps({**r, "line": [0, 0, 2]}) + "\n" for r in recs))
+    code, out, _ = run_cli("classify", str(scaled))
+    assert code == EX_OK
+    assert (code, out) == run_cli("classify", str(path))[:2]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps({**recs[0], "line": 5}) + "\n")
+    code, _, err = run_cli("classify", str(bad))
+    assert code == EX_DATA
+    assert "record 0: bad line 5" in err
 
 
 def test_classify_rejects_non_arc(tmp_path):

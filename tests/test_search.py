@@ -3,7 +3,6 @@
 import json
 import os
 import random
-from itertools import islice
 
 import pytest
 
@@ -20,14 +19,10 @@ from hyperfocus.field import make_field
 from hyperfocus.plane import LINE_AT_INFINITY
 from hyperfocus.search import (
     FOCUS_BOUNDS,
-    FOCUS_COUNT,
-    NOT_AN_ARC,
     Candidate8,
     CheckpointMismatch,
-    Prepared8,
     SearchConfig,
     SearchError,
-    VerificationError,
     _save_checkpoint,
     config_hash,
     closure_completions,
@@ -117,38 +112,33 @@ def test_full_stream_q4_matches_unordered_dedup(gf4):
     assert len(fast) == total == 72
 
 
-def test_prune8_not_an_arc(gf32):
-    # (0,0), (1,0), (2,0) are collinear on Y=0
-    cand = Candidate8(a=2, c=2, d=0, e=5, f=4, g=6, h=7)
-    assert prune8(gf32, [cand], FOCUS_BOUNDS[12]) == [NOT_AN_ARC]
+def censused(gf, cands, bounds, tab):
+    """`prune8` on candidates that the scalar census proves 8-arcs within
+    `bounds`, as the stream proves its survivors; each census row must
+    agree with the scalar one."""
+    census = prune8(cands, tab)
+    _, _, fmask, single = census
+    for cand, mask, n_single in zip(cands, fmask.tolist(), single.tolist(), strict=True):
+        assert census_verdict(gf, cand, bounds) == (mask, n_single)
+    return census
 
 
-def test_prune8_reasons_and_survivor(gf32):
-    """Scan one shard, a batch at a time, until both rejection kinds and
-    a survivor appear."""
-    seen = {NOT_AN_ARC: 0, FOCUS_COUNT: 0}
-    prep = None
-    cands = shard_candidates(gf32, 2, 2)
-    while prep is None:
-        batch = list(islice(cands, 4096))
-        assert batch
-        for res in prune8(gf32, batch, FOCUS_BOUNDS[12]):
-            if isinstance(res, Prepared8):
-                prep = res
-                break
-            seen[res] += 1
-    assert seen[NOT_AN_ARC] > 0 and seen[FOCUS_COUNT] > 0
-    assert prep.focus_size == 11
-    assert prep.focus_mask.bit_count() == 11
-    mask, counts = _slope_census(gf32, prep.cand.points())
-    assert mask == prep.focus_mask
+def test_prune8_on_a_stream_survivor(gf32):
+    """The census of the first k=12 survivor of a shard, against the
+    scalar census and the projective views derived from the definitions."""
+    _, survivors = stream_shard(gf32, 2, 2, *FOCUS_BOUNDS[12])
+    cand = survivors[0]
+    px, py, fmask, single = prune8([cand], search._NumpyTables(gf32))
+    assert list(zip(px[0].tolist(), py[0].tolist())) == list(cand.points())
+    mask, counts = _slope_census(gf32, cand.points())
+    assert int(fmask[0]) == mask and mask.bit_count() == 11
     assert sum(counts) == 28  # 8 points, 28 secants
-    assert prep.single_secant_dirs == counts.count(1)
+    assert int(single[0]) == counts.count(1)
     # the projective views, derived from the definitions
-    arc = make_arc(gf32, [(x, y, 1) for x, y in prep.cand.points()])
+    arc = make_arc(gf32, [(x, y, 1) for x, y in cand.points()])
     focus = focus_set(gf32, arc, LINE_AT_INFINITY)
     assert len(focus) == 11
-    assert sum(1 << slope_of(gf32, pt) for pt in focus) == prep.focus_mask
+    assert sum(1 << slope_of(gf32, pt) for pt in focus) == mask
     # the three frame focuses are always present with their pencils
     for star in ((0, 1, 0), (1, 1, 0), (1, 0, 0)):
         assert star in focus
@@ -386,20 +376,18 @@ def test_extend_grid_worked_example(gf32):
     12-arc; its whole shard produces only verified extensions."""
     tab = search._NumpyTables(gf32)
     known = Candidate8(a=2, c=2, d=1, e=6, f=6, g=2, h=9)
-    [prep] = prune8(gf32, [known], FOCUS_BOUNDS[12])
-    assert isinstance(prep, Prepared8)
-    assert closure_completions(gf32, [prep], 12, tab) == [[K12_A]]
+    px, py, fmask, _ = censused(gf32, [known], FOCUS_BOUNDS[12], tab)
+    assert closure_completions(gf32, px, py, fmask, 12, tab) == [[K12_A]]
     produced = 0
     _, survivors = stream_shard(gf32, 2, 2, *FOCUS_BOUNDS[12])
     assert known in survivors
-    preps = prune8(gf32, survivors, FOCUS_BOUNDS[12], tab)
-    assert all(isinstance(p, Prepared8) for p in preps)
-    results = closure_completions(gf32, preps, 12, tab)
-    assert len(results) == len(preps)
-    for p, arcs in zip(preps, results):
+    px, py, fmask, _ = censused(gf32, survivors, FOCUS_BOUNDS[12], tab)
+    results = closure_completions(gf32, px, py, fmask, 12, tab)
+    assert len(results) == len(survivors)
+    for cand, arcs in zip(survivors, results):
         for arc in arcs:
             assert len(arc) == 12
-            assert {(x, y, 1) for x, y in p.cand.points()} <= set(arc)
+            assert {(x, y, 1) for x, y in cand.points()} <= set(arc)
             kind, n = classify_focus(gf32, arc, LINE_AT_INFINITY)
             assert (kind, n) == (HYPERFOCUSED, 11)
             produced += 1
@@ -412,18 +400,15 @@ def test_closure_path_on_real_survivors(gf32):
     completion must be a hyperfocused 14-arc through the survivor."""
     tab = search._NumpyTables(gf32)
     _, survivors = stream_shard(gf32, 1, 2, *FOCUS_BOUNDS[14])
-    preps = prune8(gf32, survivors, FOCUS_BOUNDS[14], tab)
-    results = closure_completions(gf32, preps, 14, tab)
-    assert len(results) == len(preps) == len(survivors)
-    sizes = set()
-    for prep, arcs in zip(preps, results):
-        assert isinstance(prep, Prepared8)
-        sizes.add(prep.focus_size)
+    px, py, fmask, _ = prune8(survivors, tab)
+    results = closure_completions(gf32, px, py, fmask, 14, tab)
+    assert len(results) == len(survivors)
+    for cand, arcs in zip(survivors, results):
         for arc in arcs or []:
             kind, n = classify_focus(gf32, arc, LINE_AT_INFINITY)
             assert (kind, n) == (HYPERFOCUSED, 13)
-            assert {(x, y, 1) for x, y in prep.cand.points()} <= set(arc)
-    assert sizes == {11, 12, 13}
+            assert {(x, y, 1) for x, y in cand.points()} <= set(arc)
+    assert {m.bit_count() for m in fmask.tolist()} == {11, 12, 13}
 
 
 def test_closure_finds_sixteen_arc_four_pairs_deep(gf32):
@@ -448,12 +433,12 @@ def test_closure_finds_sixteen_arc_four_pairs_deep(gf32):
         cols.setdefault(x, []).append(y)
     assert len(cols) == 8 and cols[0] == [0, 1] and cols[1] == [0, 1]
     cand = Candidate8(1, 2, *cols[2], 3, *cols[3])
-    [prep] = prune8(gf, [cand], (1, 15))
-    assert isinstance(prep, Prepared8)
-    [arcs] = closure_completions(gf, [prep], 16, search._NumpyTables(gf))
+    tab = search._NumpyTables(gf)
+    px, py, fmask, _ = censused(gf, [cand], (1, 15), tab)
+    [arcs] = closure_completions(gf, px, py, fmask, 16, tab)
     assert arc16 in arcs
     for arc in arcs:
-        assert {(x, y, 1) for x, y in prep.cand.points()} <= set(arc)
+        assert {(x, y, 1) for x, y in cand.points()} <= set(arc)
         assert classify_focus(gf, arc, LINE_AT_INFINITY) == (HYPERFOCUSED, 15)
     assert len(set(arcs)) == len(arcs) == 42
 
@@ -464,12 +449,13 @@ def test_closure_matches_hyperoval_oracle_q16(gf16, f, g, h, n_ovals):
     hyperoval, hyperfocused (17 focuses) on every exterior line, so at
     k = 18 the search must return exactly the hyperovals through the
     8-arc that miss Z=0, as the point-by-point completion finds them."""
-    [prep] = prune8(gf16, [Candidate8(a=1, c=2, d=4, e=5, f=f, g=g, h=h)], (1, 17))
-    assert isinstance(prep, Prepared8)
-    arc8 = make_arc(gf16, [(x, y, 1) for x, y in prep.cand.points()])
+    cand = Candidate8(a=1, c=2, d=4, e=5, f=f, g=g, h=h)
+    tab = search._NumpyTables(gf16)
+    px, py, fmask, _ = censused(gf16, [cand], (1, 17), tab)
+    arc8 = make_arc(gf16, [(x, y, 1) for x, y in cand.points()])
     ovals = {frozenset(o) for o in complete_to_hyperovals(gf16, arc8) if all(p[2] for p in o)}
     # None: the column early exit found too few free columns
-    got = closure_completions(gf16, [prep], 18, search._NumpyTables(gf16))[0] or []
+    got = closure_completions(gf16, px, py, fmask, 18, tab)[0] or []
     assert {frozenset(a) for a in got} == ovals
     assert len(got) == len(ovals) == n_ovals
 
@@ -482,21 +468,6 @@ def test_process_shard_counts(gf8):
     assert counters["closure_survivors"] == 0  # a k=14 tally
 
 
-def test_process_shard_rejects_bad_survivor(gf8, monkeypatch):
-    """A stream survivor that the census rejects is an internal fault,
-    even when it is the last of the shard's batch."""
-    census = search.prune8
-
-    def last_rejected(gf, cands, bounds, tab=None):
-        verdicts = census(gf, cands, bounds, tab)
-        assert len(verdicts) > 1 and isinstance(verdicts[-1], Prepared8)
-        return verdicts[:-1] + [NOT_AN_ARC]
-
-    monkeypatch.setattr(search, "prune8", last_rejected)
-    with pytest.raises(VerificationError, match="revalidation"):
-        process_shard(gf8, 10, 1, 2, "auto")
-
-
 def test_process_shard_batches_every_survivor(gf32, monkeypatch):
     """Shard (0, 10) at k=14 has more than 5,000 survivors: the census
     sees each of them once, in stream order, and the extension sees
@@ -505,15 +476,18 @@ def test_process_shard_batches_every_survivor(gf32, monkeypatch):
     seen = {"census": [], "closure": [], "calls": 0}
     census, closure = search.prune8, search.closure_completions
 
-    def census_spy(gf, cands, bounds, tab=None):
+    def census_spy(cands, tab):
         seen["census"] += cands
         seen["calls"] += 1
-        return census(gf, cands, bounds, tab)
+        return census(cands, tab)
 
-    def closure_spy(gf, preps, k, tab):
-        seen["closure"] += [p.cand for p in preps]
-        results = closure(gf, preps, k, tab)
-        assert len(results) == len(preps)
+    def closure_spy(gf, px, py, fmask, k, tab):
+        seen["closure"] += [
+            Candidate8(y[3], x[4], y[4], y[5], x[6], y[6], y[7])
+            for x, y in zip(px.tolist(), py.tolist())
+        ]
+        results = closure(gf, px, py, fmask, k, tab)
+        assert len(results) == len(px) == len(fmask)
         return results
 
     monkeypatch.setattr(search, "prune8", census_spy)
@@ -590,42 +564,37 @@ def test_slope_census_matches_definitions(s):
     assert _slope_census(gf, [(0, 0), (1, 1), (0, 0)]) is None  # repeated point
 
 
+def random_eight_arc(gf, a, rng):
+    """A random 8-arc of the `Candidate8` layout with the given a: the
+    columns c and f and the ordinates in any order."""
+    q = gf.q
+    while True:
+        c = rng.randrange(2, q)
+        d, e = rng.sample(range(q), 2)
+        if _slope_census(gf, [(0, 0), (0, 1), (1, 0), (1, a), (c, d), (c, e)]) is None:
+            continue
+        for _ in range(20):
+            f = rng.choice([x for x in range(2, q) if x != c])
+            cand = Candidate8(a, c, d, e, f, *rng.sample(range(q), 2))
+            if _slope_census(gf, cand.points()) is not None:
+                return cand
+
+
 @pytest.mark.parametrize("s", [3, 4, 5])
 def test_batched_census_matches_oracle(s):
-    """The batched census of `prune8` gives, candidate by candidate, the
-    verdict of the scalar census: on random candidates of every a, half
-    of them with unconstrained coordinates (repeated points, points on
-    the frame's columns, non-arcs) and half normalized like the stream's,
-    in one batch three times the size `process_shard` passes."""
-
+    """On random 8-arcs of every a, in one batch three times the size
+    `process_shard` passes, `prune8` gives each one's points, and the
+    focus mask and the single-secant count of the scalar census."""
     gf = make_field(s)
     q = gf.q
     rng = random.Random(2000 + s)
-    cands = []
-    for i in range(3 * search._SURVIVOR_BLOCK + 7):
-        a = rng.randrange(q)
-        if i % 2:
-            c = rng.randrange(2, q - 1)
-            f = rng.randrange(c + 1, q)
-            d, e = sorted(rng.sample(range(q), 2))
-            g, h = sorted(rng.sample(range(q), 2))
-        else:
-            c, d, e, f, g, h = (rng.randrange(q) for _ in range(6))
-        cands.append(Candidate8(a, c, d, e, f, g, h))
-    tab = search._NumpyTables(gf)
-    kinds = {NOT_AN_ARC: 0, FOCUS_COUNT: 0, "prepared": 0}
-    for bounds in ((1, q + 1), (q // 4 + 5, q // 4 + 6)):
-        verdicts = prune8(gf, cands, bounds, tab)
-        assert len(verdicts) == len(cands)
-        for cand, got in zip(cands, verdicts):
-            want = census_verdict(gf, cand, bounds)
-            if isinstance(got, Prepared8):
-                assert got.cand == cand
-                assert (got.focus_mask, got.single_secant_dirs) == want
-                kinds["prepared"] += 1
-            else:
-                assert got == want
-                kinds[got] += 1
-    assert all(kinds.values()), kinds
-    assert any(len(set(c.points())) < 8 for c in cands)
-    assert len({c.a for c in cands}) == q
+    n = 3 * search._SURVIVOR_BLOCK + 7
+    cands = [random_eight_arc(gf, 1 + i % (q - 1), rng) for i in range(n)]
+    px, py, fmask, single = prune8(cands, search._NumpyTables(gf))
+    assert px.shape == py.shape == (len(cands), 8)
+    rows = zip(cands, px.tolist(), py.tolist(), fmask.tolist(), single.tolist(), strict=True)
+    for cand, xs, ys, mask, n_single in rows:
+        assert list(zip(xs, ys)) == list(cand.points())
+        assert census_verdict(gf, cand, (1, q + 1)) == (mask, n_single)
+    assert {c.a for c in cands} == set(range(1, q))
+    assert len({mask.bit_count() for mask in fmask.tolist()}) > 1

@@ -12,18 +12,20 @@ a cell (f, g) is admissible when its six directions to the fixed points
 are distinct (a popcount of 6), `arcs8` is counted in closed form per
 (d, e, f) row, and a cell whose 7-point focus count already exceeds the
 bound is cut before any (g, h) pair is formed.  Pair chunks and row
-blocks hold at most 2^13 entries.  A shard's survivors then pass two
-batched numpy stages, 256 survivors at a time.  A census derives each
-one's coordinates and focus mask from its 28 secant directions.
-The extension, one search for every k, adds (k - 8)/2 vertical pairs in
-columns the 8-arc leaves free: direction tables of blocks of 16
-survivors give each one's admissible points, a column early exit drops
-the survivors with too few free columns, and only the rest go to a
-depth-first search over column pairs.  No stage re-proves what the
-stage before it proved: the search accepts a point only when the arc
-and focus-count conditions still hold, so each leaf is a hyperfocused
-arc by construction.  Every emitted arc is re-verified from the
-definition once, after the orbit closure.
+blocks hold at most 2^13 entries.  A shard's survivors are one record
+array of (a, c, d, e, f, g, h), which passes two batched numpy stages,
+256 survivors at a time.  A census derives each one's coordinates and
+focus mask from its 28 secant directions.  The extension, one search
+for every k, adds (k - 8)/2 vertical pairs in columns the 8-arc leaves
+free: direction tables of blocks of 16 survivors give each one's
+admissible points, a column early exit drops the survivors with too few
+free columns, and only the rest, the roots, go to a depth-first search
+over column pairs; they are the only survivors Python sees one at a
+time.  No stage re-proves what the stage before it proved: the search
+accepts a point only when the arc and focus-count conditions still
+hold, so each leaf is a hyperfocused arc by construction.  Every
+emitted arc is re-verified from the definition once, after the orbit
+closure.
 
 Work is sharded by the (a-index, c) prefix.  Shards are merged in a
 fixed order and the final records are sorted by canonical digest, so
@@ -96,32 +98,6 @@ class VerificationError(SearchError):
     """An internal stage produced something its successor rejects."""
 
 
-@dataclass(frozen=True)
-class Candidate8:
-    """Seven field elements naming an 8-point candidate configuration."""
-
-    a: int
-    c: int
-    d: int
-    e: int
-    f: int
-    g: int
-    h: int
-
-    def points(self) -> Tuple[Tuple[int, int], ...]:
-        """The implied affine point set, third coordinate 1."""
-        return (
-            (0, 0),
-            (0, 1),
-            (1, 0),
-            (1, self.a),
-            (self.c, self.d),
-            (self.c, self.e),
-            (self.f, self.g),
-            (self.f, self.h),
-        )
-
-
 def new_counters() -> Dict[str, int]:
     return {k: 0 for k in COUNTER_KEYS}
 
@@ -187,7 +163,7 @@ def stream_shard(
     hi: int,
     de_pairs: Optional[Sequence[Tuple[int, int]]] = None,
     tables: Optional[_NumpyTables] = None,
-) -> Tuple[Dict[str, int], List[Candidate8]]:
+) -> Tuple[Dict[str, int], np.recarray]:
     """Shard filter: bound-first, batched over chunks of (d, e) pairs.
 
     For fixed (a, c, d, e) the six fixed points are the anchors and
@@ -208,14 +184,14 @@ def stream_shard(
     count popcount(base6 | row) exceeds max(hi, 10) is in no survivor
     and no count of 9 or 10; only rows with two cells left reach the
     (g, h) stage, on those cells alone.  Pair chunks and row blocks are
-    capped at `_CHUNK` entries.  Survivors come in pairs order, then
-    (f, g, h) order.  `de_pairs` restricts the (d, e) pairs, `tables`
-    reuses one field's tables across shards.
+    capped at `_CHUNK` entries.  The survivors are one record array with
+    int64 fields a, c, d, e, f, g, h, in pairs order, then (f, g, h)
+    order.  `de_pairs` restricts the (d, e) pairs, `tables` reuses one
+    field's tables across shards.
     """
     tab = tables if tables is not None else _NumpyTables(gf)
     q = tab.q
     counters = new_counters()
-    survivors: List[Candidate8] = []
     pairs = (
         list(de_pairs)
         if de_pairs is not None
@@ -238,7 +214,10 @@ def stream_shard(
     rc = sb[(fs ^ c)[None, :, None], xs[:, None, None] ^ xs[None, None, :]]
     good = np.bitwise_count(anc) == 4
     de = np.array([(d, e) for d, e in pairs if good[d] and good[e]], dtype=np.int64)
+    de = de.reshape(-1, 2)
     cap = max(hi, 10)
+    # per chunk: the cell index (pair * nf + f - c - 1), g and h of its survivors
+    found = [(np.zeros(0, np.int64),) * 3]
     step = max(1, _CHUNK // max(1, nf * q))
     for i in range(0, len(de), step):
         d, e = de[i:i + step, 0], de[i:i + step, 1]
@@ -252,25 +231,29 @@ def stream_shard(
         live = np.flatnonzero(n_keep >= 2)
         if not len(live):
             continue
-        n910, hits = _row_pairs(tab, lo, hi, keep[live], m7[live], n_keep[live])
+        n910, row, g, h = _row_pairs(tab, lo, hi, keep[live], m7[live], n_keep[live])
         counters["focus_9_10"] += n910
-        for r, g, h in hits:
-            p, f = divmod(int(live[r]), nf)
-            survivors.append(Candidate8(a, c, int(d[p]), int(e[p]), c + 1 + f, g, h))
+        found.append((i * nf + live[row], g, h))
+    cell, g, h = map(np.concatenate, zip(*found))
+    p, f = np.divmod(cell, nf)
+    survivors = np.empty(len(cell), dtype=[(name, np.int64) for name in "acdefgh"])
+    for name, col in zip("acdefgh", (a, c, de[p, 0], de[p, 1], fs[f], g, h)):
+        survivors[name] = col
     counters["prepared"] = len(survivors)
     counters["focus_rejected"] = counters["arcs8"] - counters["prepared"]
-    return counters, survivors
+    return counters, survivors.view(np.recarray)
 
 
 def _row_pairs(
     tab: _NumpyTables, lo: int, hi: int, keep, m7, n_keep
-) -> Tuple[int, List[Tuple[int, int, int]]]:
+) -> Tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """The (g, h) stage over rows of kept cells, g < h both kept.
 
-    Returns the number of pairs with 9 or 10 focuses and, in (row, g, h)
-    order, the (row, g, h) whose focus count is within [lo, hi].  Each
-    row's kept cells are packed to its left in ascending g, so its pairs
-    are the strict upper triangle of a width x width block.
+    Returns the number of pairs with 9 or 10 focuses and, as index arrays
+    in (row, g, h) order, the row, g and h of the pairs whose focus count
+    is within [lo, hi].  Each row's kept cells are packed to its left in
+    ascending g, so its pairs are the strict upper triangle of a
+    width x width block.
     """
     n = len(n_keep)
     width = int(n_keep.max())
@@ -283,17 +266,16 @@ def _row_pairs(
     filled = np.arange(width)[None, :] < n_keep[:, None]
     triu = tab.triu[:width, :width]
     n910 = 0
-    hits: List[Tuple[int, int, int]] = []
+    hits = []  # flat indices into the (n, width, width) pair blocks
     block = max(1, _CHUNK // (width * width))
     for j in range(0, n, block):
         pm = packed[j:j + block]
         cnt = np.bitwise_count(pm[:, :, None] | pm[:, None, :])
         pair = filled[j:j + block, None, :] & triu
         n910 += int(np.count_nonzero(pair & (cnt >= 9) & (cnt <= 10)))
-        for r, gi, hj in zip(*np.nonzero(pair & (cnt >= lo) & (cnt <= hi))):
-            row = j + int(r)
-            hits.append((row, int(gs[row, gi]), int(gs[row, hj])))
-    return n910, hits
+        hits.append(j * width * width + np.flatnonzero(pair & (cnt >= lo) & (cnt <= hi)))
+    row, gi, hj = np.unravel_index(np.concatenate(hits), (n, width, width))
+    return n910, row, gs[row, gi], gs[row, hj]
 
 
 # `resolve_engine` and the `engine` argument of `process_shard` remain
@@ -316,34 +298,32 @@ _TABLE_BLOCK = 16
 
 # the 28 secants (_I[s], _J[s]) of an 8-point candidate
 _I, _J = np.triu_indices(8, 1)
-# columns of (a, c, d, e, f, g, h, 0, 1) that hold the x and the y of the
-# 8 points, in `Candidate8.points` order
-_PX = [7, 7, 8, 8, 1, 1, 4, 4]
-_PY = [7, 8, 7, 0, 2, 3, 5, 6]
 
 
 # `prune8` and `closure_completions` keep their names for bench/run.py,
 # whose `--trace 1` wraps them as the prepare and closure stages.
-def prune8(cands: Sequence[Candidate8], tab: _NumpyTables) -> Tuple[np.ndarray, ...]:
+def prune8(survivors: np.ndarray, tab: _NumpyTables) -> Tuple[np.ndarray, ...]:
     """What later stages read of a batch of stream survivors, 8-arcs whose
     focus counts the stream has proved within the bounds; it checks nothing.
 
-    Per survivor: the x and the y of its 8 points (two (n, 8) arrays, in
-    `Candidate8.points` order), its focus mask, the OR of the direction
+    Per survivor (a row of `stream_shard`'s record array): the x and the
+    y of its 8 points (0,0), (0,1), (1,0), (1,a), (c,d), (c,e), (f,g),
+    (f,h) as two (n, 8) arrays, its focus mask, the OR of the direction
     bits of its 28 secants (slope indices: y/x, or q for vertical), and
     the number of directions with one secant, for `closure_survivors`.
     """
-    rows = np.array(
-        [(c.a, c.c, c.d, c.e, c.f, c.g, c.h, 0, 1) for c in cands], dtype=np.int64
-    ).reshape(-1, 9)
-    px, py = rows[:, _PX], rows[:, _PY]
+    fields = np.asarray(survivors)  # a recarray's field access runs in Python
+    a, c, d, e, f, g, h = (fields[name] for name in "acdefgh")
+    zero, one = np.zeros_like(a), np.ones_like(a)
+    px = np.stack([zero, zero, one, one, c, c, f, f], axis=1)
+    py = np.stack([zero, one, zero, a, d, e, g, h], axis=1)
     dx = px[:, _I] ^ px[:, _J]
     dy = py[:, _I] ^ py[:, _J]
     fmask = np.bitwise_or.reduce(tab.slope_bit[dx, dy], axis=1)
     # per-direction secant counts, one bincount over row-offset slopes
     width = tab.q + 1
-    slopes = tab.slope[dx, dy] + width * np.arange(len(rows))[:, None]
-    counts = np.bincount(slopes.ravel(), minlength=len(rows) * width)
+    slopes = tab.slope[dx, dy] + width * np.arange(len(px))[:, None]
+    counts = np.bincount(slopes.ravel(), minlength=len(px) * width)
     single = np.count_nonzero(counts.reshape(-1, width) == 1, axis=1)
     return px, py, fmask, single
 
@@ -353,7 +333,7 @@ def prune8(cands: Sequence[Candidate8], tab: _NumpyTables) -> Tuple[np.ndarray, 
 
 def closure_completions(
     gf: GF, px: np.ndarray, py: np.ndarray, fmask: np.ndarray, k: int, tab: _NumpyTables
-) -> List[Optional[List[Tuple[Point, ...]]]]:
+) -> Dict[int, List[Tuple[Point, ...]]]:
     """Every hyperfocused k-arc on Z=0 through each 8-arc of a `prune8`
     census, given as its coordinates `px`, `py` and focus masks `fmask`.
 
@@ -371,11 +351,12 @@ def closure_completions(
     survivors: the four anchors' part once per value of a, and each
     other point's part as q contiguous rows of `tab.p3`.  A survivor with
     fewer than (k - 8)/2 columns of two admissible points has no
-    completion and gets None (the column early exit); the others get the
-    leaves of `_column_pairs`, sorted by `serialize_arc`.
+    completion (the column early exit).  The others are the roots of the
+    depth-first search: the result maps each one's index in the batch to
+    its leaves from `_column_pairs`, sorted by `serialize_arc`.
     """
     if not len(px):
-        return []
+        return {}
     n_pairs = (k - 8) // 2
     xs, p3 = tab.xs, tab.p3
     a_vals, a_of = np.unique(py[:, 3], return_inverse=True)  # y of (1, a)
@@ -383,7 +364,7 @@ def closure_completions(
         np.bitwise_or.reduce([p3[y, xs ^ x] for x, y in ((0, 0), (0, 1), (1, 0), (1, a))])
         for a in a_vals
     ])
-    out: List[Optional[List[Tuple[Point, ...]]]] = []
+    out: Dict[int, List[Tuple[Point, ...]]] = {}
     for i in range(0, len(px), _TABLE_BLOCK):
         blk = slice(i, i + _TABLE_BLOCK)
         table = anchors[a_of[blk]]
@@ -392,9 +373,10 @@ def closure_completions(
         ok = np.bitwise_count(table) == 8
         ok &= np.bitwise_count(table | fmask[blk, None, None]) < k
         n_free = np.count_nonzero(np.count_nonzero(ok, axis=2) >= 2, axis=1)
-        rows = zip(px[blk].tolist(), py[blk].tolist(), fmask[blk].tolist(), table, ok)
-        for row, nf in zip(rows, n_free.tolist()):
-            out.append(_column_pairs(gf, *row, k, tab) if nf >= n_pairs else None)
+        for j in np.flatnonzero(n_free >= n_pairs).tolist():
+            r = i + j
+            x8, y8, mask = px[r].tolist(), py[r].tolist(), int(fmask[r])
+            out[r] = _column_pairs(gf, x8, y8, mask, table[j], ok[j], k, tab)
     return out
 
 
@@ -469,6 +451,8 @@ def process_shard(
 
     The stream's survivors pass the census and the extension in batches
     of `_SURVIVOR_BLOCK`; the census re-proves nothing the stream proved.
+    The counters are tallied over whole batches, and only the roots of
+    the depth-first search are visited one at a time.
     """
     resolve_engine(gf, engine)
     tab = tables if tables is not None else _NumpyTables(gf)
@@ -479,17 +463,11 @@ def process_shard(
         # k=14 survivors with 13 focuses and fewer than two directions of
         # one secant (6-tangent focuses) are tallied apart
         apart = (k == 14) & (np.bitwise_count(fmask) == 13) & (single < 2)
-        results = closure_completions(gf, px, py, fmask, k, tab)
-        for arcs, closure in zip(results, apart.tolist(), strict=True):
-            if arcs is None:
-                arcs = []
-            else:
-                counters["dfs_roots"] += 1
-            if closure:
-                counters["closure_survivors"] += 1
-                counters["closure_extended"] += len(arcs)
-            else:
-                counters["extended"] += len(arcs)
+        counters["closure_survivors"] += int(np.count_nonzero(apart))
+        roots = closure_completions(gf, px, py, fmask, k, tab)
+        counters["dfs_roots"] += len(roots)
+        for r, arcs in roots.items():
+            counters["closure_extended" if apart[r] else "extended"] += len(arcs)
             raw.extend(arcs)
     return counters, raw
 

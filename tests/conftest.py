@@ -1,9 +1,9 @@
 """Shared fixtures: fields, exhaustive small-q enumerations, full runs,
 and a count of the canon kernel's runs.
 
-The expensive artifacts (the q=8 exhaustive hyperfocused-arc list and
-the two full q=32 searches) are session-scoped so the acceptance tests
-and the module tests share one computation.
+The expensive artifacts (the q=8 exhaustive hyperfocused-arc list, its
+nested-arc check and the two full q=32 searches) are session-scoped so
+the acceptance tests and the module tests share one computation.
 """
 
 import pytest
@@ -13,6 +13,8 @@ from hyperfocus.arcs import enumerate_hyperfocused
 from hyperfocus.field import make_field
 from hyperfocus.plane import LINE_AT_INFINITY
 from hyperfocus.search import SearchConfig, run_search
+
+from oracles import assert_no_nested_hyperfocused
 
 # criterion number -> (description, passed)
 _ACCEPTANCE: dict = {}
@@ -61,6 +63,16 @@ def q8_hyperfocused(gf8):
 @pytest.fixture(scope="session")
 def q4_hyperfocused(gf4):
     return enumerate_hyperfocused(gf4, LINE_AT_INFINITY)
+
+
+@pytest.fixture(scope="session")
+def nested_arc_checks(gf4, gf8, q4_hyperfocused, q8_hyperfocused):
+    """q -> number of sub-arcs the nested-arc bound was checked on, over
+    every hyperfocused arc of PG(2,q) on Z=0 (it raises on a violation)."""
+    return {
+        4: assert_no_nested_hyperfocused(gf4, q4_hyperfocused),
+        8: assert_no_nested_hyperfocused(gf8, q8_hyperfocused),
+    }
 
 
 @pytest.fixture(scope="session")

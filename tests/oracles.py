@@ -12,7 +12,9 @@ stream is checked against; the pipeline itself has no second engine.
 import hashlib
 import json
 from itertools import combinations, permutations
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from hyperfocus.arcs import (
     Arc,
@@ -41,7 +43,7 @@ from hyperfocus.plane import (
     point_index,
     scale,
 )
-from hyperfocus.search import Candidate8, new_counters
+from hyperfocus.search import new_counters
 
 Matrix = Tuple[Tuple[int, int, int], Tuple[int, int, int], Tuple[int, int, int]]
 
@@ -443,6 +445,39 @@ def hyperconic(gf: GF, conic: Conic) -> Arc:
 
 # ---------------------------------------------------------------------------
 # the search below the pipeline: shards, candidates, extension
+
+class Candidate8(NamedTuple):
+    """Seven field elements naming an 8-point candidate configuration;
+    as a tuple, one row of `stream_shard`'s survivors."""
+
+    a: int
+    c: int
+    d: int
+    e: int
+    f: int
+    g: int
+    h: int
+
+    def points(self) -> Tuple[Tuple[int, int], ...]:
+        """The implied affine point set, third coordinate 1."""
+        return (
+            (0, 0),
+            (0, 1),
+            (1, 0),
+            (1, self.a),
+            (self.c, self.d),
+            (self.c, self.e),
+            (self.f, self.g),
+            (self.f, self.h),
+        )
+
+
+def survivor_array(cands: Sequence[Candidate8]) -> np.recarray:
+    """Candidates as the record array `stream_shard` returns survivors in."""
+    return np.rec.fromrecords(
+        list(cands), dtype=[(name, np.int64) for name in Candidate8._fields]
+    )
+
 
 def shard_size(gf: GF, c: int) -> int:
     """Closed-form candidate count of one (a, c) shard."""

@@ -3,7 +3,9 @@
 import json
 import os
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from hyperfocus import search
@@ -19,7 +21,6 @@ from hyperfocus.field import make_field
 from hyperfocus.plane import LINE_AT_INFINITY
 from hyperfocus.search import (
     FOCUS_BOUNDS,
-    Candidate8,
     CheckpointMismatch,
     SearchConfig,
     SearchError,
@@ -37,6 +38,7 @@ from hyperfocus.search import (
 )
 
 from oracles import (
+    Candidate8,
     _slope_census,
     census_verdict,
     complete_to_hyperovals,
@@ -46,6 +48,7 @@ from oracles import (
     shard_candidates,
     shard_size,
     stream_shard_python,
+    survivor_array,
     tangents_through,
 )
 
@@ -112,11 +115,16 @@ def test_full_stream_q4_matches_unordered_dedup(gf4):
     assert len(fast) == total == 72
 
 
+def candidates(survivors):
+    """The rows of `stream_shard`'s record array as oracle candidates."""
+    return [Candidate8._make(row) for row in survivors.tolist()]
+
+
 def censused(gf, cands, bounds, tab):
     """`prune8` on candidates that the scalar census proves 8-arcs within
     `bounds`, as the stream proves its survivors; each census row must
     agree with the scalar one."""
-    census = prune8(cands, tab)
+    census = prune8(survivor_array(cands), tab)
     _, _, fmask, single = census
     for cand, mask, n_single in zip(cands, fmask.tolist(), single.tolist(), strict=True):
         assert census_verdict(gf, cand, bounds) == (mask, n_single)
@@ -127,8 +135,8 @@ def test_prune8_on_a_stream_survivor(gf32):
     """The census of the first k=12 survivor of a shard, against the
     scalar census and the projective views derived from the definitions."""
     _, survivors = stream_shard(gf32, 2, 2, *FOCUS_BOUNDS[12])
-    cand = survivors[0]
-    px, py, fmask, single = prune8([cand], search._NumpyTables(gf32))
+    cand = candidates(survivors)[0]
+    px, py, fmask, single = prune8(survivors[:1], search._NumpyTables(gf32))
     assert list(zip(px[0].tolist(), py[0].tolist())) == list(cand.points())
     mask, counts = _slope_census(gf32, cand.points())
     assert int(fmask[0]) == mask and mask.bit_count() == 11
@@ -159,7 +167,7 @@ def test_stream_engines_agree_q8(gf8):
             cp, sp = stream_shard_python(gf8, reps[a_idx], c, lo, hi)
             cn, sn = stream_shard(gf8, reps[a_idx], c, lo, hi)
             assert cp == cn
-            assert sp == sn
+            assert sn.tolist() == sp
 
 
 def test_stream_engines_agree_q32_sampled(gf32):
@@ -175,7 +183,7 @@ def test_stream_engines_agree_q32_sampled(gf32):
     cp, sp = stream_shard_python(gf32, 2, 7, lo, hi, de_pairs=de)
     cn, sn = stream_shard(gf32, 2, 7, lo, hi, de_pairs=de)
     assert cp == cn
-    assert sp == sn
+    assert sn.tolist() == sp
 
 
 def test_stream_counter_consistency(gf8):
@@ -185,6 +193,23 @@ def test_stream_counter_consistency(gf8):
     assert counters["candidates"] == shard_size(gf8, 2)
     assert counters["arcs8"] == counters["prepared"] + counters["focus_rejected"]
     assert counters["prepared"] == len(survivors)
+
+
+def test_stream_survivor_records(gf8, gf32):
+    """What readers of the stream rely on: the survivors are a record
+    array of seven int64 fields, empty with the same dtype when a shard
+    has none, and iterating it yields records whose fields a ... h are
+    the oracle's values."""
+    dtype = np.dtype([(name, np.int64) for name in "acdefgh"])
+    _, none = stream_shard(gf32, 1, 3, 7, 7)
+    assert isinstance(none, np.recarray)
+    assert len(none) == 0 and none.dtype == dtype and list(none) == []
+    a = frobenius_orbit_reps(gf8, exclude=frozenset({0}))[0]
+    _, want = stream_shard_python(gf8, a, 2, *FOCUS_BOUNDS[10])
+    _, survivors = stream_shard(gf8, a, 2, *FOCUS_BOUNDS[10])
+    assert isinstance(survivors, np.recarray) and survivors.dtype == dtype
+    got = [(s.a, s.c, s.d, s.e, s.f, s.g, s.h) for s in survivors]
+    assert got == want and len(got) > 0
 
 
 def test_resolve_engine(gf32):
@@ -377,14 +402,16 @@ def test_extend_grid_worked_example(gf32):
     tab = search._NumpyTables(gf32)
     known = Candidate8(a=2, c=2, d=1, e=6, f=6, g=2, h=9)
     px, py, fmask, _ = censused(gf32, [known], FOCUS_BOUNDS[12], tab)
-    assert closure_completions(gf32, px, py, fmask, 12, tab) == [[K12_A]]
+    assert closure_completions(gf32, px, py, fmask, 12, tab) == {0: [K12_A]}
     produced = 0
     _, survivors = stream_shard(gf32, 2, 2, *FOCUS_BOUNDS[12])
-    assert known in survivors
-    px, py, fmask, _ = censused(gf32, survivors, FOCUS_BOUNDS[12], tab)
+    cands = candidates(survivors)
+    assert known in cands
+    px, py, fmask, _ = censused(gf32, cands, FOCUS_BOUNDS[12], tab)
     results = closure_completions(gf32, px, py, fmask, 12, tab)
-    assert len(results) == len(survivors)
-    for cand, arcs in zip(survivors, results):
+    assert list(results) == list(range(len(cands))) == list(range(6))
+    for r, arcs in results.items():
+        cand = cands[r]
         for arc in arcs:
             assert len(arc) == 12
             assert {(x, y, 1) for x, y in cand.points()} <= set(arc)
@@ -392,6 +419,11 @@ def test_extend_grid_worked_example(gf32):
             assert (kind, n) == (HYPERFOCUSED, 11)
             produced += 1
     assert produced == 6
+    # the six roots repeated over every slot of three direction-table
+    # blocks: each copy keeps its own index and its leaves
+    copies = np.arange(3 * search._TABLE_BLOCK) % 6
+    tiled = closure_completions(gf32, px[copies], py[copies], fmask[copies], 12, tab)
+    assert tiled == {r: results[r % 6] for r in range(len(copies))}
 
 
 def test_closure_path_on_real_survivors(gf32):
@@ -400,11 +432,13 @@ def test_closure_path_on_real_survivors(gf32):
     completion must be a hyperfocused 14-arc through the survivor."""
     tab = search._NumpyTables(gf32)
     _, survivors = stream_shard(gf32, 1, 2, *FOCUS_BOUNDS[14])
+    cands = candidates(survivors)
     px, py, fmask, _ = prune8(survivors, tab)
     results = closure_completions(gf32, px, py, fmask, 14, tab)
-    assert len(results) == len(survivors)
-    for cand, arcs in zip(survivors, results):
-        for arc in arcs or []:
+    assert set(results) <= set(range(len(cands)))
+    for r, arcs in results.items():
+        cand = cands[r]
+        for arc in arcs:
             kind, n = classify_focus(gf32, arc, LINE_AT_INFINITY)
             assert (kind, n) == (HYPERFOCUSED, 13)
             assert {(x, y, 1) for x, y in cand.points()} <= set(arc)
@@ -435,7 +469,9 @@ def test_closure_finds_sixteen_arc_four_pairs_deep(gf32):
     cand = Candidate8(1, 2, *cols[2], 3, *cols[3])
     tab = search._NumpyTables(gf)
     px, py, fmask, _ = censused(gf, [cand], (1, 15), tab)
-    [arcs] = closure_completions(gf, px, py, fmask, 16, tab)
+    results = closure_completions(gf, px, py, fmask, 16, tab)
+    assert list(results) == [0]
+    arcs = results[0]
     assert arc16 in arcs
     for arc in arcs:
         assert {(x, y, 1) for x, y in cand.points()} <= set(arc)
@@ -454,10 +490,69 @@ def test_closure_matches_hyperoval_oracle_q16(gf16, f, g, h, n_ovals):
     px, py, fmask, _ = censused(gf16, [cand], (1, 17), tab)
     arc8 = make_arc(gf16, [(x, y, 1) for x, y in cand.points()])
     ovals = {frozenset(o) for o in complete_to_hyperovals(gf16, arc8) if all(p[2] for p in o)}
-    # None: the column early exit found too few free columns
-    got = closure_completions(gf16, px, py, fmask, 18, tab)[0] or []
+    # no entry: the column early exit found too few free columns
+    got = closure_completions(gf16, px, py, fmask, 18, tab).get(0, [])
     assert {frozenset(a) for a in got} == ovals
     assert len(got) == len(ovals) == n_ovals
+
+
+def low_focus_stream(gf):
+    """The stream 8-arcs with 7 or 8 focuses, by (a, c) shard."""
+    tab = search._NumpyTables(gf)
+    reps = frobenius_orbit_reps(gf, exclude=frozenset({0}))
+    return {
+        (reps[a_idx], c): stream_shard(gf, reps[a_idx], c, 7, 8, tables=tab)[1]
+        for a_idx, c in shard_list(gf)
+    }
+
+
+@pytest.fixture(scope="module")
+def low_focus_q32(gf32):
+    return low_focus_stream(gf32)
+
+
+@pytest.mark.parametrize("s,n7", [(3, 14), (4, 42), (5, 210)])
+def test_no_stream_eight_arc_has_eight_focuses(s, n7, request):
+    """`FOCUS_BOUNDS` drops the 8-arcs with 7 or 8 focuses.  Computed
+    over every shard: none has 8 focuses, and 14, 42 and 210 have 7 at
+    q = 8, 16 and 32.  At q=32 all of them have a = 1, 14 in each shard
+    of even c."""
+    gf = request.getfixturevalue("gf32") if s == 5 else make_field(s)
+    stream = request.getfixturevalue("low_focus_q32") if s == 5 else low_focus_stream(gf)
+    tab = search._NumpyTables(gf)
+    sizes = Counter()
+    for survivors in stream.values():
+        sizes.update(mask.bit_count() for mask in prune8(survivors, tab)[2].tolist())
+    assert sizes == {7: n7}
+    if s == 5:
+        per_shard = {key: len(v) for key, v in stream.items() if len(v)}
+        assert per_shard == {(1, c): 14 for c in range(2, 32, 2)}
+
+
+def test_focus_bounds_lose_no_arc_q32(gf32, low_focus_q32):
+    """The 210 q=32 stream 8-arcs with 7 focuses reach no 10-, 12- or
+    14-arc, and no DFS root, at those k.  The 14 of shard (1, 2) are a
+    depth-4 control on real stream output: each lies in exactly 42
+    hyperfocused 16-arcs with 15 focuses, 588 distinct in all, and in no
+    18-arc."""
+    tab = search._NumpyTables(gf32)
+    px, py, fmask, _ = prune8(np.concatenate(list(low_focus_q32.values())), tab)
+    assert len(px) == 210
+    for k in (10, 12, 14):
+        assert closure_completions(gf32, px, py, fmask, k, tab) == {}
+    shard = low_focus_q32[(1, 2)]
+    px, py, fmask, _ = prune8(shard, tab)
+    roots = closure_completions(gf32, px, py, fmask, 16, tab)
+    assert {r: len(arcs) for r, arcs in roots.items()} == {r: 42 for r in range(14)}
+    cands = candidates(shard)
+    for r, arcs in roots.items():
+        for arc in arcs:
+            assert is_arc(gf32, arc)
+            assert {(x, y, 1) for x, y in cands[r].points()} <= set(arc)
+            assert classify_focus(gf32, arc, LINE_AT_INFINITY) == (HYPERFOCUSED, 15)
+    assert len({arc for arcs in roots.values() for arc in arcs}) == 588
+    roots = closure_completions(gf32, px, py, fmask, 18, tab)
+    assert roots == {r: [] for r in range(14)}
 
 
 def test_process_shard_counts(gf8):
@@ -476,19 +571,19 @@ def test_process_shard_batches_every_survivor(gf32, monkeypatch):
     seen = {"census": [], "closure": [], "calls": 0}
     census, closure = search.prune8, search.closure_completions
 
-    def census_spy(cands, tab):
-        seen["census"] += cands
+    def census_spy(survivors, tab):
+        seen["census"] += survivors.tolist()
         seen["calls"] += 1
-        return census(cands, tab)
+        return census(survivors, tab)
 
     def closure_spy(gf, px, py, fmask, k, tab):
         seen["closure"] += [
-            Candidate8(y[3], x[4], y[4], y[5], x[6], y[6], y[7])
+            (y[3], x[4], y[4], y[5], x[6], y[6], y[7])
             for x, y in zip(px.tolist(), py.tolist())
         ]
-        results = closure(gf, px, py, fmask, k, tab)
-        assert len(results) == len(px) == len(fmask)
-        return results
+        roots = closure(gf, px, py, fmask, k, tab)
+        assert len(px) == len(fmask) and set(roots) <= set(range(len(px)))
+        return roots
 
     monkeypatch.setattr(search, "prune8", census_spy)
     monkeypatch.setattr(search, "closure_completions", closure_spy)
@@ -496,7 +591,7 @@ def test_process_shard_batches_every_survivor(gf32, monkeypatch):
     counters, raw = process_shard(gf32, 14, a, 10)
     _, survivors = stream_shard(gf32, a, 10, *FOCUS_BOUNDS[14])
     assert len(survivors) == counters["prepared"] > 5000
-    assert seen["census"] == seen["closure"] == survivors
+    assert seen["census"] == seen["closure"] == survivors.tolist()
     assert seen["calls"] > 10
     assert raw == [] and counters["dfs_roots"] == 0
 
@@ -590,7 +685,7 @@ def test_batched_census_matches_oracle(s):
     rng = random.Random(2000 + s)
     n = 3 * search._SURVIVOR_BLOCK + 7
     cands = [random_eight_arc(gf, 1 + i % (q - 1), rng) for i in range(n)]
-    px, py, fmask, single = prune8(cands, search._NumpyTables(gf))
+    px, py, fmask, single = prune8(survivor_array(cands), search._NumpyTables(gf))
     assert px.shape == py.shape == (len(cands), 8)
     rows = zip(cands, px.tolist(), py.tolist(), fmask.tolist(), single.tolist(), strict=True)
     for cand, xs, ys, mask, n_single in rows:

@@ -32,7 +32,7 @@ def stream_entries(gf, k):
     entries = []
     for a_idx, c in shard_list(gf):
         counters, survivors = stream_shard(gf, reps[a_idx], c, lo, hi, tables=tables)
-        blob = "".join(f"{s.d},{s.e},{s.f},{s.g},{s.h}\n" for s in survivors)
+        blob = "".join(f"{d},{e},{f},{g},{h}\n" for _, _, d, e, f, g, h in survivors.tolist())
         entry = {"a_idx": a_idx, "c": c}
         entry.update((key, counters[key]) for key in STREAM_KEYS)
         entry["survivors_sha256"] = hashlib.sha256(blob.encode()).hexdigest()

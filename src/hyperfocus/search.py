@@ -17,15 +17,15 @@ array of (a, c, d, e, f, g, h), which passes two batched numpy stages,
 256 survivors at a time.  A census derives each one's coordinates and
 focus mask from its 28 secant directions.  The extension, one search
 for every k, adds (k - 8)/2 vertical pairs in columns the 8-arc leaves
-free: direction tables of blocks of 16 survivors give each one's
-admissible points, a column early exit drops the survivors with too few
-free columns, and only the rest, the roots, go to a depth-first search
-over column pairs; they are the only survivors Python sees one at a
-time.  No stage re-proves what the stage before it proved: the search
-accepts a point only when the arc and focus-count conditions still
-hold, so each leaf is a hyperfocused arc by construction.  Every
-emitted arc is re-verified from the definition once, after the orbit
-closure.
+free: direction tables, shared per six-point frame and completed in
+blocks of survivors, give each one's admissible points, a column early
+exit drops the survivors with too few free columns, and only the rest,
+the roots, go to a depth-first search over column pairs; they are the
+only survivors Python sees one at a time.  No stage re-proves what the
+stage before it proved: the search accepts a point only when the arc
+and focus-count conditions still hold, so each leaf is a hyperfocused
+arc by construction.  Every emitted arc is re-verified from the
+definition once, after the orbit closure.
 
 Work is sharded by the (a-index, c) prefix.  Shards are merged in a
 fixed order and the final records are sorted by canonical digest, so
@@ -142,11 +142,10 @@ class _NumpyTables:
         self.slope_bit = (np.uint64(1) << slope.astype(np.uint64))
         # the same bits as Python ints, for the per-point extension search
         self.slope_bits = self.slope_bit.tolist()
-        # p3[y0][x, y] = slope_bit[x, y ^ y0]: the directions from (x0, y0)
-        # to all affine points are the q contiguous rows p3[y0][xs ^ x0]
-        self.p3 = np.ascontiguousarray(
-            self.slope_bit[:, self.xs[:, None] ^ self.xs[None, :]].transpose(1, 0, 2)
-        )
+        # rays[y0 * q + dx, y]: the direction from any (x0, y0) to (x0 ^ dx,
+        # y), but no bit for vertical, so that q slopes fit 32 bits
+        flat = np.where(slope < q, 1 << slope, 0).astype(np.uint32)
+        self.rays = flat[:, self.xs[:, None] ^ self.xs].transpose(1, 0, 2).reshape(q * q, q)
         self.triu = np.triu(np.ones((q, q), dtype=bool), 1)
 
 
@@ -294,7 +293,7 @@ def resolve_engine(gf: GF, engine: str) -> str:
 # `closure_completions`, so that the batches' arrays and objects stay
 # small next to the process
 _SURVIVOR_BLOCK = 256
-_TABLE_BLOCK = 16
+_TABLE_BLOCK = 64
 
 # the 28 secants (_I[s], _J[s]) of an 8-point candidate
 _I, _J = np.triu_indices(8, 1)
@@ -344,35 +343,39 @@ def closure_completions(
     some columns the 8-arc leaves free.
 
     Row D[x, y] of a survivor's direction table is the bitmask of the
-    directions from (x, y) to its 8 points.  A point is admissible iff
-    these are distinct (popcount 8; an arc point, a point of a used
-    column or of a secant repeats one) and adding them leaves fewer than
-    k focuses.  The tables are built for blocks of `_TABLE_BLOCK`
-    survivors: the four anchors' part once per value of a, and each
-    other point's part as q contiguous rows of `tab.p3`.  A survivor with
-    fewer than (k - 8)/2 columns of two admissible points has no
-    completion (the column early exit).  The others are the roots of the
-    depth-first search: the result maps each one's index in the batch to
-    its leaves from `_column_pairs`, sorted by `serialize_arc`.
+    non-vertical directions from (x, y) to its 8 points.  A point is
+    admissible iff it has 8 (an arc point, a point of a used column or of
+    a secant has fewer) and they leave fewer than k - 1 non-vertical
+    focuses.  The part of (0,0), (0,1), (1,0), (1,a), (c,d), (c,e) is
+    built once per (a, c, d, e) in the batch, and blocks of
+    `_TABLE_BLOCK` tables add the rows of (f,g) and (f,h) in `tab.rays`.
+    A survivor with fewer than (k - 8)/2 columns of two admissible points
+    has no completion (the column early exit).  The others are the roots
+    of the depth-first search: the result maps each one's index in the
+    batch to its leaves from `_column_pairs`, sorted by `serialize_arc`.
     """
-    if not len(px):
-        return {}
     n_pairs = (k - 8) // 2
-    xs, p3 = tab.xs, tab.p3
-    a_vals, a_of = np.unique(py[:, 3], return_inverse=True)  # y of (1, a)
-    anchors = np.stack([
-        np.bitwise_or.reduce([p3[y, xs ^ x] for x, y in ((0, 0), (0, 1), (1, 0), (1, a))])
-        for a in a_vals
-    ])
+    q, xs, rays = tab.q, tab.xs, tab.rays
+
+    def part(rows, j: int) -> np.ndarray:
+        """The directions from point j of each survivor of `rows`."""
+        return rays.take(py[rows, j, None] * q + (xs ^ px[rows, j, None]), axis=0)
+
+    key = ((py[:, 3] * q + px[:, 4]) * q + py[:, 4]) * q + py[:, 5]  # a, c, d, e
+    _, first, group = np.unique(key, return_index=True, return_inverse=True)
+    frames = part(first, 0)
+    for j in range(1, 6):
+        frames |= part(first, j)
+    flat = (fmask & np.uint64((1 << q) - 1)).astype(np.uint32)[:, None, None]  # no vertical
     out: Dict[int, List[Tuple[Point, ...]]] = {}
     for i in range(0, len(px), _TABLE_BLOCK):
         blk = slice(i, i + _TABLE_BLOCK)
-        table = anchors[a_of[blk]]
-        for j in range(4, 8):
-            table |= p3[py[blk, j, None], xs ^ px[blk, j, None]]
+        table = frames.take(group[blk], axis=0)
+        table |= part(blk, 6)
+        table |= part(blk, 7)
         ok = np.bitwise_count(table) == 8
-        ok &= np.bitwise_count(table | fmask[blk, None, None]) < k
-        n_free = np.count_nonzero(np.count_nonzero(ok, axis=2) >= 2, axis=1)
+        ok &= np.bitwise_count(table | flat[blk]) < k - 1
+        n_free = (ok.view(np.uint8).sum(axis=2, dtype=np.uint8) >= 2).sum(axis=1)
         for j in np.flatnonzero(n_free >= n_pairs).tolist():
             r = i + j
             x8, y8, mask = px[r].tolist(), py[r].tolist(), int(fmask[r])

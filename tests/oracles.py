@@ -531,6 +531,41 @@ def census_verdict(gf: GF, cand: Candidate8, bounds: Tuple[int, int]):
     return mask, counts.count(1)
 
 
+def free_columns(gf: GF, cands: Sequence[Candidate8], k: int) -> List[int]:
+    """Per candidate 8-arc, the columns it leaves free that hold at least
+    two points admissible for a hyperfocused k-arc on Z=0 through it.
+
+    A point is admissible when its 8 directions to the arc are distinct
+    and the arc's focus set, counted over all q + 1 directions, stays
+    below k once they are added.  The reference for the column early
+    exit of `closure_completions`: a candidate with at least (k - 8)/2
+    such columns is a root of its depth-first search.
+    """
+    q = gf.q
+    # rows[dx][y0][y]: the direction bit from any (x0, y0) to (x0 ^ dx, y)
+    rows = [
+        [[1 << slope_index(gf, (0, y0), (dx, y)) for y in range(q)] for y0 in range(q)]
+        for dx in range(q)
+    ]
+    out = []
+    for cand in cands:
+        pts = cand.points()
+        focus = 0
+        for p, r in combinations(pts, 2):
+            focus |= 1 << slope_index(gf, p, r)
+        used = {x for x, _ in pts}
+        n = 0
+        for x in range(q):
+            if x in used:
+                continue
+            # per point of the column, the sum of its 8 direction bits: a
+            # sum of 8 powers of two has 8 bits iff they are distinct
+            dirs = map(sum, zip(*[rows[x ^ x0][y0] for x0, y0 in pts]))
+            n += sum(d.bit_count() == 8 and (d | focus).bit_count() < k for d in dirs) >= 2
+        out.append(n)
+    return out
+
+
 def schemaless_config_hash(gf: GF, k: int, bounds: Tuple[int, int]) -> str:
     """The checkpoint hash of code whose `config_hash` had no schema."""
     blob = {"q": gf.q, "modulus": gf.modulus, "k": k, "lo": bounds[0], "hi": bounds[1]}

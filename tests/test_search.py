@@ -43,10 +43,12 @@ from oracles import (
     census_verdict,
     complete_to_hyperovals,
     enumerate_candidates8,
+    free_columns,
     schema1_config_hash,
     schemaless_config_hash,
     shard_candidates,
     shard_size,
+    slope_index,
     stream_shard_python,
     survivor_array,
     tangents_through,
@@ -420,29 +422,127 @@ def test_extend_grid_worked_example(gf32):
             produced += 1
     assert produced == 6
     # the six roots repeated over every slot of three direction-table
-    # blocks: each copy keeps its own index and its leaves
-    copies = np.arange(3 * search._TABLE_BLOCK) % 6
+    # blocks, then alternating with survivors of shard (1, 3), of another
+    # a and c: each copy keeps its own index and its leaves
+    n = 3 * search._TABLE_BLOCK
+    copies = np.arange(n) % 6
     tiled = closure_completions(gf32, px[copies], py[copies], fmask[copies], 12, tab)
-    assert tiled == {r: results[r % 6] for r in range(len(copies))}
+    assert tiled == {r: results[r % 6] for r in range(n)}
+    _, other = stream_shard(gf32, 1, 3, *FOCUS_BOUNDS[12])
+    both = [np.concatenate(v) for v in zip((px, py, fmask), prune8(other, tab)[:3])]
+    slots = np.empty(n, dtype=np.int64)  # rows of `both`
+    slots[0::2] = copies[: n // 2]
+    slots[1::2] = 6 + np.arange(n // 2) % len(other)
+    tiled = closure_completions(gf32, *(v[slots] for v in both), 12, tab)
+    assert tiled == {2 * i: results[i % 6] for i in range(n // 2)}
 
 
-def test_closure_path_on_real_survivors(gf32):
+@pytest.fixture(scope="module")
+def shard_oracle(gf32):
+    """The stream survivors of a q=32 shard at k, with the free columns
+    `free_columns` counts for each, computed once per (a, c, k)."""
+    cache = {}
+
+    def get(a, c, k):
+        if (a, c, k) not in cache:
+            _, survivors = stream_shard(gf32, a, c, *FOCUS_BOUNDS[k])
+            cache[a, c, k] = survivors, free_columns(gf32, candidates(survivors), k)
+        return cache[a, c, k]
+
+    return get
+
+
+def test_closure_path_on_real_survivors(gf32, shard_oracle):
     """Run the search on every k=14 survivor of one shard, at every focus
-    count they show (no 8-arc has 9 or 10 focuses, criterion 4); any
-    completion must be a hyperfocused 14-arc through the survivor."""
+    count they show (no 8-arc has 9 or 10 focuses, criterion 4): none is
+    a root, and by the oracle none has the 3 free columns of two
+    admissible points that a 14-arc needs, so the column early exit
+    alone decides the shard."""
     tab = search._NumpyTables(gf32)
-    _, survivors = stream_shard(gf32, 1, 2, *FOCUS_BOUNDS[14])
-    cands = candidates(survivors)
+    survivors, n_free = shard_oracle(1, 2, 14)
     px, py, fmask, _ = prune8(survivors, tab)
-    results = closure_completions(gf32, px, py, fmask, 14, tab)
-    assert set(results) <= set(range(len(cands)))
-    for r, arcs in results.items():
-        cand = cands[r]
-        for arc in arcs:
-            kind, n = classify_focus(gf32, arc, LINE_AT_INFINITY)
-            assert (kind, n) == (HYPERFOCUSED, 13)
-            assert {(x, y, 1) for x, y in cand.points()} <= set(arc)
+    assert closure_completions(gf32, px, py, fmask, 14, tab) == {}
+    assert len(n_free) == len(survivors) > 5000 and max(n_free) < 3
     assert {m.bit_count() for m in fmask.tolist()} == {11, 12, 13}
+
+
+def interleaved(parts):
+    """The order that takes rows of several arrays in turn, one of each,
+    as indices into their concatenation."""
+    rank = np.concatenate([np.arange(len(p)) for p in parts])
+    return np.argsort(rank, kind="stable")
+
+
+@pytest.mark.parametrize("field,k,cs,n_roots", [
+    ("gf8", 10, None, 48),
+    ("gf16", 10, None, 0),
+    ("gf16", 12, None, 0),
+    ("gf16", 16, {14}, 802),
+])
+def test_closure_roots_match_oracle(field, k, cs, n_roots, request):
+    """The roots of the extension, in one batch of the stream 8-arcs with
+    7 to k focuses taken from all shards in turn (at k=16 only those of
+    c = 14), are the candidates the oracle finds 2 admissible points in
+    (k - 8)/2 free columns of.  At k=16, unlike the smaller k, some of
+    them would be roots if points that bring the focus count to exactly
+    k were admitted."""
+    gf = request.getfixturevalue(field)
+    tab = search._NumpyTables(gf)
+    reps = frobenius_orbit_reps(gf, exclude=frozenset({0}))
+    parts = [
+        stream_shard(gf, reps[i], c, 7, k, tables=tab)[1]
+        for i, c in shard_list(gf)
+        if cs is None or c in cs
+    ]
+    survivors = np.concatenate(parts)[interleaved(parts)]
+    px, py, fmask, _ = prune8(survivors, tab)
+    roots = set(closure_completions(gf, px, py, fmask, k, tab))
+    n_free = np.array(free_columns(gf, candidates(survivors), k))
+    assert roots == set(np.flatnonzero(n_free >= (k - 8) // 2).tolist())
+    assert len(roots) == n_roots
+
+
+@pytest.mark.parametrize("k,shards,n_roots", [
+    (12, [(7, 2), (1, 2), (2, 4), (2, 2)], 6),
+    (14, [(7, 2), (2, 6), (2, 2), (1, 2)], 0),
+])
+def test_closure_roots_match_oracle_q32(gf32, shard_oracle, k, shards, n_roots):
+    """As above at q=32, on one batch of the survivors of several shards
+    in turn: shards that share c, and shards that share a, so that equal
+    (d, e) come with another a or another c."""
+    tab = search._NumpyTables(gf32)
+    parts, counts = zip(*(shard_oracle(a, c, k) for a, c in shards))
+    order = interleaved(parts)
+    survivors = np.concatenate(parts)[order]
+    n_free = np.concatenate(counts)[order]
+    px, py, fmask, _ = prune8(survivors, tab)
+    roots = set(closure_completions(gf32, px, py, fmask, k, tab))
+    assert roots == set(np.flatnonzero(n_free >= (k - 8) // 2).tolist())
+    assert len(roots) == n_roots
+
+
+def test_column_pairs_needs_distinct_directions(gf32):
+    """A direct test of the depth-first search's distinct-direction check
+    at q=32.  On the 8-arc of `K12_A`'s candidate, the admissible points
+    are `K12_A`'s two added pairs, in columns 9 and 28, and a point R of
+    column 28 on the line through (9, 6) and an 8-arc point.  The table
+    gives R only that line's direction, and the others none, and the
+    focus mask is the vertical bit alone, so the focus test passes every
+    choice: only the check keeps R, which makes a collinear triple, out
+    of a leaf."""
+    tab = search._NumpyTables(gf32)
+    x8, y8 = [list(v) for v in zip(*Candidate8(2, 2, 1, 6, 6, 2, 9).points())]
+    s = slope_index(gf32, (9, 6), (0, 0))
+    r = (28, 6 ^ gf32.mul(s, 9 ^ 28))
+    assert r[1] not in (9, 28) and not is_arc(gf32, [(0, 0, 1), (9, 6, 1), (*r, 1)])
+    to8 = np.zeros((32, 32), dtype=np.uint32)
+    to8[r] = 1 << s
+    ok = np.zeros((32, 32), dtype=bool)
+    for x, y, _ in K12_A[8:] + ((*r, 1),):
+        ok[x, y] = True
+    leaves = search._column_pairs(gf32, x8, y8, 1 << 32, to8, ok, 12, tab)
+    assert all(is_arc(gf32, arc) for arc in leaves)
+    assert leaves == [K12_A]
 
 
 def test_closure_finds_sixteen_arc_four_pairs_deep(gf32):

@@ -1,7 +1,8 @@
 """Static checks over the package source."""
 
 import ast
-from collections import defaultdict
+import importlib
+from collections import Counter, defaultdict
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hyperfocus"
@@ -23,18 +24,31 @@ def test_no_assert_statements():
     assert found == []
 
 
+def _reads(node) -> Counter:
+    """How often each attribute name is read under `node`."""
+    return Counter(
+        n.attr
+        for n in ast.walk(node)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    )
 
 
 def test_src_names_have_src_callers():
     """Every top-level function and class of the package is exported or
     named by the package outside its own definition: helpers that only
-    tests reach belong in tests/."""
+    tests reach belong in tests/.  Likewise every method is read by the
+    package outside its own body, unless it is a dunder, overrides a
+    base class's method or is public on an exported class, and every
+    attribute set on `self` is read by the package: a table or a method
+    that a rewrite left behind fails here."""
     import hyperfocus
 
     defs = []
     named = defaultdict(set)  # name -> top-level statements that mention it
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+    paths = sorted(SRC.glob("*.py"))
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in paths]
+    for path, tree in zip(paths, trees):
+        for node in tree.body:
             key = (path.name, getattr(node, "name", None))
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs.append(key)
@@ -47,3 +61,29 @@ def test_src_names_have_src_callers():
         if name not in hyperfocus.__all__ and not named[name] - {(module, name)}
     ]
     assert not orphans, f"named only by their own definition: {orphans}"
+
+    reads = sum((_reads(tree) for tree in trees), Counter())
+    unread = []
+    for path, tree in zip(paths, trees):
+        module = importlib.import_module(f"hyperfocus.{path.stem}")
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            bases = getattr(module, cls.name).__mro__[1:]
+            for item in cls.body:
+                if (
+                    isinstance(item, ast.FunctionDef)
+                    and not item.name.startswith("__")
+                    and not any(item.name in vars(base) for base in bases)
+                    and not (cls.name in hyperfocus.__all__ and not item.name.startswith("_"))
+                    and reads[item.name] == _reads(item)[item.name]
+                ):
+                    unread.append(f"{path.name}:{cls.name}.{item.name}()")
+            for n in ast.walk(cls):
+                if (
+                    isinstance(n, ast.Attribute)
+                    and isinstance(n.ctx, ast.Store)
+                    and isinstance(n.value, ast.Name)
+                    and n.value.id == "self"
+                    and not reads[n.attr]
+                ):
+                    unread.append(f"{path.name}:{cls.name}.{n.attr}")
+    assert not unread, f"methods and attributes that no package code reads: {unread}"

@@ -14,7 +14,6 @@ from hyperfocus.arcs import (
     NEITHER,
     ArcError,
     classify_focus,
-    enumerate_hyperfocused,
     focus_set,
     make_arc,
     translation_arc,
@@ -41,7 +40,6 @@ __all__ = [
     "NEITHER",
     "ArcError",
     "classify_focus",
-    "enumerate_hyperfocused",
     "focus_set",
     "make_arc",
     "translation_arc",

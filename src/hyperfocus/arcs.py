@@ -6,7 +6,7 @@ line l collects the intersections of the secants of K with l; K is
 hyperfocused on l when there are exactly |K| - 1 of them, the smallest
 count an arc can achieve, and sharply focused when there are exactly |K|.
 
-Two consequences of hyperfocusedness drive the enumeration code here:
+Two consequences of hyperfocusedness drive the search (`search.py`):
 through every arc point the |K| - 1 secants meet l in pairwise distinct
 points, so they biject onto the focus set; hence every focus is joined to
 every arc point by a secant, the secants through one focus pair up the
@@ -16,16 +16,14 @@ arc, and |K| is even.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from hyperfocus.field import GF
 from hyperfocus.plane import (
     Line,
     Point,
-    all_points,
     collinear,
     incident,
-    line_points,
     line_through,
     meet,
     point_index,
@@ -205,159 +203,3 @@ def translation_hyperoval(gf: GF, i: int) -> Arc:
     pts.append((0, 1, 0))
     pts.append((1, 0, 0))
     return make_arc(gf, pts)
-
-
-# --- exhaustive enumeration of hyperfocused arcs ---------------------------
-
-
-class _LineTables:
-    """Per-line lookup tables for the hyperfocused enumeration.
-
-    Local indices 0..q^2-1 address the points off the line in dense index
-    order.  Secant candidate lines get small ids with a point bitmask over
-    the local indices and the position (0..q) of their meet with the line.
-    """
-
-    def __init__(self, gf: GF, line: Line):
-        self.gf = gf
-        self.line = scale(gf, line)
-        self.on = line_points(gf, self.line)
-        self.pos_of = {p: i for i, p in enumerate(self.on)}
-        self.off = [p for p in all_points(gf) if not incident(gf, p, self.line)]
-        self.loc = {p: i for i, p in enumerate(self.off)}
-        n = len(self.off)
-        self.masks: List[int] = []
-        self.fpos: List[int] = []
-        self.lid: Dict[Line, int] = {}
-        # lid lookup for pairs of off-line points, n x n
-        self.pair_lid = [[-1] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                t = self._register(line_through(gf, self.off[i], self.off[j]))
-                self.pair_lid[i][j] = t
-                self.pair_lid[j][i] = t
-        # lid of the line joining an off point to an on-line point
-        self.point_focus_lid = [
-            [self._register(line_through(gf, p, rp)) for rp in self.on]
-            for p in self.off
-        ]
-
-    def _register(self, ln: Line) -> int:
-        t = self.lid.get(ln)
-        if t is None:
-            t = len(self.masks)
-            self.lid[ln] = t
-            mask = 0
-            for p in line_points(self.gf, ln):
-                b = self.loc.get(p)
-                if b is not None:
-                    mask |= 1 << b
-            self.masks.append(mask)
-            self.fpos.append(self.pos_of[meet(self.gf, ln, self.line)])
-        return t
-
-
-def _pencil_lines(tab: _LineTables, anchor: int) -> List[int]:
-    """Ids of the q lines through the anchor focus other than the base line,
-    in id order (deterministic).  Every off point lies on exactly one."""
-    return sorted({tab.point_focus_lid[i][anchor] for i in range(len(tab.off))})
-
-
-def _enumerate_anchor(tab: _LineTables, anchor: int) -> List[Tuple[int, ...]]:
-    """All hyperfocused arcs (as sorted local index tuples) whose focus set
-    has the anchor as its minimal position.
-
-    DFS over the anchor's pencil lines in id order, choosing at most one
-    secant pair per line.  Any secant created with a focus position below
-    the anchor belongs to a different anchor's subtree and is cut; a
-    feasibility prune drops branches where some member can no longer be
-    paired through an existing focus by points still available.
-    """
-    masks = tab.masks
-    fpos = tab.fpos
-    pair_lid = tab.pair_lid
-    pf_lid = tab.point_focus_lid
-    pencil = _pencil_lines(tab, anchor)
-    np_ = len(pencil)
-    # available points on pencil lines from slot i onward
-    suffix = [0] * (np_ + 1)
-    for i in range(np_ - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | masks[pencil[i]]
-    anchor_bit = 1 << anchor
-    out: List[Tuple[int, ...]] = []
-    members: List[int] = []
-
-    def feasible(cov: int, focus: int, mem_mask: int, nxt_slot: int) -> bool:
-        # In any hyperfocused completion every member is paired through
-        # every focus; a member with no partner yet and none available on
-        # the remaining pencil lines kills the branch.
-        fut = ~cov & suffix[nxt_slot]
-        f = focus & ~anchor_bit
-        while f:
-            r = (f & -f).bit_length() - 1
-            f &= f - 1
-            for m in members:
-                w = masks[pf_lid[m][r]]
-                if w & mem_mask != (1 << m):
-                    continue  # already paired through r
-                if w & fut == 0:
-                    return False
-        return True
-
-    def walk(slot: int, cov: int, focus: int, mem_mask: int) -> None:
-        k = len(members)
-        if k >= 2 and focus.bit_count() == k - 1:
-            out.append(tuple(sorted(members)))
-        for li in range(slot, np_):
-            lid = pencil[li]
-            free = masks[lid] & ~cov
-            if free == 0 or free & (free - 1) == 0:
-                continue
-            bits = []
-            f = free
-            while f:
-                b = f & -f
-                bits.append(b.bit_length() - 1)
-                f ^= b
-            for ii in range(len(bits)):
-                for jj in range(ii + 1, len(bits)):
-                    i, j = bits[ii], bits[jj]
-                    ncov = cov | masks[lid]
-                    nfoc = focus | anchor_bit
-                    ok = True
-                    for m in members:
-                        for nn in (i, j):
-                            t = pair_lid[m][nn]
-                            if (1 << fpos[t]) < anchor_bit:
-                                ok = False
-                                break
-                            ncov |= masks[t]
-                            nfoc |= 1 << fpos[t]
-                        if not ok:
-                            break
-                    if not ok:
-                        continue
-                    nmem = mem_mask | (1 << i) | (1 << j)
-                    members.append(i)
-                    members.append(j)
-                    if feasible(ncov, nfoc, nmem, li + 1):
-                        walk(li + 1, ncov, nfoc, nmem)
-                    members.pop()
-                    members.pop()
-
-    walk(0, 0, 0, 0)
-    return out
-
-
-def enumerate_hyperfocused(gf: GF, line: Line) -> List[Arc]:
-    """Every arc hyperfocused on the given line, exhaustively.
-
-    Intended for small q (the tables are quadratic in the plane size).
-    Arcs come back sorted by (size, point indices).
-    """
-    tab = _LineTables(gf, line)
-    found: List[Tuple[int, ...]] = []
-    for anchor in range(len(tab.on)):
-        found.extend(_enumerate_anchor(tab, anchor))
-    found.sort(key=lambda t: (len(t), t))
-    return [tuple(tab.off[i] for i in t) for t in found]

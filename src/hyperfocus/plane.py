@@ -12,7 +12,7 @@ q^2 + m, and (1, 0, 0) -> q^2 + q, covering all q^2 + q + 1 points.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 from hyperfocus.field import GF
 
@@ -130,27 +130,6 @@ def all_points(gf: GF) -> Iterator[Point]:
 def all_lines(gf: GF) -> Iterator[Line]:
     # Same canonical triples as points, read as coefficient vectors.
     yield from all_points(gf)
-
-
-def line_points(gf: GF, m: Line) -> List[Point]:
-    """The q + 1 points of a line, in dense index order."""
-    a, b, c = m
-    if a == 0 and b == 0:
-        # Z = 0: all directions plus (1, 0, 0).
-        return [(x, 1, 0) for x in gf.elements()] + [(1, 0, 0)]
-    pts: List[Point] = []
-    if b:
-        # y = (a x + c) / b for each x
-        bi = gf.inv(b)
-        pts.extend((x, gf.mul(gf.mul(a, x) ^ c, bi), 1) for x in gf.elements())
-    else:
-        # vertical: x = c / a, y free
-        xv = gf.div(c, a)
-        pts.extend((xv, y, 1) for y in gf.elements())
-    # the single direction point satisfies a x + b y = 0: (b, a, 0)
-    pts.append(scale(gf, (b, a, 0)))
-    pts.sort(key=lambda p: point_index(gf, p))
-    return pts
 
 
 def frobenius_point(gf: GF, p: Point, i: int = 1) -> Point:

@@ -7,25 +7,29 @@ The candidate family is the normalized 8-point configuration
 in affine coordinates (third coordinate 1), four vertical pairs, with a
 ranging over Frobenius orbit representatives and the ordering
 constraints 1 < c < f, d < e, g < h removing within-frame duplicates.
-A shard is filtered in numpy, bound first, over chunks of (d, e) pairs:
-a cell (f, g) is admissible when its six directions to the fixed points
-are distinct (a popcount of 6), `arcs8` is counted in closed form per
-(d, e, f) row, and a cell whose 7-point focus count already exceeds the
-bound is cut before any (g, h) pair is formed.  Pair chunks and row
-blocks hold at most 2^13 entries.  A shard's survivors are one record
-array of (a, c, d, e, f, g, h), which passes two batched numpy stages,
-256 survivors at a time.  A census derives each one's coordinates and
-focus mask from its 28 secant directions.  The extension, one search
-for every k, adds (k - 8)/2 vertical pairs in columns the 8-arc leaves
-free: direction tables, shared per six-point frame and completed in
-blocks of survivors, give each one's admissible points, a column early
-exit drops the survivors with too few free columns, and only the rest,
-the roots, go to a depth-first search over column pairs; they are the
-only survivors Python sees one at a time.  No stage re-proves what the
-stage before it proved: the search accepts a point only when the arc
-and focus-count conditions still hold, so each leaf is a hyperfocused
-arc by construction.  Every emitted arc is re-verified from the
-definition once, after the orbit closure.
+A shard is filtered in numpy, bound first, over chunks of (d, e)
+pairs: a cell (f, g) is admissible when its six directions to the
+fixed points are distinct (a popcount of 6), `arcs8` is counted in
+closed form per (d, e, f) row, and a cell whose 7-point focus count
+already exceeds the bound is cut before any (g, h) pair is formed.  The
+rows left with two cells pass one (g, h) stage per shard.  Directions
+are 32-bit words without the vertical, which is a focus of every
+candidate and is counted once in each focus test; pair chunks hold at
+most 2^14 words and row blocks at most 2^14 (g, h) pairs.  A shard's
+survivors are one record array of (a, c, d, e, f, g, h), which passes
+two batched numpy stages, 256 survivors at a time.  A census derives
+each one's coordinates and focus mask from its 28 secant
+directions.  The extension, one search for every k, adds (k - 8)/2
+vertical pairs in columns the 8-arc leaves free: direction tables,
+shared per six-point frame and completed in blocks of survivors, give
+each one's admissible points, a column early exit drops the survivors
+with too few free columns, and only the rest, the roots, go to a
+depth-first search over column pairs; they are the only survivors
+Python sees one at a time.  No stage re-proves what the stage before it
+proved: the search accepts a point only when the arc and focus-count
+conditions still hold, so each leaf is a hyperfocused arc by
+construction.  Every emitted arc is re-verified from the definition
+once, after the orbit closure.
 
 Work is sharded by the (a-index, c) prefix.  Shards are merged in a
 fixed order and the final records are sorted by canonical digest, so
@@ -130,6 +134,8 @@ class _NumpyTables:
 
     def __init__(self, gf: GF):
         _require_small_field(gf)
+        if not hasattr(np, "bitwise_count"):
+            raise SearchError(f"numpy {np.__version__} is too old: the search needs numpy >= 2.0")
         q = gf.q
         slope = np.full((q, q), q, dtype=np.int64)
         for dx in range(1, q):
@@ -146,12 +152,11 @@ class _NumpyTables:
         # y), but no bit for vertical, so that q slopes fit 32 bits
         flat = np.where(slope < q, 1 << slope, 0).astype(np.uint32)
         self.rays = flat[:, self.xs[:, None] ^ self.xs].transpose(1, 0, 2).reshape(q * q, q)
-        self.triu = np.triu(np.ones((q, q), dtype=bool), 1)
 
 
-# entries per pair chunk and per row block of the stream, so that its
-# temporaries stay small next to the process
-_CHUNK = 1 << 13
+# 32-bit words per pair chunk, and (g, h) pairs per row block, of the
+# stream, so that its temporaries stay small next to the process
+_CHUNK = 1 << 14
 
 
 def stream_shard(
@@ -181,61 +186,66 @@ def stream_shard(
     A[y] the directions from (c, y) to the anchors.  The focus count of
     a subset is a lower bound for the whole set, so a cell whose 7-point
     count popcount(base6 | row) exceeds max(hi, 10) is in no survivor
-    and no count of 9 or 10; only rows with two cells left reach the
-    (g, h) stage, on those cells alone.  Pair chunks and row blocks are
-    capped at `_CHUNK` entries.  The survivors are one record array with
-    int64 fields a, c, d, e, f, g, h, in pairs order, then (f, g, h)
-    order.  `de_pairs` restricts the (d, e) pairs, `tables` reuses one
-    field's tables across shards.
+    and no count of 9 or 10.  Each chunk keeps only its live rows, those
+    with two cells left, and one (g, h) stage per shard takes them all.
+    No direction the stream computes is vertical (f, c > 1), and the
+    vertical is a focus through (0,0)(0,1), so the words are 32-bit
+    `tab.rays` bits without it and every focus test counts it as one.
+    Pair chunks hold at most `_CHUNK` words.  The survivors are one
+    record array with int64 fields a, c, d, e, f, g, h, in pairs order,
+    then (f, g, h) order.  `de_pairs` restricts the (d, e) pairs,
+    `tables` reuses one field's tables across shards.
     """
     tab = tables if tables is not None else _NumpyTables(gf)
     q = tab.q
     counters = new_counters()
-    pairs = (
-        list(de_pairs)
+    de = (
+        np.array(de_pairs, dtype=np.int64).reshape(-1, 2)
         if de_pairs is not None
-        else [(d, e) for d in range(q) for e in range(d + 1, q)]
+        else np.stack(np.triu_indices(q, 1), axis=1)
     )
-    counters["candidates"] = len(pairs) * (q - 1 - c) * (q * (q - 1) // 2)
+    counters["candidates"] = len(de) * (q - 1 - c) * (q * (q - 1) // 2)
 
-    sb = tab.slope_bit
+    sb = tab.rays[:q]  # [dx, dy]: the bit of slope dy/dx, none for the vertical dx = 0
     xs = tab.xs
     fs = xs[c + 1:]
     nf = len(fs)
     anchors = ((0, 0), (0, 1), (1, 0), (1, a))
-    # directions of the lines through two anchors: 0, a, 1, a ^ 1, vertical
-    base4 = np.uint64(1 << q | 1 | 1 << a | 1 << 1 | 1 << (a ^ 1))
-    r4 = np.zeros((nf, q), dtype=np.uint64)
-    anc = np.zeros(q, dtype=np.uint64)
+    # directions of the lines through two anchors: 0, a, 1, a ^ 1 (and vertical)
+    base4 = np.uint32(1 | 1 << a | 1 << 1 | 1 << (a ^ 1))
+    r4 = np.zeros((nf, q), dtype=np.uint32)
+    anc = np.zeros(q, dtype=np.uint32)
     for ax, ay in anchors:
         r4 |= sb[fs[:, None] ^ ax, xs[None, :] ^ ay]
         anc |= sb[c ^ ax, xs ^ ay]
     rc = sb[(fs ^ c)[None, :, None], xs[:, None, None] ^ xs[None, None, :]]
     good = np.bitwise_count(anc) == 4
-    de = np.array([(d, e) for d, e in pairs if good[d] and good[e]], dtype=np.int64)
-    de = de.reshape(-1, 2)
-    cap = max(hi, 10)
-    # per chunk: the cell index (pair * nf + f - c - 1), g and h of its survivors
-    found = [(np.zeros(0, np.int64),) * 3]
+    de = de[good[de[:, 0]] & good[de[:, 1]]]
+    cap = max(hi, 10) - 1  # non-vertical focuses
+    # per chunk, of its live rows: cell index (pair * nf + f - c - 1), keep, m7, n_keep
+    live_rows = [(
+        np.zeros(0, np.int64),
+        np.zeros((0, q), bool),
+        np.zeros((0, q), np.uint32),
+        np.zeros(0, np.uint8),
+    )]
     step = max(1, _CHUNK // max(1, nf * q))
     for i in range(0, len(de), step):
         d, e = de[i:i + step, 0], de[i:i + step, 1]
-        rows = (r4 | rc[d] | rc[e]).reshape(-1, q)
+        rows = r4 | rc[d] | rc[e]
         ok = np.bitwise_count(rows) == 6
-        n_ok = np.count_nonzero(ok, axis=1)
+        n_ok = ok.view(np.uint8).sum(axis=2, dtype=np.uint8).astype(np.intp)
         counters["arcs8"] += int((n_ok * (n_ok - 1)).sum()) // 2
-        m7 = rows | np.repeat(base4 | anc[d] | anc[e], nf)[:, None]
-        keep = ok & (np.bitwise_count(m7) <= cap)
-        n_keep = np.count_nonzero(keep, axis=1)
+        m7 = (rows | (base4 | anc[d] | anc[e])[:, None, None]).reshape(-1, q)
+        keep = ok.reshape(-1, q) & (np.bitwise_count(m7) <= cap)
+        n_keep = keep.view(np.uint8).sum(axis=1, dtype=np.uint8)
         live = np.flatnonzero(n_keep >= 2)
-        if not len(live):
-            continue
-        n910, row, g, h = _row_pairs(tab, lo, hi, keep[live], m7[live], n_keep[live])
-        counters["focus_9_10"] += n910
-        found.append((i * nf + live[row], g, h))
-    cell, g, h = map(np.concatenate, zip(*found))
-    p, f = np.divmod(cell, nf)
-    survivors = np.empty(len(cell), dtype=[(name, np.int64) for name in "acdefgh"])
+        live_rows.append((i * nf + live, keep[live], m7[live], n_keep[live]))
+    cells, keep, m7, n_keep = map(np.concatenate, zip(*live_rows))
+    n910, row, g, h = _row_pairs(lo - 1, hi - 1, keep, m7, n_keep)
+    counters["focus_9_10"] = n910
+    p, f = np.divmod(cells[row], nf)
+    survivors = np.empty(len(row), dtype=[(name, np.int64) for name in "acdefgh"])
     for name, col in zip("acdefgh", (a, c, de[p, 0], de[p, 1], fs[f], g, h)):
         survivors[name] = col
     counters["prepared"] = len(survivors)
@@ -244,37 +254,39 @@ def stream_shard(
 
 
 def _row_pairs(
-    tab: _NumpyTables, lo: int, hi: int, keep, m7, n_keep
+    lo: int, hi: int, keep, m7, n_keep
 ) -> Tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """The (g, h) stage over rows of kept cells, g < h both kept.
 
-    Returns the number of pairs with 9 or 10 focuses and, as index arrays
-    in (row, g, h) order, the row, g and h of the pairs whose focus count
-    is within [lo, hi].  Each row's kept cells are packed to its left in
-    ascending g, so its pairs are the strict upper triangle of a
-    width x width block.
+    `m7` holds 32-bit focus words without the vertical, so `lo`..`hi`
+    and the 8..9 of `focus_9_10` count non-vertical focuses.  Returns the
+    number of pairs with 9 or 10 focuses and, as index arrays in (row, g,
+    h) order, the row, g and h of the pairs whose non-vertical focus
+    count is within [lo, hi].  Each row's kept cells are packed to its
+    left in ascending g, so its pairs are the slot pairs i < j < width
+    with j below its count; blocks of rows hold at most `_CHUNK` pairs.
     """
     n = len(n_keep)
-    width = int(n_keep.max())
+    width = int(n_keep.max(initial=0))
     r_i, g_i = np.nonzero(keep)
     slot = np.cumsum(keep, axis=1)[r_i, g_i] - 1
-    packed = np.zeros((n, width), dtype=np.uint64)
+    packed = np.zeros((n, width), dtype=np.uint32)
     packed[r_i, slot] = m7[r_i, g_i]
     gs = np.zeros((n, width), dtype=np.int64)
     gs[r_i, slot] = g_i
-    filled = np.arange(width)[None, :] < n_keep[:, None]
-    triu = tab.triu[:width, :width]
+    si, sj = np.triu_indices(width, 1)  # a row's slot pairs, in (g, h) order
+    n_pairs = max(1, len(si))
     n910 = 0
-    hits = []  # flat indices into the (n, width, width) pair blocks
-    block = max(1, _CHUNK // (width * width))
+    hits = [np.zeros(0, np.intp)]  # flat indices into the (n, n_pairs) pair blocks
+    block = max(1, _CHUNK // n_pairs)
     for j in range(0, n, block):
         pm = packed[j:j + block]
-        cnt = np.bitwise_count(pm[:, :, None] | pm[:, None, :])
-        pair = filled[j:j + block, None, :] & triu
-        n910 += int(np.count_nonzero(pair & (cnt >= 9) & (cnt <= 10)))
-        hits.append(j * width * width + np.flatnonzero(pair & (cnt >= lo) & (cnt <= hi)))
-    row, gi, hj = np.unravel_index(np.concatenate(hits), (n, width, width))
-    return n910, row, gs[row, gi], gs[row, hj]
+        cnt = np.bitwise_count(pm[:, si] | pm[:, sj])
+        pair = sj < n_keep[j:j + block, None]
+        n910 += int(np.count_nonzero(pair & (cnt >= 8) & (cnt <= 9)))
+        hits.append(j * n_pairs + np.flatnonzero(pair & (cnt >= lo) & (cnt <= hi)))
+    row, p = np.divmod(np.concatenate(hits), n_pairs)
+    return n910, row, gs[row, si[p]], gs[row, sj[p]]
 
 
 # `resolve_engine` and the `engine` argument of `process_shard` remain

@@ -9,12 +9,11 @@ the acceptance tests and the module tests share one computation.
 import pytest
 
 from hyperfocus import canon
-from hyperfocus.arcs import enumerate_hyperfocused
 from hyperfocus.field import make_field
 from hyperfocus.plane import LINE_AT_INFINITY
 from hyperfocus.search import SearchConfig, run_search
 
-from oracles import assert_no_nested_hyperfocused
+from oracles import assert_no_nested_hyperfocused, enumerate_hyperfocused
 
 # criterion number -> (description, passed)
 _ACCEPTANCE: dict = {}

@@ -8,6 +8,7 @@ import pytest
 from oracles import (
     arc_accepts,
     complete_to_hyperovals,
+    enumerate_hyperfocused,
     enumerate_hyperfocused_naive,
     extend_arc,
     line_type,
@@ -27,7 +28,6 @@ from hyperfocus.arcs import (
     classify_focus,
     diagonal_line,
     double_translation_arc,
-    enumerate_hyperfocused,
     focus_count,
     focus_set,
     is_arc,

@@ -223,6 +223,17 @@ def test_search_cli_rejects_q64():
     assert out == ""
 
 
+def test_search_cli_refuses_numpy_without_bitwise_count(tmp_path, monkeypatch):
+    """numpy < 2.0 has no `bitwise_count`: `search` exits 64 with the
+    requirement before any shard runs, not with an AttributeError."""
+    ckpt = tmp_path / "run.ckpt"
+    monkeypatch.delattr(search.np, "bitwise_count")
+    code, out, err = run_cli("search", "--s", "3", "--k", "10", "--checkpoint", str(ckpt))
+    assert code == EX_USAGE
+    assert "search error: numpy" in err and "needs numpy >= 2.0" in err
+    assert out == "" and not ckpt.exists()
+
+
 def test_search_cli_bad_k():
     for k in ("13", "8", "16"):
         code, _, err = run_cli("search", "--s", "3", "--k", k)

@@ -15,17 +15,14 @@ from hyperfocus.conics import (
     nucleus,
     on_conic,
 )
-from hyperfocus.plane import (
-    all_points,
-    line_points,
-    scale,
-)
+from hyperfocus.plane import all_points, scale
 
 from oracles import (
     arc_accepts,
     conic_points,
     hyperconic,
     hyperconic_oracle,
+    line_points,
     lines_through,
 )
 

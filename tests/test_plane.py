@@ -15,7 +15,6 @@ from hyperfocus.plane import (
     collinear,
     frobenius_point,
     incident,
-    line_points,
     line_through,
     meet,
     point_from_index,
@@ -27,6 +26,7 @@ from oracles import (
     apply_line,
     apply_point,
     frame_map,
+    line_points,
     lines_through,
     mat_det,
     mat_inv,

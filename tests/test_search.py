@@ -214,6 +214,37 @@ def test_stream_survivor_records(gf8, gf32):
     assert got == want and len(got) > 0
 
 
+@pytest.mark.parametrize("k,a,c", [(12, 2, 2), (12, 1, 2), (14, 1, 11)])
+def test_stream_chunking_keeps_survivors(gf32, monkeypatch, k, a, c):
+    """With a chunk of one word, each pair chunk holds one (d, e) pair and
+    each (g, h) block one row, so the shard's live rows come from hundreds
+    of chunks; the survivors, their order and the counters stay those of
+    the default chunks.  The shards' survivors lie in 2, 110 and 16 (d, e)
+    pairs."""
+    want = stream_shard(gf32, a, c, *FOCUS_BOUNDS[k])
+    monkeypatch.setattr(search, "_CHUNK", 1)
+    counters, survivors = stream_shard(gf32, a, c, *FOCUS_BOUNDS[k])
+    assert counters == want[0]
+    assert len(survivors) > 0 and np.array_equal(survivors, want[1])
+
+
+def test_stream_without_live_rows(gf32, monkeypatch):
+    """Pairs whose rows hold 8-arcs but no row with two cells under the
+    7-point cut give no (g, h) stage input and an empty record array."""
+    sizes = []
+    row_pairs = search._row_pairs
+
+    def spy(lo, hi, keep, m7, n_keep):
+        sizes.append(len(n_keep))
+        return row_pairs(lo, hi, keep, m7, n_keep)
+
+    monkeypatch.setattr(search, "_row_pairs", spy)
+    counters, survivors = stream_shard(gf32, 1, 11, 9, 13, de_pairs=[(2, 17), (2, 18)])
+    assert sizes == [0] and counters["arcs8"] > 0
+    assert counters["prepared"] == len(survivors) == 0
+    assert survivors.dtype == np.dtype([(name, np.int64) for name in "acdefgh"])
+
+
 def test_resolve_engine(gf32):
     """numpy is the only engine; the name stays for bench/run.py."""
     assert resolve_engine(gf32, "auto") == "numpy"
@@ -542,6 +573,33 @@ def test_column_pairs_needs_distinct_directions(gf32):
         ok[x, y] = True
     leaves = search._column_pairs(gf32, x8, y8, 1 << 32, to8, ok, 12, tab)
     assert all(is_arc(gf32, arc) for arc in leaves)
+    assert leaves == [K12_A]
+
+
+def test_column_pairs_focus_bound_is_strict(gf32):
+    """A direct test of the depth-first search's focus bound.  Besides
+    `K12_A`'s two added pairs, in columns 9 and 28, column 3 holds an
+    admissible pair (3, 0), (3, 1) whose table gives it ten directions:
+    three of the four between it and column 9's pair, and seven none of
+    the eight between it and columns 9 and 28.  With the vertical as the
+    focus mask, the leaf of columns 3 and 9 reaches exactly k = 12
+    focuses at its last point, so it is no hyperfocused 12-arc and only
+    a bound below k keeps it out; the leaf of columns 3 and 28 has
+    more."""
+    tab = search._NumpyTables(gf32)
+    x8, y8 = [list(v) for v in zip(*Candidate8(2, 2, 1, 6, 6, 2, 9).points())]
+    col3 = [(3, 0), (3, 1)]
+    across9 = [slope_index(gf32, p, r) for p in ((9, 6), (9, 28)) for r in col3]
+    across28 = [slope_index(gf32, p, r) for p in ((28, 9), (28, 28)) for r in col3]
+    assert len(set(across9 + across28)) == 8 and gf32.q not in across9 + across28
+    others = [s for s in range(gf32.q) if s not in across9 + across28][:7]
+    to8 = np.zeros((32, 32), dtype=np.uint32)
+    for p in col3:
+        to8[p] = sum(1 << s for s in across9[:3] + others)
+    ok = np.zeros((32, 32), dtype=bool)
+    for x, y in [p[:2] for p in K12_A[8:]] + col3:
+        ok[x, y] = True
+    leaves = search._column_pairs(gf32, x8, y8, 1 << 32, to8, ok, 12, tab)
     assert leaves == [K12_A]
 
 

@@ -6,6 +6,13 @@ line l collects the intersections of the secants of K with l; K is
 hyperfocused on l when there are exactly |K| - 1 of them, the smallest
 count an arc can achieve, and sharply focused when there are exactly |K|.
 
+Both facts are decided from the C(k, 2) point pairs alone.  Two of the
+secants of k distinct points coincide exactly when three of the points
+are collinear, so the points form an arc iff their secants are pairwise
+distinct lines.  In characteristic 2 the secant through a and b meets l
+in (l.b)a + (l.a)b: a point of the secant whose product with l is
+2(l.a)(l.b) = 0, so one scaling per pair gives the focus.
+
 Two consequences of hyperfocusedness drive the search (`search.py`):
 through every arc point the |K| - 1 secants meet l in pairwise distinct
 points, so they biject onto the focus set; hence every focus is joined to
@@ -16,13 +23,15 @@ arc, and |K| is even.
 from __future__ import annotations
 
 import itertools
-from typing import FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from hyperfocus.field import GF
 from hyperfocus.plane import (
     Line,
     Point,
+    SamePoint,
     collinear,
+    dot,
     incident,
     line_through,
     meet,
@@ -66,27 +75,45 @@ class BadExponent(ArcError):
 
 
 def make_arc(gf: GF, points: Iterable[Sequence[int]]) -> Arc:
-    """Scale, sort, and validate a collection of points as an arc."""
+    """Scale, sort, and validate a collection of points as an arc.
+
+    Raises DuplicatePoint for a point given twice (under any scaling) and
+    NotAnArc, naming three collinear points, when two secants coincide.
+    """
     pts = [scale(gf, p) for p in points]
     if len(set(pts)) != len(pts):
         raise DuplicatePoint("repeated point")
     pts.sort(key=lambda p: point_index(gf, p))
-    for a, b, c in itertools.combinations(pts, 3):
-        if collinear(gf, a, b, c):
-            raise NotAnArc(f"{a}, {b}, {c} are collinear")
+    triple = _collinear_triple(gf, pts)
+    if triple:
+        raise NotAnArc("{}, {}, {} are collinear".format(*triple))
     return tuple(pts)
 
 
 def is_arc(gf: GF, points: Sequence[Point]) -> bool:
-    if len(set(points)) != len(points):
+    """True when the points, scaled or not, are distinct and no three are
+    collinear; a point given twice or a zero triple gives False."""
+    try:
+        return _collinear_triple(gf, points) is None
+    except SamePoint:  # two of the points span no line
         return False
-    return not any(
-        collinear(gf, a, b, c) for a, b, c in itertools.combinations(points, 3)
-    )
+
+
+def _collinear_triple(gf: GF, pts: Sequence[Point]) -> Optional[Tuple[Point, Point, Point]]:
+    """Three collinear points of `pts`, from the first two pairs whose
+    secants coincide, or None when the secants are pairwise distinct."""
+    seen: Dict[Line, Tuple[Point, Point]] = {}
+    for pair, line in zip(itertools.combinations(pts, 2), secants(gf, pts)):
+        first = seen.setdefault(line, pair)
+        if first is not pair:  # all of the (3 or 4) points lie on `line`
+            return tuple(dict.fromkeys(first + pair))[:3]
+    return None
 
 
 def secants(gf: GF, arc: Arc) -> List[Line]:
-    """All lines through two arc points.  Distinct for a genuine arc."""
+    """The lines through two of the points, in `itertools.combinations`
+    order; pairwise distinct exactly when the points form an arc.  Raises
+    SamePoint for two points that span no line."""
     return [line_through(gf, a, b) for a, b in itertools.combinations(arc, 2)]
 
 
@@ -96,12 +123,20 @@ def is_exterior(gf: GF, arc: Arc, m: Line) -> bool:
 
 def focus_set(gf: GF, arc: Arc, line: Line) -> Tuple[Point, ...]:
     """Intersections of the secants with an exterior line, deduplicated,
-    in dense index order."""
-    if not is_exterior(gf, arc, line):
+    in dense index order.
+
+    Each point p is scaled once to u_p = p / (l.p), so that l.u_p = 1;
+    the secant through a and b then meets l in u_a + u_b, the scaled
+    (l.b)a + (l.a)b.
+    """
+    lam = [dot(gf, p, line) for p in arc]
+    if not all(lam):
         raise LineMeetsArc(f"line {line} meets the arc")
-    seen: Set[Point] = set()
-    for s in secants(gf, arc):
-        seen.add(meet(gf, s, line))
+    u = [tuple(gf.div(x, la) for x in p) for p, la in zip(arc, lam)]
+    seen = {
+        scale(gf, (a[0] ^ b[0], a[1] ^ b[1], a[2] ^ b[2]))
+        for a, b in itertools.combinations(u, 2)
+    }
     return tuple(sorted(seen, key=lambda p: point_index(gf, p)))
 
 

@@ -301,9 +301,9 @@ def resolve_engine(gf: GF, engine: str) -> str:
 # ---------------------------------------------------------------------------
 # 8-arc census
 
-# survivors per batch of `process_shard` and per direction-table block of
-# `closure_completions`, so that the batches' arrays and objects stay
-# small next to the process
+# survivors per batch of `process_shard`, and six-point frames and
+# direction tables per block of `closure_completions`, so that the
+# batches' arrays and objects stay small next to the process
 _SURVIVOR_BLOCK = 256
 _TABLE_BLOCK = 64
 
@@ -358,9 +358,10 @@ def closure_completions(
     non-vertical directions from (x, y) to its 8 points.  A point is
     admissible iff it has 8 (an arc point, a point of a used column or of
     a secant has fewer) and they leave fewer than k - 1 non-vertical
-    focuses.  The part of (0,0), (0,1), (1,0), (1,a), (c,d), (c,e) is
-    built once per (a, c, d, e) in the batch, and blocks of
-    `_TABLE_BLOCK` tables add the rows of (f,g) and (f,h) in `tab.rays`.
+    focuses.  The part of (0,0), (0,1), (1,0), (1,a), (c,d), (c,e), the
+    six-point frame, is built once per (a, c, d, e) in the batch, for at
+    most `_TABLE_BLOCK` of them at a time, and blocks of `_TABLE_BLOCK`
+    tables of their survivors add the rows of (f,g) and (f,h) in `tab.rays`.
     A survivor with fewer than (k - 8)/2 columns of two admissible points
     has no completion (the column early exit).  The others are the roots
     of the depth-first search: the result maps each one's index in the
@@ -375,24 +376,26 @@ def closure_completions(
 
     key = ((py[:, 3] * q + px[:, 4]) * q + py[:, 4]) * q + py[:, 5]  # a, c, d, e
     _, first, group = np.unique(key, return_index=True, return_inverse=True)
-    frames = part(first, 0)
-    for j in range(1, 6):
-        frames |= part(first, j)
     flat = (fmask & np.uint64((1 << q) - 1)).astype(np.uint32)[:, None, None]  # no vertical
     out: Dict[int, List[Tuple[Point, ...]]] = {}
-    for i in range(0, len(px), _TABLE_BLOCK):
-        blk = slice(i, i + _TABLE_BLOCK)
-        table = frames.take(group[blk], axis=0)
-        table |= part(blk, 6)
-        table |= part(blk, 7)
-        ok = np.bitwise_count(table) == 8
-        ok &= np.bitwise_count(table | flat[blk]) < k - 1
-        n_free = (ok.view(np.uint8).sum(axis=2, dtype=np.uint8) >= 2).sum(axis=1)
-        for j in np.flatnonzero(n_free >= n_pairs).tolist():
-            r = i + j
-            x8, y8, mask = px[r].tolist(), py[r].tolist(), int(fmask[r])
-            out[r] = _column_pairs(gf, x8, y8, mask, table[j], ok[j], k, tab)
-    return out
+    for g in range(0, len(first), _TABLE_BLOCK):
+        frames = part(first[g:g + _TABLE_BLOCK], 0)
+        for j in range(1, 6):
+            frames |= part(first[g:g + _TABLE_BLOCK], j)
+        rows = np.flatnonzero((group >= g) & (group < g + _TABLE_BLOCK))
+        for i in range(0, len(rows), _TABLE_BLOCK):
+            blk = rows[i:i + _TABLE_BLOCK]
+            table = frames.take(group[blk] - g, axis=0)
+            table |= part(blk, 6)
+            table |= part(blk, 7)
+            ok = np.bitwise_count(table) == 8
+            ok &= np.bitwise_count(table | flat[blk]) < k - 1
+            n_free = (ok.view(np.uint8).sum(axis=2, dtype=np.uint8) >= 2).sum(axis=1)
+            for j in np.flatnonzero(n_free >= n_pairs).tolist():
+                r = int(blk[j])
+                x8, y8, mask = px[r].tolist(), py[r].tolist(), int(fmask[r])
+                out[r] = _column_pairs(gf, x8, y8, mask, table[j], ok[j], k, tab)
+    return dict(sorted(out.items()))
 
 
 def _column_pairs(

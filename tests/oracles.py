@@ -352,6 +352,23 @@ def canonical_form_oracle(
 # ---------------------------------------------------------------------------
 # arc growth, tangents, hyperovals, subset enumeration
 
+def arc_oracle(gf: GF, pts: Sequence[Sequence[int]]) -> bool:
+    """From the definition, by all C(k, 3) determinants: no two of the
+    points fail to span a line (a zero triple, or one point under two
+    scalings) and no three are collinear."""
+    for a, b in combinations(pts, 2):
+        if not any(a) or not any(b) or scale(gf, a) == scale(gf, b):
+            return False
+    return not any(collinear(gf, a, b, c) for a, b, c in combinations(pts, 3))
+
+
+def focus_set_oracle(gf: GF, arc: Arc, line: Line) -> Tuple[Point, ...]:
+    """The meets of the secants with the line, each joined and met by
+    cross products, in dense index order."""
+    foci = {meet(gf, line_through(gf, a, b), line) for a, b in combinations(arc, 2)}
+    return tuple(sorted(foci, key=lambda p: point_index(gf, p)))
+
+
 def arc_accepts(gf: GF, arc: Arc, p: Point) -> bool:
     """True when arc + p is still an arc: p is new and off every secant."""
     if p in arc:
@@ -618,6 +635,17 @@ def hyperconic(gf: GF, conic: Conic) -> Arc:
 
 # ---------------------------------------------------------------------------
 # the search below the pipeline: shards, candidates, extension
+
+# two 12-arcs, each reached from three of its 8-point sub-candidates
+K12_A = (
+    (0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 2, 1), (2, 1, 1), (2, 6, 1),
+    (6, 2, 1), (6, 9, 1), (9, 6, 1), (9, 28, 1), (28, 9, 1), (28, 28, 1),
+)
+K12_B = (
+    (0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 2, 1), (2, 2, 1), (2, 5, 1),
+    (6, 5, 1), (6, 14, 1), (9, 14, 1), (9, 20, 1), (28, 1, 1), (28, 20, 1),
+)
+
 
 class Candidate8(NamedTuple):
     """Seven field elements naming an 8-point candidate configuration;

@@ -1,16 +1,20 @@
 """Arc predicates, focus sets, translation constructions, enumeration."""
 
+import ast
 import random
 from collections import Counter
 
 import pytest
 
 from oracles import (
+    K12_A,
     arc_accepts,
+    arc_oracle,
     complete_to_hyperovals,
     enumerate_hyperfocused,
     enumerate_hyperfocused_naive,
     extend_arc,
+    focus_set_oracle,
     line_type,
     tangents_through,
 )
@@ -21,6 +25,7 @@ from hyperfocus.arcs import (
     ArcError,
     BadExponent,
     DuplicatePoint,
+    LineMeetsArc,
     NotAnArc,
     PointInArc,
     PointOnSecant,
@@ -37,11 +42,14 @@ from hyperfocus.arcs import (
     translation_arc,
     translation_hyperoval,
 )
+from hyperfocus import arcs, plane
 from hyperfocus.plane import (
     LINE_AT_INFINITY,
+    ZeroTriple,
     all_lines,
     all_points,
     incident,
+    line_through,
 )
 
 QUAD = ((0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1))
@@ -168,6 +176,138 @@ def test_focus_bounds_random_arcs(gf8):
         k = len(arc)
         assert k - 1 <= n <= min(k * (k - 1) // 2, gf8.q + 1)
         done += 1
+
+
+# --- the pair-based arc and focus checks against their definitions -----
+
+
+def random_arc(gf, rng, size, pts):
+    """A greedy arc of up to `size` points, taken in random order."""
+    arc = ()
+    for p in rng.sample(pts, len(pts)):
+        if len(arc) == size:
+            break
+        if arc_accepts(gf, arc, p):
+            arc = extend_arc(gf, arc, p)
+    return arc
+
+
+def point_sets(gf, rng, n):
+    """Arcs, arcs with one point moved or added (mostly non-arcs), and
+    random sets, each with the points (m, 1, 0) and (1, 0, 0) of Z = 0 in
+    some of them, as lists of canonical points in random order."""
+    pts = list(all_points(gf))
+    for i in range(n):
+        arc = list(random_arc(gf, rng, rng.randrange(3, 11), pts))
+        if i % 4 == 1:
+            arc[rng.randrange(len(arc))] = rng.choice(pts)
+        elif i % 4 == 2:
+            arc.append(rng.choice(pts))
+        elif i % 4 == 3:
+            arc = rng.sample(pts, rng.randrange(3, 8))
+        if i % 5 == 0:
+            arc[0] = (rng.randrange(gf.q), 1, 0)
+            arc[-1] = (1, 0, 0)
+        rng.shuffle(arc)
+        yield arc
+
+
+def rescaled(gf, p, t):
+    """The point p given as t * p."""
+    return tuple(gf.mul(t, x) for x in p)
+
+
+@pytest.mark.parametrize("qname", ["gf8", "gf16"])
+def test_arc_checks_match_triple_oracle(qname, request):
+    """`is_arc` and `make_arc` decide from the C(k, 2) secants what the
+    C(k, 3) collinearity oracle decides, and the triple that NotAnArc
+    names is collinear and taken from the input.  A point given under
+    two scalings or a zero triple makes `is_arc` False without raising."""
+    gf = request.getfixturevalue(qname)
+    rng = random.Random(gf.q)
+    seen = Counter()
+    for pts in point_sets(gf, rng, 400):
+        want = arc_oracle(gf, pts)
+        assert is_arc(gf, pts) == want
+        seen[want] += 1
+        if len(set(pts)) < len(pts):
+            with pytest.raises(DuplicatePoint):
+                make_arc(gf, pts)
+            continue
+        if want:
+            assert make_arc(gf, pts) == tuple(sorted(pts, key=lambda p: plane.point_index(gf, p)))
+            continue
+        with pytest.raises(NotAnArc) as exc:
+            make_arc(gf, pts)
+        triple = ast.literal_eval(str(exc.value).removesuffix(" are collinear"))
+        assert len(set(triple)) == 3 and set(triple) <= set(pts)
+        assert plane.collinear(gf, *triple)
+        # the same set with a point under a second scaling, or a zero triple
+        t = rng.randrange(2, gf.q)
+        assert not is_arc(gf, pts + [rescaled(gf, pts[0], t)])
+        assert not is_arc(gf, pts + [(0, 0, 0)])
+    assert seen[True] > 100 and seen[False] > 100
+    for arc in (random_arc(gf, rng, 6, list(all_points(gf))) for _ in range(20)):
+        t = rng.randrange(2, gf.q)
+        twice = list(arc) + [rescaled(gf, arc[-1], t)]
+        assert not arc_oracle(gf, twice) and not is_arc(gf, twice)
+        assert not is_arc(gf, list(arc[:1]) + [rescaled(gf, arc[0], t)])
+        assert not is_arc(gf, list(arc) + [(0, 0, 0)])
+        assert is_arc(gf, [rescaled(gf, p, t) for p in arc])
+        with pytest.raises(DuplicatePoint):
+            make_arc(gf, twice)
+        with pytest.raises(ZeroTriple):
+            make_arc(gf, list(arc) + [(0, 0, 0)])
+
+
+@pytest.mark.parametrize("qname", ["gf8", "gf16"])
+def test_focus_set_matches_meet_oracle(qname, request):
+    """`focus_set` by one scaled sum per secant equals the meets of the
+    secants with random exterior lines other than Z = 0, and raises
+    LineMeetsArc on a line through an arc point."""
+    gf = request.getfixturevalue(qname)
+    rng = random.Random(gf.q + 1)
+    pts = list(all_points(gf))
+    lines = [m for m in all_lines(gf) if m != LINE_AT_INFINITY]
+    checked = 0
+    while checked < 150:
+        arc = random_arc(gf, rng, rng.randrange(2, 11), pts)
+        ext = [m for m in lines if is_exterior(gf, arc, m)]
+        if not ext:
+            continue
+        m = rng.choice(ext)
+        assert focus_set(gf, arc, m) == focus_set_oracle(gf, arc, m)
+        p = rng.choice(arc)
+        through = line_through(gf, p, rng.choice([r for r in pts if r != p]))
+        with pytest.raises(LineMeetsArc):
+            focus_set(gf, arc, through)
+        checked += 1
+
+
+def test_arc_checks_cost_pairs_not_triples(gf32, monkeypatch):
+    """On a 12-arc, `make_arc` and `is_arc` join each of the 66 point
+    pairs once and test no triple, and `focus_set` joins and meets no
+    lines: a return to the C(k, 3) checks fails here."""
+    joins = []
+
+    def counted(gf, p, r):
+        joins.append((p, r))
+        return line_through(gf, p, r)
+
+    def refused(*args):
+        raise AssertionError("a triple test or a line meet on the pair path")
+
+    monkeypatch.setattr(arcs, "line_through", counted)
+    for name in ("collinear", "det3"):
+        monkeypatch.setattr(arcs, name, refused, raising=False)
+        monkeypatch.setattr(plane, name, refused)
+    assert make_arc(gf32, K12_A) == K12_A
+    assert len(joins) == 66
+    assert is_arc(gf32, K12_A)
+    assert len(joins) == 132
+    monkeypatch.setattr(arcs, "line_through", refused)
+    monkeypatch.setattr(arcs, "meet", refused)
+    assert classify_focus(gf32, K12_A, LINE_AT_INFINITY) == (HYPERFOCUSED, 11)
 
 
 # --- translation constructions --------------------------------------------

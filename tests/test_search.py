@@ -38,6 +38,8 @@ from hyperfocus.search import (
 )
 
 from oracles import (
+    K12_A,
+    K12_B,
     Candidate8,
     _slope_census,
     census_verdict,
@@ -552,6 +554,24 @@ def test_closure_roots_match_oracle_q32(gf32, shard_oracle, k, shards, n_roots):
     assert len(roots) == n_roots
 
 
+def test_closure_frame_chunks_keep_roots(gf32, shard_oracle, monkeypatch):
+    """The six-point frames are built for at most `_TABLE_BLOCK` groups at
+    a time.  On one batch of the k=12 survivors of four shards in turn,
+    last first, whose (a, c, d, e) groups interleave, outnumber a chunk
+    and fall as their keys rise, chunks of one group and one table give
+    the default roots, leaves and root order, the order of the batch."""
+    tab = search._NumpyTables(gf32)
+    parts = [shard_oracle(a, c, 12)[0] for a, c in [(7, 2), (1, 2), (2, 4), (2, 2)]]
+    px, py, fmask, _ = prune8(np.concatenate(parts)[interleaved(parts)[::-1]], tab)
+    want = closure_completions(gf32, px, py, fmask, 12, tab)
+    key = np.stack([py[:, 3], px[:, 4], py[:, 4], py[:, 5]], axis=1)
+    assert len(np.unique(key, axis=0)) > search._TABLE_BLOCK and len(want) == 6
+    monkeypatch.setattr(search, "_TABLE_BLOCK", 1)
+    got = closure_completions(gf32, px, py, fmask, 12, tab)
+    assert list(got.items()) == list(want.items())
+    assert list(got) == sorted(got)
+
+
 def test_column_pairs_needs_distinct_directions(gf32):
     """A direct test of the depth-first search's distinct-direction check
     at q=32.  On the 8-arc of `K12_A`'s candidate, the admissible points
@@ -754,15 +774,6 @@ def test_process_shard_batches_every_survivor(gf32, monkeypatch):
     assert raw == [] and counters["dfs_roots"] == 0
 
 
-# two 12-arcs, each reached from three of its 8-point sub-candidates
-K12_A = (
-    (0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 2, 1), (2, 1, 1), (2, 6, 1),
-    (6, 2, 1), (6, 9, 1), (9, 6, 1), (9, 28, 1), (28, 9, 1), (28, 28, 1),
-)
-K12_B = (
-    (0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 2, 1), (2, 2, 1), (2, 5, 1),
-    (6, 5, 1), (6, 14, 1), (9, 14, 1), (9, 20, 1), (28, 1, 1), (28, 20, 1),
-)
 SHARD_PINS = {
     (12, 2, 2): (
         dict(candidates=7134464, arcs8=2303404, focus_rejected=2303398,

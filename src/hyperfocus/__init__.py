@@ -14,12 +14,18 @@ from hyperfocus.arcs import (
     NEITHER,
     ArcError,
     classify_focus,
+    focus_count,
     focus_set,
     make_arc,
     translation_arc,
     translation_hyperoval,
 )
-from hyperfocus.conics import ConicError, hyperconic_contains, hyperconic_witness
+from hyperfocus.conics import (
+    ConicError,
+    conic_through,
+    hyperconic_contains,
+    hyperconic_witness,
+)
 from hyperfocus.canon import (
     arc_digest,
     canonical_form,
@@ -40,11 +46,13 @@ __all__ = [
     "NEITHER",
     "ArcError",
     "classify_focus",
+    "focus_count",
     "focus_set",
     "make_arc",
     "translation_arc",
     "translation_hyperoval",
     "ConicError",
+    "conic_through",
     "hyperconic_contains",
     "hyperconic_witness",
     "arc_digest",

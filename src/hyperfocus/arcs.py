@@ -6,12 +6,20 @@ line l collects the intersections of the secants of K with l; K is
 hyperfocused on l when there are exactly |K| - 1 of them, the smallest
 count an arc can achieve, and sharply focused when there are exactly |K|.
 
-Both facts are decided from the C(k, 2) point pairs alone.  Two of the
-secants of k distinct points coincide exactly when three of the points
-are collinear, so the points form an arc iff their secants are pairwise
-distinct lines.  In characteristic 2 the secant through a and b meets l
-in (l.b)a + (l.a)b: a point of the secant whose product with l is
-2(l.a)(l.b) = 0, so one scaling per pair gives the focus.
+Both facts are decided from the C(k, 2) point pairs alone, for a whole
+list of point sets at a time: the sets are grouped by size, and each
+group is one (n, k, 3) int64 stack whose field products are gathers from
+the field's log/exp tables.  The secant through a and b is the cross
+product a x b, zero exactly when a and b are one point (or one is the
+zero triple); scaled, the secants of a stack are an (n, C(k, 2)) array of
+dense line indices.  Two secants of k distinct points coincide exactly
+when three of the points are collinear, so a set is an arc iff no cross
+product is zero and no line index repeats in its row.  In characteristic
+2 the secant through a and b meets l in (l.b)a + (l.a)b: a point of the
+secant whose product with l is 2(l.a)(l.b) = 0, so one scaling per pair
+gives the focus, and the focus count is the number of distinct focus
+indices in a row.  The per-arc functions are one-element calls into the
+same kernels.
 
 Two consequences of hyperfocusedness drive the search (`search.py`):
 through every arc point the |K| - 1 secants meet l in pairwise distinct
@@ -23,20 +31,22 @@ arc, and |K| is even.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Tuple
 
-from hyperfocus.field import GF
+import numpy as np
+
+from hyperfocus.field import GF, tables
 from hyperfocus.plane import (
     Line,
     Point,
     SamePoint,
-    collinear,
-    dot,
+    ZeroTriple,
+    crosses,
     incident,
+    indexed_points,
     line_through,
     meet,
-    point_index,
-    scale,
+    point_indices,
 )
 
 Arc = Tuple[Point, ...]
@@ -74,85 +84,167 @@ class BadExponent(ArcError):
     """Translation hyperoval exponent i needs gcd(i, s) = 1."""
 
 
-def make_arc(gf: GF, points: Iterable[Sequence[int]]) -> Arc:
-    """Scale, sort, and validate a collection of points as an arc.
+def stacks_by_size(
+    point_sets: Sequence[Sequence[Sequence[int]]],
+) -> Iterator[Tuple[List[int], np.ndarray]]:
+    """The list positions of the sets of each size, with those sets as one
+    (n, k, 3) int64 stack; sizes in order of first appearance."""
+    groups: Dict[int, List[int]] = {}
+    for i, pts in enumerate(point_sets):
+        groups.setdefault(len(pts), []).append(i)
+    for k, idx in groups.items():
+        stack = np.array([point_sets[i] for i in idx], dtype=np.int64)
+        yield idx, stack.reshape(len(idx), k, 3)
 
-    Raises DuplicatePoint for a point given twice (under any scaling) and
-    NotAnArc, naming three collinear points, when two secants coincide.
-    """
-    pts = [scale(gf, p) for p in points]
-    if len(set(pts)) != len(pts):
-        raise DuplicatePoint("repeated point")
-    pts.sort(key=lambda p: point_index(gf, p))
-    triple = _collinear_triple(gf, pts)
-    if triple:
-        raise NotAnArc("{}, {}, {} are collinear".format(*triple))
-    return tuple(pts)
+
+def _secant_indices(gf: GF, stack: np.ndarray) -> np.ndarray:
+    """(n, C(k, 2)) dense indices of the secants of each row, in
+    `itertools.combinations` order; -1 where two points span no line."""
+    i, j = np.triu_indices(stack.shape[1], 1)
+    return point_indices(gf, crosses(gf, stack[:, i], stack[:, j]))
+
+
+def distinct_rows(lines: np.ndarray) -> np.ndarray:
+    """Per row of secant indices: no -1 and no index twice, i.e. the
+    points the secants join, scaled or not, form an arc."""
+    lines = np.sort(lines, axis=-1)
+    return (lines[..., :1] >= 0).all(-1) & (lines[..., 1:] != lines[..., :-1]).all(-1)
+
+
+def are_arcs(gf: GF, point_sets: Sequence[Sequence[Sequence[int]]]) -> List[bool]:
+    """is_arc of each set, one kernel call per set size."""
+    out = [False] * len(point_sets)
+    for idx, stack in stacks_by_size(point_sets):
+        for i, ok in zip(idx, distinct_rows(_secant_indices(gf, stack)).tolist()):
+            out[i] = ok
+    return out
 
 
 def is_arc(gf: GF, points: Sequence[Point]) -> bool:
     """True when the points, scaled or not, are distinct and no three are
     collinear; a point given twice or a zero triple gives False."""
-    try:
-        return _collinear_triple(gf, points) is None
-    except SamePoint:  # two of the points span no line
-        return False
+    return are_arcs(gf, [points])[0]
 
 
-def _collinear_triple(gf: GF, pts: Sequence[Point]) -> Optional[Tuple[Point, Point, Point]]:
-    """Three collinear points of `pts`, from the first two pairs whose
-    secants coincide, or None when the secants are pairwise distinct."""
-    seen: Dict[Line, Tuple[Point, Point]] = {}
-    for pair, line in zip(itertools.combinations(pts, 2), secants(gf, pts)):
-        first = seen.setdefault(line, pair)
-        if first is not pair:  # all of the (3 or 4) points lie on `line`
-            return tuple(dict.fromkeys(first + pair))[:3]
-    return None
+def make_arcs(gf: GF, point_sets: Sequence[Iterable[Sequence[int]]]) -> List[Arc]:
+    """make_arc of each set, one kernel call per set size.
+
+    Raises what make_arc raises for the first set in the list that is no
+    arc, with that set's list position as the error's `index`.
+    """
+    point_sets = [list(pts) for pts in point_sets]
+    out: List[Arc] = [()] * len(point_sets)
+    errors: List[Tuple[int, ValueError]] = []
+    for idx, stack in stacks_by_size(point_sets):
+        ranks = np.sort(point_indices(gf, stack), axis=1)
+        pts = indexed_points(gf, ranks)
+        lines = _secant_indices(gf, pts)
+        for i, row in zip(idx, pts.tolist()):
+            out[i] = tuple(map(tuple, row))
+        bad = np.flatnonzero(~distinct_rows(lines))
+        if bad.size:
+            r = bad[0]
+            errors.append((idx[r], _arc_error(ranks[r], out[idx[r]], lines[r])))
+    if errors:
+        index, exc = min(errors, key=lambda e: e[0])
+        exc.index = index
+        raise exc
+    return out
+
+
+def _arc_error(ranks: np.ndarray, pts: Arc, lines: np.ndarray) -> ValueError:
+    """What make_arc raises for sorted points that are no arc: ZeroTriple,
+    DuplicatePoint, or NotAnArc naming three points of the first pair whose
+    secant repeats an earlier one."""
+    if ranks[0] < 0:
+        return ZeroTriple("zero triple")
+    if (ranks[1:] == ranks[:-1]).any():
+        return DuplicatePoint("repeated point")
+    values, first = np.unique(lines, return_index=True)
+    later = np.setdiff1d(np.arange(len(lines)), first)[0]
+    earlier = first[np.searchsorted(values, lines[later])]
+    pairs = list(itertools.combinations(pts, 2))
+    triple = tuple(dict.fromkeys(pairs[earlier] + pairs[later]))[:3]
+    return NotAnArc("{}, {}, {} are collinear".format(*triple))
+
+
+def make_arc(gf: GF, points: Iterable[Sequence[int]]) -> Arc:
+    """Scale, sort, and validate a collection of points as an arc.
+
+    Raises ZeroTriple for a zero triple, DuplicatePoint for a point given
+    twice (under any scaling) and NotAnArc, naming three collinear points,
+    when two secants coincide.
+    """
+    return make_arcs(gf, [points])[0]
 
 
 def secants(gf: GF, arc: Arc) -> List[Line]:
     """The lines through two of the points, in `itertools.combinations`
     order; pairwise distinct exactly when the points form an arc.  Raises
     SamePoint for two points that span no line."""
-    return [line_through(gf, a, b) for a, b in itertools.combinations(arc, 2)]
+    ((_, stack),) = stacks_by_size([arc])
+    lines = _secant_indices(gf, stack)[0]
+    if (lines < 0).any():
+        a, b = list(itertools.combinations(arc, 2))[np.argmin(lines)]
+        raise SamePoint(f"{a} and {b} coincide")
+    return list(map(tuple, indexed_points(gf, lines).tolist()))
 
 
 def is_exterior(gf: GF, arc: Arc, m: Line) -> bool:
     return not any(incident(gf, p, m) for p in arc)
 
 
-def focus_set(gf: GF, arc: Arc, line: Line) -> Tuple[Point, ...]:
-    """Intersections of the secants with an exterior line, deduplicated,
-    in dense index order.
+def _focus_indices(gf: GF, stack: np.ndarray, line: Line) -> np.ndarray:
+    """(n, C(k, 2)) dense indices of the meets of each row's secants with
+    an exterior line, in `itertools.combinations` order.
 
     Each point p is scaled once to u_p = p / (l.p), so that l.u_p = 1;
     the secant through a and b then meets l in u_a + u_b, the scaled
     (l.b)a + (l.a)b.
     """
-    lam = [dot(gf, p, line) for p in arc]
-    if not all(lam):
+    tab = tables(gf)
+    lam = np.bitwise_xor.reduce(tab.mul(stack, np.array(line)), axis=-1)
+    if not lam.all():
         raise LineMeetsArc(f"line {line} meets the arc")
-    u = [tuple(gf.div(x, la) for x in p) for p, la in zip(arc, lam)]
-    seen = {
-        scale(gf, (a[0] ^ b[0], a[1] ^ b[1], a[2] ^ b[2]))
-        for a, b in itertools.combinations(u, 2)
-    }
-    return tuple(sorted(seen, key=lambda p: point_index(gf, p)))
+    u = tab.div(stack, lam[..., None])
+    i, j = np.triu_indices(stack.shape[1], 1)
+    foci = point_indices(gf, u[:, i] ^ u[:, j])
+    if (foci < 0).any():  # u_a = u_b: a point given twice
+        raise ZeroTriple("zero triple")
+    return foci
+
+
+def focus_set(gf: GF, arc: Arc, line: Line) -> Tuple[Point, ...]:
+    """Intersections of the secants with an exterior line, deduplicated,
+    in dense index order."""
+    ((_, stack),) = stacks_by_size([arc])
+    foci = np.unique(_focus_indices(gf, stack, line))
+    return tuple(map(tuple, indexed_points(gf, foci).tolist()))
+
+
+def focus_verdicts(
+    gf: GF, arcs: Sequence[Arc], line: Line
+) -> List[Tuple[str, int]]:
+    """classify_focus of each arc on one exterior line, one kernel call per
+    arc size: the focus count is the number of distinct foci in a row."""
+    out: List[Tuple[str, int]] = [(NEITHER, 0)] * len(arcs)
+    for idx, stack in stacks_by_size(arcs):
+        foci = np.sort(_focus_indices(gf, stack, line), axis=1)
+        counts = (foci[:, 1:] != foci[:, :-1]).sum(1) + (foci.shape[1] > 0)
+        k = stack.shape[1]
+        verdicts = {k - 1: HYPERFOCUSED, k: SHARPLY_FOCUSED}
+        for i, n in zip(idx, counts.tolist()):
+            out[i] = (verdicts.get(n, NEITHER), n)
+    return out
 
 
 def focus_count(gf: GF, arc: Arc, line: Line) -> int:
-    return len(focus_set(gf, arc, line))
+    return classify_focus(gf, arc, line)[1]
 
 
 def classify_focus(gf: GF, arc: Arc, line: Line) -> Tuple[str, int]:
     """Verdict and focus-set size of the arc on an exterior line."""
-    n = focus_count(gf, arc, line)
-    k = len(arc)
-    if n == k - 1:
-        return HYPERFOCUSED, n
-    if n == k:
-        return SHARPLY_FOCUSED, n
-    return NEITHER, n
+    return focus_verdicts(gf, [arc], line)[0]
 
 
 def diagonal_line(gf: GF, arc: Arc) -> Line:
@@ -163,10 +255,10 @@ def diagonal_line(gf: GF, arc: Arc) -> Line:
     """
     if len(arc) != 4:
         raise ArcError("diagonal line needs exactly 4 points")
-    a, b, c, d = arc
-    d1 = meet(gf, line_through(gf, a, b), line_through(gf, c, d))
-    d2 = meet(gf, line_through(gf, a, c), line_through(gf, b, d))
-    d3 = meet(gf, line_through(gf, a, d), line_through(gf, b, c))
+    ab, ac, ad, bc, bd, cd = secants(gf, arc)
+    d1 = meet(gf, ab, cd)
+    d2 = meet(gf, ac, bd)
+    d3 = meet(gf, ad, bc)
     ln = line_through(gf, d1, d2)
     if not incident(gf, d3, ln):
         raise ArcError("diagonal points not collinear: not characteristic 2?")
@@ -221,9 +313,8 @@ def double_translation_arc(
     moved = (base[0] ^ sx, base[1] ^ sy, 1)
     if moved in arc:
         raise PointInArc(f"{moved} already in the arc")
-    for a, b in itertools.combinations(arc, 2):
-        if collinear(gf, a, b, moved):
-            raise PointOnSecant(f"{moved} lies on a secant of the arc")
+    if not is_arc(gf, arc + (moved,)):
+        raise PointOnSecant(f"{moved} lies on a secant of the arc")
     bigger_group = additive_closure(gf, list(group) + [(sx, sy)])
     return bigger_group, translation_arc(gf, bigger_group, base)
 

@@ -36,7 +36,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from hyperfocus.field import GF
+from hyperfocus.field import GF, Tables, tables
 from hyperfocus.plane import (
     LINE_AT_INFINITY,
     DegenerateFrame,
@@ -87,46 +87,6 @@ def serialize_arc(gf: GF, arc: Arc) -> bytes:
     )
 
 
-class _Tables:
-    """Per-field lookup arrays for the batched kernel.
-
-    log sends 0 to the sentinel 2(q-1); exp is zero from there on, so a
-    log sum involving 0 (at most 4(q-1)) reads back 0.  frob_y[i] sends
-    an ordinate to its 2^i-th power and frob_x[i] does the same shifted
-    left by s, so frob_x[i][X] | frob_y[i][Y] is the point index of the
-    i-th Frobenius image of (X, Y).  uint16 holds every index and log sum
-    up to q = 256, uint32 beyond.  The kernel gathers from these tables
-    with `take`, which numpy runs about three times faster than the same
-    integer-array indexing on a 12-arc's (1320, 12) index arrays.
-    """
-
-    __slots__ = ("log", "exp", "frob_x", "frob_y")
-
-    def __init__(self, gf: GF):
-        q = gf.q
-        dtype = np.uint16 if gf.s <= 8 else np.uint32
-        self.log = np.array([2 * (q - 1)] + gf.log[1:], dtype=dtype)
-        self.exp = np.zeros(4 * q, dtype=dtype)
-        self.exp[: 2 * (q - 1)] = gf.exp
-        frob = np.array(
-            [[gf.frobenius(a, i) for a in range(q)] for i in range(gf.s)],
-            dtype=dtype,
-        )
-        self.frob_y = frob
-        self.frob_x = frob << gf.s
-
-
-_TABLES: Dict[Tuple[int, int], _Tables] = {}
-
-
-def _tables(gf: GF) -> _Tables:
-    key = (gf.s, gf.modulus)
-    tab = _TABLES.get(key)
-    if tab is None:
-        tab = _TABLES[key] = _Tables(gf)
-    return tab
-
-
 def _affine_ordinates(gf: GF, arc: Arc, line: Line) -> Tuple[np.ndarray, np.ndarray]:
     """x and y arrays of the arc points after a fixed collineation sending
     the line to Z = 0: with t the last nonzero coefficient of the line,
@@ -142,7 +102,7 @@ def _affine_ordinates(gf: GF, arc: Arc, line: Line) -> Tuple[np.ndarray, np.ndar
         out.append((gf.mul(p[r], wi), gf.mul(p[u], wi)))
     if len(out) < 3:
         raise ValueError("arc too small for a triple")
-    x, y = np.array(out, dtype=_tables(gf).log.dtype).T.copy()
+    x, y = np.array(out, dtype=tables(gf).log.dtype).T.copy()
     return x, y
 
 
@@ -158,7 +118,7 @@ def _lex_min_row(rows: np.ndarray) -> List[int]:
 
 
 def _normalized_images(
-    gf: GF, tab: _Tables, x: np.ndarray, y: np.ndarray, p1, p2, p3
+    gf: GF, tab: Tables, x: np.ndarray, y: np.ndarray, p1, p2, p3
 ) -> Tuple[np.ndarray, np.ndarray]:
     """x and y of every point's image under the normalizing map of each
     triple (p1, p2, p3) of point numbers: two (len(p3), n) arrays."""
@@ -188,7 +148,7 @@ def _kernel(
     Triples are taken ordering by ordering of the index-increasing ones,
     identity first, so those rows are the first C(n, 3).
     """
-    tab = _tables(gf)
+    tab = tables(gf)
     n = len(x)
     i1, i2, i3 = np.indices((n, n, n)).reshape(3, -1)
     inc = np.stack([v[(i1 < i2) & (i2 < i3)] for v in (i1, i2, i3)])
@@ -200,7 +160,8 @@ def _kernel(
     for lo in range(0, len(i3), step):
         blk = slice(lo, lo + step)
         img_x, img_y = _normalized_images(gf, tab, x, y, i1[blk], i2[blk], i3[blk])
-        for i, (fx, fy) in enumerate(zip(tab.frob_x, tab.frob_y)):
+        # fx[X] | fy[Y] is the point index of a Frobenius image of (X, Y)
+        for i, (fx, fy) in enumerate(zip(tab.frob << gf.s, tab.frob)):
             rows = fx.take(img_x) | fy.take(img_y)
             rows.sort(axis=1)
             if i == 0 and lo < n_inc:
@@ -253,7 +214,8 @@ def canonical_forms(
     the image of no arc and never hits, so every error is raised exactly
     as canonical_form raises it.
     """
-    tab = _tables(gf)
+    tab = tables(gf)
+    frob_x = tab.frob << gf.s
     seen: Dict[bytes, bytes] = {}
     forms: List[bytes] = []
     for arc in arcs:
@@ -261,7 +223,7 @@ def canonical_forms(
         form = None
         if seen:
             img_x, img_y = _normalized_images(gf, tab, x, y, *_ORDERINGS.T)
-            rows = (tab.frob_x[:, img_x] | tab.frob_y[:, img_y]).reshape(-1, len(x))
+            rows = (frob_x[:, img_x] | tab.frob[:, img_y]).reshape(-1, len(x))
             rows.sort(axis=1)
             form = next(filter(None, map(seen.get, _row_keys(rows))), None)
         if form is None:

@@ -19,17 +19,20 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from hyperfocus.arcs import (
     HYPERFOCUSED,
     ArcError,
+    are_arcs,
     classify_focus,
     diagonal_line,
     double_translation_arc,
     additive_closure,
-    is_arc,
+    focus_verdicts,
     is_exterior,
     translation_arc,
     translation_hyperoval,
 )
 from hyperfocus.canon import arc_digest, canonical_forms, digest, equivalence_classes
-from hyperfocus.conics import hyperconic_witness
+# hyperconic_witness is not called here: it is imported for the
+# benchmark's tracer (bench/run.py), which wraps it by name
+from hyperfocus.conics import hyperconic_witness, hyperconic_witnesses  # noqa: F401
 from hyperfocus.field import GF, FieldError, make_field
 from hyperfocus.plane import LINE_AT_INFINITY, Line, all_lines, incident, scale
 from hyperfocus.search import (
@@ -239,25 +242,37 @@ def cmd_verify(args) -> int:
         print("verified=0/0")
         return EX_OK
     gf = _record_field(records)
-    rows = []
-    # records whose stored digest is rechecked, grouped by focus line
-    by_line: Dict[Line, List[int]] = {}
+    arcs = []
+    stored_lines: List[Optional[Line]] = []
     for i, rec in enumerate(records):
-        pts = tuple(_record_points(gf, rec, i))
-        arc_ok = is_arc(gf, pts)
+        arcs.append(tuple(_record_points(gf, rec, i)))
         if "line" in rec:
-            line = _record_triple(gf, rec["line"], i, "line")
-        elif arc_ok and len(pts) == 4:
-            line = diagonal_line(gf, pts)
+            stored_lines.append(_record_triple(gf, rec["line"], i, "line"))
         else:
-            line = LINE_AT_INFINITY
-        exterior = arc_ok and is_exterior(gf, pts, line)
-        verdict, size = ("-", 0)
-        if exterior:
-            verdict, size = classify_focus(gf, pts, line)
-        wit = None
-        if arc_ok and len(pts) >= 6:
-            wit = hyperconic_witness(gf, pts)
+            stored_lines.append(None)
+    arc_ok = are_arcs(gf, arcs)
+    # each list call below runs one kernel per arc size (and focus line)
+    by_line: Dict[Line, List[int]] = {}
+    for i, (pts, ok, line) in enumerate(zip(arcs, arc_ok, stored_lines)):
+        if line is None:
+            line = diagonal_line(gf, pts) if ok and len(pts) == 4 else LINE_AT_INFINITY
+        if ok and is_exterior(gf, pts, line):
+            by_line.setdefault(line, []).append(i)
+    focus: Dict[int, Tuple[str, int]] = {}
+    digests: Dict[int, str] = {}
+    for line, idx in by_line.items():
+        focus.update(zip(idx, focus_verdicts(gf, [arcs[i] for i in idx], line)))
+        # records whose stored digest is rechecked
+        stored = [i for i in idx if "digest" in records[i]]
+        forms = canonical_forms(gf, [arcs[i] for i in stored], line)
+        digests.update(zip(stored, map(digest, forms)))
+    big = [i for i, (pts, ok) in enumerate(zip(arcs, arc_ok)) if ok and len(pts) >= 6]
+    witnesses = dict(zip(big, hyperconic_witnesses(gf, [arcs[i] for i in big])))
+    ok_count = 0
+    for i, (rec, pts, is_arc) in enumerate(zip(records, arcs, arc_ok)):
+        exterior = i in focus
+        verdict, size = focus.get(i, ("-", 0))
+        wit = witnesses.get(i)
         found = wit is not None and wit.found
         derived = {
             "k": len(pts),
@@ -265,28 +280,19 @@ def cmd_verify(args) -> int:
             "hyperconic": None if wit is None else wit.found,
             "conic": list(wit.conic) if found else None,
             "nucleus": list(wit.nucleus) if found else None,
-            "digest": None,
+            "digest": digests.get(i),
         }
-        if "digest" in rec and exterior:
-            by_line.setdefault(line, []).append(i)
-        hyper = "-" if wit is None else str(wit.found).lower()
-        summary = (
-            f"arc={i} k={len(pts)} is_arc={str(arc_ok).lower()} "
-            f"focus={size} verdict={verdict} hyperconic={hyper}"
-        )
-        rows.append((pts, summary, exterior and verdict == HYPERFOCUSED, derived))
-    for line, idx in by_line.items():
-        forms = canonical_forms(gf, [rows[i][0] for i in idx], line)
-        for i, form in zip(idx, forms, strict=True):
-            rows[i][3]["digest"] = digest(form)
-    ok = 0
-    for rec, (_, summary, focused, derived) in zip(records, rows):
         failed = [c for c in CLAIMS if c in rec and rec[c] != derived[c]]
-        good = focused and not failed
-        ok += good
-        print(f"{summary} failed={','.join(failed) or '-'} ok={str(good).lower()}")
-    print(f"verified={ok}/{len(records)}")
-    return EX_OK if ok == len(records) else EX_FAIL
+        good = exterior and verdict == HYPERFOCUSED and not failed
+        ok_count += good
+        hyper = "-" if wit is None else str(wit.found).lower()
+        print(
+            f"arc={i} k={len(pts)} is_arc={str(is_arc).lower()} "
+            f"focus={size} verdict={verdict} hyperconic={hyper} "
+            f"failed={','.join(failed) or '-'} ok={str(good).lower()}"
+        )
+    print(f"verified={ok_count}/{len(records)}")
+    return EX_OK if ok_count == len(records) else EX_FAIL
 
 
 def cmd_construct(args) -> int:
@@ -370,14 +376,23 @@ def cmd_classify(args) -> int:
     }
     if lines - {LINE_AT_INFINITY}:
         raise DataError(f"records carry mixed focus lines: {sorted(lines)}")
-    seen: Dict[Tuple, None] = {}
+    # the first failing record, in file order, is the one reported
+    point_sets = []
+    bad_points = None
     for i, rec in enumerate(records):
-        pts = _record_points(gf, rec, i)
-        if not is_arc(gf, pts):
+        try:
+            point_sets.append(_record_points(gf, rec, i))
+        except DataError as exc:
+            bad_points = exc
+            break
+    for i, (pts, ok) in enumerate(zip(point_sets, are_arcs(gf, point_sets))):
+        if not ok:
             raise DataError(f"record {i} is not an arc")
         if not is_exterior(gf, tuple(pts), LINE_AT_INFINITY):
             raise DataError(f"record {i} meets the focus line")
-        seen.setdefault(tuple(sorted(pts)), None)
+    if bad_points is not None:
+        raise bad_points
+    seen = dict.fromkeys(tuple(sorted(pts)) for pts in point_sets)
     arcs = [tuple(pts) for pts in seen]
     classes = equivalence_classes(gf, arcs)
     print(f"classes={len(classes)} arcs={len(arcs)}")

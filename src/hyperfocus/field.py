@@ -6,11 +6,15 @@ Multiplication runs through exp/log tables built once per field; the exp
 table is doubled so a product needs no modular reduction of the log sum.
 The generator w (encoded as 2) must be primitive, which construction
 verifies, so discrete logs are defined for every nonzero element.
+`tables` gives the same logs and powers as numpy arrays, built once per
+field on first use, for the kernels that work on whole arrays.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Dict, Iterator, Tuple
+
+import numpy as np
 
 
 class FieldError(ValueError):
@@ -170,6 +174,53 @@ class GF:
 
     def __repr__(self) -> str:
         return f"GF(2^{self.s}, modulus=0x{self.modulus:X})"
+
+
+class Tables:
+    """Per-field numpy lookup arrays for batched arithmetic.
+
+    log sends 0 to the sentinel 2(q-1); exp is zero from there on, so a
+    sum of two logs involving 0 (at most 4(q-1)) reads back 0, and
+    exp[log a + log b] is the product a*b for all a, b.  frob[i] sends an
+    element to its 2^i-th power.  uint16 holds every element and log sum
+    up to q = 256, uint32 beyond; a value that mixes elements into a
+    point or line index (up to q^2 + q) must be widened to int64 first.
+    Gather from these tables with `take`, which numpy runs about three
+    times faster than the same integer-array indexing.
+    """
+
+    __slots__ = ("log", "exp", "frob")
+
+    def __init__(self, gf: GF):
+        q = gf.q
+        dtype = np.uint16 if gf.s <= 8 else np.uint32
+        self.log = np.array([2 * (q - 1)] + gf.log[1:], dtype=dtype)
+        self.exp = np.zeros(4 * q, dtype=dtype)
+        self.exp[: 2 * (q - 1)] = gf.exp
+        self.frob = np.array(
+            [[gf.frobenius(a, i) for a in range(q)] for i in range(gf.s)],
+            dtype=dtype,
+        )
+
+    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Elementwise a*b."""
+        return self.exp.take(self.log.take(a) + self.log.take(b))
+
+    def div(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Elementwise a/b; every b must be nonzero."""
+        return self.exp.take(self.log.take(a) + (len(self.log) - 1 - self.log.take(b)))
+
+
+_TABLES: Dict[Tuple[int, int], Tables] = {}
+
+
+def tables(gf: GF) -> Tables:
+    """The field's numpy tables, built on the first call."""
+    key = (gf.s, gf.modulus)
+    tab = _TABLES.get(key)
+    if tab is None:
+        tab = _TABLES[key] = Tables(gf)
+    return tab
 
 
 def make_field(s: int, modulus: int | None = None) -> GF:

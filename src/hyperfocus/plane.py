@@ -8,13 +8,17 @@ formula joins two points into a line and meets two lines in a point.
 
 Dense point index: affine (x, y, 1) -> x*q + y, direction (m, 1, 0) ->
 q^2 + m, and (1, 0, 0) -> q^2 + q, covering all q^2 + q + 1 points.
+`crosses`, `point_indices` and `indexed_points` do the same on numpy
+arrays of triples, for the batched kernels of `arcs` and `conics`.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Sequence, Tuple
 
-from hyperfocus.field import GF
+import numpy as np
+
+from hyperfocus.field import GF, tables
 
 Point = Tuple[int, int, int]
 Line = Tuple[int, int, int]
@@ -86,19 +90,6 @@ def incident(gf: GF, p: Point, m: Line) -> bool:
     return dot(gf, p, m) == 0
 
 
-def det3(gf: GF, a: Sequence[int], b: Sequence[int], c: Sequence[int]) -> int:
-    m = gf.mul
-    return (
-        m(a[0], m(b[1], c[2]) ^ m(b[2], c[1]))
-        ^ m(a[1], m(b[0], c[2]) ^ m(b[2], c[0]))
-        ^ m(a[2], m(b[0], c[1]) ^ m(b[1], c[0]))
-    )
-
-
-def collinear(gf: GF, a: Point, b: Point, c: Point) -> bool:
-    return det3(gf, a, b, c) == 0
-
-
 # --- dense point index ---------------------------------------------------
 
 
@@ -120,6 +111,45 @@ def point_from_index(gf: GF, i: int) -> Point:
     if i == q * q + q:
         return (1, 0, 0)
     raise ValueError(f"index {i} out of range")
+
+
+# --- the same on numpy arrays of triples, last axis (x, y, z) -----------
+
+# (u x v)_t = u_{t+1} v_{t+2} + u_{t+2} v_{t+1} in characteristic 2
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
+
+
+def crosses(gf: GF, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Elementwise char-2 cross products (unscaled) of two triple arrays."""
+    tab = tables(gf)
+    return tab.mul(u[..., _NEXT], v[..., _PREV]) ^ tab.mul(u[..., _PREV], v[..., _NEXT])
+
+
+def point_indices(gf: GF, t: np.ndarray) -> np.ndarray:
+    """Dense int64 index of each triple, scaled; -1 for a zero triple."""
+    tab = tables(gf)
+    q = gf.q
+    x, y, z = np.moveaxis(t, -1, 0)
+    lead = np.where(z != 0, z, np.where(y != 0, y, x))
+    lead |= lead == 0  # the zero triple's index is set below
+    xs = tab.div(x, lead).astype(np.int64)
+    ys = tab.div(y, lead).astype(np.int64)
+    return np.where(
+        z != 0,
+        xs * q + ys,
+        np.where(y != 0, q * q + xs, np.where(x != 0, q * q + q, -1)),
+    )
+
+
+def indexed_points(gf: GF, idx: np.ndarray) -> np.ndarray:
+    """The canonical int64 triples of dense indices; (0, 0, 0) for -1."""
+    q = gf.q
+    affine = idx < q * q
+    direction = ~affine & (idx < q * q + q)
+    x = np.where(affine, idx // q, np.where(direction, idx - q * q, 1))
+    y = np.where(affine, idx % q, direction)
+    return np.stack([x, y, affine], axis=-1) * (idx >= 0)[..., None]
 
 
 def all_points(gf: GF) -> Iterator[Point]:

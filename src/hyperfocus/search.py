@@ -57,10 +57,18 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from hyperfocus.arcs import HYPERFOCUSED, ArcError, classify_focus, make_arc
+# classify_focus and hyperconic_witness are not called here: they are
+# imported for the benchmark's tracer (bench/run.py), which wraps them by name
+from hyperfocus.arcs import (  # noqa: F401
+    HYPERFOCUSED,
+    ArcError,
+    classify_focus,
+    focus_verdicts,
+    make_arcs,
+)
 from hyperfocus.canon import canonical_forms, frobenius_orbit_reps, serialize_arc
 from hyperfocus.canon import digest as form_digest
-from hyperfocus.conics import hyperconic_witness
+from hyperfocus.conics import hyperconic_witness, hyperconic_witnesses  # noqa: F401
 from hyperfocus.field import GF, make_field
 from hyperfocus.plane import LINE_AT_INFINITY, Point, frobenius_point
 
@@ -607,23 +615,26 @@ def _postprocess(
     # the stream fixes the fourth frame ordinate to a Frobenius orbit
     # representative; the full family of frame-normalized arcs is the
     # orbit closure (Frobenius fixes the frame and the focus line)
-    unique: Dict[Tuple[Point, ...], None] = {}
-    for arc in reps_found:
-        for i in range(gf.s):
-            try:
-                img = make_arc(gf, [frobenius_point(gf, p, i) for p in arc])
-            except ArcError as exc:
-                msg = f"emitted arc fails verification: {exc} in {arc}"
-                raise VerificationError(msg) from exc
-            unique.setdefault(img, None)
-    for arc in unique:
-        verdict, size = classify_focus(gf, arc, LINE_AT_INFINITY)
+    images = [
+        [frobenius_point(gf, p, i) for p in arc]
+        for arc in reps_found
+        for i in range(gf.s)
+    ]
+    try:
+        unique = list(dict.fromkeys(make_arcs(gf, images)))
+    except ArcError as exc:
+        # gf.s images per representative, in order
+        arc = list(reps_found)[exc.index // gf.s]
+        msg = f"emitted arc fails verification: {exc} in {arc}"
+        raise VerificationError(msg) from exc
+    verdicts = focus_verdicts(gf, unique, LINE_AT_INFINITY)
+    for arc, (verdict, size) in zip(unique, verdicts):
         if len(arc) != k or verdict != HYPERFOCUSED or size != k - 1:
             raise VerificationError(f"emitted arc fails verification: {arc}")
         counters["verified"] += 1
     entries = []
-    for arc, form in zip(unique, canonical_forms(gf, unique), strict=True):
-        wit = hyperconic_witness(gf, arc)
+    forms = canonical_forms(gf, unique)
+    for arc, form, wit in zip(unique, forms, hyperconic_witnesses(gf, unique), strict=True):
         record = {
             "q": gf.q,
             "modulus": hex(gf.modulus),

@@ -25,7 +25,7 @@ from hyperfocus.arcs import (
     make_arc,
 )
 from hyperfocus.canon import frobenius_orbit_reps, serialize_arc
-from hyperfocus.conics import Conic, ConicError, nucleus, on_conic
+from hyperfocus.conics import Conic, ConicError
 from hyperfocus.field import GF
 from hyperfocus.plane import (
     LINE_AT_INFINITY,
@@ -33,8 +33,6 @@ from hyperfocus.plane import (
     Line,
     Point,
     all_points,
-    collinear,
-    det3,
     frobenius_point,
     incident,
     line_through,
@@ -49,6 +47,19 @@ Matrix = Tuple[Tuple[int, int, int], Tuple[int, int, int], Tuple[int, int, int]]
 # the verdicts of `census_verdict` on a candidate that is no stream survivor
 NOT_AN_ARC = "not-an-arc"
 FOCUS_COUNT = "focus-count"
+
+
+def det3(gf: GF, a: Sequence[int], b: Sequence[int], c: Sequence[int]) -> int:
+    m = gf.mul
+    return (
+        m(a[0], m(b[1], c[2]) ^ m(b[2], c[1]))
+        ^ m(a[1], m(b[0], c[2]) ^ m(b[2], c[0]))
+        ^ m(a[2], m(b[0], c[1]) ^ m(b[1], c[0]))
+    )
+
+
+def collinear(gf: GF, a: Point, b: Point, c: Point) -> bool:
+    return det3(gf, a, b, c) == 0
 
 
 def line_points(gf: GF, m: Line) -> List[Point]:
@@ -124,6 +135,33 @@ def solve_conic(gf: GF, pts: Sequence[Sequence[int]]) -> Optional[Tuple[int, ...
     for col, i in pivots.items():
         sol[col] = rows[i][free[0]]
     return tuple(sol)
+
+
+def conic_oracle(gf: GF, pts: Sequence[Sequence[int]]) -> Optional[Conic]:
+    """The conic through five points by Gauss elimination, scaled so its
+    first nonzero coefficient is 1; None when it is not unique."""
+    sol = solve_conic(gf, pts)
+    if sol is None:
+        return None
+    li = gf.inv(next(v for v in sol if v))
+    return tuple(gf.mul(li, v) for v in sol)
+
+
+def on_conic(gf: GF, conic: Conic, p: Sequence[int]) -> bool:
+    return _eval(gf, conic, p) == 0
+
+
+def is_nondegenerate(gf: GF, conic: Conic) -> bool:
+    """(d, e, f) != 0: the form is not a perfect square."""
+    return tuple(conic[3:]) != (0, 0, 0)
+
+
+def nucleus(gf: GF, conic: Conic) -> Point:
+    """The common point of all tangents: (f, e, d), scaled."""
+    d, e, f = conic[3], conic[4], conic[5]
+    if (d, e, f) == (0, 0, 0):
+        raise ConicError("degenerate conic has no nucleus")
+    return scale(gf, (f, e, d))
 
 
 def _is_nucleus(gf: GF, conic_pts: set, n: Tuple[int, int, int]) -> bool:

@@ -1,15 +1,18 @@
 """Arc predicates, focus sets, translation constructions, enumeration."""
 
 import ast
+import json
 import random
+import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from oracles import (
-    K12_A,
     arc_accepts,
     arc_oracle,
+    collinear,
     complete_to_hyperovals,
     enumerate_hyperfocused,
     enumerate_hyperfocused_naive,
@@ -30,19 +33,24 @@ from hyperfocus.arcs import (
     PointInArc,
     PointOnSecant,
     additive_closure,
+    are_arcs,
     classify_focus,
     diagonal_line,
     double_translation_arc,
     focus_count,
     focus_set,
+    focus_verdicts,
     is_arc,
     is_exterior,
     make_arc,
+    make_arcs,
     secants,
     translation_arc,
     translation_hyperoval,
 )
 from hyperfocus import arcs, plane
+from hyperfocus.conics import hyperconic_witness, hyperconic_witnesses
+from hyperfocus.field import GF
 from hyperfocus.plane import (
     LINE_AT_INFINITY,
     ZeroTriple,
@@ -53,6 +61,7 @@ from hyperfocus.plane import (
 )
 
 QUAD = ((0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1))
+K12_RESULTS = Path(__file__).resolve().parent.parent / "results" / "k12.jsonl"
 
 
 def test_make_arc_basics(gf4):
@@ -241,7 +250,7 @@ def test_arc_checks_match_triple_oracle(qname, request):
             make_arc(gf, pts)
         triple = ast.literal_eval(str(exc.value).removesuffix(" are collinear"))
         assert len(set(triple)) == 3 and set(triple) <= set(pts)
-        assert plane.collinear(gf, *triple)
+        assert collinear(gf, *triple)
         # the same set with a point under a second scaling, or a zero triple
         t = rng.randrange(2, gf.q)
         assert not is_arc(gf, pts + [rescaled(gf, pts[0], t)])
@@ -284,30 +293,84 @@ def test_focus_set_matches_meet_oracle(qname, request):
         checked += 1
 
 
-def test_arc_checks_cost_pairs_not_triples(gf32, monkeypatch):
-    """On a 12-arc, `make_arc` and `is_arc` join each of the 66 point
-    pairs once and test no triple, and `focus_set` joins and meets no
-    lines: a return to the C(k, 3) checks fails here."""
-    joins = []
+@pytest.mark.parametrize("qname", ["gf8", "gf16", "gf32"])
+def test_list_kernels_match_oracles(qname, request, monkeypatch):
+    """One list call, on sets of 2 to 11 points mixing arcs, non-arcs and
+    points given twice under two scalings, runs the secant kernel once
+    per set size and decides each set as the C(k, 3) oracle and the
+    per-set wrappers do; `make_arcs` raises the first non-arc's error with
+    its position.  Focus counts on lines other than Z = 0 match the
+    meet oracle."""
+    gf = request.getfixturevalue(qname)
+    rng = random.Random(3 * gf.q)
+    pts = list(all_points(gf))
+    sets = list(point_sets(gf, rng, 80))
+    for _ in range(10):
+        arc = list(random_arc(gf, rng, rng.randrange(3, 9), pts))
+        arc.insert(rng.randrange(len(arc)), rescaled(gf, arc[0], rng.randrange(2, gf.q)))
+        sets.append(arc)
+    rng.shuffle(sets)
+    want = [arc_oracle(gf, s) for s in sets]
+    assert want.count(True) > 15 and want.count(False) > 15
 
-    def counted(gf, p, r):
-        joins.append((p, r))
-        return line_through(gf, p, r)
+    kernel = arcs._secant_indices
+    sizes = []
+
+    def counted(gf, stack):
+        sizes.append(stack.shape[1])
+        return kernel(gf, stack)
+
+    monkeypatch.setattr(arcs, "_secant_indices", counted)
+    assert are_arcs(gf, sets) == want
+    assert sorted(sizes) == sorted({len(s) for s in sets})
+    assert [is_arc(gf, s) for s in sets] == want
+
+    good = [s for s, ok in zip(sets, want) if ok]
+    scaled = [
+        tuple(sorted((plane.scale(gf, p) for p in s), key=lambda p: plane.point_index(gf, p)))
+        for s in good
+    ]
+    assert make_arcs(gf, good) == [make_arc(gf, s) for s in good] == scaled
+    first = want.index(False)
+    with pytest.raises(ArcError) as exc:
+        make_arcs(gf, sets)
+    assert exc.value.index == first
+    with pytest.raises(type(exc.value), match=re.escape(str(exc.value))):
+        make_arc(gf, sets[first])
+
+    lines = [m for m in all_lines(gf) if m != LINE_AT_INFINITY]
+    for m in rng.sample(lines, 3):
+        ext = [a for a in good if is_exterior(gf, a, m)]
+        assert len({len(a) for a in ext}) > 2
+        got = focus_verdicts(gf, ext, m)
+        assert [n for _, n in got] == [len(focus_set_oracle(gf, a, m)) for a in ext]
+        assert got == [classify_focus(gf, a, m) for a in ext]
+        assert [focus_set(gf, a, m) for a in ext] == [focus_set_oracle(gf, a, m) for a in ext]
+
+
+def test_list_kernels_make_no_scalar_field_calls(gf32, monkeypatch):
+    """On the 60 k=12 records the arc check, `make_arcs`, the focus counts
+    and the hyperconic witness run as numpy gathers: no `GF.mul`, `inv` or
+    `div` call, and no scalar cross product, dot product, scaling, join or
+    meet.  A return to per-pair or per-triple Python arithmetic fails
+    here."""
+    sets = [json.loads(line)["points"] for line in K12_RESULTS.read_text().splitlines()]
+    want = [make_arc(gf32, s) for s in sets]
+    wits = [hyperconic_witness(gf32, a) for a in want]
 
     def refused(*args):
-        raise AssertionError("a triple test or a line meet on the pair path")
+        raise AssertionError("scalar field arithmetic on the list path")
 
-    monkeypatch.setattr(arcs, "line_through", counted)
-    for name in ("collinear", "det3"):
-        monkeypatch.setattr(arcs, name, refused, raising=False)
+    for name in ("mul", "inv", "div"):
+        monkeypatch.setattr(GF, name, refused)
+    for name in ("cross", "dot", "scale", "line_through", "meet", "incident"):
         monkeypatch.setattr(plane, name, refused)
-    assert make_arc(gf32, K12_A) == K12_A
-    assert len(joins) == 66
-    assert is_arc(gf32, K12_A)
-    assert len(joins) == 132
-    monkeypatch.setattr(arcs, "line_through", refused)
-    monkeypatch.setattr(arcs, "meet", refused)
-    assert classify_focus(gf32, K12_A, LINE_AT_INFINITY) == (HYPERFOCUSED, 11)
+        monkeypatch.setattr(arcs, name, refused, raising=False)
+    assert make_arcs(gf32, sets) == want
+    assert are_arcs(gf32, sets) == [True] * 60
+    assert focus_verdicts(gf32, want, LINE_AT_INFINITY) == [(HYPERFOCUSED, 11)] * 60
+    assert hyperconic_witnesses(gf32, want) == wits
+    assert all(w.found for w in wits)
 
 
 # --- translation constructions --------------------------------------------

@@ -21,13 +21,15 @@ from hyperfocus.cli import (
     parse_felt,
     parse_pairs,
 )
+from hyperfocus import arcs as arcs_module
+from hyperfocus import conics as conics_module
 from hyperfocus import search
 from hyperfocus.arcs import NEITHER
 from hyperfocus.cli import UsageError
 from hyperfocus.field import make_field
 from hyperfocus.plane import scale
 
-from oracles import moved_arc, schemaless_config_hash
+from oracles import arc_oracle, moved_arc, schemaless_config_hash
 
 K12_RESULTS = Path(__file__).resolve().parent.parent / "results" / "k12.jsonl"
 
@@ -178,7 +180,9 @@ def test_search_cli_discrepancy_fails(monkeypatch):
 def test_search_cli_verification_error_fails(monkeypatch):
     """An emitted arc that fails re-verification is a failed
     verification (exit 1), not a usage error."""
-    monkeypatch.setattr(search, "classify_focus", lambda gf, arc, line: (NEITHER, 0))
+    monkeypatch.setattr(
+        search, "focus_verdicts", lambda gf, arcs, line: [(NEITHER, 0)] * len(arcs)
+    )
     code, _, err = run_cli("search", "--s", "3", "--k", "10")
     assert code == EX_FAIL
     assert "verification error: emitted arc fails verification" in err
@@ -589,6 +593,113 @@ def test_classify_rejects_point_on_line(tmp_path):
     }
     path.write_text(json.dumps(rec) + "\n")
     assert run_cli("classify", str(path))[0] == EX_DATA
+
+
+def _records_with_faults(tmp_path, faults):
+    """The first five k=12 records, with record 1's third point put on the
+    line X = 0 of its first two ("no arc"), one point of record 2 moved
+    onto the focus line, keeping an arc ("on line"), and record 3
+    carrying an out-of-field coordinate ("bad point")."""
+    gf = make_field(5, 0x25)
+    recs = [json.loads(line) for line in K12_RESULTS.read_text().splitlines()[:5]]
+    if "no arc" in faults:
+        assert recs[1]["points"][:2] == [[0, 0, 1], [0, 1, 1]]
+        recs[1]["points"][2] = [0, 2, 1]
+    if "on line" in faults:
+        pts = recs[2]["points"]
+        pts[4] = next(
+            [m, 1, 0] for m in range(gf.q) if arc_oracle(gf, pts[:4] + [[m, 1, 0]] + pts[5:])
+        )
+    if "bad point" in faults:
+        recs[3]["points"][5] = [40, 1, 1]
+    path = tmp_path / "faults.jsonl"
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in recs))
+    return path
+
+
+@pytest.mark.parametrize(
+    "faults, verify_err, classify_err",
+    [
+        (("no arc", "bad point"), "record 3: bad point [40, 1, 1]", "record 1 is not an arc"),
+        (("on line", "bad point"), "record 3: bad point [40, 1, 1]", "record 2 meets the focus line"),
+        (("bad point",), "record 3: bad point [40, 1, 1]", "record 3: bad point [40, 1, 1]"),
+        (("no arc", "on line"), None, "record 1 is not an arc"),
+    ],
+)
+def test_read_paths_report_the_first_failing_record(tmp_path, faults, verify_err, classify_err):
+    """verify rejects a record only for bad data, classify also for a
+    non-arc or a point on the focus line; each reports the first failing
+    record of the file, with exit 65, and prints nothing else."""
+    path = _records_with_faults(tmp_path, faults)
+    code, out, err = run_cli("classify", str(path))
+    assert (code, out, err) == (EX_DATA, "", f"data error: {classify_err}\n")
+    code, out, err = run_cli("verify", str(path))
+    if verify_err is None:
+        assert code == EX_FAIL and err == ""
+        rows = out.splitlines()
+        assert "is_arc=false" in rows[1] and "verdict=-" in rows[2]
+        assert rows[-1] == "verified=3/5"
+    else:
+        assert (code, out, err) == (EX_DATA, "", f"data error: {verify_err}\n")
+
+
+def test_postprocess_reports_the_first_failing_image(gf32):
+    """Among emitted orbit representatives, the first that is no arc is
+    reported, with the error make_arc gives for it, even when a later one
+    fails on a repeated point."""
+    recs = [json.loads(line) for line in K12_RESULTS.read_text().splitlines()[:4]]
+    raw = [tuple(map(tuple, rec["points"])) for rec in recs]
+    raw[1] = raw[1][:2] + ((0, 2, 1),) + raw[1][3:]
+    raw[3] = raw[3][:-1] + (raw[3][0],)
+    with pytest.raises(search.VerificationError) as exc:
+        search._postprocess(gf32, 12, raw, search.new_counters())
+    assert str(exc.value) == (
+        "emitted arc fails verification: (0, 0, 1), (0, 1, 1), (0, 2, 1) "
+        f"are collinear in {raw[1]}"
+    )
+    raw[1] = tuple(map(tuple, recs[1]["points"]))
+    with pytest.raises(search.VerificationError) as exc:
+        search._postprocess(gf32, 12, raw, search.new_counters())
+    assert str(exc.value) == f"emitted arc fails verification: repeated point in {raw[3]}"
+
+
+def test_k12_paths_run_one_kernel_per_size_group(gf32, monkeypatch):
+    """On the 60 stored 12-arcs the write path (`_postprocess`) and the
+    read paths (`verify`, `classify`) make one call per size group into
+    each list kernel, instead of one per arc: the arc check (secants),
+    the focus counts and the hyperconic witness."""
+    calls = []
+    for module, name in (
+        (arcs_module, "_secant_indices"),
+        (arcs_module, "_focus_indices"),
+        (conics_module, "_witness_kernel"),
+    ):
+
+        def counted(gf, stack, *rest, _name=name, _kernel=getattr(module, name)):
+            calls.append((_name, stack.shape[:2]))
+            return _kernel(gf, stack, *rest)
+
+        monkeypatch.setattr(module, name, counted)
+    recs = [json.loads(line) for line in K12_RESULTS.read_text().splitlines()]
+    raw = [tuple(map(tuple, rec["points"])) for rec in recs]
+    _, records = search._postprocess(gf32, 12, raw, search.new_counters())
+    assert records == recs
+    assert calls == [
+        ("_secant_indices", (300, 12)),
+        ("_focus_indices", (60, 12)),
+        ("_witness_kernel", (60, 12)),
+    ]
+    calls.clear()
+    code, out, _ = run_cli("verify", str(K12_RESULTS))
+    assert code == EX_OK and out.endswith("verified=60/60\n")
+    assert calls == [
+        ("_secant_indices", (60, 12)),
+        ("_focus_indices", (60, 12)),
+        ("_witness_kernel", (60, 12)),
+    ]
+    calls.clear()
+    assert run_cli("classify", str(K12_RESULTS))[0] == EX_OK
+    assert calls == [("_secant_indices", (60, 12))]
 
 
 # --- construct --------------------------------------------------------------

@@ -11,19 +11,21 @@ from hyperfocus.conics import (
     conic_through,
     hyperconic_contains,
     hyperconic_witness,
-    is_nondegenerate,
-    nucleus,
-    on_conic,
+    hyperconic_witnesses,
 )
 from hyperfocus.plane import all_points, scale
 
 from oracles import (
     arc_accepts,
+    conic_oracle,
     conic_points,
     hyperconic,
     hyperconic_oracle,
+    is_nondegenerate,
     line_points,
     lines_through,
+    nucleus,
+    on_conic,
 )
 
 
@@ -176,3 +178,86 @@ def test_oracle_agrees_on_random_six_arcs(gf8):
         arc = make_arc(gf8, arc)
         assert hyperconic_contains(gf8, arc) == hyperconic_oracle(gf8, arc)
         done += 1
+
+
+def _general_quintuple(gf, rng, pts):
+    five = ()
+    while len(five) < 5:
+        p = rng.choice(pts)
+        if arc_accepts(gf, five, p):
+            five += (p,)
+    return five
+
+
+def witness_cases(gf, rng):
+    """Arcs of 6 to 9 points, as given (unsorted), with the quintuple the
+    witness must pick or None: in a hyperconic with the nucleus at each
+    position 0..5 (drop that point), at position 6 or nowhere (drop
+    point 5), then greedy random arcs, most in no hyperconic."""
+    pts = list(all_points(gf))
+    cases = []
+    for j in (0, 1, 2, 3, 4, 5, 6, None):
+        conic = conic_oracle(gf, _general_quintuple(gf, rng, pts))
+        on = conic_points(gf, conic)
+        arc = rng.sample(on, rng.randrange(6, 9))
+        if j is not None:
+            arc.insert(j, nucleus(gf, conic))
+        drop = j if j is not None and j < 6 else 5
+        cases.append((arc, tuple(i for i in range(6) if i != drop)))
+    while len(cases) < 16:
+        arc = ()
+        for p in rng.sample(pts, len(pts)):
+            if len(arc) == rng.randrange(6, 10):
+                break
+            if arc_accepts(gf, arc, p):
+                arc += (p,)
+        if len(arc) >= 6:
+            cases.append((list(arc), None))
+    rng.shuffle(cases)
+    return cases
+
+
+@pytest.mark.parametrize("qname", ["gf8", "gf16", "gf32"])
+def test_witness_list_matches_oracles(qname, request):
+    """One `hyperconic_witnesses` call on arcs of several sizes equals the
+    per-arc wrapper and the oracles: found exactly when the all-5-subsets
+    oracle finds a hyperconic, with the Gauss conic of the chosen
+    quintuple, its nucleus, every point on the conic or the nucleus, and
+    the first good quintuple in drop order 5, 4, ..., 0.  `conic_through`
+    agrees with the Gauss conic on general quintuples."""
+    gf = request.getfixturevalue(qname)
+    rng = random.Random(5 * gf.q)
+    cases = witness_cases(gf, rng)
+    arcs = [arc for arc, _ in cases]
+    assert len({len(a) for a in arcs}) > 1
+    wits = hyperconic_witnesses(gf, arcs)
+    assert wits == [hyperconic_witness(gf, a) for a in arcs]
+    for (arc, quint), wit in zip(cases, wits):
+        assert wit.found == hyperconic_oracle(gf, arc)
+        if quint is not None:
+            assert wit.quintuple == quint
+        if wit.found:
+            assert wit.conic == conic_oracle(gf, [arc[i] for i in wit.quintuple])
+            assert wit.nucleus == nucleus(gf, wit.conic)
+            assert all(on_conic(gf, wit.conic, p) or p == wit.nucleus for p in arc)
+            assert all(isinstance(v, int) for v in wit.conic + wit.nucleus)
+    assert sum(w.found for w in wits) >= 8
+    pts = list(all_points(gf))
+    for _ in range(10):
+        five = _general_quintuple(gf, rng, pts)
+        assert conic_through(gf, five) == conic_oracle(gf, five)
+
+
+def test_witness_list_raises_for_the_first_bad_arc(gf8):
+    """A list call raises what the per-arc call raises for the first arc
+    it rejects: a quintuple of the first six points not in general
+    position before any witness, or fewer than six points."""
+    good = translation_hyperoval(gf8, 1)[:6]
+    flat = [(0, 0, 1), (0, 1, 1), (0, 2, 1), (1, 0, 1), (1, 1, 1), (2, 3, 1)]
+    small = list(good[:5])
+    for arcs, error in (([good, flat, small], DegenerateInput), ([good, small, flat], ConicError)):
+        with pytest.raises(error) as exc:
+            hyperconic_witnesses(gf8, arcs)
+        assert type(exc.value) is error
+    with pytest.raises(DegenerateInput):
+        hyperconic_witness(gf8, flat)

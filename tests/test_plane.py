@@ -12,7 +12,6 @@ from hyperfocus.plane import (
     SamePoint,
     all_lines,
     all_points,
-    collinear,
     frobenius_point,
     incident,
     line_through,
@@ -24,6 +23,7 @@ from hyperfocus.plane import (
 
 from oracles import (
     apply_line,
+    collinear,
     apply_point,
     frame_map,
     line_points,

@@ -42,10 +42,8 @@ from hyperfocus.plane import (
     SamePoint,
     ZeroTriple,
     crosses,
-    incident,
+    dots,
     indexed_points,
-    line_through,
-    meet,
     point_indices,
 )
 
@@ -191,7 +189,8 @@ def secants(gf: GF, arc: Arc) -> List[Line]:
 
 
 def is_exterior(gf: GF, arc: Arc, m: Line) -> bool:
-    return not any(incident(gf, p, m) for p in arc)
+    """No point of the arc lies on the line."""
+    return bool(dots(gf, np.array(arc, dtype=np.int64).reshape(-1, 3), np.array(m)).all())
 
 
 def _focus_indices(gf: GF, stack: np.ndarray, line: Line) -> np.ndarray:
@@ -202,11 +201,10 @@ def _focus_indices(gf: GF, stack: np.ndarray, line: Line) -> np.ndarray:
     the secant through a and b then meets l in u_a + u_b, the scaled
     (l.b)a + (l.a)b.
     """
-    tab = tables(gf)
-    lam = np.bitwise_xor.reduce(tab.mul(stack, np.array(line)), axis=-1)
+    lam = dots(gf, stack, np.array(line))
     if not lam.all():
         raise LineMeetsArc(f"line {line} meets the arc")
-    u = tab.div(stack, lam[..., None])
+    u = tables(gf).div(stack, lam[..., None])
     i, j = np.triu_indices(stack.shape[1], 1)
     foci = point_indices(gf, u[:, i] ^ u[:, j])
     if (foci < 0).any():  # u_a = u_b: a point given twice
@@ -251,18 +249,19 @@ def diagonal_line(gf: GF, arc: Arc) -> Line:
     """The line carrying the three diagonal points of a 4-arc.
 
     In characteristic 2 the diagonal points of a quadrangle are collinear,
-    so every 4-arc is hyperfocused on its diagonal line.
+    so every 4-arc is hyperfocused on its diagonal line.  Raises NotAnArc
+    for four collinear points, which have no diagonal points.
     """
     if len(arc) != 4:
         raise ArcError("diagonal line needs exactly 4 points")
-    ab, ac, ad, bc, bd, cd = secants(gf, arc)
-    d1 = meet(gf, ab, cd)
-    d2 = meet(gf, ac, bd)
-    d3 = meet(gf, ad, bc)
-    ln = line_through(gf, d1, d2)
-    if not incident(gf, d3, ln):
+    s = np.array(secants(gf, arc))  # ab, ac, ad, bc, bd, cd
+    d = crosses(gf, s[:3], s[:2:-1])  # ab x cd, ac x bd, ad x bc
+    ln = crosses(gf, d[0], d[1])
+    if not ln.any():
+        raise NotAnArc("the four points are collinear")
+    if dots(gf, d[2], ln):
         raise ArcError("diagonal points not collinear: not characteristic 2?")
-    return ln
+    return tuple(indexed_points(gf, point_indices(gf, ln)).tolist())
 
 
 # --- translation constructions --------------------------------------------

@@ -41,6 +41,7 @@ from hyperfocus.plane import (
     LINE_AT_INFINITY,
     DegenerateFrame,
     Line,
+    dots,
     point_index,
 )
 from hyperfocus.arcs import Arc, LineMeetsArc
@@ -70,7 +71,7 @@ def frobenius_orbit_reps(
         b = a
         while True:
             seen.add(b)
-            b = gf.mul(b, b)
+            b = gf.frobenius(b)
             if b == a:
                 break
     if 0 not in seen:
@@ -93,17 +94,14 @@ def _affine_ordinates(gf: GF, arc: Arc, line: Line) -> Tuple[np.ndarray, np.ndar
     the map keeps the other two coordinates and puts the line's form last."""
     t = max(i for i in range(3) if line[i])
     r, u = (i for i in range(3) if i != t)
-    out = []
-    for p in arc:
-        w = gf.mul(line[0], p[0]) ^ gf.mul(line[1], p[1]) ^ gf.mul(line[2], p[2])
-        if w == 0:
-            raise LineMeetsArc(f"{p} lies on the line {line}")
-        wi = gf.inv(w)
-        out.append((gf.mul(p[r], wi), gf.mul(p[u], wi)))
-    if len(out) < 3:
+    pts = np.array(arc, dtype=np.int64).reshape(-1, 3)
+    w = dots(gf, pts, np.array(line))
+    if not w.all():
+        raise LineMeetsArc(f"{arc[w.argmin()]} lies on the line {line}")
+    if len(pts) < 3:
         raise ValueError("arc too small for a triple")
-    x, y = np.array(out, dtype=tables(gf).log.dtype).T.copy()
-    return x, y
+    tab = tables(gf)
+    return tab.div(pts[:, r], w), tab.div(pts[:, u], w)
 
 
 def _lex_min_row(rows: np.ndarray) -> List[int]:

@@ -26,6 +26,7 @@ from hyperfocus.arcs import (
     additive_closure,
     focus_verdicts,
     is_exterior,
+    stacks_by_size,
     translation_arc,
     translation_hyperoval,
 )
@@ -34,7 +35,7 @@ from hyperfocus.canon import arc_digest, canonical_forms, digest, equivalence_cl
 # benchmark's tracer (bench/run.py), which wraps it by name
 from hyperfocus.conics import hyperconic_witness, hyperconic_witnesses  # noqa: F401
 from hyperfocus.field import GF, FieldError, make_field
-from hyperfocus.plane import LINE_AT_INFINITY, Line, all_lines, incident, scale
+from hyperfocus.plane import LINE_AT_INFINITY, Line, Point, all_lines, indexed_points, point_indices
 from hyperfocus.search import (
     COUNTER_KEYS,
     CheckpointMismatch,
@@ -164,7 +165,7 @@ def _record_field(records: Sequence[dict]) -> GF:
         raise DataError(f"records span several fields: {sorted(specs)}")
     q, modulus = specs.pop()
     s = q.bit_length() - 1
-    if 1 << s != q:
+    if q < 1 or 1 << s != q:
         raise DataError(f"q={q} is not a power of two")
     try:
         return make_field(s, modulus)
@@ -172,24 +173,34 @@ def _record_field(records: Sequence[dict]) -> GF:
         raise DataError(str(exc)) from None
 
 
-def _record_triple(gf: GF, v, i: int, what: str) -> Tuple[int, int, int]:
-    """A stored point or line: three field elements, not all zero, scaled."""
+def _record_triple(gf: GF, v, i: int, what: str) -> List[int]:
+    """A stored point or line: three field elements (JSON integers, not
+    booleans), not all zero; returned as stored."""
     if (
         not isinstance(v, list)
         or len(v) != 3
-        or not all(isinstance(x, int) and 0 <= x < gf.q for x in v)
+        or not all(type(x) is int and 0 <= x < gf.q for x in v)
     ):
         raise DataError(f"record {i}: bad {what} {v!r}")
     if v == [0, 0, 0]:
         raise DataError(f"record {i}: zero triple")
-    return scale(gf, v)
+    return v
 
 
-def _record_points(gf: GF, rec: dict, i: int) -> List[Tuple[int, int, int]]:
+def _record_points(gf: GF, rec: dict, i: int) -> List[List[int]]:
     pts = rec.get("points")
     if not isinstance(pts, list) or not pts:
         raise DataError(f"record {i}: missing points")
     return [_record_triple(gf, p, i, "point") for p in pts]
+
+
+def _scaled(gf: GF, triple_sets: Sequence[list]) -> List[Tuple[Point, ...]]:
+    """Each list of checked triples, scaled: one array call per list size."""
+    out: List[Tuple[Point, ...]] = [()] * len(triple_sets)
+    for idx, stack in stacks_by_size(triple_sets):
+        for i, row in zip(idx, indexed_points(gf, point_indices(gf, stack)).tolist()):
+            out[i] = tuple(map(tuple, row))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -242,14 +253,12 @@ def cmd_verify(args) -> int:
         print("verified=0/0")
         return EX_OK
     gf = _record_field(records)
-    arcs = []
-    stored_lines: List[Optional[Line]] = []
+    point_sets, line_sets = [], []
     for i, rec in enumerate(records):
-        arcs.append(tuple(_record_points(gf, rec, i)))
-        if "line" in rec:
-            stored_lines.append(_record_triple(gf, rec["line"], i, "line"))
-        else:
-            stored_lines.append(None)
+        point_sets.append(_record_points(gf, rec, i))
+        line_sets.append([_record_triple(gf, rec["line"], i, "line")] if "line" in rec else [])
+    arcs = _scaled(gf, point_sets)
+    stored_lines: List[Optional[Line]] = [ln[0] if ln else None for ln in _scaled(gf, line_sets)]
     arc_ok = are_arcs(gf, arcs)
     # each list call below runs one kernel per arc size (and focus line)
     by_line: Dict[Line, List[int]] = {}
@@ -345,7 +354,7 @@ def cmd_construct(args) -> int:
         # hyperovals are hyperfocused on every exterior line; sample a few
         sampled = 0
         for m in all_lines(gf):
-            if any(incident(gf, p, m) for p in arc):
+            if not is_exterior(gf, arc, m):
                 continue
             verdict, size = classify_focus(gf, arc, m)
             if verdict != HYPERFOCUSED or size != gf.q + 1:
@@ -369,11 +378,12 @@ def cmd_classify(args) -> int:
         print("classes=0 arcs=0")
         return EX_OK
     gf = _record_field(records)
-    lines = {
-        _record_triple(gf, rec["line"], i, "line")
+    line_sets = [
+        [_record_triple(gf, rec["line"], i, "line")]
         for i, rec in enumerate(records)
         if "line" in rec
-    }
+    ]
+    lines = {line for (line,) in _scaled(gf, line_sets)}
     if lines - {LINE_AT_INFINITY}:
         raise DataError(f"records carry mixed focus lines: {sorted(lines)}")
     # the first failing record, in file order, is the one reported
@@ -385,10 +395,11 @@ def cmd_classify(args) -> int:
         except DataError as exc:
             bad_points = exc
             break
+    point_sets = _scaled(gf, point_sets)
     for i, (pts, ok) in enumerate(zip(point_sets, are_arcs(gf, point_sets))):
         if not ok:
             raise DataError(f"record {i} is not an arc")
-        if not is_exterior(gf, tuple(pts), LINE_AT_INFINITY):
+        if not is_exterior(gf, pts, LINE_AT_INFINITY):
             raise DataError(f"record {i} meets the focus line")
     if bad_points is not None:
         raise bad_points

@@ -37,7 +37,7 @@ import numpy as np
 
 from hyperfocus.arcs import Arc, ArcError, distinct_rows, make_arc, stacks_by_size
 from hyperfocus.field import GF, Tables, tables
-from hyperfocus.plane import Point, crosses, indexed_points, point_indices
+from hyperfocus.plane import Point, crosses, dots, indexed_points, point_indices
 
 Conic = Tuple[int, int, int, int, int, int]
 
@@ -67,10 +67,6 @@ class DegenerateInput(ConicError):
     """Duplicate points, or three of the five collinear."""
 
 
-def _dots(tab: Tables, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.bitwise_xor.reduce(tab.mul(u, v), axis=-1)
-
-
 def _line_pairs(tab: Tables, l: np.ndarray, m: np.ndarray) -> np.ndarray:
     """The conic l*m of each pair of line triples, unscaled."""
     c = tab.mul(l[..., _LEFT], m[..., _RIGHT])
@@ -84,7 +80,7 @@ def _pencil_conics(gf: GF, lines: np.ndarray, p5: np.ndarray) -> np.ndarray:
     points in general position."""
     tab = tables(gf)
     l12, l34, l13, l24 = np.moveaxis(lines, -2, 0)
-    at = _dots(tab, lines, p5[..., None, :])  # Lij.P5
+    at = dots(gf, lines, p5[..., None, :])  # Lij.P5
     w1 = tab.mul(at[..., 2], at[..., 3])[..., None]
     w2 = tab.mul(at[..., 0], at[..., 1])[..., None]
     c = tab.mul(w1, _line_pairs(tab, l12, l34)) ^ tab.mul(w2, _line_pairs(tab, l13, l24))
@@ -130,7 +126,7 @@ def _witness_kernel(gf: GF, stack: np.ndarray) -> Tuple[list, list, list, list]:
     conics = _pencil_conics(gf, pencil, stack[:, _FIFTH])  # (n, 6, 6)
     nuclei = indexed_points(gf, point_indices(gf, conics[..., 5:2:-1]))
     monomials = tab.mul(stack[..., _LEFT], stack[..., _RIGHT])  # (n, k, 6)
-    values = _dots(tab, conics[:, :, None, :], monomials[:, None, :, :])  # (n, 6, k)
+    values = dots(gf, conics[:, :, None, :], monomials[:, None, :, :])  # (n, 6, k)
     # the nucleus is compared to the points as given
     holds = (values == 0) | (stack[:, None] == nuclei[:, :, None]).all(-1)
     stop = ~general | (conics[..., 3:].any(-1) & holds.all(-1))

@@ -6,8 +6,10 @@ Multiplication runs through exp/log tables built once per field; the exp
 table is doubled so a product needs no modular reduction of the log sum.
 The generator w (encoded as 2) must be primitive, which construction
 verifies, so discrete logs are defined for every nonzero element.
-`tables` gives the same logs and powers as numpy arrays, built once per
-field on first use, for the kernels that work on whole arrays.
+`tables` gives the same logs, powers and Frobenius maps as numpy arrays,
+built once per field on first use: the rest of the package multiplies and
+divides only through them, on whole arrays; the scalar methods serve
+library callers and the tests' references.
 """
 
 from __future__ import annotations

@@ -69,8 +69,8 @@ from hyperfocus.arcs import (  # noqa: F401
 from hyperfocus.canon import canonical_forms, frobenius_orbit_reps, serialize_arc
 from hyperfocus.canon import digest as form_digest
 from hyperfocus.conics import hyperconic_witness, hyperconic_witnesses  # noqa: F401
-from hyperfocus.field import GF, make_field
-from hyperfocus.plane import LINE_AT_INFINITY, Point, frobenius_point
+from hyperfocus.field import GF, make_field, tables
+from hyperfocus.plane import LINE_AT_INFINITY, Point
 
 # target size -> (min, max) focus count demanded of the 8-point stage
 FOCUS_BOUNDS = {10: (9, 9), 12: (11, 11), 14: (9, 13)}
@@ -145,21 +145,18 @@ class _NumpyTables:
         if not hasattr(np, "bitwise_count"):
             raise SearchError(f"numpy {np.__version__} is too old: the search needs numpy >= 2.0")
         q = gf.q
-        slope = np.full((q, q), q, dtype=np.int64)
-        for dx in range(1, q):
-            inv = gf.inv(dx)
-            for dy in range(q):
-                slope[dx, dy] = gf.mul(dy, inv)
+        xs = np.arange(q)
         self.q = q
-        self.xs = np.arange(q)
-        self.slope = slope
+        self.xs = xs
+        # slope[dx, dy] = dy / dx, and q (vertical) on the row dx = 0
+        slope = self.slope = np.vstack([np.full((1, q), q), tables(gf).div(xs, xs[1:, None])])
         self.slope_bit = (np.uint64(1) << slope.astype(np.uint64))
         # the same bits as Python ints, for the per-point extension search
         self.slope_bits = self.slope_bit.tolist()
         # rays[y0 * q + dx, y]: the direction from any (x0, y0) to (x0 ^ dx,
         # y), but no bit for vertical, so that q slopes fit 32 bits
         flat = np.where(slope < q, 1 << slope, 0).astype(np.uint32)
-        self.rays = flat[:, self.xs[:, None] ^ self.xs].transpose(1, 0, 2).reshape(q * q, q)
+        self.rays = flat[:, xs[:, None] ^ xs].transpose(1, 0, 2).reshape(q * q, q)
 
 
 # 32-bit words per pair chunk, and (g, h) pairs per row block, of the
@@ -615,11 +612,8 @@ def _postprocess(
     # the stream fixes the fourth frame ordinate to a Frobenius orbit
     # representative; the full family of frame-normalized arcs is the
     # orbit closure (Frobenius fixes the frame and the focus line)
-    images = [
-        [frobenius_point(gf, p, i) for p in arc]
-        for arc in reps_found
-        for i in range(gf.s)
-    ]
+    reps = np.array(list(reps_found), dtype=np.int64).reshape(-1, k, 3)
+    images = tables(gf).frob.take(reps, axis=1).swapaxes(0, 1).reshape(-1, k, 3).tolist()
     try:
         unique = list(dict.fromkeys(make_arcs(gf, images)))
     except ArcError as exc:

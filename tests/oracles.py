@@ -32,13 +32,10 @@ from hyperfocus.plane import (
     DegenerateFrame,
     Line,
     Point,
+    SamePoint,
+    ZeroTriple,
     all_points,
-    frobenius_point,
-    incident,
-    line_through,
-    meet,
     point_index,
-    scale,
 )
 from hyperfocus.search import new_counters
 
@@ -47,6 +44,79 @@ Matrix = Tuple[Tuple[int, int, int], Tuple[int, int, int], Tuple[int, int, int]]
 # the verdicts of `census_verdict` on a candidate that is no stream survivor
 NOT_AN_ARC = "not-an-arc"
 FOCUS_COUNT = "focus-count"
+
+
+# ---------------------------------------------------------------------------
+# scalar plane arithmetic, one GF.mul/GF.inv at a time: the reference the
+# package's array helpers (plane.crosses, dots, point_indices) are checked
+# against
+
+
+class SameLine(ValueError):
+    """Two coincident lines do not meet in a single point."""
+
+
+def scale(gf: GF, t: Sequence[int]) -> Point:
+    """Canonical representative: divide by the last nonzero coordinate."""
+    x, y, z = t
+    if z:
+        zi = gf.inv(z)
+        return (gf.mul(x, zi), gf.mul(y, zi), 1)
+    if y:
+        yi = gf.inv(y)
+        return (gf.mul(x, yi), 1, 0)
+    if x:
+        return (1, 0, 0)
+    raise ZeroTriple("zero triple")
+
+
+def cross(gf: GF, u: Sequence[int], v: Sequence[int]) -> Tuple[int, int, int]:
+    """Char-2 cross product (unscaled)."""
+    m = gf.mul
+    return (
+        m(u[1], v[2]) ^ m(u[2], v[1]),
+        m(u[2], v[0]) ^ m(u[0], v[2]),
+        m(u[0], v[1]) ^ m(u[1], v[0]),
+    )
+
+
+def dot(gf: GF, u: Sequence[int], v: Sequence[int]) -> int:
+    m = gf.mul
+    return m(u[0], v[0]) ^ m(u[1], v[1]) ^ m(u[2], v[2])
+
+
+def line_through(gf: GF, p: Point, r: Point) -> Line:
+    w = cross(gf, p, r)
+    if w == (0, 0, 0):
+        raise SamePoint(f"{p} and {r} coincide")
+    return scale(gf, w)
+
+
+def meet(gf: GF, m1: Line, m2: Line) -> Point:
+    w = cross(gf, m1, m2)
+    if w == (0, 0, 0):
+        raise SameLine(f"{m1} and {m2} coincide")
+    return scale(gf, w)
+
+
+def incident(gf: GF, p: Point, m: Line) -> bool:
+    return dot(gf, p, m) == 0
+
+
+def point_from_index(gf: GF, i: int) -> Point:
+    q = gf.q
+    if i < q * q:
+        return (i // q, i % q, 1)
+    if i < q * q + q:
+        return (i - q * q, 1, 0)
+    if i == q * q + q:
+        return (1, 0, 0)
+    raise ValueError(f"index {i} out of range")
+
+
+def frobenius_point(gf: GF, p: Point, i: int = 1) -> Point:
+    """Coordinate-wise field automorphism; a collineation of the plane."""
+    return (gf.frobenius(p[0], i), gf.frobenius(p[1], i), gf.frobenius(p[2], i))
 
 
 def det3(gf: GF, a: Sequence[int], b: Sequence[int], c: Sequence[int]) -> int:
@@ -369,6 +439,23 @@ def normalize_frame(
     return t, image
 
 
+def affine_ordinates_oracle(gf: GF, arc: Sequence[Point], line: Line) -> List[Tuple[int, int]]:
+    """canon._affine_ordinates one point at a time: the two coordinates
+    other than the line's last nonzero one, divided by the point's dot
+    product with the line."""
+    t = max(i for i in range(3) if line[i])
+    r, u = (i for i in range(3) if i != t)
+    out = []
+    for p in arc:
+        w = dot(gf, p, line)
+        if w == 0:
+            raise LineMeetsArc(f"{p} lies on the line {line}")
+        out.append((gf.div(p[r], w), gf.div(p[u], w)))
+    if len(out) < 3:
+        raise ValueError("arc too small for a triple")
+    return out
+
+
 def canonical_form_oracle(
     gf: GF, arc: Arc, line: Line = LINE_AT_INFINITY
 ) -> bytes:
@@ -398,6 +485,17 @@ def arc_oracle(gf: GF, pts: Sequence[Sequence[int]]) -> bool:
         if not any(a) or not any(b) or scale(gf, a) == scale(gf, b):
             return False
     return not any(collinear(gf, a, b, c) for a, b, c in combinations(pts, 3))
+
+
+def diagonal_line_oracle(gf: GF, quad: Sequence[Point]) -> Line:
+    """The join of two diagonal points of a quadrangle, checked to carry
+    the third; SameLine when the four points are collinear."""
+    ab, ac, ad, bc, bd, cd = (line_through(gf, a, b) for a, b in combinations(quad, 2))
+    d1, d2, d3 = meet(gf, ab, cd), meet(gf, ac, bd), meet(gf, ad, bc)
+    ln = line_through(gf, d1, d2)
+    if not incident(gf, d3, ln):
+        raise ValueError("diagonal points not collinear")
+    return ln
 
 
 def focus_set_oracle(gf: GF, arc: Arc, line: Line) -> Tuple[Point, ...]:

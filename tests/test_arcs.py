@@ -14,11 +14,16 @@ from oracles import (
     arc_oracle,
     collinear,
     complete_to_hyperovals,
+    diagonal_line_oracle,
     enumerate_hyperfocused,
     enumerate_hyperfocused_naive,
     extend_arc,
     focus_set_oracle,
+    incident,
+    line_points,
+    line_through,
     line_type,
+    scale,
     tangents_through,
 )
 
@@ -56,8 +61,6 @@ from hyperfocus.plane import (
     ZeroTriple,
     all_lines,
     all_points,
-    incident,
-    line_through,
 )
 
 QUAD = ((0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1))
@@ -117,7 +120,43 @@ def test_every_quadrangle_hyperfocused_on_diagonal(gf32):
             if arc_accepts(gf32, arc, p):
                 arc = extend_arc(gf32, arc, p)
         line = diagonal_line(gf32, arc)
+        assert line == diagonal_line_oracle(gf32, arc)
         assert classify_focus(gf32, arc, line) == (HYPERFOCUSED, 3)
+
+
+@pytest.mark.parametrize("qname", ["gf8", "gf32"])
+def test_exterior_and_diagonal_match_scalar_oracles(qname, request):
+    """`is_exterior` and `diagonal_line` run on numpy dot and cross
+    products and agree with the scalar incidence, join and meet oracles:
+    at q = 8 every point against every line and a 4-arc through every
+    point, at q = 32 seeded random arcs and lines (the random 4-arcs are
+    in the test above).  A quadrangle with three collinear points gets
+    the oracle's line; four collinear points, where the oracle's meet
+    fails, raise NotAnArc."""
+    gf = request.getfixturevalue(qname)
+    rng = random.Random(gf.q + 5)
+    pts = list(all_points(gf))
+    lines = list(all_lines(gf))
+    sets = [(p,) for p in pts] if gf.q == 8 else []
+    sets += [random_arc(gf, rng, rng.randrange(1, 13), pts) for _ in range(40)]
+    for arc in sets:
+        for m in lines if gf.q == 8 else rng.sample(lines, 60):
+            assert is_exterior(gf, arc, m) == (not any(incident(gf, p, m) for p in arc))
+    quads = []
+    for p in pts if gf.q == 8 else []:
+        quad = (p,)
+        for r in rng.sample(pts, len(pts)):
+            if len(quad) < 4 and arc_accepts(gf, quad, r):
+                quad += (r,)
+        quads.append(quad)
+    for m in rng.sample(lines, 20):
+        on = line_points(gf, m)
+        quads.append(tuple(on[:3]) + (rng.choice([p for p in pts if p not in on]),))
+        with pytest.raises(NotAnArc):
+            diagonal_line(gf, tuple(on[:4]))
+    assert [diagonal_line(gf, quad) for quad in quads] == [
+        diagonal_line_oracle(gf, quad) for quad in quads
+    ]
 
 
 def test_tangents_through_quadrangle(gf4):
@@ -327,7 +366,7 @@ def test_list_kernels_match_oracles(qname, request, monkeypatch):
 
     good = [s for s, ok in zip(sets, want) if ok]
     scaled = [
-        tuple(sorted((plane.scale(gf, p) for p in s), key=lambda p: plane.point_index(gf, p)))
+        tuple(sorted((scale(gf, p) for p in s), key=lambda p: plane.point_index(gf, p)))
         for s in good
     ]
     assert make_arcs(gf, good) == [make_arc(gf, s) for s in good] == scaled
@@ -351,9 +390,9 @@ def test_list_kernels_match_oracles(qname, request, monkeypatch):
 def test_list_kernels_make_no_scalar_field_calls(gf32, monkeypatch):
     """On the 60 k=12 records the arc check, `make_arcs`, the focus counts
     and the hyperconic witness run as numpy gathers: no `GF.mul`, `inv` or
-    `div` call, and no scalar cross product, dot product, scaling, join or
-    meet.  A return to per-pair or per-triple Python arithmetic fails
-    here."""
+    `div` call, so no scalar cross product, dot product, scaling, join or
+    meet either.  A return to per-pair or per-triple Python arithmetic
+    fails here."""
     sets = [json.loads(line)["points"] for line in K12_RESULTS.read_text().splitlines()]
     want = [make_arc(gf32, s) for s in sets]
     wits = [hyperconic_witness(gf32, a) for a in want]
@@ -363,9 +402,6 @@ def test_list_kernels_make_no_scalar_field_calls(gf32, monkeypatch):
 
     for name in ("mul", "inv", "div"):
         monkeypatch.setattr(GF, name, refused)
-    for name in ("cross", "dot", "scale", "line_through", "meet", "incident"):
-        monkeypatch.setattr(plane, name, refused)
-        monkeypatch.setattr(arcs, name, refused, raising=False)
     assert make_arcs(gf32, sets) == want
     assert are_arcs(gf32, sets) == [True] * 60
     assert focus_verdicts(gf32, want, LINE_AT_INFINITY) == [(HYPERFOCUSED, 11)] * 60

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from hyperfocus.arcs import (
     make_arc,
     translation_arc,
 )
+from hyperfocus import canon
 from hyperfocus.canon import (
     arc_digest,
     canonical_form,
@@ -23,22 +25,25 @@ from hyperfocus.canon import (
     frobenius_orbit_reps,
     serialize_arc,
 )
-from hyperfocus.field import make_field
+from hyperfocus.field import make_field, tables
 from hyperfocus.plane import (
     LINE_AT_INFINITY,
     DegenerateFrame,
     all_points,
-    scale,
 )
 
 from oracles import (
+    affine_ordinates_oracle,
     apply_point,
     arc_accepts,
     canonical_form_oracle,
     extend_arc,
+    frobenius_point,
+    incident,
     moved_arc,
     normalize_frame,
     random_z0_collineation,
+    scale,
 )
 
 QUAD = ((0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1))
@@ -91,6 +96,33 @@ def test_serialize_arc_shape(gf32, gf8):
     assert len(serialize_arc(gf512, arc9)) == 4 * 3 * 2
 
 
+@pytest.mark.parametrize("qname", ["gf8", "gf32"])
+def test_affine_ordinates_match_scalar_oracle(qname, request):
+    """`_affine_ordinates` divides by numpy dot products and agrees with
+    the per-point scalar map, as arrays of field elements: at q = 8 for
+    every line and all the points off it, at q = 32 for seeded random
+    lines and points.  Given every point, both name the same first point
+    on the line in LineMeetsArc; fewer than three points are too few."""
+    gf = request.getfixturevalue(qname)
+    rng = random.Random(gf.q)
+    pts = list(all_points(gf))
+    lines = pts if gf.q == 8 else rng.sample(pts, 40)
+    for m in lines:
+        off = [p for p in pts if not incident(gf, p, m)]
+        if gf.q == 32:
+            off = rng.sample(off, 60)
+        x, y = canon._affine_ordinates(gf, tuple(off), m)
+        assert x.dtype == y.dtype == tables(gf).log.dtype
+        assert list(zip(x.tolist(), y.tolist())) == affine_ordinates_oracle(gf, off, m)
+        shuffled = tuple(rng.sample(pts, len(pts)))
+        with pytest.raises(LineMeetsArc) as want:
+            affine_ordinates_oracle(gf, shuffled, m)
+        with pytest.raises(LineMeetsArc, match=re.escape(str(want.value))):
+            canon._affine_ordinates(gf, shuffled, m)
+        with pytest.raises(ValueError, match="arc too small for a triple"):
+            canon._affine_ordinates(gf, tuple(off[:2]), m)
+
+
 def test_normalize_frame_reference_position(gf8):
     group = additive_closure(gf8, [(1, 1), (2, 4), (4, 6)])
     arc = translation_arc(gf8, group)
@@ -116,8 +148,6 @@ def test_normalize_frame_rejects_line_points(gf8):
 def test_canonical_form_invariance(gf8):
     """The form survives every line-stabilizing projectivity and every
     Frobenius twist."""
-    from hyperfocus.plane import frobenius_point
-
     group = additive_closure(gf8, [(1, 1), (2, 4), (4, 6)])
     arc = translation_arc(gf8, group)
     base = canonical_form(gf8, arc)

@@ -27,9 +27,8 @@ from hyperfocus import search
 from hyperfocus.arcs import NEITHER
 from hyperfocus.cli import UsageError
 from hyperfocus.field import make_field
-from hyperfocus.plane import scale
 
-from oracles import arc_oracle, moved_arc, schemaless_config_hash
+from oracles import arc_oracle, moved_arc, scale, schemaless_config_hash
 
 K12_RESULTS = Path(__file__).resolve().parent.parent / "results" / "k12.jsonl"
 
@@ -478,6 +477,35 @@ def test_verify_mixed_fields(tmp_path):
         + "\n"
     )
     assert run_cli("verify", str(path))[0] == EX_DATA
+
+
+@pytest.mark.parametrize("command", ["verify", "classify"])
+def test_read_paths_reject_q_below_one(tmp_path, command):
+    """A record with q < 1 is malformed data, exit 65, for both readers:
+    q = 0 has no power-of-two exponent to shift by."""
+    rec = json.loads(K12_RESULTS.read_text().splitlines()[0])
+    path = tmp_path / "q.jsonl"
+    for q in (0, -32):
+        path.write_text(json.dumps({**rec, "q": q}) + "\n")
+        want = (EX_DATA, "", f"data error: q={q} is not a power of two\n")
+        assert run_cli(command, str(path)) == want
+
+
+@pytest.mark.parametrize("command", ["verify", "classify"])
+def test_read_paths_reject_boolean_coordinates(tmp_path, command):
+    """JSON true is no field element, although Python's True is an int:
+    a point or a line that holds one is a bad point or a bad line."""
+    rec = json.loads(K12_RESULTS.read_text().splitlines()[0])
+    pts = [[True if v == 1 else v for v in p] for p in rec["points"]]
+    path = tmp_path / "bool.jsonl"
+    for bad, what, v in (
+        ({"points": pts}, "point", pts[0]),
+        ({"points": pts[:1] + rec["points"][1:]}, "point", pts[0]),
+        ({"line": [0, 0, True]}, "line", [0, 0, True]),
+    ):
+        path.write_text(json.dumps({**rec, **bad}) + "\n")
+        want = (EX_DATA, "", f"data error: record 0: bad {what} {v!r}\n")
+        assert run_cli(command, str(path)) == want
 
 
 def test_verify_missing_file(tmp_path):

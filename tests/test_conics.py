@@ -13,7 +13,7 @@ from hyperfocus.conics import (
     hyperconic_witness,
     hyperconic_witnesses,
 )
-from hyperfocus.plane import all_points, scale
+from hyperfocus.plane import all_points
 
 from oracles import (
     arc_accepts,
@@ -26,6 +26,7 @@ from oracles import (
     lines_through,
     nucleus,
     on_conic,
+    scale,
 )
 
 

@@ -3,34 +3,41 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from hyperfocus.field import make_field
 from hyperfocus.plane import (
     DegenerateFrame,
-    SameLine,
     SamePoint,
     all_lines,
     all_points,
-    frobenius_point,
-    incident,
-    line_through,
-    meet,
-    point_from_index,
+    crosses,
+    dots,
+    indexed_points,
     point_index,
-    scale,
+    point_indices,
 )
 
 from oracles import (
+    SameLine,
     apply_line,
     collinear,
     apply_point,
+    cross,
+    dot,
     frame_map,
+    frobenius_point,
+    incident,
     line_points,
+    line_through,
     lines_through,
     mat_det,
     mat_inv,
     mat_mul,
+    meet,
+    point_from_index,
+    scale,
 )
 
 
@@ -51,6 +58,31 @@ def test_scale_canonical():
         t2 = tuple(gf.mul(lam, x) for x in t)
         assert scale(gf, t) == scale(gf, t2)
         assert scale(gf, scale(gf, t)) == scale(gf, t)
+
+
+@pytest.mark.parametrize("s", [3, 5])
+def test_array_helpers_match_scalar_oracles(s):
+    """`crosses`, `dots` and scaling by `point_indices` then
+    `indexed_points` agree with the scalar oracles: at q = 8 on every
+    pair of a point and a line, at q = 32 on seeded random triples,
+    scaled or not, with the zero triple among them.  `all_points` lists
+    every point in index order."""
+    gf = make_field(s)
+    pts = list(all_points(gf))
+    assert pts == [point_from_index(gf, i) for i in range(gf.q * gf.q + gf.q + 1)]
+    if s == 3:
+        u, v = map(list, zip(*itertools.product(pts, pts)))
+    else:
+        rng = random.Random(17)
+        u, v = ([tuple(rng.randrange(gf.q) for _ in range(3)) for _ in range(3000)] for _ in "uv")
+        u[0] = v[1] = (0, 0, 0)
+    uu, vv = np.array(u), np.array(v)
+    assert dots(gf, uu, vv).tolist() == [dot(gf, a, b) for a, b in zip(u, v)]
+    assert list(map(tuple, crosses(gf, uu, vv).tolist())) == [cross(gf, a, b) for a, b in zip(u, v)]
+    want = [scale(gf, t) if any(t) else (0, 0, 0) for t in u]
+    idx = point_indices(gf, uu)
+    assert idx.tolist() == [point_index(gf, p) if any(p) else -1 for p in want]
+    assert list(map(tuple, indexed_points(gf, idx).tolist())) == want
 
 
 def test_point_index_bijection():

@@ -15,6 +15,7 @@ from hyperfocus.arcs import (
     focus_set,
     is_arc,
     make_arc,
+    make_arcs,
 )
 from hyperfocus.canon import frobenius_orbit_reps
 from hyperfocus.field import make_field
@@ -46,11 +47,13 @@ from oracles import (
     complete_to_hyperovals,
     enumerate_candidates8,
     free_columns,
+    frobenius_point,
     schema1_config_hash,
     schemaless_config_hash,
     shard_candidates,
     shard_size,
     slope_index,
+    slope_table,
     stream_shard_python,
     survivor_array,
     tangents_through,
@@ -254,6 +257,42 @@ def test_resolve_engine(gf32):
     for name in ("python", "fortran"):
         with pytest.raises(SearchError, match="unknown engine"):
             resolve_engine(gf32, name)
+
+
+@pytest.mark.parametrize("qname", ["gf8", "gf16", "gf32"])
+def test_slope_table_matches_oracle(qname, request):
+    """`_NumpyTables.slope` is one division of the field's tables: on
+    every row dx != 0 it is the oracle's scalar dy / dx, and the row
+    dx = 0 holds q, the vertical."""
+    gf = request.getfixturevalue(qname)
+    slope = search._NumpyTables(gf).slope
+    assert slope.dtype == np.int64
+    assert slope[1:].tolist() == slope_table(gf)[1:]
+    assert slope[0].tolist() == [gf.q] * gf.q
+
+
+def test_postprocess_orbit_images_match_frobenius_point(gf32, monkeypatch):
+    """`_postprocess` takes the orbit closure as one gather from the
+    field's Frobenius table: the images it checks are the scalar
+    `frobenius_point` images, representative by representative and power
+    by power, and the arcs it keeps are theirs."""
+    seen = []
+
+    def spy(gf, point_sets):
+        seen.append([tuple(map(tuple, pts)) for pts in point_sets])
+        return make_arcs(gf, point_sets)
+
+    monkeypatch.setattr(search, "make_arcs", spy)
+    reps = [K12_B, K12_A, K12_B]
+    found, _ = search._postprocess(gf32, 12, reps, new_counters())
+    want = [
+        tuple(frobenius_point(gf32, p, i) for p in arc)
+        for arc in (K12_B, K12_A)
+        for i in range(gf32.s)
+    ]
+    assert seen == [want]
+    assert len(set(want)) == 2 * gf32.s
+    assert sorted(found) == sorted({make_arc(gf32, img) for img in want})
 
 
 def test_library_calls_reject_q64():

@@ -87,3 +87,24 @@ def test_src_names_have_src_callers():
                 ):
                     unread.append(f"{path.name}:{cls.name}.{n.attr}")
     assert not unread, f"methods and attributes that no package code reads: {unread}"
+
+
+def test_field_arithmetic_is_array_only_outside_field():
+    """Outside `field.py` the package multiplies, inverts and divides
+    field elements only as numpy gathers from `field.tables`: no module
+    reads `.mul`, `.inv` or `.div` off a field named `gf`, as a call or
+    as an alias, so no scalar twin of an array helper comes back."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "field.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{n.lineno}: gf.{n.attr}"
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute)
+            and n.attr in ("mul", "inv", "div")
+            and isinstance(n.value, ast.Name)
+            and n.value.id == "gf"
+        ]
+    assert found == []

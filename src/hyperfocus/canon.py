@@ -24,8 +24,9 @@ images is therefore comparing the sorted rows of those integers, and
 canonical_form does that for all n(n-1)(n-2) triples at once in numpy,
 using the field's log/exp tables, then serializes only the winning row.
 canonical_forms runs that kernel once per equivalence class of a list:
-every other member of the class is recognised by one exact lookup of its
-first triple's normalized images.
+every other member of the class is recognised by exact lookups of its
+first triple's normalized images, which are computed for all arcs of
+one size in one numpy pass before the list is walked.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from hyperfocus.plane import (
     dots,
     point_index,
 )
-from hyperfocus.arcs import Arc, LineMeetsArc
+from hyperfocus.arcs import Arc, LineMeetsArc, stacks_by_size
 
 # Image entries per block of triples: bounds the kernel's temporaries for
 # large arcs; a 12-arc (1320 triples x 12 points) is one block.
@@ -88,20 +89,32 @@ def serialize_arc(gf: GF, arc: Arc) -> bytes:
     )
 
 
-def _affine_ordinates(gf: GF, arc: Arc, line: Line) -> Tuple[np.ndarray, np.ndarray]:
-    """x and y arrays of the arc points after a fixed collineation sending
-    the line to Z = 0: with t the last nonzero coefficient of the line,
-    the map keeps the other two coordinates and puts the line's form last."""
+def _affine_ordinates(
+    gf: GF, pts: np.ndarray, line: Line
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x and y of the points of an (..., n, 3) stack after a fixed
+    collineation sending the line to Z = 0: with t the last nonzero
+    coefficient of the line, the map keeps the other two coordinates and
+    puts the line's form last.  Also, per arc, the position of its first
+    point on the line, or n when none is; such an arc's x and y are
+    meaningless."""
     t = max(i for i in range(3) if line[i])
     r, u = (i for i in range(3) if i != t)
-    pts = np.array(arc, dtype=np.int64).reshape(-1, 3)
     w = dots(gf, pts, np.array(line))
-    if not w.all():
-        raise LineMeetsArc(f"{arc[w.argmin()]} lies on the line {line}")
-    if len(pts) < 3:
-        raise ValueError("arc too small for a triple")
+    on = w == 0
+    first = np.count_nonzero(on.cumsum(axis=-1) == 0, axis=-1)
+    w |= on  # any nonzero divisor for the points on the line
     tab = tables(gf)
-    return tab.div(pts[:, r], w), tab.div(pts[:, u], w)
+    return tab.div(pts[..., r], w), tab.div(pts[..., u], w), first
+
+
+def _check_arc(arc: Arc, line: Line, first: int) -> None:
+    """Raise what canonical_form raises on an arc before any triple: its
+    first point on the line (at position `first`), or too few points."""
+    if first < len(arc):
+        raise LineMeetsArc(f"{arc[first]} lies on the line {line}")
+    if len(arc) < 3:
+        raise ValueError("arc too small for a triple")
 
 
 def _lex_min_row(rows: np.ndarray) -> List[int]:
@@ -117,23 +130,26 @@ def _lex_min_row(rows: np.ndarray) -> List[int]:
 
 def _normalized_images(
     gf: GF, tab: Tables, x: np.ndarray, y: np.ndarray, p1, p2, p3
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """x and y of every point's image under the normalizing map of each
-    triple (p1, p2, p3) of point numbers: two (len(p3), n) arrays."""
+    triple (p1, p2, p3) of point numbers, for (..., n) arrays x and y:
+    two (..., len(p3), n) arrays.  Also which triples are collinear, a
+    (..., len(p3)) mask; their images are meaningless."""
     lg, ex = tab.log.take, tab.exp.take
+    x3, y3 = x[..., p3], y[..., p3]
     # M = [[a, b], [c, d]]: columns P1 - P3 and P2 - P3, as logs
-    la, lc = lg(x[p1] ^ x[p3]), lg(y[p1] ^ y[p3])
-    lb, ld = lg(x[p2] ^ x[p3]), lg(y[p2] ^ y[p3])
+    la, lc = lg(x[..., p1] ^ x3), lg(y[..., p1] ^ y3)
+    lb, ld = lg(x[..., p2] ^ x3), lg(y[..., p2] ^ y3)
     det = ex(la + ld) ^ ex(lb + lc)
-    if not det.all():
-        raise DegenerateFrame("three arc points are collinear")
-    linv = ((gf.q - 1) - lg(det))[:, None]
-    lux = lg(x ^ x[p3][:, None])
-    luy = lg(y ^ y[p3][:, None])
+    flat = det == 0
+    det |= flat  # any nonzero determinant for the collinear triples
+    linv = ((gf.q - 1) - lg(det))[..., None]
+    lux = lg(x[..., None, :] ^ x3[..., None])
+    luy = lg(y[..., None, :] ^ y3[..., None])
     # M^-1 = [[d, b], [c, a]] / det in characteristic 2
-    img_x = ex(lg(ex(ld[:, None] + lux) ^ ex(lb[:, None] + luy)) + linv)
-    img_y = ex(lg(ex(lc[:, None] + lux) ^ ex(la[:, None] + luy)) + linv)
-    return img_x, img_y
+    img_x = ex(lg(ex(ld[..., None] + lux) ^ ex(lb[..., None] + luy)) + linv)
+    img_y = ex(lg(ex(lc[..., None] + lux) ^ ex(la[..., None] + luy)) + linv)
+    return img_x, img_y, flat
 
 
 def _kernel(
@@ -157,7 +173,9 @@ def _kernel(
     step = max(1, _BLOCK // n)
     for lo in range(0, len(i3), step):
         blk = slice(lo, lo + step)
-        img_x, img_y = _normalized_images(gf, tab, x, y, i1[blk], i2[blk], i3[blk])
+        img_x, img_y, flat = _normalized_images(gf, tab, x, y, i1[blk], i2[blk], i3[blk])
+        if flat.any():
+            raise DegenerateFrame("three arc points are collinear")
         # fx[X] | fy[Y] is the point index of a Frobenius image of (X, Y)
         for i, (fx, fy) in enumerate(zip(tab.frob << gf.s, tab.frob)):
             rows = fx.take(img_x) | fy.take(img_y)
@@ -188,7 +206,8 @@ def canonical_form(gf: GF, arc: Arc, line: Line = LINE_AT_INFINITY) -> bytes:
     Invariant under every collineation fixing the line: such a map sends
     normalized images of one arc onto those of the other.
     """
-    x, y = _affine_ordinates(gf, arc, line)
+    x, y, first = _affine_ordinates(gf, np.array(arc, dtype=np.int64).reshape(-1, 3), line)
+    _check_arc(arc, line, int(first))
     return _serialize_row(gf, _kernel(gf, x, y)[0])
 
 
@@ -205,25 +224,45 @@ def canonical_forms(
     A's triple to the frame.  The frame has coordinates in GF(2), which f
     fixes, so by uniqueness that map is f after A's normalizing map.  So
     under one Frobenius power the normalized image of one ordering of B's
-    first triple is exactly one of A's frame-0 rows.  Each arc is probed
-    with the six orderings under every power, looked up as exact row
-    bytes; a hit is an exact equivalence and returns A's form, a miss
-    runs the kernel and adds the new class's frame-0 rows.  A non-arc is
-    the image of no arc and never hits, so every error is raised exactly
-    as canonical_form raises it.
+    first triple is exactly one of A's frame-0 rows.
+
+    The affine ordinates and these probe rows (the six orderings under
+    every power) are computed for all arcs of one size in one pass.  The
+    list is then walked in order: each arc's probe rows are looked up as
+    exact row bytes; a hit is an exact equivalence and returns A's form,
+    a miss runs the kernel and adds the new class's frame-0 rows.  A
+    non-arc is the image of no arc and never hits, and the flags of a
+    point on the line, too few points and a collinear first triple are
+    raised as each arc is reached, so the first arc on which
+    canonical_form would raise raises the same error.
     """
+    arcs = list(arcs)
     tab = tables(gf)
     frob_x = tab.frob << gf.s
+    n_keys = len(_ORDERINGS) * gf.s
+    # per arc: x, y, its first point on the line, a collinear first
+    # triple, and its probe rows' keys
+    probes: List[tuple] = [()] * len(arcs)
+    for idx, stack in stacks_by_size(arcs):
+        n = stack.shape[1]
+        x, y, first = _affine_ordinates(gf, stack, line)
+        flat, keys = [False] * len(idx), [[]] * len(idx)
+        if n >= 3:
+            img_x, img_y, collinear = _normalized_images(gf, tab, x, y, *_ORDERINGS.T)
+            rows = frob_x.take(img_x, axis=1) | tab.frob.take(img_y, axis=1)
+            rows = rows.swapaxes(0, 1).reshape(-1, n)
+            rows.sort(axis=1)
+            flat, keys = collinear[:, 0].tolist(), _row_keys(rows)
+            keys = [keys[j:j + n_keys] for j in range(0, len(keys), n_keys)]
+        for i, probe in zip(idx, zip(x, y, first.tolist(), flat, keys)):
+            probes[i] = probe
     seen: Dict[bytes, bytes] = {}
     forms: List[bytes] = []
-    for arc in arcs:
-        x, y = _affine_ordinates(gf, arc, line)
-        form = None
-        if seen:
-            img_x, img_y = _normalized_images(gf, tab, x, y, *_ORDERINGS.T)
-            rows = (frob_x[:, img_x] | tab.frob[:, img_y]).reshape(-1, len(x))
-            rows.sort(axis=1)
-            form = next(filter(None, map(seen.get, _row_keys(rows))), None)
+    for arc, (x, y, first, flat, keys) in zip(arcs, probes):
+        _check_arc(arc, line, first)
+        if flat:
+            raise DegenerateFrame("three arc points are collinear")
+        form = next(filter(None, map(seen.get, keys)), None)
         if form is None:
             best, frame0 = _kernel(gf, x, y)
             form = _serialize_row(gf, best)

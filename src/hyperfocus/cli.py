@@ -10,6 +10,7 @@ checkpoint-config mismatch, 64 usage error, 65 malformed input data,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -156,10 +157,12 @@ def _record_field(records: Sequence[dict]) -> GF:
     specs = set()
     for i, rec in enumerate(records):
         try:
-            q = int(rec["q"])
+            q = rec["q"]
             modulus = int(rec["modulus"], 0)
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"record {i}: missing or bad q/modulus: {exc}") from None
+        if type(q) is not int:  # not a float, a string or a boolean
+            raise DataError(f"record {i}: q {q!r} is not a JSON integer")
         specs.add((q, modulus))
     if len(specs) != 1:
         raise DataError(f"records span several fields: {sorted(specs)}")
@@ -291,7 +294,8 @@ def cmd_verify(args) -> int:
             "nucleus": list(wit.nucleus) if found else None,
             "digest": digests.get(i),
         }
-        failed = [c for c in CLAIMS if c in rec and rec[c] != derived[c]]
+        # as JSON text, so that 12.0 is not 12 and 1 is not true
+        failed = [c for c in CLAIMS if c in rec and json.dumps(rec[c]) != json.dumps(derived[c])]
         good = exterior and verdict == HYPERFOCUSED and not failed
         ok_count += good
         hyper = "-" if wit is None else str(wit.found).lower()
@@ -439,11 +443,9 @@ def build_parser() -> _Parser:
     sp.add_argument("--workers", type=int, default=None)
     sp.add_argument("--max-shards", type=int, default=None)
     sp.add_argument("--progress", action="store_true")
-    sp.set_defaults(func=cmd_search)
 
     sp = sub.add_parser("verify", help="re-check stored arc records")
     sp.add_argument("input")
-    sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("construct", help="emit a known construction")
     add_field_args(sp)
@@ -452,25 +454,36 @@ def build_parser() -> _Parser:
     sp.add_argument("--shift", default=None)
     sp.add_argument("--i", type=int, default=None)
     sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_construct)
 
     sp = sub.add_parser("classify", help="group stored arcs into classes")
     sp.add_argument("input")
-    sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("field-dump", help="print the field's power table")
     add_field_args(sp)
-    sp.set_defaults(func=cmd_field_dump)
     return p
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The one parser of the process: building it costs about a
+    millisecond, and parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.command == "search":
             args.workers = _search_workers(args.workers)
-        return args.func(args)
+        # the names are read per call, so a wrapped cmd_* is the one run
+        handlers = {
+            "search": cmd_search,
+            "verify": cmd_verify,
+            "construct": cmd_construct,
+            "classify": cmd_classify,
+            "field-dump": cmd_field_dump,
+        }
+        return handlers[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EX_USAGE

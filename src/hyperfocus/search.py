@@ -7,15 +7,18 @@ The candidate family is the normalized 8-point configuration
 in affine coordinates (third coordinate 1), four vertical pairs, with a
 ranging over Frobenius orbit representatives and the ordering
 constraints 1 < c < f, d < e, g < h removing within-frame duplicates.
-A shard is filtered in numpy, bound first, over chunks of (d, e)
-pairs: a cell (f, g) is admissible when its six directions to the
-fixed points are distinct (a popcount of 6), `arcs8` is counted in
-closed form per (d, e, f) row, and a cell whose 7-point focus count
-already exceeds the bound is cut before any (g, h) pair is formed.  The
-rows left with two cells pass one (g, h) stage per shard.  Directions
-are 32-bit words without the vertical, which is a focus of every
-candidate and is counted once in each focus test; pair chunks hold at
-most 2^14 words and row blocks at most 2^14 (g, h) pairs.  A shard's
+A shard is filtered in numpy, bound first.  A cell (f, g) is
+admissible when its six directions to the fixed points are distinct (a
+popcount of 6); that splits into one q-bit word per f and point (c, y),
+so `arcs8` is counted from those words for the whole shard at once.  A
+(d, e) pair whose six fixed points already exceed the focus bound is
+dropped before any of its cells is built, and in the chunks of the
+other pairs a cell whose 7-point focus count exceeds the bound is cut
+before any (g, h) pair is formed.  The rows left with two cells pass
+one (g, h) stage per shard.  Directions are 32-bit words without the
+vertical, which is a focus of every candidate and is counted once in
+each focus test; pair chunks hold at most 2^14 words and row blocks at
+most 2^14 (g, h) pairs.  A shard's
 survivors are one record array of (a, c, d, e, f, g, h), which passes
 two batched numpy stages, 256 survivors at a time.  A census derives
 each one's coordinates and focus mask from its 28 secant
@@ -45,6 +48,7 @@ collineation fixes the frame and the focus line.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -164,6 +168,17 @@ class _NumpyTables:
 _CHUNK = 1 << 14
 
 
+@functools.cache
+def _index_pairs(n: int) -> Tuple[np.ndarray, ...]:
+    """np.triu_indices(n, 1), the pairs i < j < n in lexicographic order,
+    read-only and built once per n: a build costs about 80 us, a tenth
+    of a k=12 shard's stream."""
+    pairs = np.triu_indices(n, 1)
+    for v in pairs:
+        v.flags.writeable = False
+    return pairs
+
+
 def stream_shard(
     gf: GF,
     a: int,
@@ -178,20 +193,28 @@ def stream_shard(
     For fixed (a, c, d, e) the six fixed points are the anchors and
     (c, d), (c, e).  The row of a cell (f, g), f > c, is the bitmask of
     its six directions to them: the anchors' part R4 is shared by the
-    shard, and (c, y)'s part Rc[y] by every pair holding y, so a chunk's
+    shard, and (c, y)'s part Rc[y] by every pair holding y, so a pair's
     rows are R4 | Rc[d] | Rc[e].  A cell is admissible, on no line
     through two of the six points, iff its row has six bits; (f, g) and
-    (f, h) then make an 8-arc with any other admissible cell of the row,
-    so each (d, e, f) row adds C(n_ok, 2) to `arcs8` and
-    `focus_rejected = arcs8 - prepared`.  A pair (d, e) is skipped when
-    d or e lies on a line through two anchors (the anchors' directions
-    from (c, y) repeat).
+    (f, h) then make an 8-arc with any other admissible cell of the row.
+    Since f != c, the cell never lies on the line of (c, d) and (c, e),
+    so it is admissible iff R4 | Rc[d] and R4 | Rc[e] both have five
+    bits.  Those bits, over g, are one q-bit word W[y, f] per (y, f), so
+    the row of (d, e, f) holds n_ok = popcount(W[d, f] & W[e, f])
+    admissible cells: `arcs8` is the sum of C(n_ok, 2) over the shard,
+    from words alone, and `focus_rejected = arcs8 - prepared`.  A pair
+    (d, e) is skipped when d or e lies on a line through two anchors (the
+    anchors' directions from (c, y) repeat).
 
     The focus set of the six points is base6 = base4 | A[d] | A[e], with
     A[y] the directions from (c, y) to the anchors.  The focus count of
     a subset is a lower bound for the whole set, so a cell whose 7-point
     count popcount(base6 | row) exceeds max(hi, 10) is in no survivor
-    and no count of 9 or 10.  Each chunk keeps only its live rows, those
+    and no count of 9 or 10.  Every cell's 7-point set holds base6, so a
+    pair whose base6 is already over that cap keeps no cell and is
+    dropped before any of its rows is built: at q = 32 that leaves 36% of
+    the rows at k = 12 and drops none at k = 14.  The rows of the other
+    pairs are built in chunks, each chunk keeps only its live rows, those
     with two cells left, and one (g, h) stage per shard takes them all.
     No direction the stream computes is vertical (f, c > 1), and the
     vertical is a focus through (0,0)(0,1), so the words are 32-bit
@@ -207,26 +230,40 @@ def stream_shard(
     de = (
         np.array(de_pairs, dtype=np.int64).reshape(-1, 2)
         if de_pairs is not None
-        else np.stack(np.triu_indices(q, 1), axis=1)
+        else np.stack(_index_pairs(q), axis=1)
     )
     counters["candidates"] = len(de) * (q - 1 - c) * (q * (q - 1) // 2)
 
-    sb = tab.rays[:q]  # [dx, dy]: the bit of slope dy/dx, none for the vertical dx = 0
+    rays = tab.rays
     xs = tab.xs
     fs = xs[c + 1:]
     nf = len(fs)
     anchors = ((0, 0), (0, 1), (1, 0), (1, a))
     # directions of the lines through two anchors: 0, a, 1, a ^ 1 (and vertical)
     base4 = np.uint32(1 | 1 << a | 1 << 1 | 1 << (a ^ 1))
+    # rays[y0 * q + dx] holds the directions from (x0, y0) to (x0 ^ dx, *):
+    # r4[f] from the anchors to (f, *), anc from them to (c, *), rc[y, f]
+    # from (c, y) to (f, *)
     r4 = np.zeros((nf, q), dtype=np.uint32)
     anc = np.zeros(q, dtype=np.uint32)
     for ax, ay in anchors:
-        r4 |= sb[fs[:, None] ^ ax, xs[None, :] ^ ay]
-        anc |= sb[c ^ ax, xs ^ ay]
-    rc = sb[(fs ^ c)[None, :, None], xs[:, None, None] ^ xs[None, None, :]]
+        r4 |= rays.take(ay * q + (fs ^ ax), axis=0)
+        anc |= rays[ay * q + (c ^ ax)]
+    rc = rays.take(xs[:, None] * q + (fs ^ c), axis=0)
     good = np.bitwise_count(anc) == 4
-    de = de[good[de[:, 0]] & good[de[:, 1]]]
+    d, e = de[:, 0], de[:, 1]
+    # d == e puts one point twice: no 8-arc, and no split of the cell test
+    de = de[good[d] & good[e] & (d != e)]
+    d, e = de[:, 0], de[:, 1]
+    # words[y, f]: bit g set iff (f, g) is off every line through two of
+    # the anchors and (c, y); one little-endian word of q bits
+    words = np.packbits(np.bitwise_count(r4 | rc) == 5, axis=2, bitorder="little")
+    words = words.view(f"<u{words.shape[2]}")[..., 0]
+    n_ok = np.bitwise_count(words[d] & words[e]).astype(np.intp)
+    counters["arcs8"] = int((n_ok * (n_ok - 1)).sum()) // 2
+    base6 = base4 | anc[d] | anc[e]
     cap = max(hi, 10) - 1  # non-vertical focuses
+    pairs = np.flatnonzero(np.bitwise_count(base6) <= cap)
     # per chunk, of its live rows: cell index (pair * nf + f - c - 1), keep, m7, n_keep
     live_rows = [(
         np.zeros(0, np.int64),
@@ -235,17 +272,20 @@ def stream_shard(
         np.zeros(0, np.uint8),
     )]
     step = max(1, _CHUNK // max(1, nf * q))
-    for i in range(0, len(de), step):
-        d, e = de[i:i + step, 0], de[i:i + step, 1]
-        rows = r4 | rc[d] | rc[e]
-        ok = np.bitwise_count(rows) == 6
-        n_ok = ok.view(np.uint8).sum(axis=2, dtype=np.uint8).astype(np.intp)
-        counters["arcs8"] += int((n_ok * (n_ok - 1)).sum()) // 2
-        m7 = (rows | (base4 | anc[d] | anc[e])[:, None, None]).reshape(-1, q)
-        keep = ok.reshape(-1, q) & (np.bitwise_count(m7) <= cap)
+    for i in range(0, len(pairs), step):
+        p = pairs[i:i + step]
+        dp, ep = d[p], e[p]
+        rows = rc.take(dp, axis=0)
+        rows |= rc.take(ep, axis=0)
+        rows |= r4
+        m7 = rows | base6[p, None, None]
+        keep = np.bitwise_count(rows) == 6
+        keep &= np.bitwise_count(m7) <= cap
+        keep, m7 = keep.reshape(-1, q), m7.reshape(-1, q)
         n_keep = keep.view(np.uint8).sum(axis=1, dtype=np.uint8)
         live = np.flatnonzero(n_keep >= 2)
-        live_rows.append((i * nf + live, keep[live], m7[live], n_keep[live]))
+        cells = (p[:, None] * nf + np.arange(nf)).ravel()
+        live_rows.append((cells[live], keep[live], m7[live], n_keep[live]))
     cells, keep, m7, n_keep = map(np.concatenate, zip(*live_rows))
     n910, row, g, h = _row_pairs(lo - 1, hi - 1, keep, m7, n_keep)
     counters["focus_9_10"] = n910
@@ -279,7 +319,7 @@ def _row_pairs(
     packed[r_i, slot] = m7[r_i, g_i]
     gs = np.zeros((n, width), dtype=np.int64)
     gs[r_i, slot] = g_i
-    si, sj = np.triu_indices(width, 1)  # a row's slot pairs, in (g, h) order
+    si, sj = _index_pairs(width)  # a row's slot pairs, in (g, h) order
     n_pairs = max(1, len(si))
     n910 = 0
     hits = [np.zeros(0, np.intp)]  # flat indices into the (n, n_pairs) pair blocks

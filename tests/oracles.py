@@ -965,3 +965,62 @@ def stream_shard_python(
         else:
             counters["focus_rejected"] += 1
     return counters, survivors
+
+
+def shard_census(
+    gf: GF, a: int, c: int, de_pairs: Optional[Sequence[Tuple[int, int]]] = None
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every candidate of one (a, c) shard in `shard_candidates` order, as
+    an (n, 7) array of (a, c, d, e, f, g, h), with whether its 8 points
+    form an arc and its focus count over all q + 1 directions.
+
+    The definitions, on the whole shard at once: the points form an arc
+    iff each sees its 7 others in 7 distinct directions, and the focus
+    count is the number of distinct directions of the 28 secants.  The
+    directions come from a table built by scalar field arithmetic
+    (`slope_index`); the arrays are only broadcast over (d, e), f and
+    (g, h), so this is `stream_shard_python` at q = 16 speed.
+    """
+    q = gf.q
+    bit = np.array(
+        [[1 << slope_index(gf, (0, 0), (dx, dy)) for dy in range(q)] for dx in range(q)],
+        dtype=np.int64,
+    )
+    pairs = list(combinations(range(q), 2))
+    de = np.array(pairs if de_pairs is None else de_pairs, dtype=np.int64).reshape(-1, 2)
+    gh = np.array(pairs, dtype=np.int64)
+    d, e = (de[:, i, None, None] for i in (0, 1))
+    f = np.arange(c + 1, q)[None, :, None]
+    g, h = (gh[None, None, :, i] for i in (0, 1))
+    xs = [0, 0, 1, 1, c, c, f, f]
+    ys = [0, 1, 0, a, d, e, g, h]
+    shape = (len(de), q - 1 - c, len(gh))
+    seen = [np.zeros(shape, dtype=np.int64) for _ in range(8)]
+    for i, j in combinations(range(8), 2):
+        b = bit[np.bitwise_xor(xs[i], xs[j]), np.bitwise_xor(ys[i], ys[j])]
+        seen[i] |= b
+        seen[j] |= b
+    is_arc = np.ones(shape, dtype=bool)
+    for s in seen:
+        is_arc &= np.bitwise_count(s) == 7
+    focus = np.bitwise_count(np.bitwise_or.reduce(seen)).astype(np.int64)
+    cands = np.stack(np.broadcast_arrays(a, c, d, e, f, g, h), axis=-1)
+    return cands.reshape(-1, 7), is_arc.ravel(), focus.ravel()
+
+
+def census_stream(
+    census: Tuple[np.ndarray, np.ndarray, np.ndarray], lo: int, hi: int
+) -> Tuple[Dict[str, int], List[Candidate8]]:
+    """What `stream_shard_python` returns for the bounds, from a
+    `shard_census`: its counters and survivors."""
+    cands, is_arc, focus = census
+    keep = is_arc & (lo <= focus) & (focus <= hi)
+    counters = new_counters()
+    counters.update(
+        candidates=len(cands),
+        arcs8=int(is_arc.sum()),
+        focus_rejected=int((is_arc & ~keep).sum()),
+        focus_9_10=int((is_arc & ((focus == 9) | (focus == 10))).sum()),
+        prepared=int(keep.sum()),
+    )
+    return counters, [Candidate8._make(row) for row in cands[keep].tolist()]

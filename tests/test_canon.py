@@ -5,6 +5,7 @@ import random
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hyperfocus.arcs import (
@@ -101,8 +102,9 @@ def test_affine_ordinates_match_scalar_oracle(qname, request):
     """`_affine_ordinates` divides by numpy dot products and agrees with
     the per-point scalar map, as arrays of field elements: at q = 8 for
     every line and all the points off it, at q = 32 for seeded random
-    lines and points.  Given every point, both name the same first point
-    on the line in LineMeetsArc; fewer than three points are too few."""
+    lines and points, one arc at a time and as a stack of two.  Given
+    every point, it and the oracle name the same first point on the line
+    in LineMeetsArc; fewer than three points are too few."""
     gf = request.getfixturevalue(qname)
     rng = random.Random(gf.q)
     pts = list(all_points(gf))
@@ -111,16 +113,23 @@ def test_affine_ordinates_match_scalar_oracle(qname, request):
         off = [p for p in pts if not incident(gf, p, m)]
         if gf.q == 32:
             off = rng.sample(off, 60)
-        x, y = canon._affine_ordinates(gf, tuple(off), m)
+        x, y, first = canon._affine_ordinates(gf, np.array(off), m)
         assert x.dtype == y.dtype == tables(gf).log.dtype
-        assert list(zip(x.tolist(), y.tolist())) == affine_ordinates_oracle(gf, off, m)
+        assert first == len(off)
+        want = affine_ordinates_oracle(gf, off, m)
+        assert list(zip(x.tolist(), y.tolist())) == want
+        moved = rng.sample(off, len(off))
+        x2, y2, first2 = canon._affine_ordinates(gf, np.array([off, moved]), m)
+        assert first2.tolist() == [len(off)] * 2
+        assert list(zip(x2[1].tolist(), y2[1].tolist())) == [want[off.index(p)] for p in moved]
         shuffled = tuple(rng.sample(pts, len(pts)))
         with pytest.raises(LineMeetsArc) as want:
             affine_ordinates_oracle(gf, shuffled, m)
+        _, _, first = canon._affine_ordinates(gf, np.array(shuffled), m)
         with pytest.raises(LineMeetsArc, match=re.escape(str(want.value))):
-            canon._affine_ordinates(gf, shuffled, m)
+            canon._check_arc(shuffled, m, int(first))
         with pytest.raises(ValueError, match="arc too small for a triple"):
-            canon._affine_ordinates(gf, tuple(off[:2]), m)
+            canon._check_arc(tuple(off[:2]), m, 2)
 
 
 def test_normalize_frame_reference_position(gf8):
@@ -374,3 +383,99 @@ def test_canonical_forms_errors_in_a_batch(gf8):
 
 def test_canonical_forms_empty(gf8):
     assert canonical_forms(gf8, []) == []
+
+
+def _forms_or_error(gf, arcs, line, forms=canonical_forms):
+    """The forms of the list, or the type and message of what it raises."""
+    try:
+        return forms(gf, arcs, line)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _one_at_a_time(gf, arcs, line):
+    return [canonical_form(gf, arc, line) for arc in arcs]
+
+
+@pytest.fixture(scope="module")
+def mixed_list(gf32):
+    """Arcs of sizes 12, 6 and 4 at q = 32 on the line X + Z = 0, moved
+    there from Z = 0 by (x, y, z) -> (x, y, x + z): three collineation
+    images (Frobenius powers 0, 1 and 3) of each of two stored 12-arcs,
+    two 6-subsets and two 4-subsets of one of them, shuffled; and five
+    arcs canonical_form rejects."""
+    rng = random.Random(73)
+    k12 = make_arc(gf32, _k12_records()[5]["points"])
+    reps = [
+        make_arc(gf32, _k12_records()[0]["points"]), k12,
+        k12[:6], k12[3:9], k12[:4], k12[2:4] + k12[9:11],
+    ]
+    good = [moved_arc(gf32, arc, rng, j) for arc in reps for j in (0, 1, 3)]
+    rng.shuffle(good)
+
+    def off(arc):
+        return tuple(scale(gf32, (x, y, x ^ z)) for x, y, z in arc)
+
+    good = [off(arc) for arc in good]
+    bad = [
+        (LineMeetsArc, good[0][:3] + ((1, 5, 1),) + good[0][4:]),  # on X + Z = 0
+        (DegenerateFrame, ((0, 0, 1), (0, 1, 1), (0, 9, 1), (2, 0, 1), (3, 3, 1), (4, 7, 1))),
+        (DegenerateFrame, ((0, 0, 1), (2, 3, 1), (3, 7, 1), (0, 1, 1), (0, 2, 1), (4, 4, 1))),
+        (DegenerateFrame, ((0, 0, 1), (2, 3, 1), (3, 7, 1), (2, 3, 1))),  # a point twice
+        (ValueError, ((0, 0, 1), (2, 2, 1))),
+    ]
+    return good, bad
+
+
+def test_canonical_forms_mixed_list_matches_one_at_a_time(gf32, mixed_list):
+    """On a list of three sizes and several classes per size, off Z = 0,
+    canonical_forms gives canonical_form's forms; with rejected arcs
+    placed among them in several orders, it raises the type and message
+    canonical_form raises on the first of them in the list."""
+    line = (1, 0, 1)
+    good, bad = mixed_list
+    want = _one_at_a_time(gf32, good, line)
+    assert canonical_forms(gf32, good, line) == want
+    assert {len(arc) for arc in good} == {4, 6, 12}
+    for size in (4, 6):  # the 12-arcs are one class
+        assert len({f for f, arc in zip(want, good) if len(arc) == size}) == 2
+    for exc, arc in bad:
+        assert _forms_or_error(gf32, [arc], line, _one_at_a_time)[0] is exc
+    rng = random.Random(74)
+    for _ in range(12):
+        arcs = list(good)
+        for _, arc in rng.sample(bad, rng.randrange(1, len(bad) + 1)):
+            arcs.insert(rng.randrange(len(arcs) + 1), arc)
+        first = _forms_or_error(gf32, arcs, line, _one_at_a_time)
+        assert isinstance(first, tuple)
+        assert _forms_or_error(gf32, arcs, line) == first
+
+
+def test_canonical_forms_one_kernel_per_class_one_probe_per_size(
+    gf32, mixed_list, kernel_calls, monkeypatch
+):
+    """The full kernel runs once per class of the list, and the probe rows
+    of each size group come from one _affine_ordinates and one
+    _normalized_images call over the whole group."""
+    good, _ = mixed_list
+    calls = {"ordinates": [], "images": []}
+    ordinates, images = canon._affine_ordinates, canon._normalized_images
+
+    def spy_ordinates(gf, pts, line):
+        calls["ordinates"].append(pts.shape)
+        return ordinates(gf, pts, line)
+
+    def spy_images(gf, tab, x, y, *triples):
+        if x.ndim == 2:  # a stack of arcs, not one arc's kernel block
+            calls["images"].append(x.shape)
+        return images(gf, tab, x, y, *triples)
+
+    monkeypatch.setattr(canon, "_affine_ordinates", spy_ordinates)
+    monkeypatch.setattr(canon, "_normalized_images", spy_images)
+    forms = canonical_forms(gf32, good, (1, 0, 1))
+    assert sorted(kernel_calls) == sorted(
+        len(arc) for form, arc in dict(zip(forms, good)).items()
+    )
+    counts = {n: sum(len(arc) == n for arc in good) for n in (4, 6, 12)}
+    assert sorted(calls["ordinates"]) == sorted((m, n, 3) for n, m in counts.items())
+    assert sorted(calls["images"]) == sorted((m, n) for n, m in counts.items())

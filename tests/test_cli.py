@@ -5,6 +5,8 @@ import json
 import os
 import random
 import re
+import subprocess
+import sys
 from contextlib import redirect_stdout, redirect_stderr
 from pathlib import Path
 
@@ -17,11 +19,13 @@ from hyperfocus.cli import (
     EX_IO,
     EX_OK,
     EX_USAGE,
+    build_parser,
     main,
     parse_felt,
     parse_pairs,
 )
 from hyperfocus import arcs as arcs_module
+from hyperfocus import cli as cli_module
 from hyperfocus import conics as conics_module
 from hyperfocus import search
 from hyperfocus.arcs import NEITHER
@@ -506,6 +510,74 @@ def test_read_paths_reject_boolean_coordinates(tmp_path, command):
         path.write_text(json.dumps({**rec, **bad}) + "\n")
         want = (EX_DATA, "", f"data error: record 0: bad {what} {v!r}\n")
         assert run_cli(command, str(path)) == want
+
+
+@pytest.mark.parametrize("command", ["verify", "classify"])
+@pytest.mark.parametrize("q", [32.9, 32.0, "32", True])
+def test_read_paths_require_an_integer_q(tmp_path, command, q):
+    """q is a JSON integer: a float, a numeric string or a boolean is
+    malformed data, exit 65, where a reader once took int(q)."""
+    rec = {**_k12_record(), "q": q}
+    path = tmp_path / "q.jsonl"
+    path.write_text(json.dumps(rec) + "\n")
+    want = (EX_DATA, "", f"data error: record 0: q {q!r} is not a JSON integer\n")
+    assert run_cli(command, str(path)) == want
+
+
+@pytest.mark.parametrize("claim, value", [("k", 12.0), ("hyperconic", 1), ("focus_count", 11.0)])
+def test_verify_compares_claims_as_json(tmp_path, claim, value):
+    """A stored claim equals its recomputation only as the same JSON
+    value: 12.0 is not the integer 12 and 1 is not true, although Python's
+    == says they are."""
+    rec = _k12_record()
+    assert rec[claim] == value
+    path = tmp_path / "claim.jsonl"
+    path.write_text(json.dumps({**rec, claim: value}) + "\n")
+    code, out, _ = run_cli("verify", str(path))
+    assert code == EX_FAIL
+    assert out.splitlines() == [
+        f"arc=0 k=12 is_arc=true focus=11 verdict=hyperfocused hyperconic=true "
+        f"failed={claim} ok=false",
+        "verified=0/1",
+    ]
+
+
+def test_main_builds_one_parser(tmp_path, monkeypatch):
+    """A usage error, verify and classify through one process's main give
+    the exit codes and output of three separate processes, and that
+    process builds its parser once."""
+    calls = [["verify"], ["verify", str(K12_RESULTS)], ["classify", str(K12_RESULTS)]]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from hyperfocus.cli import main\n"
+        "out = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    o, e = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(o), contextlib.redirect_stderr(e):\n"
+        "        out.append([main(argv), o.getvalue(), e.getvalue()])\n"
+        "print(json.dumps(out))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(K12_RESULTS.parent.parent / "src")}
+
+    def run(argvs):
+        done = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(argvs)],
+            capture_output=True, text=True, check=True, env=env, timeout=120,
+        )
+        return json.loads(done.stdout)
+
+    together = run(calls)
+    assert together == [run([argv])[0] for argv in calls]
+    assert [code for code, _, _ in together] == [EX_USAGE, EX_OK, EX_OK]
+    assert together[1][1].endswith("verified=60/60\n")
+    built = []
+    monkeypatch.setattr(cli_module, "build_parser", lambda: built.append(1) or build_parser())
+    cli_module._parser.cache_clear()
+    try:
+        assert [run_cli(*argv) for argv in calls] == [tuple(r) for r in together]
+    finally:
+        cli_module._parser.cache_clear()
+    assert built == [1]
 
 
 def test_verify_missing_file(tmp_path):

@@ -43,6 +43,7 @@ from oracles import (
     K12_B,
     Candidate8,
     _slope_census,
+    census_stream,
     census_verdict,
     complete_to_hyperovals,
     enumerate_candidates8,
@@ -51,6 +52,7 @@ from oracles import (
     schema1_config_hash,
     schemaless_config_hash,
     shard_candidates,
+    shard_census,
     shard_size,
     slope_index,
     slope_table,
@@ -169,7 +171,7 @@ def test_stream_engines_agree_q8(gf8):
     stream's 7-point cut is at max(hi, 10), not at hi.
     """
     reps = frobenius_orbit_reps(gf8, exclude=frozenset({0}))
-    for lo, hi in (FOCUS_BOUNDS[10], FOCUS_BOUNDS[12], (7, 8)):
+    for lo, hi in (FOCUS_BOUNDS[10], FOCUS_BOUNDS[12], FOCUS_BOUNDS[14], (7, 8)):
         for a_idx, c in shard_list(gf8):
             cp, sp = stream_shard_python(gf8, reps[a_idx], c, lo, hi)
             cn, sn = stream_shard(gf8, reps[a_idx], c, lo, hi)
@@ -191,6 +193,75 @@ def test_stream_engines_agree_q32_sampled(gf32):
     cn, sn = stream_shard(gf32, 2, 7, lo, hi, de_pairs=de)
     assert cp == cn
     assert sn.tolist() == sp
+
+
+def test_census_oracle_matches_python_oracle(gf8, gf32):
+    """The whole-shard census of the definitions gives the per-candidate
+    oracle's counters and survivors: on every q=8 shard for the bounds of
+    k = 10, 12 and 14, and on seeded (d, e) subsets of two q=32 shards
+    for those of k = 14, which keep every focus count a survivor of
+    k = 10 or 12 can have."""
+    reps = frobenius_orbit_reps(gf8, exclude=frozenset({0}))
+    runs = [(gf8, reps[a_idx], c, None, (10, 12, 14)) for a_idx, c in shard_list(gf8)]
+    rng = random.Random(44)
+    pairs = [(d, e) for d in range(32) for e in range(d + 1, 32)]
+    runs += [(gf32, 2, 7, rng.sample(pairs, 3), (14,)), (gf32, 1, 29, rng.sample(pairs, 4), (14,))]
+    for gf, a, c, de, ks in runs:
+        census = shard_census(gf, a, c, de)
+        for k in ks:
+            assert census_stream(census, *FOCUS_BOUNDS[k]) == stream_shard_python(
+                gf, a, c, *FOCUS_BOUNDS[k], de_pairs=de
+            )
+
+
+@pytest.mark.parametrize("qname", ["gf8", "gf16"])
+def test_stream_matches_census_every_shard(qname, request):
+    """Every shard at q = 8 and 16, for the bounds of k = 10, 12 and 14:
+    `arcs8`, `focus_rejected`, `focus_9_10`, `prepared` and the survivor
+    records equal the census oracle's.  At q = 16 the pair cap drops
+    pairs at k = 10 and 12 and none at k = 14, and the shards hold
+    483,626 8-arcs, with 1,568 survivors at k = 12 and 25,388 at k = 14."""
+    gf = request.getfixturevalue(qname)
+    reps = frobenius_orbit_reps(gf, exclude=frozenset({0}))
+    total = {k: new_counters() for k in (10, 12, 14)}
+    for a_idx, c in shard_list(gf):
+        census = shard_census(gf, reps[a_idx], c)
+        for k in total:
+            want = census_stream(census, *FOCUS_BOUNDS[k])
+            counters, survivors = stream_shard(gf, reps[a_idx], c, *FOCUS_BOUNDS[k])
+            assert counters == want[0], (a_idx, c, k)
+            assert candidates(survivors) == want[1], (a_idx, c, k)
+            merge_counters(total[k], counters)
+    if gf.q == 16:
+        assert {k: (v["arcs8"], v["prepared"]) for k, v in total.items()} == {
+            10: (483626, 0), 12: (483626, 1568), 14: (483626, 25388)
+        }
+
+
+def test_stream_matches_census_on_random_pairs_q32(gf32):
+    """Seeded subsets of (d, e) pairs, in random order and with one pair
+    reversed and one (y, y), on seeded q=32 shards: the stream's counters
+    and survivors equal the census oracle's for the bounds of k = 10, 12
+    and 14."""
+    rng = random.Random(45)
+    reps = frobenius_orbit_reps(gf32, exclude=frozenset({0}))
+    pairs = [(d, e) for d in range(32) for e in range(d + 1, 32)]
+    shards = rng.sample(shard_list(gf32), 6) + [(0, 2), (1, 2)]
+    seen = new_counters()
+    for a_idx, c in shards:
+        de = rng.sample(pairs, rng.randrange(1, 25))
+        de += [de[0][::-1], (de[-1][1],) * 2]
+        census = shard_census(gf32, reps[a_idx], c, de)
+        for k in (10, 12, 14):
+            want = census_stream(census, *FOCUS_BOUNDS[k])
+            counters, survivors = stream_shard(
+                gf32, reps[a_idx], c, *FOCUS_BOUNDS[k], de_pairs=de
+            )
+            assert counters == want[0], (a_idx, c, k, de)
+            assert candidates(survivors) == want[1], (a_idx, c, k, de)
+            merge_counters(seen, counters)
+    # no 8-arc at q = 16 or 32 has 9 or 10 focuses; q = 8 covers that count
+    assert seen["prepared"] > 0 and seen["focus_9_10"] == 0
 
 
 def test_stream_counter_consistency(gf8):

@@ -229,11 +229,14 @@ def focus_verdicts(
     for idx, stack in stacks_by_size(arcs):
         foci = np.sort(_focus_indices(gf, stack, line), axis=1)
         counts = (foci[:, 1:] != foci[:, :-1]).sum(1) + (foci.shape[1] > 0)
-        k = stack.shape[1]
-        verdicts = {k - 1: HYPERFOCUSED, k: SHARPLY_FOCUSED}
         for i, n in zip(idx, counts.tolist()):
-            out[i] = (verdicts.get(n, NEITHER), n)
+            out[i] = (focus_verdict(stack.shape[1], n), n)
     return out
+
+
+def focus_verdict(k: int, count: int) -> str:
+    """The verdict on a k-arc with `count` focuses on an exterior line."""
+    return {k - 1: HYPERFOCUSED, k: SHARPLY_FOCUSED}.get(count, NEITHER)
 
 
 def focus_count(gf: GF, arc: Arc, line: Line) -> int:

@@ -21,12 +21,13 @@ does not depend on that choice.  Every normalized point is affine, so its
 serialization (x, y, 1) in fixed-width big-endian bytes orders exactly
 like the integer x*q + y, its dense point index.  Comparing serialized
 images is therefore comparing the sorted rows of those integers, and
-canonical_form does that for all n(n-1)(n-2) triples at once in numpy,
+the kernel does that for all n(n-1)(n-2) triples at once in numpy,
 using the field's log/exp tables, then serializes only the winning row.
 canonical_forms runs that kernel once per equivalence class of a list:
 every other member of the class is recognised by exact lookups of its
 first triple's normalized images, which are computed for all arcs of
-one size in one numpy pass before the list is walked.
+one size in one numpy pass before the list is walked.  canonical_form is
+the one-arc call into it.
 """
 
 from __future__ import annotations
@@ -206,9 +207,7 @@ def canonical_form(gf: GF, arc: Arc, line: Line = LINE_AT_INFINITY) -> bytes:
     Invariant under every collineation fixing the line: such a map sends
     normalized images of one arc onto those of the other.
     """
-    x, y, first = _affine_ordinates(gf, np.array(arc, dtype=np.int64).reshape(-1, 3), line)
-    _check_arc(arc, line, int(first))
-    return _serialize_row(gf, _kernel(gf, x, y)[0])
+    return canonical_forms(gf, [arc], line)[0]
 
 
 def canonical_forms(
@@ -233,8 +232,8 @@ def canonical_forms(
     a miss runs the kernel and adds the new class's frame-0 rows.  A
     non-arc is the image of no arc and never hits, and the flags of a
     point on the line, too few points and a collinear first triple are
-    raised as each arc is reached, so the first arc on which
-    canonical_form would raise raises the same error.
+    raised as each arc is reached, so the error is that of the first
+    rejected arc in the list.
     """
     arcs = list(arcs)
     tab = tables(gf)

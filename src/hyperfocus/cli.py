@@ -5,44 +5,50 @@ sysexits where applicable: 0 success, 1 failed verification (including
 an internal search stage rejecting its predecessor's output), 2
 checkpoint-config mismatch, 64 usage error, 65 malformed input data,
 74 I/O error.
+
+`search` writes a record's claims with `search.record_claims`; `verify`
+compares each stored claim with it and `construct` emits k, focus_count
+and digest from it.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import re
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from hyperfocus.arcs import (
-    HYPERFOCUSED,
+# classify_focus and hyperconic_witness are not called here: they are
+# imported for the benchmark's tracer (bench/run.py), which wraps them by name
+from hyperfocus.arcs import (  # noqa: F401
     ArcError,
     are_arcs,
     classify_focus,
     diagonal_line,
     double_translation_arc,
     additive_closure,
-    focus_verdicts,
+    focus_verdict,
     is_exterior,
     stacks_by_size,
     translation_arc,
     translation_hyperoval,
 )
-from hyperfocus.canon import arc_digest, canonical_forms, digest, equivalence_classes
-# hyperconic_witness is not called here: it is imported for the
-# benchmark's tracer (bench/run.py), which wraps it by name
-from hyperfocus.conics import hyperconic_witness, hyperconic_witnesses  # noqa: F401
+from hyperfocus.canon import equivalence_classes
+from hyperfocus.conics import hyperconic_witness  # noqa: F401
 from hyperfocus.field import GF, FieldError, make_field
-from hyperfocus.plane import LINE_AT_INFINITY, Line, Point, all_lines, indexed_points, point_indices
+from hyperfocus.plane import LINE_AT_INFINITY, Point, all_lines, indexed_points, point_indices
 from hyperfocus.search import (
+    CLAIMS,
     COUNTER_KEYS,
     CheckpointMismatch,
     SearchConfig,
     SearchError,
     VerificationError,
+    record_claims,
     run_search,
 )
 
@@ -246,10 +252,6 @@ def cmd_search(args) -> int:
     return EX_OK
 
 
-# claims a record may carry; verify recomputes each one that is present
-CLAIMS = ("k", "focus_count", "hyperconic", "conic", "nucleus", "digest")
-
-
 def cmd_verify(args) -> int:
     records = load_records(args.input)
     if not records:
@@ -261,48 +263,30 @@ def cmd_verify(args) -> int:
         point_sets.append(_record_points(gf, rec, i))
         line_sets.append([_record_triple(gf, rec["line"], i, "line")] if "line" in rec else [])
     arcs = _scaled(gf, point_sets)
-    stored_lines: List[Optional[Line]] = [ln[0] if ln else None for ln in _scaled(gf, line_sets)]
     arc_ok = are_arcs(gf, arcs)
-    # each list call below runs one kernel per arc size (and focus line)
-    by_line: Dict[Line, List[int]] = {}
-    for i, (pts, ok, line) in enumerate(zip(arcs, arc_ok, stored_lines)):
-        if line is None:
-            line = diagonal_line(gf, pts) if ok and len(pts) == 4 else LINE_AT_INFINITY
-        if ok and is_exterior(gf, pts, line):
-            by_line.setdefault(line, []).append(i)
-    focus: Dict[int, Tuple[str, int]] = {}
-    digests: Dict[int, str] = {}
-    for line, idx in by_line.items():
-        focus.update(zip(idx, focus_verdicts(gf, [arcs[i] for i in idx], line)))
-        # records whose stored digest is rechecked
-        stored = [i for i in idx if "digest" in records[i]]
-        forms = canonical_forms(gf, [arcs[i] for i in stored], line)
-        digests.update(zip(stored, map(digest, forms)))
-    big = [i for i, (pts, ok) in enumerate(zip(arcs, arc_ok)) if ok and len(pts) >= 6]
-    witnesses = dict(zip(big, hyperconic_witnesses(gf, [arcs[i] for i in big])))
+    # a non-arc claims only its size; an arc's claims are taken on its
+    # stored line, else on the diagonal line of a 4-arc, else on Z = 0
+    derived = [dict.fromkeys(CLAIMS) | {"k": len(pts)} for pts in arcs]
+    proven = [i for i, ok in enumerate(arc_ok) if ok]
+    proven_arcs = [arcs[i] for i in proven]
+    lines = [
+        ln[0] if ln else diagonal_line(gf, pts) if len(pts) == 4 else LINE_AT_INFINITY
+        for ln, pts in zip(_scaled(gf, [line_sets[i] for i in proven]), proven_arcs)
+    ]
+    for i, claims in zip(proven, record_claims(gf, proven_arcs, lines)):
+        derived[i] = claims
     ok_count = 0
-    for i, (rec, pts, is_arc) in enumerate(zip(records, arcs, arc_ok)):
-        exterior = i in focus
-        verdict, size = focus.get(i, ("-", 0))
-        wit = witnesses.get(i)
-        found = wit is not None and wit.found
-        derived = {
-            "k": len(pts),
-            "focus_count": size if exterior else None,
-            "hyperconic": None if wit is None else wit.found,
-            "conic": list(wit.conic) if found else None,
-            "nucleus": list(wit.nucleus) if found else None,
-            "digest": digests.get(i),
-        }
+    for i, (rec, claims, is_arc) in enumerate(zip(records, derived, arc_ok)):
+        k, size, hyper = claims["k"], claims["focus_count"], claims["hyperconic"]
         # as JSON text, so that 12.0 is not 12 and 1 is not true
-        failed = [c for c in CLAIMS if c in rec and json.dumps(rec[c]) != json.dumps(derived[c])]
-        good = exterior and verdict == HYPERFOCUSED and not failed
-        ok_count += good
-        hyper = "-" if wit is None else str(wit.found).lower()
+        failed = [c for c in CLAIMS if c in rec and json.dumps(rec[c]) != json.dumps(claims[c])]
+        ok = size == k - 1 and not failed
+        ok_count += ok
         print(
-            f"arc={i} k={len(pts)} is_arc={str(is_arc).lower()} "
-            f"focus={size} verdict={verdict} hyperconic={hyper} "
-            f"failed={','.join(failed) or '-'} ok={str(good).lower()}"
+            f"arc={i} k={k} is_arc={str(is_arc).lower()} focus={size or 0} "
+            f"verdict={'-' if size is None else focus_verdict(k, size)} "
+            f"hyperconic={'-' if hyper is None else str(hyper).lower()} "
+            f"failed={','.join(failed) or '-'} ok={str(ok).lower()}"
         )
     print(f"verified={ok_count}/{len(records)}")
     return EX_OK if ok_count == len(records) else EX_FAIL
@@ -310,6 +294,7 @@ def cmd_verify(args) -> int:
 
 def cmd_construct(args) -> int:
     gf = _field_from_args(args)
+    lines = [LINE_AT_INFINITY]
     if args.kind == "translation":
         if not args.gens:
             raise UsageError("translation needs --gens \"(x,y);(x,y)...\"")
@@ -318,7 +303,6 @@ def cmd_construct(args) -> int:
             arc = translation_arc(gf, group)
         except ArcError as exc:
             raise UsageError(f"generators do not induce an arc: {exc}") from None
-        line = LINE_AT_INFINITY
     elif args.kind == "double":
         if not args.gens or not args.shift:
             raise UsageError("double needs --gens and --shift")
@@ -328,7 +312,6 @@ def cmd_construct(args) -> int:
             _, arc = double_translation_arc(gf, group, shift)
         except ArcError as exc:
             raise UsageError(f"doubling failed: {exc}") from None
-        line = LINE_AT_INFINITY
     elif args.kind == "hyperoval":
         if args.i is None or args.i == 0:
             raise UsageError("hyperoval needs --i >= 1 with gcd(i, s) = 1")
@@ -336,38 +319,25 @@ def cmd_construct(args) -> int:
             arc = translation_hyperoval(gf, args.i)
         except ArcError as exc:
             raise UsageError(str(exc)) from None
-        line = None
+        # a hyperoval is hyperfocused on every exterior line: sample five
+        lines = list(itertools.islice((m for m in all_lines(gf) if is_exterior(gf, arc, m)), 5))
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown construction {args.kind!r}")
 
+    claims = record_claims(gf, [arc] * len(lines), lines)
+    for line, c in zip(lines, claims):
+        if c["focus_count"] != len(arc) - 1:
+            raise DataError(f"construction is not hyperfocused on the line {line}")
     rec: Dict[str, object] = {
         "q": gf.q,
         "modulus": hex(gf.modulus),
-        "k": len(arc),
         "points": [list(p) for p in arc],
-        "digest": arc_digest(gf, arc) if line is not None else None,
         "construction": args.kind,
+        "line": list(lines[0]),
+        **{c: claims[0][c] for c in ("k", "focus_count", "digest")},
     }
-    if line is not None:
-        verdict, size = classify_focus(gf, arc, line)
-        if verdict != HYPERFOCUSED:
-            raise DataError(f"construction is not hyperfocused: {verdict}")
-        rec["line"] = list(line)
-        rec["focus_count"] = size
-    else:
-        # hyperovals are hyperfocused on every exterior line; sample a few
-        sampled = 0
-        for m in all_lines(gf):
-            if not is_exterior(gf, arc, m):
-                continue
-            verdict, size = classify_focus(gf, arc, m)
-            if verdict != HYPERFOCUSED or size != gf.q + 1:
-                raise DataError(f"hyperoval fails on line {m}")
-            sampled += 1
-            if sampled == 5:
-                break
-        rec["sampled_exterior_lines"] = sampled
-        rec["focus_count"] = gf.q + 1
+    if args.kind == "hyperoval":
+        rec["sampled_exterior_lines"] = len(lines)
     line_out = json.dumps(rec, sort_keys=True, separators=(",", ":"))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -405,6 +375,8 @@ def cmd_classify(args) -> int:
             raise DataError(f"record {i} is not an arc")
         if not is_exterior(gf, pts, LINE_AT_INFINITY):
             raise DataError(f"record {i} meets the focus line")
+        if len(pts) < 3:
+            raise DataError(f"record {i} has fewer than 3 points")
     if bad_points is not None:
         raise bad_points
     seen = dict.fromkeys(tuple(sorted(pts)) for pts in point_sets)

@@ -32,7 +32,9 @@ Python sees one at a time.  No stage re-proves what the stage before it
 proved: the search accepts a point only when the arc and focus-count
 conditions still hold, so each leaf is a hyperfocused arc by
 construction.  Every emitted arc is re-verified from the definition
-once, after the orbit closure.
+once, after the orbit closure, by `record_claims`, the one derivation
+of a record's claims, which `verify` re-checks and `construct` emits:
+an arc without k points and k - 1 focuses on Z = 0 is refused.
 
 Work is sharded by the (a-index, c) prefix.  Shards are merged in a
 fixed order and the final records are sorted by canonical digest, so
@@ -64,17 +66,18 @@ import numpy as np
 # classify_focus and hyperconic_witness are not called here: they are
 # imported for the benchmark's tracer (bench/run.py), which wraps them by name
 from hyperfocus.arcs import (  # noqa: F401
-    HYPERFOCUSED,
+    Arc,
     ArcError,
     classify_focus,
     focus_verdicts,
     make_arcs,
+    stacks_by_size,
 )
 from hyperfocus.canon import canonical_forms, frobenius_orbit_reps, serialize_arc
 from hyperfocus.canon import digest as form_digest
 from hyperfocus.conics import hyperconic_witness, hyperconic_witnesses  # noqa: F401
 from hyperfocus.field import GF, make_field, tables
-from hyperfocus.plane import LINE_AT_INFINITY, Point
+from hyperfocus.plane import LINE_AT_INFINITY, Line, Point, dots
 
 # target size -> (min, max) focus count demanded of the 8-point stage
 FOCUS_BOUNDS = {10: (9, 9), 12: (11, 11), 14: (9, 13)}
@@ -100,6 +103,10 @@ COUNTER_KEYS = (
     "verified",
     "dfs_roots",
 )
+
+# a record's claims about its arc: `search` writes them, `verify` re-checks
+# those a record carries and `construct` emits k, focus_count and digest
+CLAIMS = ("k", "focus_count", "hyperconic", "conic", "nucleus", "digest")
 
 
 class SearchError(Exception):
@@ -642,6 +649,35 @@ def _worker_shard(coords: Tuple[int, int]):
     return a_idx, c, counters, raw, time.monotonic() - t_shard
 
 
+def record_claims(gf: GF, arcs: Sequence[Arc], lines: Sequence[Line]) -> List[dict]:
+    """The CLAIMS of each arc, one already proven an arc, on its focus line.
+
+    `focus_count` and `digest` are None when the line meets the arc, and
+    `digest` is also None below 3 points (no triple to normalize);
+    `hyperconic`, `conic` and `nucleus` are None below 6 points.
+    Exteriority is one array test per size group; the focus counts and
+    canonical forms are one list call per line, the witnesses one list
+    call, so each kernel runs once per size group and line.
+    """
+    claims = [dict.fromkeys(CLAIMS) | {"k": len(arc)} for arc in arcs]
+    by_line: Dict[Line, List[int]] = {}
+    for idx, stack in stacks_by_size(arcs):
+        on_line = dots(gf, stack, np.array([lines[i] for i in idx])[:, None]) == 0
+        for i in np.array(idx)[~on_line.any(1)].tolist():
+            by_line.setdefault(lines[i], []).append(i)
+    for line, idx in by_line.items():
+        for i, (_, size) in zip(idx, focus_verdicts(gf, [arcs[i] for i in idx], line)):
+            claims[i]["focus_count"] = size
+        idx = [i for i in idx if len(arcs[i]) >= 3]
+        for i, form in zip(idx, canonical_forms(gf, [arcs[i] for i in idx], line)):
+            claims[i]["digest"] = form_digest(form)
+    big = [i for i, arc in enumerate(arcs) if len(arc) >= 6]
+    for i, wit in zip(big, hyperconic_witnesses(gf, [arcs[i] for i in big])):
+        conic, nucleus = (list(wit.conic), list(wit.nucleus)) if wit.found else (None, None)
+        claims[i].update(hyperconic=wit.found, conic=conic, nucleus=nucleus)
+    return claims
+
+
 def _postprocess(
     gf: GF, k: int, found_raw: List[Tuple[Point, ...]], counters: Dict[str, int]
 ) -> Tuple[List[Tuple[Point, ...]], List[dict]]:
@@ -661,25 +697,12 @@ def _postprocess(
         arc = list(reps_found)[exc.index // gf.s]
         msg = f"emitted arc fails verification: {exc} in {arc}"
         raise VerificationError(msg) from exc
-    verdicts = focus_verdicts(gf, unique, LINE_AT_INFINITY)
-    for arc, (verdict, size) in zip(unique, verdicts):
-        if len(arc) != k or verdict != HYPERFOCUSED or size != k - 1:
+    entries = []
+    for arc, claims in zip(unique, record_claims(gf, unique, [LINE_AT_INFINITY] * len(unique))):
+        if claims["k"] != k or claims["focus_count"] != k - 1:
             raise VerificationError(f"emitted arc fails verification: {arc}")
         counters["verified"] += 1
-    entries = []
-    forms = canonical_forms(gf, unique)
-    for arc, form, wit in zip(unique, forms, hyperconic_witnesses(gf, unique), strict=True):
-        record = {
-            "q": gf.q,
-            "modulus": hex(gf.modulus),
-            "k": k,
-            "points": [list(p) for p in arc],
-            "digest": form_digest(form),
-            "focus_count": k - 1,
-            "hyperconic": wit.found,
-            "conic": list(wit.conic) if wit.found else None,
-            "nucleus": list(wit.nucleus) if wit.found else None,
-        }
+        record = {"q": gf.q, "modulus": hex(gf.modulus), "points": [list(p) for p in arc], **claims}
         entries.append((record["digest"], serialize_arc(gf, arc), arc, record))
     entries.sort(key=lambda t: (t[0], t[1]))
     for i, (_, _, _, record) in enumerate(entries):

@@ -28,7 +28,8 @@ from hyperfocus import arcs as arcs_module
 from hyperfocus import cli as cli_module
 from hyperfocus import conics as conics_module
 from hyperfocus import search
-from hyperfocus.arcs import NEITHER
+from hyperfocus.arcs import NEITHER, make_arc, translation_hyperoval
+from hyperfocus.canon import arc_digest
 from hyperfocus.cli import UsageError
 from hyperfocus.field import make_field
 
@@ -191,10 +192,12 @@ def test_search_cli_verification_error_fails(monkeypatch):
     assert "verification error: emitted arc fails verification" in err
 
 
-@pytest.mark.parametrize("plant", ["repeated point", "collinear triple"])
+@pytest.mark.parametrize("plant", ["repeated point", "collinear triple", "meets Z = 0"])
 def test_search_cli_emitted_non_arc_fails(monkeypatch, plant):
-    """A raw arc that is no arc, planted after a shard's search, is caught
-    by the re-verification of the emitted arcs: exit 1, not a traceback."""
+    """A raw arc that is no arc, or an arc that meets the focus line Z = 0
+    (the 10-point translation hyperoval), planted after a shard's search,
+    is caught by the re-verification of the emitted arcs: exit 1, not a
+    traceback."""
     shard = search.process_shard
 
     def planted(gf, k, a, c, *args, **kwargs):
@@ -203,7 +206,8 @@ def test_search_cli_emitted_non_arc_fails(monkeypatch, plant):
             # raw[0] is sorted, so (0, 0) and (0, 1) come first
             last = raw[0][0] if plant == "repeated point" else (0, 2, 1)
             assert (0, 2, 1) not in raw[0]
-            raw = raw + [raw[0][:-1] + (last,)]
+            bad = raw[0][:-1] + (last,)
+            raw = raw + [translation_hyperoval(gf, 1) if plant == "meets Z = 0" else bad]
         return counters, raw
 
     monkeypatch.setattr(search, "process_shard", planted)
@@ -449,6 +453,24 @@ def test_verify_digest_on_each_records_line(tmp_path):
     assert [row.endswith("failed=- ok=true") for row in rows[:4]] == [True, True, False, True]
     assert rows[2].endswith("failed=digest ok=false")
     assert rows[4] == "verified=3/4"
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_verify_digest_below_three_points(tmp_path, n):
+    """An arc of fewer than 3 points has no triple to normalize, so its
+    digest is null: a stored null passes and a stored string fails as
+    `failed=digest`, exit 1, not a traceback."""
+    rec = {"q": 8, "modulus": "0xb", "points": [[0, 0, 1], [1, 1, 1]][:n], "digest": None}
+    path = tmp_path / "small.jsonl"
+    path.write_text(json.dumps(rec) + "\n" + json.dumps({**rec, "digest": "0" * 16}) + "\n")
+    code, out, err = run_cli("verify", str(path))
+    assert (code, err) == (EX_FAIL, "")
+    verdict = f"arc=0 k={n} is_arc=true focus={n - 1} verdict=hyperfocused hyperconic=-"
+    assert out.splitlines() == [
+        f"{verdict} failed=- ok=true",
+        f"{verdict.replace('arc=0', 'arc=1')} failed=digest ok=false",
+        "verified=1/2",
+    ]
 
 
 def test_verify_malformed_json(tmp_path):
@@ -697,14 +719,17 @@ def test_classify_rejects_point_on_line(tmp_path):
 
 def _records_with_faults(tmp_path, faults):
     """The first five k=12 records, with record 1's third point put on the
-    line X = 0 of its first two ("no arc"), one point of record 2 moved
-    onto the focus line, keeping an arc ("on line"), and record 3
-    carrying an out-of-field coordinate ("bad point")."""
+    line X = 0 of its first two ("no arc") or record 1 cut to its first
+    two points ("few points"), one point of record 2 moved onto the focus
+    line, keeping an arc ("on line"), and record 3 carrying an
+    out-of-field coordinate ("bad point")."""
     gf = make_field(5, 0x25)
     recs = [json.loads(line) for line in K12_RESULTS.read_text().splitlines()[:5]]
     if "no arc" in faults:
         assert recs[1]["points"][:2] == [[0, 0, 1], [0, 1, 1]]
         recs[1]["points"][2] = [0, 2, 1]
+    if "few points" in faults:
+        recs[1]["points"] = recs[1]["points"][:2]
     if "on line" in faults:
         pts = recs[2]["points"]
         pts[4] = next(
@@ -724,12 +749,15 @@ def _records_with_faults(tmp_path, faults):
         (("on line", "bad point"), "record 3: bad point [40, 1, 1]", "record 2 meets the focus line"),
         (("bad point",), "record 3: bad point [40, 1, 1]", "record 3: bad point [40, 1, 1]"),
         (("no arc", "on line"), None, "record 1 is not an arc"),
+        (("few points", "bad point"), "record 3: bad point [40, 1, 1]", "record 1 has fewer than 3 points"),
+        (("few points", "on line", "bad point"), "record 3: bad point [40, 1, 1]", "record 1 has fewer than 3 points"),
     ],
 )
 def test_read_paths_report_the_first_failing_record(tmp_path, faults, verify_err, classify_err):
     """verify rejects a record only for bad data, classify also for a
-    non-arc or a point on the focus line; each reports the first failing
-    record of the file, with exit 65, and prints nothing else."""
+    non-arc, a point on the focus line or fewer than 3 points; each
+    reports the first failing record of the file, with exit 65, and
+    prints nothing else."""
     path = _records_with_faults(tmp_path, faults)
     code, out, err = run_cli("classify", str(path))
     assert (code, out, err) == (EX_DATA, "", f"data error: {classify_err}\n")
@@ -859,6 +887,42 @@ def test_construct_hyperoval(tmp_path):
     assert rec["focus_count"] == 33
     assert rec["sampled_exterior_lines"] == 5
     assert out_path.read_text().strip() == out.strip()
+
+
+def test_construct_hyperoval_roundtrip_q8(gf8, tmp_path):
+    """The hyperoval record names the first exterior line it sampled and
+    carries its digest on that line, so verify passes it."""
+    path = tmp_path / "oval.jsonl"
+    code, out, _ = run_cli("construct", "hyperoval", "--s", "3", "--i", "1", "--out", str(path))
+    assert code == EX_OK
+    rec = json.loads(out)
+    assert rec["line"] == [1, 1, 1] and rec["k"] == 10 and rec["focus_count"] == 9
+    assert rec["digest"] == arc_digest(gf8, make_arc(gf8, rec["points"]), (1, 1, 1))
+    code, out, _ = run_cli("verify", str(path))
+    assert code == EX_OK
+    assert out.splitlines()[-1] == "verified=1/1"
+
+
+@pytest.mark.parametrize(
+    "argv, k",
+    [
+        (["translation", "--gens", "(1,1)"], 2),
+        (["translation", "--gens", "(0,0)"], 1),
+        (["double", "--gens", "(0,0)", "--shift", "(1,1)"], 2),
+    ],
+)
+def test_construct_below_three_points_has_null_digest(tmp_path, argv, k):
+    """A translation arc of 1 or 2 points is printed with a null digest,
+    exit 0, and verify passes the record."""
+    path = tmp_path / "small.jsonl"
+    code, out, err = run_cli("construct", *argv, "--s", "3", "--out", str(path))
+    assert (code, err) == (EX_OK, "")
+    rec = json.loads(out)
+    assert rec["digest"] is None
+    assert (rec["k"], rec["focus_count"], rec["line"]) == (k, k - 1, [0, 0, 1])
+    code, out, _ = run_cli("verify", str(path))
+    assert code == EX_OK
+    assert out.splitlines()[-1] == "verified=1/1"
 
 
 def test_construct_hyperoval_bad_exponent():

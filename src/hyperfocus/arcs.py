@@ -43,6 +43,7 @@ from hyperfocus.plane import (
     ZeroTriple,
     crosses,
     dots,
+    index_pairs,
     indexed_points,
     point_indices,
 )
@@ -98,7 +99,7 @@ def stacks_by_size(
 def _secant_indices(gf: GF, stack: np.ndarray) -> np.ndarray:
     """(n, C(k, 2)) dense indices of the secants of each row, in
     `itertools.combinations` order; -1 where two points span no line."""
-    i, j = np.triu_indices(stack.shape[1], 1)
+    i, j = index_pairs(stack.shape[1])
     return point_indices(gf, crosses(gf, stack[:, i], stack[:, j]))
 
 
@@ -205,7 +206,7 @@ def _focus_indices(gf: GF, stack: np.ndarray, line: Line) -> np.ndarray:
     if not lam.all():
         raise LineMeetsArc(f"line {line} meets the arc")
     u = tables(gf).div(stack, lam[..., None])
-    i, j = np.triu_indices(stack.shape[1], 1)
+    i, j = index_pairs(stack.shape[1])
     foci = point_indices(gf, u[:, i] ^ u[:, j])
     if (foci < 0).any():  # u_a = u_b: a point given twice
         raise ZeroTriple("zero triple")

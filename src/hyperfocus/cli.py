@@ -307,9 +307,11 @@ def cmd_construct(args) -> int:
         if not args.gens or not args.shift:
             raise UsageError("double needs --gens and --shift")
         group = additive_closure(gf, parse_pairs(gf, args.gens))
-        (shift,) = parse_pairs(gf, args.shift) or [None]
+        shifts = parse_pairs(gf, args.shift)
+        if len(shifts) != 1:
+            raise UsageError("double needs exactly one --shift pair")
         try:
-            _, arc = double_translation_arc(gf, group, shift)
+            _, arc = double_translation_arc(gf, group, shifts[0])
         except ArcError as exc:
             raise UsageError(f"doubling failed: {exc}") from None
     elif args.kind == "hyperoval":

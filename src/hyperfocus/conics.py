@@ -37,7 +37,7 @@ import numpy as np
 
 from hyperfocus.arcs import Arc, ArcError, distinct_rows, make_arc, stacks_by_size
 from hyperfocus.field import GF, Tables, tables
-from hyperfocus.plane import Point, crosses, dots, indexed_points, point_indices
+from hyperfocus.plane import Point, crosses, dots, index_pairs, indexed_points, point_indices
 
 Conic = Tuple[int, int, int, int, int, int]
 
@@ -97,7 +97,7 @@ def conic_through(gf: GF, pts: Sequence[Point]) -> Conic:
     except ArcError as exc:  # a point given twice, or three collinear
         raise DegenerateInput(str(exc)) from None
     five = np.array(pts, dtype=np.int64)
-    i, j = np.triu_indices(5, 1)
+    i, j = index_pairs(5)
     lines = crosses(gf, five[i], five[j])[_PENCIL_LINES]
     return tuple(_pencil_conics(gf, lines, five[4]).tolist())
 
@@ -118,7 +118,7 @@ def _witness_kernel(gf: GF, stack: np.ndarray) -> Tuple[list, list, list, list]:
     and nucleus."""
     tab = tables(gf)
     n = len(stack)
-    i, j = np.triu_indices(6, 1)
+    i, j = index_pairs(6)
     secants = crosses(gf, stack[:, i], stack[:, j])  # (n, 15, 3)
     quintuple_lines = point_indices(gf, secants)[:, _QUINTUPLE_SECANTS]
     general = distinct_rows(quintuple_lines)  # (n, 6)

@@ -17,6 +17,7 @@ with every product gathered from the field's tables; scaling is
 
 from __future__ import annotations
 
+import functools
 from typing import Iterator, Tuple
 
 import numpy as np
@@ -92,6 +93,16 @@ def indexed_points(gf: GF, idx: np.ndarray) -> np.ndarray:
     x = np.where(affine, idx // q, np.where(direction, idx - q * q, 1))
     y = np.where(affine, idx % q, direction)
     return np.stack([x, y, affine], axis=-1) * (idx >= 0)[..., None]
+
+
+@functools.cache
+def index_pairs(n: int) -> Tuple[np.ndarray, ...]:
+    """The pairs i < j < n in `itertools.combinations` order, read-only and
+    built once per n: a build costs about 80 us, a tenth of a k=12 shard's stream."""
+    pairs = np.triu_indices(n, 1)
+    for v in pairs:
+        v.flags.writeable = False
+    return pairs
 
 
 def all_points(gf: GF) -> Iterator[Point]:

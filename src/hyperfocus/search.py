@@ -36,11 +36,14 @@ once, after the orbit closure, by `record_claims`, the one derivation
 of a record's claims, which `verify` re-checks and `construct` emits:
 an arc without k points and k - 1 focuses on Z = 0 is refused.
 
-Work is sharded by the (a-index, c) prefix.  Shards are merged in a
-fixed order and the final records are sorted by canonical digest, so
-worker count never affects the output file.  A JSON checkpoint stores
-the last completed shard, cumulative counters, and the arcs found so
-far; resuming reproduces the same bytes.
+Work is sharded by the (a-index, c) prefix.  One function runs a shard,
+in the process or in a pool worker, over direction tables built once
+per field and process.  Shards are merged in a fixed order and the
+final records are sorted by canonical digest, so worker count never
+affects the output file.  A JSON checkpoint stores the last completed
+shard, cumulative counters, and the arcs found so far; resuming
+reproduces the same bytes, and a corrupt checkpoint is refused before
+any shard runs.
 
 Restricting a to orbit representatives finds one arc per Frobenius
 orbit; the reported result is the orbit closure, i.e. every
@@ -50,7 +53,7 @@ collineation fixes the frame and the focus line.
 
 from __future__ import annotations
 
-import functools
+import contextlib
 import hashlib
 import json
 import os
@@ -59,7 +62,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from multiprocessing import Pool
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,8 +79,8 @@ from hyperfocus.arcs import (  # noqa: F401
 from hyperfocus.canon import canonical_forms, frobenius_orbit_reps, serialize_arc
 from hyperfocus.canon import digest as form_digest
 from hyperfocus.conics import hyperconic_witness, hyperconic_witnesses  # noqa: F401
-from hyperfocus.field import GF, make_field, tables
-from hyperfocus.plane import LINE_AT_INFINITY, Line, Point, dots
+from hyperfocus.field import GF, tables
+from hyperfocus.plane import LINE_AT_INFINITY, Line, Point, dots, index_pairs
 
 # target size -> (min, max) focus count demanded of the 8-point stage
 FOCUS_BOUNDS = {10: (9, 9), 12: (11, 11), 14: (9, 13)}
@@ -143,9 +146,11 @@ def shard_list(gf: GF) -> List[Tuple[int, int]]:
 # stream filtering
 
 def _require_small_field(gf: GF) -> None:
-    """Focus sets are uint64 bitmasks over the q + 1 directions."""
+    """Focus sets are uint64 masks over the q + 1 directions, counted by numpy 2's bitwise_count."""
     if gf.q >= 64:
         raise SearchError(f"q={gf.q} is not supported: focus bitmasks need q < 64")
+    if not hasattr(np, "bitwise_count"):
+        raise SearchError(f"numpy {np.__version__} is too old: the search needs numpy >= 2.0")
 
 
 class _NumpyTables:
@@ -153,8 +158,6 @@ class _NumpyTables:
 
     def __init__(self, gf: GF):
         _require_small_field(gf)
-        if not hasattr(np, "bitwise_count"):
-            raise SearchError(f"numpy {np.__version__} is too old: the search needs numpy >= 2.0")
         q = gf.q
         xs = np.arange(q)
         self.q = q
@@ -170,20 +173,21 @@ class _NumpyTables:
         self.rays = flat[:, xs[:, None] ^ xs].transpose(1, 0, 2).reshape(q * q, q)
 
 
+_SEARCH_TABLES: Dict[Tuple[int, int], _NumpyTables] = {}
+
+
+def _search_tables(gf: GF) -> _NumpyTables:
+    """The field's search tables, built on the first call in a process."""
+    key = (gf.s, gf.modulus)
+    tab = _SEARCH_TABLES.get(key)
+    if tab is None:
+        tab = _SEARCH_TABLES[key] = _NumpyTables(gf)
+    return tab
+
+
 # 32-bit words per pair chunk, and (g, h) pairs per row block, of the
 # stream, so that its temporaries stay small next to the process
 _CHUNK = 1 << 14
-
-
-@functools.cache
-def _index_pairs(n: int) -> Tuple[np.ndarray, ...]:
-    """np.triu_indices(n, 1), the pairs i < j < n in lexicographic order,
-    read-only and built once per n: a build costs about 80 us, a tenth
-    of a k=12 shard's stream."""
-    pairs = np.triu_indices(n, 1)
-    for v in pairs:
-        v.flags.writeable = False
-    return pairs
 
 
 def stream_shard(
@@ -193,7 +197,6 @@ def stream_shard(
     lo: int,
     hi: int,
     de_pairs: Optional[Sequence[Tuple[int, int]]] = None,
-    tables: Optional[_NumpyTables] = None,
 ) -> Tuple[Dict[str, int], np.recarray]:
     """Shard filter: bound-first, batched over chunks of (d, e) pairs.
 
@@ -228,17 +231,13 @@ def stream_shard(
     `tab.rays` bits without it and every focus test counts it as one.
     Pair chunks hold at most `_CHUNK` words.  The survivors are one
     record array with int64 fields a, c, d, e, f, g, h, in pairs order,
-    then (f, g, h) order.  `de_pairs` restricts the (d, e) pairs,
-    `tables` reuses one field's tables across shards.
+    then (f, g, h) order.  `de_pairs` restricts the (d, e) pairs.
     """
-    tab = tables if tables is not None else _NumpyTables(gf)
+    tab = _search_tables(gf)
     q = tab.q
     counters = new_counters()
-    de = (
-        np.array(de_pairs, dtype=np.int64).reshape(-1, 2)
-        if de_pairs is not None
-        else np.stack(_index_pairs(q), axis=1)
-    )
+    de = np.column_stack(index_pairs(q)) if de_pairs is None else np.array(de_pairs, dtype=np.int64)
+    de = de.reshape(-1, 2)
     counters["candidates"] = len(de) * (q - 1 - c) * (q * (q - 1) // 2)
 
     rays = tab.rays
@@ -326,7 +325,7 @@ def _row_pairs(
     packed[r_i, slot] = m7[r_i, g_i]
     gs = np.zeros((n, width), dtype=np.int64)
     gs[r_i, slot] = g_i
-    si, sj = _index_pairs(width)  # a row's slot pairs, in (g, h) order
+    si, sj = index_pairs(width)  # a row's slot pairs, in (g, h) order
     n_pairs = max(1, len(si))
     n910 = 0
     hits = [np.zeros(0, np.intp)]  # flat indices into the (n, n_pairs) pair blocks
@@ -341,8 +340,8 @@ def _row_pairs(
     return n910, row, gs[row, si[p]], gs[row, sj[p]]
 
 
-# `resolve_engine` and the `engine` argument of `process_shard` remain
-# only for bench/run.py, which passes "auto"; numpy is the one engine.
+# `resolve_engine` and the `engine` and `tables` arguments of `process_shard`
+# remain only for bench/run.py, which passes "auto" and a table set of its own.
 def resolve_engine(gf: GF, engine: str) -> str:
     if engine not in ("auto", "numpy"):
         raise SearchError(f"unknown engine {engine!r}")
@@ -358,9 +357,6 @@ def resolve_engine(gf: GF, engine: str) -> str:
 # batches' arrays and objects stay small next to the process
 _SURVIVOR_BLOCK = 256
 _TABLE_BLOCK = 64
-
-# the 28 secants (_I[s], _J[s]) of an 8-point candidate
-_I, _J = np.triu_indices(8, 1)
 
 
 # `prune8` and `closure_completions` keep their names for bench/run.py,
@@ -380,8 +376,9 @@ def prune8(survivors: np.ndarray, tab: _NumpyTables) -> Tuple[np.ndarray, ...]:
     zero, one = np.zeros_like(a), np.ones_like(a)
     px = np.stack([zero, zero, one, one, c, c, f, f], axis=1)
     py = np.stack([zero, one, zero, a, d, e, g, h], axis=1)
-    dx = px[:, _I] ^ px[:, _J]
-    dy = py[:, _I] ^ py[:, _J]
+    i, j = index_pairs(8)  # the 28 secants
+    dx = px[:, i] ^ px[:, j]
+    dy = py[:, i] ^ py[:, j]
     fmask = np.bitwise_or.reduce(tab.slope_bit[dx, dy], axis=1)
     # per-direction secant counts, one bincount over row-offset slopes
     width = tab.q + 1
@@ -525,8 +522,8 @@ def process_shard(
     the depth-first search are visited one at a time.
     """
     resolve_engine(gf, engine)
-    tab = tables if tables is not None else _NumpyTables(gf)
-    counters, survivors = stream_shard(gf, a, c, *FOCUS_BOUNDS[k], tables=tab)
+    tab = tables if tables is not None else _search_tables(gf)
+    counters, survivors = stream_shard(gf, a, c, *FOCUS_BOUNDS[k])
     raw: List[Tuple[Point, ...]] = []
     for i in range(0, len(survivors), _SURVIVOR_BLOCK):
         px, py, fmask, single = prune8(survivors[i:i + _SURVIVOR_BLOCK], tab)
@@ -612,40 +609,41 @@ def _save_checkpoint(
     _atomic_write(path, json.dumps(blob, sort_keys=True))
 
 
-def _load_checkpoint(path: str, digest: str):
+def _load_checkpoint(path: str, digest: str, gf: GF, k: int):
+    """A checkpoint's cursor, counters and raw arcs.  CheckpointMismatch
+    for another configuration's and for a corrupt one: no JSON object, a
+    cursor or counters not integers, or arcs not k field-element triples."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read()
     try:
         blob = json.loads(raw)
+        if not isinstance(blob, dict):
+            raise TypeError("not a JSON object")
         if blob.get("config_hash") != digest:
-            raise CheckpointMismatch(
-                f"checkpoint {path} was written by a different configuration"
-            )
-        cursor = (int(blob["cursor"][0]), int(blob["cursor"][1]))
-        counters = new_counters()
-        counters.update({k: int(v) for k, v in blob["counters"].items()})
-        found = [tuple(tuple(int(x) for x in p) for p in arc) for arc in blob["found"]]
+            raise CheckpointMismatch(f"checkpoint {path} was written by a different configuration")
+        cursor = tuple(blob["cursor"])
+        if len(cursor) != 2 or any(type(x) is not int for x in cursor):
+            raise TypeError(f"cursor {blob['cursor']!r} is not two integers")
+        stored = blob["counters"]
+        counters = {key: stored[key] for key in COUNTER_KEYS}
+        if len(stored) != len(counters) or any(type(v) is not int for v in counters.values()):
+            raise TypeError(f"counters {stored!r} are not integers keyed by the counter names")
+        found = [tuple(map(tuple, arc)) for arc in blob["found"]]
+        for arc in found:
+            if len(arc) != k or any(len(p) != 3 for p in arc) or any(
+                type(x) is not int or x not in range(gf.q) for p in arc for x in p
+            ):
+                raise ValueError(f"{arc} is not {k} triples of elements of GF({gf.q})")
     except (KeyError, IndexError, TypeError, ValueError) as exc:  # JSONDecodeError too
         raise CheckpointMismatch(f"corrupt checkpoint {path}: {exc}") from exc
     return cursor, counters, found
 
 
-_WORKER: Dict[str, Any] = {}
-
-
-def _worker_init(s: int, modulus: int, k: int) -> None:
-    gf = make_field(s, modulus)
-    reps = frobenius_orbit_reps(gf, exclude=frozenset({0}))
-    _WORKER.update(gf=gf, k=k, reps=reps, tables=_NumpyTables(gf))
-
-
-def _worker_shard(coords: Tuple[int, int]):
-    a_idx, c = coords
-    w = _WORKER
+def _run_shard(task: Tuple[GF, int, int, int, int]):
+    """One shard of `run_search`, in process or in a pool: (gf, k, a-index, a, c)."""
+    gf, k, a_idx, a, c = task
     t_shard = time.monotonic()
-    counters, raw = process_shard(
-        w["gf"], w["k"], w["reps"][a_idx], c, tables=w["tables"]
-    )
+    counters, raw = process_shard(gf, k, a, c)
     return a_idx, c, counters, raw, time.monotonic() - t_shard
 
 
@@ -681,9 +679,7 @@ def record_claims(gf: GF, arcs: Sequence[Arc], lines: Sequence[Line]) -> List[di
 def _postprocess(
     gf: GF, k: int, found_raw: List[Tuple[Point, ...]], counters: Dict[str, int]
 ) -> Tuple[List[Tuple[Point, ...]], List[dict]]:
-    reps_found: Dict[Tuple[Point, ...], None] = {}
-    for arc in found_raw:
-        reps_found.setdefault(tuple(tuple(p) for p in arc), None)
+    reps_found = dict.fromkeys(found_raw)
     counters["orbit_reps"] = len(reps_found)
     # the stream fixes the fourth frame ordinate to a Frobenius orbit
     # representative; the full family of frame-normalized arcs is the
@@ -718,7 +714,7 @@ def run_search(gf: GF, k: int, config: SearchConfig) -> SearchReport:
         raise SearchError(f"k={k} is not supported (even k in 10..14)")
     if config.max_shards is not None and config.max_shards < 0:
         raise SearchError(f"max_shards={config.max_shards} must be >= 0")
-    tables = _NumpyTables(gf)  # refuses q >= 64 before any work
+    _require_small_field(gf)  # before any work
     bounds = FOCUS_BOUNDS[k]
     digest = config_hash(gf, k, bounds)
     shards = shard_list(gf)
@@ -726,7 +722,7 @@ def run_search(gf: GF, k: int, config: SearchConfig) -> SearchReport:
     found_raw: List[Tuple[Point, ...]] = []
     done = 0
     if config.checkpoint and os.path.exists(config.checkpoint):
-        cursor, counters, found_raw = _load_checkpoint(config.checkpoint, digest)
+        cursor, counters, found_raw = _load_checkpoint(config.checkpoint, digest, gf, k)
         try:
             done = shards.index(cursor) + 1
         except ValueError as exc:
@@ -744,12 +740,10 @@ def run_search(gf: GF, k: int, config: SearchConfig) -> SearchReport:
     def handle(a_idx: int, c: int, delta: Dict[str, int], raw, shard_s: float) -> None:
         nonlocal done
         merge_counters(counters, delta)
-        found_raw.extend(tuple(tuple(p) for p in arc) for arc in raw)
+        found_raw.extend(raw)
         done += 1
         if config.checkpoint:
-            _save_checkpoint(
-                config.checkpoint, digest, (a_idx, c), counters, found_raw
-            )
+            _save_checkpoint(config.checkpoint, digest, (a_idx, c), counters, found_raw)
         if config.progress:
             # rate and ETA cover the shards of this invocation
             ran = done - done_before
@@ -763,19 +757,11 @@ def run_search(gf: GF, k: int, config: SearchConfig) -> SearchReport:
                 flush=True,
             )
 
-    if workers == 1 or len(todo) <= 1:
-        for a_idx, c in todo:
-            t_shard = time.monotonic()
-            delta, raw = process_shard(gf, k, reps[a_idx], c, tables=tables)
-            handle(a_idx, c, delta, raw, time.monotonic() - t_shard)
-    else:
-        with Pool(
-            processes=min(workers, len(todo)),
-            initializer=_worker_init,
-            initargs=(gf.s, gf.modulus, k),
-        ) as pool:
-            for result in pool.imap(_worker_shard, todo):
-                handle(*result)
+    tasks = [(gf, k, a_idx, reps[a_idx], c) for a_idx, c in todo]
+    pool = Pool(min(workers, len(todo))) if workers > 1 and len(todo) > 1 else None
+    with pool or contextlib.nullcontext():
+        for result in (pool.imap if pool else map)(_run_shard, tasks):
+            handle(*result)
 
     completed = done == len(shards)
     cursor = shards[done - 1] if done else None
@@ -792,10 +778,8 @@ def run_search(gf: GF, k: int, config: SearchConfig) -> SearchReport:
                 + " ".join(f"{key}={counters[key]}" for key in COUNTER_KEYS)
             )
         if config.output:
-            lines = [
-                json.dumps(r, sort_keys=True, separators=(",", ":")) for r in records
-            ]
-            _atomic_write(config.output, "".join(line + "\n" for line in lines))
+            lines = (json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in records)
+            _atomic_write(config.output, "".join(lines))
     return SearchReport(
         k=k,
         q=gf.q,

@@ -146,6 +146,49 @@ def test_search_cli_corrupt_checkpoint(tmp_path):
     assert "checkpoint mismatch: corrupt checkpoint" in err
 
 
+def _with_coordinate_9(blob):
+    blob["found"][0][0][0] = 9  # q = 8: no field element
+    return blob
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda blob: [],
+        lambda blob: None,
+        lambda blob: blob | {"cursor": [0, 3.9]},
+        lambda blob: blob | {"counters": []},
+        lambda blob: blob | {"counters": blob["counters"] | {"found": "1"}},
+        lambda blob: blob | {"found": [[[1, 2]]]},
+        _with_coordinate_9,
+    ],
+    ids=["list", "null", "float cursor", "counters list", "counter string", "short arc", "coordinate 9"],
+)
+def test_search_cli_rejects_corrupt_checkpoint_contents(tmp_path, corrupt):
+    """A checkpoint of the right configuration whose JSON is no object,
+    whose cursor or counters are not integers (the counters keyed by the
+    counter names), or whose arcs are not k triples of field elements
+    exits 2 before any shard runs: no traceback, no output file, and the
+    checkpoint unchanged."""
+    ckpt, out = tmp_path / "part.ckpt", tmp_path / "k10.jsonl"
+    code, _, _ = run_cli(
+        "search", "--s", "3", "--k", "10",
+        "--checkpoint", str(ckpt), "--max-shards", "3",
+    )
+    assert code == EX_OK
+    blob = json.loads(ckpt.read_text())
+    assert blob["found"]  # the first shards of q = 8 find arcs
+    ckpt.write_text(json.dumps(corrupt(blob)))
+    before = ckpt.read_bytes()
+    code, stdout, err = run_cli(
+        "search", "--s", "3", "--k", "10", "--checkpoint", str(ckpt), "--out", str(out)
+    )
+    assert (code, stdout) == (EX_CHECKPOINT, "")
+    assert "checkpoint mismatch: corrupt checkpoint" in err
+    assert not out.exists()
+    assert ckpt.read_bytes() == before
+
+
 def test_search_cli_old_checkpoint(tmp_path):
     """A checkpoint written by code without a checkpoint schema is a
     config mismatch, not a resume."""
@@ -873,6 +916,16 @@ def test_construct_double_shift_on_secant():
     )
     assert code == EX_USAGE
     assert "doubling failed" in err
+
+
+def test_construct_double_needs_one_shift():
+    """A second --shift pair is a usage error, not an unpacking ValueError."""
+    code, out, err = run_cli(
+        "construct", "double", "--s", "3",
+        "--gens", "(1,0)", "--shift", "(1,1);(0,1)",
+    )
+    assert (code, out) == (EX_USAGE, "")
+    assert err == "usage error: double needs exactly one --shift pair\n"
 
 
 def test_construct_hyperoval(tmp_path):

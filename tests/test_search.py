@@ -453,6 +453,47 @@ def test_run_search_determinism_q8(gf8, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_search_tables_built_once_per_field(gf8, monkeypatch):
+    """A serial run builds the field's search tables once; a second run
+    and a later shard stream reuse them."""
+    monkeypatch.setattr(search, "_SEARCH_TABLES", {})
+    built = []
+    init = search._NumpyTables.__init__
+
+    def spy(self, gf):
+        built.append(gf.q)
+        init(self, gf)
+
+    monkeypatch.setattr(search._NumpyTables, "__init__", spy)
+    run_search(gf8, 10, SearchConfig())
+    assert built == [8]
+    run_search(gf8, 10, SearchConfig())
+    stream_shard(gf8, 1, 2, *FOCUS_BOUNDS[10])
+    assert built == [8]
+
+
+def test_search_tables_keyed_by_field(monkeypatch):
+    """Two fields of one size have their own tables."""
+    monkeypatch.setattr(search, "_SEARCH_TABLES", {})
+    search._search_tables(make_field(5, 0x25))
+    gf = make_field(5, 0x29)
+    got, fresh = search._search_tables(gf), search._NumpyTables(gf)
+    for name in ("slope", "slope_bit", "rays"):
+        assert np.array_equal(getattr(got, name), getattr(fresh, name))
+    assert got.slope_bits == fresh.slope_bits
+
+
+def test_resolve_engine_refuses_numpy_without_bitwise_count(gf8, monkeypatch):
+    """numpy < 2.0 has no `bitwise_count`: resolving the engine refuses
+    it, and so does a shard whose field's tables are already cached."""
+    stream_shard(gf8, 1, 2, *FOCUS_BOUNDS[10])
+    monkeypatch.delattr(np, "bitwise_count")
+    with pytest.raises(SearchError, match="needs numpy >= 2.0"):
+        resolve_engine(gf8, "auto")
+    with pytest.raises(SearchError, match="needs numpy >= 2.0"):
+        process_shard(gf8, 10, 1, 2)
+
+
 def test_checkpoint_resume_q8(gf8, tmp_path):
     """A run interrupted after a few shards resumes to the same bytes."""
     ref = tmp_path / "ref.jsonl"
@@ -633,7 +674,7 @@ def test_closure_roots_match_oracle(field, k, cs, n_roots, request):
     tab = search._NumpyTables(gf)
     reps = frobenius_orbit_reps(gf, exclude=frozenset({0}))
     parts = [
-        stream_shard(gf, reps[i], c, 7, k, tables=tab)[1]
+        stream_shard(gf, reps[i], c, 7, k)[1]
         for i, c in shard_list(gf)
         if cs is None or c in cs
     ]
@@ -786,10 +827,9 @@ def test_closure_matches_hyperoval_oracle_q16(gf16, f, g, h, n_ovals):
 
 def low_focus_stream(gf):
     """The stream 8-arcs with 7 or 8 focuses, by (a, c) shard."""
-    tab = search._NumpyTables(gf)
     reps = frobenius_orbit_reps(gf, exclude=frozenset({0}))
     return {
-        (reps[a_idx], c): stream_shard(gf, reps[a_idx], c, 7, 8, tables=tab)[1]
+        (reps[a_idx], c): stream_shard(gf, reps[a_idx], c, 7, 8)[1]
         for a_idx, c in shard_list(gf)
     }
 

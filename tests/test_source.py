@@ -108,3 +108,27 @@ def test_field_arithmetic_is_array_only_outside_field():
             and n.value.id == "gf"
         ]
     assert found == []
+
+
+def _calls(name: str):
+    """(module, enclosing top-level name) of each call of `name` in src/."""
+    return [
+        (path.name, getattr(node, "name", None))
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        for n in ast.walk(node)
+        if isinstance(n, ast.Call)
+        and name in (getattr(n.func, "id", None), getattr(n.func, "attr", None))
+    ]
+
+
+def test_search_tables_built_only_by_the_cache():
+    """The package builds the search's direction tables only through the
+    per-field cache, so a run builds them once per field and process."""
+    assert _calls("_NumpyTables") == [("search.py", "_search_tables")]
+
+
+def test_one_triu_indices_in_src():
+    """Every pair index of the package comes from `plane.index_pairs`,
+    built once per n."""
+    assert _calls("triu_indices") == [("plane.py", "index_pairs")]

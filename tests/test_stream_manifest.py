@@ -18,7 +18,7 @@ import pytest
 
 from hyperfocus.canon import frobenius_orbit_reps
 from hyperfocus.field import make_field
-from hyperfocus.search import FOCUS_BOUNDS, _NumpyTables, shard_list, stream_shard
+from hyperfocus.search import FOCUS_BOUNDS, shard_list, stream_shard
 
 MANIFEST = os.path.join(os.path.dirname(__file__), "data", "stream_q32.json")
 STREAM_KEYS = ("candidates", "arcs8", "focus_rejected", "focus_9_10", "prepared")
@@ -26,12 +26,11 @@ STREAM_KEYS = ("candidates", "arcs8", "focus_rejected", "focus_9_10", "prepared"
 
 def stream_entries(gf, k):
     """One manifest entry per shard, in shard order."""
-    tables = _NumpyTables(gf)
     reps = frobenius_orbit_reps(gf, exclude=frozenset({0}))
     lo, hi = FOCUS_BOUNDS[k]
     entries = []
     for a_idx, c in shard_list(gf):
-        counters, survivors = stream_shard(gf, reps[a_idx], c, lo, hi, tables=tables)
+        counters, survivors = stream_shard(gf, reps[a_idx], c, lo, hi)
         blob = "".join(f"{d},{e},{f},{g},{h}\n" for _, _, d, e, f, g, h in survivors.tolist())
         entry = {"a_idx": a_idx, "c": c}
         entry.update((key, counters[key]) for key in STREAM_KEYS)

@@ -87,13 +87,22 @@ def stacks_by_size(
     point_sets: Sequence[Sequence[Sequence[int]]],
 ) -> Iterator[Tuple[List[int], np.ndarray]]:
     """The list positions of the sets of each size, with those sets as one
-    (n, k, 3) int64 stack; sizes in order of first appearance."""
+    (n, k, 3) int64 stack; sizes in order of first appearance.  An (n, k,
+    3) array is already one stack.  Each stack is built from the flat run
+    of its coordinates; a point that is not a triple raises ValueError."""
+    if isinstance(point_sets, np.ndarray) and point_sets.ndim == 3 and point_sets.shape[2] == 3:
+        if len(point_sets):
+            yield list(range(len(point_sets))), point_sets
+        return
     groups: Dict[int, List[int]] = {}
     for i, pts in enumerate(point_sets):
         groups.setdefault(len(pts), []).append(i)
     for k, idx in groups.items():
-        stack = np.array([point_sets[i] for i in idx], dtype=np.int64)
-        yield idx, stack.reshape(len(idx), k, 3)
+        pts = list(itertools.chain.from_iterable(point_sets[i] for i in idx))
+        if set(map(len, pts)) - {3}:
+            raise ValueError(f"a {k}-point set holds a point that is not a triple")
+        flat = np.fromiter(itertools.chain.from_iterable(pts), np.int64, 3 * len(pts))
+        yield idx, flat.reshape(len(idx), k, 3)
 
 
 def _secant_indices(gf: GF, stack: np.ndarray) -> np.ndarray:

@@ -7,34 +7,18 @@ The candidate family is the normalized 8-point configuration
 in affine coordinates (third coordinate 1), four vertical pairs, with a
 ranging over Frobenius orbit representatives and the ordering
 constraints 1 < c < f, d < e, g < h removing within-frame duplicates.
-A shard is filtered in numpy, bound first.  A cell (f, g) is
-admissible when its six directions to the fixed points are distinct (a
-popcount of 6); that splits into one q-bit word per f and point (c, y),
-so `arcs8` is counted from those words for the whole shard at once.  A
-(d, e) pair whose six fixed points already exceed the focus bound is
-dropped before any of its cells is built, and in the chunks of the
-other pairs a cell whose 7-point focus count exceeds the bound is cut
-before any (g, h) pair is formed.  The rows left with two cells pass
-one (g, h) stage per shard.  Directions are 32-bit words without the
-vertical, which is a focus of every candidate and is counted once in
-each focus test; pair chunks hold at most 2^14 words and row blocks at
-most 2^14 (g, h) pairs.  A shard's
-survivors are one record array of (a, c, d, e, f, g, h), which passes
-two batched numpy stages, 256 survivors at a time.  A census derives
-each one's coordinates and focus mask from its 28 secant
-directions.  The extension, one search for every k, adds (k - 8)/2
-vertical pairs in columns the 8-arc leaves free: direction tables,
-shared per six-point frame and completed in blocks of survivors, give
-each one's admissible points, a column early exit drops the survivors
-with too few free columns, and only the rest, the roots, go to a
-depth-first search over column pairs; they are the only survivors
-Python sees one at a time.  No stage re-proves what the stage before it
-proved: the search accepts a point only when the arc and focus-count
-conditions still hold, so each leaf is a hyperfocused arc by
-construction.  Every emitted arc is re-verified from the definition
-once, after the orbit closure, by `record_claims`, the one derivation
-of a record's claims, which `verify` re-checks and `construct` emits:
-an arc without k points and k - 1 focuses on Z = 0 is refused.
+A shard is filtered in numpy, bound first (`stream_shard`): focus
+bounds cut (d, e) pairs and cells before any (g, h) pair is formed.  A
+shard's survivors are one record array of (a, c, d, e, f, g, h), which
+passes two batched numpy stages, 256 survivors at a time.  A census
+derives each one's coordinates and focus mask from its 28 secant
+directions.  The extension adds (k - 8)/2 vertical pairs in columns
+the 8-arc leaves free: direction tables give each survivor's
+admissible points, a column early exit drops the survivors with too
+few free columns, and the arc and focus kernels decide the rest's
+candidates, so each completion is a hyperfocused arc.  Every emitted
+arc is re-verified once, after the orbit closure, by `record_claims`,
+the one derivation of a record's claims.
 
 Work is sharded by the (a-index, c) prefix.  One function runs a shard,
 in the process or in a pool worker, over direction tables built once
@@ -55,6 +39,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -71,6 +56,7 @@ import numpy as np
 from hyperfocus.arcs import (  # noqa: F401
     Arc,
     ArcError,
+    are_arcs,
     classify_focus,
     focus_verdicts,
     make_arcs,
@@ -154,35 +140,27 @@ def _require_small_field(gf: GF) -> None:
 
 
 class _NumpyTables:
-    """Per-field lookup tables for the vectorized shard filter."""
+    """Per-field lookup tables for the vectorized shard filter, built once
+    per (s, modulus) and process: every later call returns the same set."""
 
-    def __init__(self, gf: GF):
-        _require_small_field(gf)
-        q = gf.q
-        xs = np.arange(q)
-        self.q = q
-        self.xs = xs
-        # slope[dx, dy] = dy / dx, and q (vertical) on the row dx = 0
-        slope = self.slope = np.vstack([np.full((1, q), q), tables(gf).div(xs, xs[1:, None])])
-        self.slope_bit = (np.uint64(1) << slope.astype(np.uint64))
-        # the same bits as Python ints, for the per-point extension search
-        self.slope_bits = self.slope_bit.tolist()
-        # rays[y0 * q + dx, y]: the direction from any (x0, y0) to (x0 ^ dx,
-        # y), but no bit for vertical, so that q slopes fit 32 bits
-        flat = np.where(slope < q, 1 << slope, 0).astype(np.uint32)
-        self.rays = flat[:, xs[:, None] ^ xs].transpose(1, 0, 2).reshape(q * q, q)
+    _built: Dict[Tuple[int, int], "_NumpyTables"] = {}
 
-
-_SEARCH_TABLES: Dict[Tuple[int, int], _NumpyTables] = {}
-
-
-def _search_tables(gf: GF) -> _NumpyTables:
-    """The field's search tables, built on the first call in a process."""
-    key = (gf.s, gf.modulus)
-    tab = _SEARCH_TABLES.get(key)
-    if tab is None:
-        tab = _SEARCH_TABLES[key] = _NumpyTables(gf)
-    return tab
+    def __new__(cls, gf: GF) -> "_NumpyTables":
+        _require_small_field(gf)  # also when the field's set is already built
+        key = (gf.s, gf.modulus)
+        if key not in cls._built:
+            tab = super().__new__(cls)
+            tab.q = q = gf.q
+            tab.xs = xs = np.arange(q)
+            # slope[dx, dy] = dy / dx, and q (vertical) on the row dx = 0
+            slope = tab.slope = np.vstack([np.full((1, q), q), tables(gf).div(xs, xs[1:, None])])
+            tab.slope_bit = (np.uint64(1) << slope.astype(np.uint64))
+            # rays[y0 * q + dx, y]: the direction from any (x0, y0) to (x0 ^ dx,
+            # y), but no bit for vertical, so that q slopes fit 32 bits
+            flat = np.where(slope < q, 1 << slope, 0).astype(np.uint32)
+            tab.rays = flat[xs[:, None], xs[:, None, None] ^ xs].reshape(q * q, q)
+            cls._built[key] = tab
+        return cls._built[key]
 
 
 # 32-bit words per pair chunk, and (g, h) pairs per row block, of the
@@ -233,7 +211,7 @@ def stream_shard(
     record array with int64 fields a, c, d, e, f, g, h, in pairs order,
     then (f, g, h) order.  `de_pairs` restricts the (d, e) pairs.
     """
-    tab = _search_tables(gf)
+    tab = _NumpyTables(gf)
     q = tab.q
     counters = new_counters()
     de = np.column_stack(index_pairs(q)) if de_pairs is None else np.array(de_pairs, dtype=np.int64)
@@ -341,7 +319,8 @@ def _row_pairs(
 
 
 # `resolve_engine` and the `engine` and `tables` arguments of `process_shard`
-# remain only for bench/run.py, which passes "auto" and a table set of its own.
+# remain only for bench/run.py, which passes "auto" and `_NumpyTables(gf)`,
+# the one table set of the field that `process_shard` reads anyway.
 def resolve_engine(gf: GF, engine: str) -> str:
     if engine not in ("auto", "numpy"):
         raise SearchError(f"unknown engine {engine!r}")
@@ -352,11 +331,12 @@ def resolve_engine(gf: GF, engine: str) -> str:
 # ---------------------------------------------------------------------------
 # 8-arc census
 
-# survivors per batch of `process_shard`, and six-point frames and
-# direction tables per block of `closure_completions`, so that the
-# batches' arrays and objects stay small next to the process
+# survivors per batch of `process_shard`, six-point frames and direction
+# tables per block of `closure_completions`, and candidates per kernel call
+# of `_completions`, so that the batches' arrays stay small next to the process
 _SURVIVOR_BLOCK = 256
 _TABLE_BLOCK = 64
+_CANDIDATE_BLOCK = 1 << 12
 
 
 # `prune8` and `closure_completions` keep their names for bench/run.py,
@@ -412,9 +392,9 @@ def closure_completions(
     most `_TABLE_BLOCK` of them at a time, and blocks of `_TABLE_BLOCK`
     tables of their survivors add the rows of (f,g) and (f,h) in `tab.rays`.
     A survivor with fewer than (k - 8)/2 columns of two admissible points
-    has no completion (the column early exit).  The others are the roots
-    of the depth-first search: the result maps each one's index in the
-    batch to its leaves from `_column_pairs`, sorted by `serialize_arc`.
+    has no completion (the column early exit).  The others are the roots:
+    the result maps each one's index in the batch to its completions, by
+    one generate-and-test pass of `_completions` over all of them.
     """
     n_pairs = (k - 8) // 2
     q, xs, rays = tab.q, tab.xs, tab.rays
@@ -426,7 +406,7 @@ def closure_completions(
     key = ((py[:, 3] * q + px[:, 4]) * q + py[:, 4]) * q + py[:, 5]  # a, c, d, e
     _, first, group = np.unique(key, return_index=True, return_inverse=True)
     flat = (fmask & np.uint64((1 << q) - 1)).astype(np.uint32)[:, None, None]  # no vertical
-    out: Dict[int, List[Tuple[Point, ...]]] = {}
+    roots, oks = [], []  # the roots' indices in the batch, and their `ok` tables
     for g in range(0, len(first), _TABLE_BLOCK):
         frames = part(first[g:g + _TABLE_BLOCK], 0)
         for j in range(1, 6):
@@ -440,67 +420,50 @@ def closure_completions(
             ok = np.bitwise_count(table) == 8
             ok &= np.bitwise_count(table | flat[blk]) < k - 1
             n_free = (ok.view(np.uint8).sum(axis=2, dtype=np.uint8) >= 2).sum(axis=1)
-            for j in np.flatnonzero(n_free >= n_pairs).tolist():
-                r = int(blk[j])
-                x8, y8, mask = px[r].tolist(), py[r].tolist(), int(fmask[r])
-                out[r] = _column_pairs(gf, x8, y8, mask, table[j], ok[j], k, tab)
-    return dict(sorted(out.items()))
+            hit = np.flatnonzero(n_free >= n_pairs)
+            roots += blk[hit].tolist()
+            oks.append(ok[hit])
+    if not roots:
+        return {}
+    leaves = _completions(gf, px[roots], py[roots], np.concatenate(oks), k)
+    return dict(sorted(zip(roots, leaves)))
 
 
-def _column_pairs(
-    gf: GF, x8: List[int], y8: List[int], fmask: int, to8, ok, k: int, tab: _NumpyTables
-) -> List[Tuple[Point, ...]]:
-    """Depth-first search over the free columns of one survivor, the
-    8-arc of the points (x8[i], y8[i]) with the focus mask `fmask`.
-
-    It takes columns in increasing order and, in each, a pair of
-    admissible points whose directions to the points already chosen are
-    distinct and disjoint from its row, with the focus count below k.
-    That makes the k points an arc, and an arc has at least k - 1
-    focuses, so every leaf is a hyperfocused k-arc, its points (x, y, 1)
-    sorted as `make_arc` would sort them.
+def _completions(
+    gf: GF, px: np.ndarray, py: np.ndarray, ok: np.ndarray, k: int
+) -> List[List[Tuple[Point, ...]]]:
+    """The hyperfocused k-arcs on Z=0 through each 8-arc (px[r], py[r])
+    that add a pair of its admissible points ok[r] in each of (k - 8)/2
+    columns, by generate and test: every such choice is a row of one
+    candidate stack, and one `are_arcs` and one `focus_verdicts` call per
+    `_CANDIDATE_BLOCK` rows keep the arcs with exactly k - 1 focuses.
+    Each 8-arc's completions, points sorted as `make_arc` sorts them, are
+    sorted by `serialize_arc`.  A root of `run_search` (k <= 14, q <= 32)
+    has one candidate; at q=32, k=16 one 8-arc can have 4.5 * 10^11.
     """
-    n_pairs = (k - 8) // 2
-    base = list(zip(x8, y8))
-    free = np.flatnonzero(np.count_nonzero(ok, axis=1) >= 2)
-    # each column: its admissible points as (x, y, directions to the 8-arc)
-    cols = [[(int(x), int(y), int(to8[x, y])) for y in np.flatnonzero(ok[x])] for x in free]
-    sb = tab.slope_bits
-    chosen: List[Tuple[int, int]] = []
-    out: List[Tuple[Point, ...]] = []
-
-    def joined(x: int, y: int, dirs: int, mask: int) -> int:
-        """Focus mask once (x, y) joins `chosen`, or 0 when it cannot."""
-        for cx, cy in chosen:
-            bit = sb[x ^ cx][y ^ cy]
-            if dirs & bit:
-                return 0
-            dirs |= bit
-        mask |= dirs
-        return mask if mask.bit_count() < k else 0
-
-    def walk(start: int, mask: int) -> None:
-        left = n_pairs - len(chosen) // 2
-        if not left:
-            out.append(tuple(sorted((x, y, 1) for x, y in base + chosen)))
-            return
-        for ci in range(start, len(cols) - left + 1):
-            col = cols[ci]
-            for i, (x, y1, d1) in enumerate(col):
-                m1 = joined(x, y1, d1, mask)
-                if not m1:
-                    continue
-                chosen.append((x, y1))
-                for _, y2, d2 in col[i + 1:]:
-                    m2 = joined(x, y2, d2, m1)
-                    if m2:
-                        chosen.append((x, y2))
-                        walk(ci + 1, m2)
-                        chosen.pop()
-                chosen.pop()
-
-    walk(0, fmask)
-    return sorted(out, key=lambda a: serialize_arc(gf, a))
+    q = gf.q
+    codes, owner = [], []  # candidates as rows of x * q + y codes, and their 8-arc
+    for r, table in enumerate(ok):
+        free = np.flatnonzero(np.count_nonzero(table, axis=1) >= 2).tolist()
+        points = [x * q + np.flatnonzero(table[x]) for x in free]  # per free column
+        cols = [ys[np.column_stack(index_pairs(len(ys)))] for ys in points]  # their (m, 2) pairs
+        for pick in itertools.combinations(cols, (k - 8) // 2):
+            choice = np.indices([len(pairs) for pairs in pick]).reshape(len(pick), -1)
+            added = np.hstack([pairs[c] for pairs, c in zip(pick, choice)])
+            codes.append(np.hstack([np.broadcast_to(px[r] * q + py[r], (len(added), 8)), added]))
+            owner += [r] * len(added)
+    codes = np.sort(np.concatenate(codes), axis=1)
+    stack = np.stack([codes // q, codes % q, np.ones_like(codes)], axis=2)
+    keep = np.zeros(len(stack), dtype=bool)
+    for i in range(0, len(stack), _CANDIDATE_BLOCK):
+        blk = stack[i:i + _CANDIDATE_BLOCK]
+        arcs = np.flatnonzero(are_arcs(gf, blk))
+        verdicts = focus_verdicts(gf, blk[arcs], LINE_AT_INFINITY)
+        keep[i + arcs] = [n == k - 1 for _, n in verdicts]
+    out: List[List[Tuple[Point, ...]]] = [[] for _ in ok]
+    for r, arc in zip(np.array(owner)[keep].tolist(), stack[keep].tolist()):
+        out[r].append(tuple(map(tuple, arc)))
+    return [sorted(arcs, key=lambda a: serialize_arc(gf, a)) for arcs in out]
 
 
 # ---------------------------------------------------------------------------
@@ -517,12 +480,10 @@ def process_shard(
     """Filter and extend one (a, c) shard; returns counters and raw arcs.
 
     The stream's survivors pass the census and the extension in batches
-    of `_SURVIVOR_BLOCK`; the census re-proves nothing the stream proved.
-    The counters are tallied over whole batches, and only the roots of
-    the depth-first search are visited one at a time.
+    of `_SURVIVOR_BLOCK`, and the counters are tallied per batch.
     """
     resolve_engine(gf, engine)
-    tab = tables if tables is not None else _search_tables(gf)
+    tab = _NumpyTables(gf)
     counters, survivors = stream_shard(gf, a, c, *FOCUS_BOUNDS[k])
     raw: List[Tuple[Point, ...]] = []
     for i in range(0, len(survivors), _SURVIVOR_BLOCK):

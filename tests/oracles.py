@@ -7,7 +7,9 @@ growth and tangent lines, conic point sets, the two small-q exhaustive
 enumerators (`enumerate_hyperfocused` by focus pencils, its check by
 subsets), and the shard-level entry points into the search.
 `stream_shard_python` is the per-candidate shard filter the numpy
-stream is checked against; the pipeline itself has no second engine.
+stream is checked against, and `extension_oracle` the depth-first
+extension search the generate-and-test `closure_completions` is checked
+against; the pipeline itself has no second engine.
 """
 
 import hashlib
@@ -868,38 +870,109 @@ def census_verdict(gf: GF, cand: Candidate8, bounds: Tuple[int, int]):
     return mask, counts.count(1)
 
 
+def _direction_rows(gf: GF) -> List[List[List[int]]]:
+    """rows[dx][y0][y]: the direction bit from any (x0, y0) to (x0 ^ dx, y)."""
+    q = gf.q
+    return [
+        [[1 << slope_index(gf, (0, y0), (dx, y)) for y in range(q)] for y0 in range(q)]
+        for dx in range(q)
+    ]
+
+
+def _admissible_columns(
+    gf: GF, rows, pts: Sequence[Tuple[int, int]], k: int
+) -> Tuple[int, List[Tuple[int, List[Tuple[int, int]]]]]:
+    """The focus mask of the 8-arc `pts`, over all q + 1 directions, and
+    the columns it leaves free that hold at least two admissible points,
+    as (x, [(y, the point's direction bits to the 8-arc)]).
+
+    A point is admissible when its 8 directions to the arc are distinct
+    and the arc's focus set stays below k once they are added.
+    """
+    focus = 0
+    for p, r in combinations(pts, 2):
+        focus |= 1 << slope_index(gf, p, r)
+    used = {x for x, _ in pts}
+    cols = []
+    for x in range(gf.q):
+        if x in used:
+            continue
+        # per point of the column, the sum of its 8 direction bits: a
+        # sum of 8 powers of two has 8 bits iff they are distinct
+        dirs = map(sum, zip(*[rows[x ^ x0][y0] for x0, y0 in pts]))
+        ok = [
+            (y, d) for y, d in enumerate(dirs) if d.bit_count() == 8 and (d | focus).bit_count() < k
+        ]
+        if len(ok) >= 2:
+            cols.append((x, ok))
+    return focus, cols
+
+
 def free_columns(gf: GF, cands: Sequence[Candidate8], k: int) -> List[int]:
     """Per candidate 8-arc, the columns it leaves free that hold at least
     two points admissible for a hyperfocused k-arc on Z=0 through it.
 
-    A point is admissible when its 8 directions to the arc are distinct
-    and the arc's focus set, counted over all q + 1 directions, stays
-    below k once they are added.  The reference for the column early
-    exit of `closure_completions`: a candidate with at least (k - 8)/2
-    such columns is a root of its depth-first search.
+    The reference for the column early exit of `closure_completions`: a
+    candidate with at least (k - 8)/2 such columns is one of its roots.
     """
-    q = gf.q
-    # rows[dx][y0][y]: the direction bit from any (x0, y0) to (x0 ^ dx, y)
-    rows = [
-        [[1 << slope_index(gf, (0, y0), (dx, y)) for y in range(q)] for y0 in range(q)]
-        for dx in range(q)
-    ]
+    rows = _direction_rows(gf)
+    return [len(_admissible_columns(gf, rows, cand.points(), k)[1]) for cand in cands]
+
+
+def extension_oracle(gf: GF, cands: Sequence[Candidate8], k: int) -> List[List[Arc]]:
+    """Per candidate 8-arc, every hyperfocused k-arc on Z=0 through it
+    that adds (k - 8)/2 vertical pairs, sorted: the scalar reference for
+    `closure_completions`.
+
+    A depth-first search over the admissible columns in increasing order
+    adds a pair of admissible points per column.  It keeps a point only
+    when its directions to the points already chosen are distinct and new
+    to its directions to the 8-arc, and the focus count stays below k:
+    each leaf is then an arc, and an arc has at least k - 1 focuses.
+    """
+    rows = _direction_rows(gf)
+    n_pairs = (k - 8) // 2
     out = []
     for cand in cands:
-        pts = cand.points()
-        focus = 0
-        for p, r in combinations(pts, 2):
-            focus |= 1 << slope_index(gf, p, r)
-        used = {x for x, _ in pts}
-        n = 0
-        for x in range(q):
-            if x in used:
-                continue
-            # per point of the column, the sum of its 8 direction bits: a
-            # sum of 8 powers of two has 8 bits iff they are distinct
-            dirs = map(sum, zip(*[rows[x ^ x0][y0] for x0, y0 in pts]))
-            n += sum(d.bit_count() == 8 and (d | focus).bit_count() < k for d in dirs) >= 2
-        out.append(n)
+        base = list(cand.points())
+        focus, cols = _admissible_columns(gf, rows, base, k)
+        chosen: List[Tuple[int, int]] = []
+        leaves: List[Arc] = []
+
+        def joined(x: int, y: int, dirs: int, mask: int) -> int:
+            """The focus mask once (x, y) joins `chosen`, or 0 when it cannot."""
+            if (mask | dirs).bit_count() >= k:
+                return 0
+            for cx, cy in chosen:
+                bit = rows[x ^ cx][cy][y]
+                if dirs & bit:
+                    return 0
+                dirs |= bit
+            mask |= dirs
+            return mask if mask.bit_count() < k else 0
+
+        def walk(start: int, mask: int) -> None:
+            left = n_pairs - len(chosen) // 2
+            if not left:
+                leaves.append(tuple(sorted((x, y, 1) for x, y in base + chosen)))
+                return
+            for ci in range(start, len(cols) - left + 1):
+                x, col = cols[ci]
+                for i, (y1, d1) in enumerate(col):
+                    m1 = joined(x, y1, d1, mask)
+                    if not m1:
+                        continue
+                    chosen.append((x, y1))
+                    for y2, d2 in col[i + 1:]:
+                        m2 = joined(x, y2, d2, m1)
+                        if m2:
+                            chosen.append((x, y2))
+                            walk(ci + 1, m2)
+                            chosen.pop()
+                    chosen.pop()
+
+        walk(0, focus)
+        out.append(sorted(leaves))
     return out
 
 

@@ -7,6 +7,7 @@ import re
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from oracles import (
@@ -50,6 +51,7 @@ from hyperfocus.arcs import (
     make_arc,
     make_arcs,
     secants,
+    stacks_by_size,
     translation_arc,
     translation_hyperoval,
 )
@@ -385,6 +387,32 @@ def test_list_kernels_match_oracles(qname, request, monkeypatch):
         assert [n for _, n in got] == [len(focus_set_oracle(gf, a, m)) for a in ext]
         assert got == [classify_focus(gf, a, m) for a in ext]
         assert [focus_set(gf, a, m) for a in ext] == [focus_set_oracle(gf, a, m) for a in ext]
+
+
+def test_stacks_by_size_builds_flat_stacks_of_triples(gf8):
+    """Each size group is one (n, k, 3) int64 stack, and an (n, k, 3)
+    array is its own.  The stacks are built from the flat run of the
+    coordinates, which must still refuse points that are not triples: a
+    2- and a 4-element point hold six coordinates, as two triples would."""
+    sets = [
+        [(0, 0, 1), (1, 0, 1), (0, 1, 1)],
+        [(1, 1, 1), (2, 3, 1)],
+        [(1, 2, 1), (3, 4, 1), (5, 6, 1)],
+    ]
+    (i3, s3), (i2, s2) = stacks_by_size(sets)
+    assert (i3, i2) == ([0, 2], [1])
+    assert s3.dtype == s2.dtype == np.int64
+    assert s3.tolist() == [list(map(list, sets[0])), list(map(list, sets[2]))]
+    assert s2.shape == (1, 2, 3) and s2.tolist() == [list(map(list, sets[1]))]
+    stack = np.array(sets[::2])
+    ((idx, same),) = stacks_by_size(stack)
+    assert idx == [0, 1] and same is stack
+    assert list(stacks_by_size([])) == list(stacks_by_size(stack[:0])) == []
+    for bad in ([(1, 2), (3, 4, 5, 6)], [(1, 2, 1), (3, 4)], [(1, 2, 1, 0), (3, 4, 1)]):
+        with pytest.raises(ValueError, match="not a triple"):
+            list(stacks_by_size([[(0, 0, 1), (1, 0, 1)], bad]))
+        with pytest.raises(ValueError, match="not a triple"):
+            are_arcs(gf8, [bad])
 
 
 def test_list_kernels_make_no_scalar_field_calls(gf32, monkeypatch):

@@ -28,7 +28,7 @@ from hyperfocus import arcs as arcs_module
 from hyperfocus import cli as cli_module
 from hyperfocus import conics as conics_module
 from hyperfocus import search
-from hyperfocus.arcs import NEITHER, make_arc, translation_hyperoval
+from hyperfocus.arcs import make_arc, translation_hyperoval
 from hyperfocus.canon import arc_digest
 from hyperfocus.cli import UsageError
 from hyperfocus.field import make_field
@@ -227,9 +227,11 @@ def test_search_cli_discrepancy_fails(monkeypatch):
 def test_search_cli_verification_error_fails(monkeypatch):
     """An emitted arc that fails re-verification is a failed
     verification (exit 1), not a usage error."""
-    monkeypatch.setattr(
-        search, "focus_verdicts", lambda gf, arcs, line: [(NEITHER, 0)] * len(arcs)
-    )
+
+    def refuted(gf, arcs, lines):
+        return [dict.fromkeys(search.CLAIMS, 0) for _ in arcs]
+
+    monkeypatch.setattr(search, "record_claims", refuted)
     code, _, err = run_cli("search", "--s", "3", "--k", "10")
     assert code == EX_FAIL
     assert "verification error: emitted arc fails verification" in err

@@ -4,6 +4,8 @@ import json
 import os
 import random
 from collections import Counter
+from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +49,7 @@ from oracles import (
     census_verdict,
     complete_to_hyperovals,
     enumerate_candidates8,
+    extension_oracle,
     free_columns,
     frobenius_point,
     schema1_config_hash,
@@ -62,6 +65,7 @@ from oracles import (
 )
 
 ANCHORS = {(0, 0, 1), (0, 1, 1), (1, 0, 1)}
+K12_RESULTS = Path(__file__).resolve().parent.parent / "results" / "k12.jsonl"
 
 
 def slope_of(gf, focus):
@@ -453,34 +457,54 @@ def test_run_search_determinism_q8(gf8, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def same_tables(tab, other):
+    """The two table sets hold equal arrays."""
+    names = ("slope", "slope_bit", "rays")
+    return all(np.array_equal(getattr(tab, n), getattr(other, n)) for n in names)
+
+
 def test_search_tables_built_once_per_field(gf8, monkeypatch):
     """A serial run builds the field's search tables once; a second run
-    and a later shard stream reuse them."""
-    monkeypatch.setattr(search, "_SEARCH_TABLES", {})
-    built = []
-    init = search._NumpyTables.__init__
-
-    def spy(self, gf):
-        built.append(gf.q)
-        init(self, gf)
-
-    monkeypatch.setattr(search._NumpyTables, "__init__", spy)
+    and a later shard stream reuse that set, which equals a from-scratch
+    build."""
+    monkeypatch.setattr(search._NumpyTables, "_built", {})
     run_search(gf8, 10, SearchConfig())
-    assert built == [8]
+    (tab,) = search._NumpyTables._built.values()
     run_search(gf8, 10, SearchConfig())
     stream_shard(gf8, 1, 2, *FOCUS_BOUNDS[10])
-    assert built == [8]
+    assert list(search._NumpyTables._built.values()) == [tab]
+    assert search._NumpyTables(make_field(3)) is tab
+    monkeypatch.setattr(search._NumpyTables, "_built", {})
+    fresh = search._NumpyTables(gf8)
+    assert fresh is not tab and same_tables(fresh, tab)
 
 
 def test_search_tables_keyed_by_field(monkeypatch):
     """Two fields of one size have their own tables."""
-    monkeypatch.setattr(search, "_SEARCH_TABLES", {})
-    search._search_tables(make_field(5, 0x25))
+    other = search._NumpyTables(make_field(5, 0x25))
     gf = make_field(5, 0x29)
-    got, fresh = search._search_tables(gf), search._NumpyTables(gf)
-    for name in ("slope", "slope_bit", "rays"):
-        assert np.array_equal(getattr(got, name), getattr(fresh, name))
-    assert got.slope_bits == fresh.slope_bits
+    got = search._NumpyTables(gf)
+    assert got is not other and got is search._NumpyTables(gf)
+    monkeypatch.setattr(search._NumpyTables, "_built", {})
+    fresh = search._NumpyTables(gf)
+    assert fresh is not got and same_tables(fresh, got)
+    assert not same_tables(fresh, other)
+
+
+@pytest.mark.parametrize("qname", ["gf8", "gf16", "gf32"])
+def test_rays_match_slope_oracle(qname, request):
+    """`rays[y0 * q + dx, y]` is the bit of the oracle's direction from
+    (0, y0) to (dx, y), and 0 for the vertical (dx = 0)."""
+    gf = request.getfixturevalue(qname)
+    q = gf.q
+    want = [
+        [0 if dx == 0 else 1 << slope_index(gf, (0, y0), (dx, y)) for y in range(q)]
+        for y0 in range(q)
+        for dx in range(q)
+    ]
+    rays = search._NumpyTables(gf).rays
+    assert rays.dtype == np.uint32 and rays.flags.c_contiguous
+    assert rays.tolist() == want
 
 
 def test_resolve_engine_refuses_numpy_without_bitwise_count(gf8, monkeypatch):
@@ -584,7 +608,8 @@ def test_checkpoint_write_keeps_foreign_tmp(gf8, tmp_path):
 
 def test_extend_grid_worked_example(gf32):
     """A known surviving candidate extends to exactly one hyperfocused
-    12-arc; its whole shard produces only verified extensions."""
+    12-arc; its whole shard produces only verified extensions, exactly
+    those of the scalar extension oracle."""
     tab = search._NumpyTables(gf32)
     known = Candidate8(a=2, c=2, d=1, e=6, f=6, g=2, h=9)
     px, py, fmask, _ = censused(gf32, [known], FOCUS_BOUNDS[12], tab)
@@ -596,6 +621,7 @@ def test_extend_grid_worked_example(gf32):
     px, py, fmask, _ = censused(gf32, cands, FOCUS_BOUNDS[12], tab)
     results = closure_completions(gf32, px, py, fmask, 12, tab)
     assert list(results) == list(range(len(cands))) == list(range(6))
+    assert list(results.values()) == extension_oracle(gf32, cands, 12)
     for r, arcs in results.items():
         cand = cands[r]
         for arc in arcs:
@@ -657,30 +683,47 @@ def interleaved(parts):
     return np.argsort(rank, kind="stable")
 
 
+@pytest.fixture(scope="module")
+def closure_batch(request):
+    """One batch of the stream 8-arcs with 7 to k focuses, taken from all
+    shards of a field in turn (or only those of a column c in `cs`), and
+    the extension's completions of it, computed once per (field, k, cs)."""
+    cache = {}
+
+    def get(field, k, cs):
+        key = (field, k, None if cs is None else frozenset(cs))
+        if key not in cache:
+            gf = request.getfixturevalue(field)
+            tab = search._NumpyTables(gf)
+            reps = frobenius_orbit_reps(gf, exclude=frozenset({0}))
+            parts = [
+                stream_shard(gf, reps[i], c, 7, k)[1]
+                for i, c in shard_list(gf)
+                if cs is None or c in cs
+            ]
+            survivors = np.concatenate(parts)[interleaved(parts)]
+            px, py, fmask, _ = prune8(survivors, tab)
+            cache[key] = gf, survivors, closure_completions(gf, px, py, fmask, k, tab)
+        return cache[key]
+
+    return get
+
+
 @pytest.mark.parametrize("field,k,cs,n_roots", [
     ("gf8", 10, None, 48),
     ("gf16", 10, None, 0),
     ("gf16", 12, None, 0),
     ("gf16", 16, {14}, 802),
 ])
-def test_closure_roots_match_oracle(field, k, cs, n_roots, request):
+def test_closure_roots_match_oracle(field, k, cs, n_roots, closure_batch):
     """The roots of the extension, in one batch of the stream 8-arcs with
     7 to k focuses taken from all shards in turn (at k=16 only those of
     c = 14), are the candidates the oracle finds 2 admissible points in
     (k - 8)/2 free columns of.  At k=16, unlike the smaller k, some of
     them would be roots if points that bring the focus count to exactly
     k were admitted."""
-    gf = request.getfixturevalue(field)
-    tab = search._NumpyTables(gf)
-    reps = frobenius_orbit_reps(gf, exclude=frozenset({0}))
-    parts = [
-        stream_shard(gf, reps[i], c, 7, k)[1]
-        for i, c in shard_list(gf)
-        if cs is None or c in cs
-    ]
-    survivors = np.concatenate(parts)[interleaved(parts)]
-    px, py, fmask, _ = prune8(survivors, tab)
-    roots = set(closure_completions(gf, px, py, fmask, k, tab))
+    gf, survivors, completions = closure_batch(field, k, cs)
+    roots = set(completions)
     n_free = np.array(free_columns(gf, candidates(survivors), k))
     assert roots == set(np.flatnonzero(n_free >= (k - 8) // 2).tolist())
     assert len(roots) == n_roots
@@ -724,53 +767,42 @@ def test_closure_frame_chunks_keep_roots(gf32, shard_oracle, monkeypatch):
 
 
 def test_column_pairs_needs_distinct_directions(gf32):
-    """A direct test of the depth-first search's distinct-direction check
-    at q=32.  On the 8-arc of `K12_A`'s candidate, the admissible points
-    are `K12_A`'s two added pairs, in columns 9 and 28, and a point R of
-    column 28 on the line through (9, 6) and an 8-arc point.  The table
-    gives R only that line's direction, and the others none, and the
-    focus mask is the vertical bit alone, so the focus test passes every
-    choice: only the check keeps R, which makes a collinear triple, out
-    of a leaf."""
-    tab = search._NumpyTables(gf32)
+    """A direct test of the completion on a collinear triple at q=32.
+    On the 8-arc of `K12_A`'s candidate, the admissible points are
+    `K12_A`'s two added pairs, in columns 9 and 28, and a point R of
+    column 28 on the line through (9, 6) and an 8-arc point.  The
+    candidates with R are no arcs (they also have more than 11 focuses,
+    so the arc check alone is guarded by the q=16 hyperoval tests, where
+    non-arcs reach k - 1 focuses): only `K12_A` is a completion."""
     x8, y8 = [list(v) for v in zip(*Candidate8(2, 2, 1, 6, 6, 2, 9).points())]
     s = slope_index(gf32, (9, 6), (0, 0))
     r = (28, 6 ^ gf32.mul(s, 9 ^ 28))
     assert r[1] not in (9, 28) and not is_arc(gf32, [(0, 0, 1), (9, 6, 1), (*r, 1)])
-    to8 = np.zeros((32, 32), dtype=np.uint32)
-    to8[r] = 1 << s
     ok = np.zeros((32, 32), dtype=bool)
     for x, y, _ in K12_A[8:] + ((*r, 1),):
         ok[x, y] = True
-    leaves = search._column_pairs(gf32, x8, y8, 1 << 32, to8, ok, 12, tab)
+    (leaves,) = search._completions(gf32, np.array([x8]), np.array([y8]), ok[None], 12)
     assert all(is_arc(gf32, arc) for arc in leaves)
     assert leaves == [K12_A]
 
 
 def test_column_pairs_focus_bound_is_strict(gf32):
-    """A direct test of the depth-first search's focus bound.  Besides
-    `K12_A`'s two added pairs, in columns 9 and 28, column 3 holds an
-    admissible pair (3, 0), (3, 1) whose table gives it ten directions:
-    three of the four between it and column 9's pair, and seven none of
-    the eight between it and columns 9 and 28.  With the vertical as the
-    focus mask, the leaf of columns 3 and 9 reaches exactly k = 12
-    focuses at its last point, so it is no hyperfocused 12-arc and only
-    a bound below k keeps it out; the leaf of columns 3 and 28 has
-    more."""
-    tab = search._NumpyTables(gf32)
+    """The completion decides from the points, not from the table.
+    Besides `K12_A`'s two added pairs, in columns 9 and 28, the table
+    admits the pair (3, 0), (3, 1) of column 3, whose directions to
+    column 9's pair and to column 28's pair are eight distinct
+    non-vertical ones.  (3, 0) lies on Y = 0 with (0, 0) and (1, 0), so
+    the candidates of columns 3 and 9 and of columns 3 and 28 are no
+    arcs, and only `K12_A` is a completion."""
     x8, y8 = [list(v) for v in zip(*Candidate8(2, 2, 1, 6, 6, 2, 9).points())]
     col3 = [(3, 0), (3, 1)]
     across9 = [slope_index(gf32, p, r) for p in ((9, 6), (9, 28)) for r in col3]
     across28 = [slope_index(gf32, p, r) for p in ((28, 9), (28, 28)) for r in col3]
     assert len(set(across9 + across28)) == 8 and gf32.q not in across9 + across28
-    others = [s for s in range(gf32.q) if s not in across9 + across28][:7]
-    to8 = np.zeros((32, 32), dtype=np.uint32)
-    for p in col3:
-        to8[p] = sum(1 << s for s in across9[:3] + others)
     ok = np.zeros((32, 32), dtype=bool)
     for x, y in [p[:2] for p in K12_A[8:]] + col3:
         ok[x, y] = True
-    leaves = search._column_pairs(gf32, x8, y8, 1 << 32, to8, ok, 12, tab)
+    (leaves,) = search._completions(gf32, np.array([x8]), np.array([y8]), ok[None], 12)
     assert leaves == [K12_A]
 
 
@@ -779,8 +811,9 @@ def test_closure_finds_sixteen_arc_four_pairs_deep(gf32):
     V = <1, 2, 4, 8> of GF(32), the points (x + x^2, x^2) form a
     hyperfocused 16-arc with 15 focuses in 8 vertical pairs.  Moved by
     (x, y) -> (x / 2, y + 5x) onto the normalized frame, four of its
-    pairs are a candidate 8-arc, and the search must find the other
-    four."""
+    pairs are a candidate 8-arc, and the scalar extension oracle must
+    find the other four.  Generate and test, as `closure_completions`
+    does it, would face 449,499,818,556 candidates here."""
     gf = gf32
     span = [0]
     for g in (1, 2, 4, 8):
@@ -796,9 +829,8 @@ def test_closure_finds_sixteen_arc_four_pairs_deep(gf32):
         cols.setdefault(x, []).append(y)
     assert len(cols) == 8 and cols[0] == [0, 1] and cols[1] == [0, 1]
     cand = Candidate8(1, 2, *cols[2], 3, *cols[3])
-    tab = search._NumpyTables(gf)
-    px, py, fmask, _ = censused(gf, [cand], (1, 15), tab)
-    results = closure_completions(gf, px, py, fmask, 16, tab)
+    censused(gf, [cand], (1, 15), search._NumpyTables(gf))
+    results = dict(enumerate(extension_oracle(gf, [cand], 16)))
     assert list(results) == [0]
     arcs = results[0]
     assert arc16 in arcs
@@ -813,7 +845,8 @@ def test_closure_matches_hyperoval_oracle_q16(gf16, f, g, h, n_ovals):
     """Depth 5, against an independent oracle: in PG(2,16) an 18-arc is a
     hyperoval, hyperfocused (17 focuses) on every exterior line, so at
     k = 18 the search must return exactly the hyperovals through the
-    8-arc that miss Z=0, as the point-by-point completion finds them."""
+    8-arc that miss Z=0, as the point-by-point completion finds them,
+    and exactly the completions of the scalar extension oracle."""
     cand = Candidate8(a=1, c=2, d=4, e=5, f=f, g=g, h=h)
     tab = search._NumpyTables(gf16)
     px, py, fmask, _ = censused(gf16, [cand], (1, 17), tab)
@@ -823,6 +856,64 @@ def test_closure_matches_hyperoval_oracle_q16(gf16, f, g, h, n_ovals):
     got = closure_completions(gf16, px, py, fmask, 18, tab).get(0, [])
     assert {frozenset(a) for a in got} == ovals
     assert len(got) == len(ovals) == n_ovals
+    assert sorted(got) == extension_oracle(gf16, [cand], 18)[0]
+
+
+@pytest.mark.parametrize("field,k,cs,n_arcs", [
+    ("gf8", 10, None, 48),
+    ("gf16", 16, {14}, 806),
+])
+def test_extension_oracle_matches_closure(field, k, cs, n_arcs, closure_batch):
+    """Where both run, `closure_completions` and the scalar extension
+    oracle find the same completions.  On the batches of the roots test
+    above (every q=8 shard at k=10; the q=16 shards of c = 14 at k=16,
+    802 roots), each root's completions are the oracle's, and the oracle
+    finds none through the other 8-arcs.  The q=32 shard (2, 2) at k=12
+    and the q=16 hyperoval cases at k=18 are checked against the oracle
+    in their own tests above."""
+    gf, survivors, roots = closure_batch(field, k, cs)
+    want = extension_oracle(gf, candidates(survivors), k)
+    assert {r: sorted(arcs) for r, arcs in roots.items()} == {r: want[r] for r in roots}
+    assert not any(arcs for r, arcs in enumerate(want) if r not in roots)
+    assert sum(map(len, want)) == n_arcs
+
+
+def matching_lemma_counts(gf, arcs) -> Counter:
+    """How many unions of four of the pairs through one focus, over every
+    focus of each affine hyperfocused arc, have each focus count, by the
+    scalar `_slope_census`.  The pairs through each focus must match the
+    arc's points, k/2 of them."""
+    counts = Counter()
+    for arc in arcs:
+        assert all(p[2] == 1 for p in arc)
+        pts = [(p[0], p[1]) for p in arc]
+        by_focus = {}
+        for p, r in combinations(pts, 2):
+            by_focus.setdefault(slope_index(gf, p, r), []).append((p, r))
+        assert len(by_focus) == len(pts) - 1
+        for pairs in by_focus.values():
+            assert len(pairs) == len(pts) // 2
+            for four in combinations(pairs, 4):
+                mask, _ = _slope_census(gf, [p for pair in four for p in pair])
+                counts[mask.bit_count()] += 1
+    return counts
+
+
+def test_matching_lemma_on_the_sixty(gf32):
+    """The matching lemma on the 60 stored 12-arcs: for every focus F,
+    each union of four of F's 6 pairs is an 8-arc with all 11 focuses of
+    the 12-arc (60 x 11 x 15 = 9,900 sets)."""
+    arcs = [json.loads(line)["points"] for line in K12_RESULTS.read_text().splitlines()]
+    assert len(arcs) == 60
+    assert matching_lemma_counts(gf32, arcs) == {11: 9900}
+
+
+def test_matching_lemma_on_q8_ten_arcs(gf8):
+    """The same on the 40 q=8 10-arcs of `run_search`: each union of four
+    of a focus's 5 pairs has exactly 9 focuses (40 x 9 x 5 = 1,800)."""
+    found = run_search(gf8, 10, SearchConfig()).found
+    assert len(found) == 40
+    assert matching_lemma_counts(gf8, found) == {9: 1800}
 
 
 def low_focus_stream(gf):
@@ -859,27 +950,25 @@ def test_no_stream_eight_arc_has_eight_focuses(s, n7, request):
 
 def test_focus_bounds_lose_no_arc_q32(gf32, low_focus_q32):
     """The 210 q=32 stream 8-arcs with 7 focuses reach no 10-, 12- or
-    14-arc, and no DFS root, at those k.  The 14 of shard (1, 2) are a
-    depth-4 control on real stream output: each lies in exactly 42
-    hyperfocused 16-arcs with 15 focuses, 588 distinct in all, and in no
-    18-arc."""
+    14-arc, and no root of the extension, at those k.  The 14 of shard
+    (1, 2) are a depth-4 control on real stream output, run on the
+    scalar extension oracle: each lies in exactly 42 hyperfocused
+    16-arcs with 15 focuses, 588 distinct in all, and in no 18-arc."""
     tab = search._NumpyTables(gf32)
     px, py, fmask, _ = prune8(np.concatenate(list(low_focus_q32.values())), tab)
     assert len(px) == 210
     for k in (10, 12, 14):
         assert closure_completions(gf32, px, py, fmask, k, tab) == {}
-    shard = low_focus_q32[(1, 2)]
-    px, py, fmask, _ = prune8(shard, tab)
-    roots = closure_completions(gf32, px, py, fmask, 16, tab)
+    cands = candidates(low_focus_q32[(1, 2)])
+    roots = dict(enumerate(extension_oracle(gf32, cands, 16)))
     assert {r: len(arcs) for r, arcs in roots.items()} == {r: 42 for r in range(14)}
-    cands = candidates(shard)
     for r, arcs in roots.items():
         for arc in arcs:
             assert is_arc(gf32, arc)
             assert {(x, y, 1) for x, y in cands[r].points()} <= set(arc)
             assert classify_focus(gf32, arc, LINE_AT_INFINITY) == (HYPERFOCUSED, 15)
     assert len({arc for arcs in roots.values() for arc in arcs}) == 588
-    roots = closure_completions(gf32, px, py, fmask, 18, tab)
+    roots = dict(enumerate(extension_oracle(gf32, cands, 18)))
     assert roots == {r: [] for r in range(14)}
 
 

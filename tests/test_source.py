@@ -122,10 +122,35 @@ def _calls(name: str):
     ]
 
 
-def test_search_tables_built_only_by_the_cache():
-    """The package builds the search's direction tables only through the
-    per-field cache, so a run builds them once per field and process."""
-    assert _calls("_NumpyTables") == [("search.py", "_search_tables")]
+def test_search_tables_built_only_by_the_cache(monkeypatch):
+    """Every stage of a shard reads the one table set of its field: the
+    census and the extension get the object `_NumpyTables(gf)` returns,
+    whether or not the caller passes it, and it equals a from-scratch
+    build."""
+    import numpy as np
+
+    from hyperfocus import search
+    from hyperfocus.field import make_field
+
+    gf = make_field(3)
+    seen = []
+    for name in ("prune8", "closure_completions"):
+        stage = getattr(search, name)
+
+        def spy(*args, stage=stage):
+            seen.append(args[-1])
+            return stage(*args)
+
+        monkeypatch.setattr(search, name, spy)
+    search.process_shard(gf, 10, 1, 2)
+    search.process_shard(gf, 10, 1, 3, "auto", search._NumpyTables(gf))
+    tab = search._NumpyTables(gf)
+    assert len(seen) >= 4 and all(t is tab for t in seen)
+    monkeypatch.setattr(search._NumpyTables, "_built", {})
+    fresh = search._NumpyTables(gf)
+    assert fresh is not tab
+    names = ("slope", "slope_bit", "rays")
+    assert all(np.array_equal(getattr(fresh, n), getattr(tab, n)) for n in names)
 
 
 def test_one_triu_indices_in_src():

@@ -9,16 +9,16 @@ ranging over Frobenius orbit representatives and the ordering
 constraints 1 < c < f, d < e, g < h removing within-frame duplicates.
 A shard is filtered in numpy, bound first (`stream_shard`): focus
 bounds cut (d, e) pairs and cells before any (g, h) pair is formed.  A
-shard's survivors are one record array of (a, c, d, e, f, g, h), which
-passes two batched numpy stages, 256 survivors at a time.  A census
-derives each one's coordinates and focus mask from its 28 secant
-directions.  The extension adds (k - 8)/2 vertical pairs in columns
-the 8-arc leaves free: direction tables give each survivor's
-admissible points, a column early exit drops the survivors with too
-few free columns, and the arc and focus kernels decide the rest's
-candidates, so each completion is a hyperfocused arc.  Every emitted
-arc is re-verified once, after the orbit closure, by `record_claims`,
-the one derivation of a record's claims.
+shard's survivors are one record array of (a, c, d, e, f, g, h) and w,
+the focus word the stream counted them by, the one derivation of their
+focus sets.  Those with k - 1 focuses, the only ones that can extend,
+reach a census of their points and the extension, 256 at a time.  It
+adds (k - 8)/2 vertical pairs in free columns: direction tables give
+each survivor's admissible points, a column early exit drops those
+with too few free columns, and the arc and focus kernels decide the
+rest's candidates, so each completion is a hyperfocused arc.  Every
+emitted arc is re-verified once, after the orbit closure, by
+`record_claims`, the one derivation of a record's claims.
 
 Work is sharded by the (a-index, c) prefix.  One function runs a shard,
 in the process or in a pool worker, over direction tables built once
@@ -154,7 +154,6 @@ class _NumpyTables:
             tab.xs = xs = np.arange(q)
             # slope[dx, dy] = dy / dx, and q (vertical) on the row dx = 0
             slope = tab.slope = np.vstack([np.full((1, q), q), tables(gf).div(xs, xs[1:, None])])
-            tab.slope_bit = (np.uint64(1) << slope.astype(np.uint64))
             # rays[y0 * q + dx, y]: the direction from any (x0, y0) to (x0 ^ dx,
             # y), but no bit for vertical, so that q slopes fit 32 bits
             flat = np.where(slope < q, 1 << slope, 0).astype(np.uint32)
@@ -200,16 +199,15 @@ def stream_shard(
     count popcount(base6 | row) exceeds max(hi, 10) is in no survivor
     and no count of 9 or 10.  Every cell's 7-point set holds base6, so a
     pair whose base6 is already over that cap keeps no cell and is
-    dropped before any of its rows is built: at q = 32 that leaves 36% of
-    the rows at k = 12 and drops none at k = 14.  The rows of the other
-    pairs are built in chunks, each chunk keeps only its live rows, those
-    with two cells left, and one (g, h) stage per shard takes them all.
+    dropped before any of its rows is built.  The rows of the other pairs
+    are built in chunks, each chunk keeps only its live rows, those with
+    two cells left, and one (g, h) stage per shard takes them all.
     No direction the stream computes is vertical (f, c > 1), and the
     vertical is a focus through (0,0)(0,1), so the words are 32-bit
     `tab.rays` bits without it and every focus test counts it as one.
     Pair chunks hold at most `_CHUNK` words.  The survivors are one
-    record array with int64 fields a, c, d, e, f, g, h, in pairs order,
-    then (f, g, h) order.  `de_pairs` restricts the (d, e) pairs.
+    record array of int64 fields a ... h and `_row_pairs`' word w, in
+    pairs, then (f, g, h) order.  `de_pairs` restricts the (d, e) pairs.
     """
     tab = _NumpyTables(gf)
     q = tab.q
@@ -271,29 +269,28 @@ def stream_shard(
         cells = (p[:, None] * nf + np.arange(nf)).ravel()
         live_rows.append((cells[live], keep[live], m7[live], n_keep[live]))
     cells, keep, m7, n_keep = map(np.concatenate, zip(*live_rows))
-    n910, row, g, h = _row_pairs(lo - 1, hi - 1, keep, m7, n_keep)
+    n910, row, g, h, w = _row_pairs(lo - 1, hi - 1, keep, m7, n_keep)
     counters["focus_9_10"] = n910
     p, f = np.divmod(cells[row], nf)
-    survivors = np.empty(len(row), dtype=[(name, np.int64) for name in "acdefgh"])
-    for name, col in zip("acdefgh", (a, c, de[p, 0], de[p, 1], fs[f], g, h)):
+    survivors = np.empty(len(row), [(name, np.int64) for name in "acdefgh"] + [("w", w.dtype)])
+    for name, col in zip("acdefghw", (a, c, de[p, 0], de[p, 1], fs[f], g, h, w)):
         survivors[name] = col
     counters["prepared"] = len(survivors)
     counters["focus_rejected"] = counters["arcs8"] - counters["prepared"]
     return counters, survivors.view(np.recarray)
 
 
-def _row_pairs(
-    lo: int, hi: int, keep, m7, n_keep
-) -> Tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+def _row_pairs(lo: int, hi: int, keep, m7, n_keep) -> tuple:
     """The (g, h) stage over rows of kept cells, g < h both kept.
 
     `m7` holds 32-bit focus words without the vertical, so `lo`..`hi`
     and the 8..9 of `focus_9_10` count non-vertical focuses.  Returns the
-    number of pairs with 9 or 10 focuses and, as index arrays in (row, g,
-    h) order, the row, g and h of the pairs whose non-vertical focus
-    count is within [lo, hi].  Each row's kept cells are packed to its
-    left in ascending g, so its pairs are the slot pairs i < j < width
-    with j below its count; blocks of rows hold at most `_CHUNK` pairs.
+    number of pairs with 9 or 10 focuses and, as arrays in (row, g, h)
+    order, the row, g, h and word m7[g] | m7[h] (the 8-arc's focus set
+    but the vertical of (f, g)(f, h)) of the pairs with lo..hi bits.
+    Each row's kept cells are packed to its left in ascending g, so its
+    pairs are the slot pairs i < j < width with j below its count;
+    blocks of rows hold at most `_CHUNK` pairs.
     """
     n = len(n_keep)
     width = int(n_keep.max(initial=0))
@@ -315,7 +312,7 @@ def _row_pairs(
         n910 += int(np.count_nonzero(pair & (cnt >= 8) & (cnt <= 9)))
         hits.append(j * n_pairs + np.flatnonzero(pair & (cnt >= lo) & (cnt <= hi)))
     row, p = np.divmod(np.concatenate(hits), n_pairs)
-    return n910, row, gs[row, si[p]], gs[row, sj[p]]
+    return n910, row, gs[row, si[p]], gs[row, sj[p]], packed[row, si[p]] | packed[row, sj[p]]
 
 
 # `resolve_engine` and the `engine` and `tables` arguments of `process_shard`
@@ -347,19 +344,19 @@ def prune8(survivors: np.ndarray, tab: _NumpyTables) -> Tuple[np.ndarray, ...]:
 
     Per survivor (a row of `stream_shard`'s record array): the x and the
     y of its 8 points (0,0), (0,1), (1,0), (1,a), (c,d), (c,e), (f,g),
-    (f,h) as two (n, 8) arrays, its focus mask, the OR of the direction
-    bits of its 28 secants (slope indices: y/x, or q for vertical), and
-    the number of directions with one secant, for `closure_survivors`.
+    (f,h) as two (n, 8) arrays, its focus mask, the stream's word w plus
+    the vertical bit q, and the number of directions (slope indices: y/x,
+    or q for vertical) that carry one secant, for `closure_survivors`.
     """
     fields = np.asarray(survivors)  # a recarray's field access runs in Python
     a, c, d, e, f, g, h = (fields[name] for name in "acdefgh")
     zero, one = np.zeros_like(a), np.ones_like(a)
     px = np.stack([zero, zero, one, one, c, c, f, f], axis=1)
     py = np.stack([zero, one, zero, a, d, e, g, h], axis=1)
+    fmask = fields["w"] | np.uint64(1 << tab.q)
     i, j = index_pairs(8)  # the 28 secants
     dx = px[:, i] ^ px[:, j]
     dy = py[:, i] ^ py[:, j]
-    fmask = np.bitwise_or.reduce(tab.slope_bit[dx, dy], axis=1)
     # per-direction secant counts, one bincount over row-offset slopes
     width = tab.q + 1
     slopes = tab.slope[dx, dy] + width * np.arange(len(px))[:, None]
@@ -479,18 +476,21 @@ def process_shard(
 ) -> Tuple[Dict[str, int], List[Tuple[Point, ...]]]:
     """Filter and extend one (a, c) shard; returns counters and raw arcs.
 
-    The stream's survivors pass the census and the extension in batches
-    of `_SURVIVOR_BLOCK`, and the counters are tallied per batch.
+    The stream's survivors with k - 1 focuses pass the census and the
+    extension in batches of `_SURVIVOR_BLOCK`; counters are tallied per batch.
     """
     resolve_engine(gf, engine)
     tab = _NumpyTables(gf)
     counters, survivors = stream_shard(gf, a, c, *FOCUS_BOUNDS[k])
+    # matching lemma: a focus F of a hyperfocused k-arc K matches K's points in k/2 pairs, s_F
+    # in a union S of four vertical pairs of K; S's 8 - 2 s_F others need partners in K \ S, so
+    # s_F >= (16 - k)/2 > 0 for k <= 14: S has all k - 1 focuses, k - 2 of them in the word w
+    survivors = survivors[np.bitwise_count(survivors.view(np.ndarray)["w"]) == k - 2]
     raw: List[Tuple[Point, ...]] = []
     for i in range(0, len(survivors), _SURVIVOR_BLOCK):
         px, py, fmask, single = prune8(survivors[i:i + _SURVIVOR_BLOCK], tab)
-        # k=14 survivors with 13 focuses and fewer than two directions of
-        # one secant (6-tangent focuses) are tallied apart
-        apart = (k == 14) & (np.bitwise_count(fmask) == 13) & (single < 2)
+        # tallied apart: k=14 survivors with under two one-secant directions (6-tangent focuses)
+        apart = (k == 14) & (single < 2)
         counters["closure_survivors"] += int(np.count_nonzero(apart))
         roots = closure_completions(gf, px, py, fmask, k, tab)
         counters["dfs_roots"] += len(roots)

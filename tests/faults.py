@@ -53,6 +53,18 @@ EXTENSION_TESTS = (
     "tests/test_search.py::test_extend_grid_worked_example",
     "tests/test_search.py::test_process_shard_pins_q32",
 )
+# the stream's focus word, the lemma filter on it, and the census mask built from it
+WORD_TESTS = (
+    "tests/test_search.py::test_prune8_on_a_stream_survivor",
+    "tests/test_search.py::test_stream_matches_census_every_shard",
+    "tests/test_search.py::test_stream_matches_census_on_random_pairs_q32",
+    "tests/test_search.py::test_batched_census_matches_oracle",
+    "tests/test_search.py::test_no_stream_eight_arc_has_eight_focuses",
+    "tests/test_search.py::test_process_shard_batches_every_survivor",
+    "tests/test_search.py::test_process_shard_extends_only_k_minus_1_focuses",
+    "tests/test_search.py::test_survivors_below_k_minus_1_focuses_are_no_roots",
+    "tests/test_search.py::test_process_shard_pins_q32",
+)
 
 FAULTS = (
     Fault(
@@ -85,6 +97,27 @@ FAULTS = (
         "hit = np.flatnonzero(n_free >= n_pairs)",
         "hit = np.flatnonzero(n_free > n_pairs)",
         EXTENSION_TESTS,
+    ),
+    Fault(
+        "stream-word-keeps-only-g",
+        SEARCH,
+        "return n910, row, gs[row, si[p]], gs[row, sj[p]], packed[row, si[p]] | packed[row, sj[p]]",
+        "return n910, row, gs[row, si[p]], gs[row, sj[p]], packed[row, si[p]]",
+        WORD_TESTS,
+    ),
+    Fault(
+        "lemma-filter-wants-k-focuses",
+        SEARCH,
+        'survivors = survivors[np.bitwise_count(survivors.view(np.ndarray)["w"]) == k - 2]',
+        'survivors = survivors[np.bitwise_count(survivors.view(np.ndarray)["w"]) == k - 1]',
+        WORD_TESTS,
+    ),
+    Fault(
+        "census-mask-drops-vertical",
+        SEARCH,
+        'fmask = fields["w"] | np.uint64(1 << tab.q)',
+        'fmask = fields["w"].astype(np.uint64)',
+        WORD_TESTS,
     ),
     Fault(
         "stacks-take-any-point-length",

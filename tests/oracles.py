@@ -811,10 +811,16 @@ class Candidate8(NamedTuple):
         )
 
 
-def survivor_array(cands: Sequence[Candidate8]) -> np.recarray:
-    """Candidates as the record array `stream_shard` returns survivors in."""
+SURVIVOR_DTYPE = np.dtype([(name, np.int64) for name in Candidate8._fields] + [("w", np.uint32)])
+
+
+def survivor_array(gf: GF, cands: Sequence[Candidate8]) -> np.recarray:
+    """8-arc candidates as the record array `stream_shard` returns
+    survivors in, each with its focus word w from the scalar census: the
+    focus mask without the vertical bit q."""
+    words = [_slope_census(gf, cand.points())[0] & ~(1 << gf.q) for cand in cands]
     return np.rec.fromrecords(
-        list(cands), dtype=[(name, np.int64) for name in Candidate8._fields]
+        [(*cand, w) for cand, w in zip(cands, words)], dtype=SURVIVOR_DTYPE
     )
 
 
@@ -1042,14 +1048,15 @@ def stream_shard_python(
 
 def shard_census(
     gf: GF, a: int, c: int, de_pairs: Optional[Sequence[Tuple[int, int]]] = None
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every candidate of one (a, c) shard in `shard_candidates` order, as
     an (n, 7) array of (a, c, d, e, f, g, h), with whether its 8 points
-    form an arc and its focus count over all q + 1 directions.
+    form an arc, its focus count over all q + 1 directions, and its focus
+    mask, bit m for the direction of slope index m.
 
     The definitions, on the whole shard at once: the points form an arc
     iff each sees its 7 others in 7 distinct directions, and the focus
-    count is the number of distinct directions of the 28 secants.  The
+    mask is the OR of the directions of the 28 secants.  The
     directions come from a table built by scalar field arithmetic
     (`slope_index`); the arrays are only broadcast over (d, e), f and
     (g, h), so this is `stream_shard_python` at q = 16 speed.
@@ -1076,17 +1083,18 @@ def shard_census(
     is_arc = np.ones(shape, dtype=bool)
     for s in seen:
         is_arc &= np.bitwise_count(s) == 7
-    focus = np.bitwise_count(np.bitwise_or.reduce(seen)).astype(np.int64)
+    mask = np.bitwise_or.reduce(seen)
+    focus = np.bitwise_count(mask).astype(np.int64)
     cands = np.stack(np.broadcast_arrays(a, c, d, e, f, g, h), axis=-1)
-    return cands.reshape(-1, 7), is_arc.ravel(), focus.ravel()
+    return cands.reshape(-1, 7), is_arc.ravel(), focus.ravel(), mask.ravel()
 
 
 def census_stream(
-    census: Tuple[np.ndarray, np.ndarray, np.ndarray], lo: int, hi: int
+    census: Tuple[np.ndarray, ...], lo: int, hi: int
 ) -> Tuple[Dict[str, int], List[Candidate8]]:
     """What `stream_shard_python` returns for the bounds, from a
     `shard_census`: its counters and survivors."""
-    cands, is_arc, focus = census
+    cands, is_arc, focus, _ = census
     keep = is_arc & (lo <= focus) & (focus <= hi)
     counters = new_counters()
     counters.update(
@@ -1097,3 +1105,12 @@ def census_stream(
         prepared=int(keep.sum()),
     )
     return counters, [Candidate8._make(row) for row in cands[keep].tolist()]
+
+
+def census_words(gf: GF, census: Tuple[np.ndarray, ...], lo: int, hi: int) -> List[int]:
+    """The focus masks, less the vertical bit q, of the survivors that
+    `census_stream` keeps for the bounds, in its order: the words w that
+    `stream_shard` must carry."""
+    _, is_arc, focus, mask = census
+    keep = is_arc & (lo <= focus) & (focus <= hi)
+    return (mask[keep] & ~(1 << gf.q)).tolist()

@@ -43,9 +43,11 @@ from hyperfocus.search import (
 from oracles import (
     K12_A,
     K12_B,
+    SURVIVOR_DTYPE,
     Candidate8,
     _slope_census,
     census_stream,
+    census_words,
     census_verdict,
     complete_to_hyperovals,
     enumerate_candidates8,
@@ -129,15 +131,17 @@ def test_full_stream_q4_matches_unordered_dedup(gf4):
 
 
 def candidates(survivors):
-    """The rows of `stream_shard`'s record array as oracle candidates."""
-    return [Candidate8._make(row) for row in survivors.tolist()]
+    """The seven named fields a ... h of `stream_shard`'s records as
+    oracle candidates."""
+    fields = np.asarray(survivors)[list(Candidate8._fields)]
+    return [Candidate8._make(row) for row in fields.tolist()]
 
 
 def censused(gf, cands, bounds, tab):
     """`prune8` on candidates that the scalar census proves 8-arcs within
     `bounds`, as the stream proves its survivors; each census row must
     agree with the scalar one."""
-    census = prune8(survivor_array(cands), tab)
+    census = prune8(survivor_array(gf, cands), tab)
     _, _, fmask, single = census
     for cand, mask, n_single in zip(cands, fmask.tolist(), single.tolist(), strict=True):
         assert census_verdict(gf, cand, bounds) == (mask, n_single)
@@ -180,7 +184,7 @@ def test_stream_engines_agree_q8(gf8):
             cp, sp = stream_shard_python(gf8, reps[a_idx], c, lo, hi)
             cn, sn = stream_shard(gf8, reps[a_idx], c, lo, hi)
             assert cp == cn
-            assert sn.tolist() == sp
+            assert candidates(sn) == sp
 
 
 def test_stream_engines_agree_q32_sampled(gf32):
@@ -196,7 +200,7 @@ def test_stream_engines_agree_q32_sampled(gf32):
     cp, sp = stream_shard_python(gf32, 2, 7, lo, hi, de_pairs=de)
     cn, sn = stream_shard(gf32, 2, 7, lo, hi, de_pairs=de)
     assert cp == cn
-    assert sn.tolist() == sp
+    assert candidates(sn) == sp
 
 
 def test_census_oracle_matches_python_oracle(gf8, gf32):
@@ -221,10 +225,11 @@ def test_census_oracle_matches_python_oracle(gf8, gf32):
 @pytest.mark.parametrize("qname", ["gf8", "gf16"])
 def test_stream_matches_census_every_shard(qname, request):
     """Every shard at q = 8 and 16, for the bounds of k = 10, 12 and 14:
-    `arcs8`, `focus_rejected`, `focus_9_10`, `prepared` and the survivor
-    records equal the census oracle's.  At q = 16 the pair cap drops
-    pairs at k = 10 and 12 and none at k = 14, and the shards hold
-    483,626 8-arcs, with 1,568 survivors at k = 12 and 25,388 at k = 14."""
+    `arcs8`, `focus_rejected`, `focus_9_10`, `prepared`, the survivor
+    records and their words w (the focus masks less the vertical bit)
+    equal the census oracle's.  At q = 16 the pair cap drops pairs at
+    k = 10 and 12 and none at k = 14, and the shards hold 483,626 8-arcs,
+    with 1,568 survivors at k = 12 and 25,388 at k = 14."""
     gf = request.getfixturevalue(qname)
     reps = frobenius_orbit_reps(gf, exclude=frozenset({0}))
     total = {k: new_counters() for k in (10, 12, 14)}
@@ -235,6 +240,7 @@ def test_stream_matches_census_every_shard(qname, request):
             counters, survivors = stream_shard(gf, reps[a_idx], c, *FOCUS_BOUNDS[k])
             assert counters == want[0], (a_idx, c, k)
             assert candidates(survivors) == want[1], (a_idx, c, k)
+            assert survivors.w.tolist() == census_words(gf, census, *FOCUS_BOUNDS[k])
             merge_counters(total[k], counters)
     if gf.q == 16:
         assert {k: (v["arcs8"], v["prepared"]) for k, v in total.items()} == {
@@ -244,9 +250,9 @@ def test_stream_matches_census_every_shard(qname, request):
 
 def test_stream_matches_census_on_random_pairs_q32(gf32):
     """Seeded subsets of (d, e) pairs, in random order and with one pair
-    reversed and one (y, y), on seeded q=32 shards: the stream's counters
-    and survivors equal the census oracle's for the bounds of k = 10, 12
-    and 14."""
+    reversed and one (y, y), on seeded q=32 shards: the stream's counters,
+    survivors and survivor words equal the census oracle's for the bounds
+    of k = 10, 12 and 14."""
     rng = random.Random(45)
     reps = frobenius_orbit_reps(gf32, exclude=frozenset({0}))
     pairs = [(d, e) for d in range(32) for e in range(d + 1, 32)]
@@ -263,6 +269,7 @@ def test_stream_matches_census_on_random_pairs_q32(gf32):
             )
             assert counters == want[0], (a_idx, c, k, de)
             assert candidates(survivors) == want[1], (a_idx, c, k, de)
+            assert survivors.w.tolist() == census_words(gf32, census, *FOCUS_BOUNDS[k])
             merge_counters(seen, counters)
     # no 8-arc at q = 16 or 32 has 9 or 10 focuses; q = 8 covers that count
     assert seen["prepared"] > 0 and seen["focus_9_10"] == 0
@@ -279,10 +286,10 @@ def test_stream_counter_consistency(gf8):
 
 def test_stream_survivor_records(gf8, gf32):
     """What readers of the stream rely on: the survivors are a record
-    array of seven int64 fields, empty with the same dtype when a shard
-    has none, and iterating it yields records whose fields a ... h are
-    the oracle's values."""
-    dtype = np.dtype([(name, np.int64) for name in "acdefgh"])
+    array of seven int64 fields and the uint32 focus word w, empty with
+    the same dtype when a shard has none, and iterating it yields records
+    whose fields a ... h are the oracle's values."""
+    dtype = SURVIVOR_DTYPE
     _, none = stream_shard(gf32, 1, 3, 7, 7)
     assert isinstance(none, np.recarray)
     assert len(none) == 0 and none.dtype == dtype and list(none) == []
@@ -322,7 +329,7 @@ def test_stream_without_live_rows(gf32, monkeypatch):
     counters, survivors = stream_shard(gf32, 1, 11, 9, 13, de_pairs=[(2, 17), (2, 18)])
     assert sizes == [0] and counters["arcs8"] > 0
     assert counters["prepared"] == len(survivors) == 0
-    assert survivors.dtype == np.dtype([(name, np.int64) for name in "acdefgh"])
+    assert survivors.dtype == SURVIVOR_DTYPE
 
 
 def test_resolve_engine(gf32):
@@ -459,7 +466,7 @@ def test_run_search_determinism_q8(gf8, tmp_path):
 
 def same_tables(tab, other):
     """The two table sets hold equal arrays."""
-    names = ("slope", "slope_bit", "rays")
+    names = ("slope", "rays")
     return all(np.array_equal(getattr(tab, n), getattr(other, n)) for n in names)
 
 
@@ -982,14 +989,14 @@ def test_process_shard_counts(gf8):
 
 def test_process_shard_batches_every_survivor(gf32, monkeypatch):
     """Shard (0, 10) at k=14 has more than 5,000 survivors: the census
-    sees each of them once, in stream order, and the extension sees
-    each census result, across many survivor batches and many
-    direction-table blocks."""
+    sees each of those with 13 focuses by the scalar census once, in
+    stream order, and the extension sees each census result, across many
+    survivor batches and many direction-table blocks."""
     seen = {"census": [], "closure": [], "calls": 0}
     census, closure = search.prune8, search.closure_completions
 
     def census_spy(survivors, tab):
-        seen["census"] += survivors.tolist()
+        seen["census"] += candidates(survivors)
         seen["calls"] += 1
         return census(survivors, tab)
 
@@ -1008,9 +1015,49 @@ def test_process_shard_batches_every_survivor(gf32, monkeypatch):
     counters, raw = process_shard(gf32, 14, a, 10)
     _, survivors = stream_shard(gf32, a, 10, *FOCUS_BOUNDS[14])
     assert len(survivors) == counters["prepared"] > 5000
-    assert seen["census"] == seen["closure"] == survivors.tolist()
+    cands = candidates(survivors)
+    want = [cand for cand in cands if _slope_census(gf32, cand.points())[0].bit_count() == 13]
+    assert seen["census"] == seen["closure"] == want
     assert seen["calls"] > 10
     assert raw == [] and counters["dfs_roots"] == 0
+
+
+def test_process_shard_extends_only_k_minus_1_focuses(gf32, monkeypatch):
+    """The matching lemma, at `process_shard`'s filter: only survivors
+    with k - 1 focuses can extend, so at k=14 the census sees only those
+    with 13 by the scalar census.  Shard (1, 3) has 4,080 survivors, 144
+    with 11 focuses and 1,584 with 12; the census sees the other 2,352."""
+    seen = []
+    census = search.prune8
+
+    def spy(survivors, tab):
+        seen.extend(candidates(survivors))
+        return census(survivors, tab)
+
+    monkeypatch.setattr(search, "prune8", spy)
+    counters, _ = process_shard(gf32, 14, 1, 3)
+    sizes = Counter(_slope_census(gf32, cand.points())[0].bit_count() for cand in seen)
+    assert sizes == {13: 2352} and counters["prepared"] == 4080
+
+
+@pytest.mark.parametrize("field,k,bounds,n_low,n_roots", [
+    ("gf8", 10, (7, 9), 14, 48),
+    ("gf16", 14, FOCUS_BOUNDS[14], 3640, 0),
+])
+def test_survivors_below_k_minus_1_focuses_are_no_roots(field, k, bounds, n_low, n_roots, request):
+    """The premise of that filter, on the survivors of every shard for
+    `bounds`: the n_low with fewer than k - 1 focuses are no root of the
+    extension, which finds n_roots among the others (at q=8, k=10 the
+    14 stream 8-arcs with 7 focuses lie beside 48 roots with 9)."""
+    gf = request.getfixturevalue(field)
+    tab = search._NumpyTables(gf)
+    reps = frobenius_orbit_reps(gf, exclude=frozenset({0}))
+    parts = [stream_shard(gf, reps[i], c, *bounds)[1] for i, c in shard_list(gf)]
+    px, py, fmask, _ = prune8(np.concatenate(parts), tab)
+    low = np.bitwise_count(fmask) < k - 1
+    assert np.count_nonzero(low) == n_low
+    assert closure_completions(gf, px[low], py[low], fmask[low], k, tab) == {}
+    assert len(closure_completions(gf, px[~low], py[~low], fmask[~low], k, tab)) == n_roots
 
 
 SHARD_PINS = {
@@ -1093,7 +1140,7 @@ def test_batched_census_matches_oracle(s):
     rng = random.Random(2000 + s)
     n = 3 * search._SURVIVOR_BLOCK + 7
     cands = [random_eight_arc(gf, 1 + i % (q - 1), rng) for i in range(n)]
-    px, py, fmask, single = prune8(survivor_array(cands), search._NumpyTables(gf))
+    px, py, fmask, single = prune8(survivor_array(gf, cands), search._NumpyTables(gf))
     assert px.shape == py.shape == (len(cands), 8)
     rows = zip(cands, px.tolist(), py.tolist(), fmask.tolist(), single.tolist(), strict=True)
     for cand, xs, ys, mask, n_single in rows:

@@ -149,7 +149,7 @@ def test_search_tables_built_only_by_the_cache(monkeypatch):
     monkeypatch.setattr(search._NumpyTables, "_built", {})
     fresh = search._NumpyTables(gf)
     assert fresh is not tab
-    names = ("slope", "slope_bit", "rays")
+    names = ("slope", "rays")
     assert all(np.array_equal(getattr(fresh, n), getattr(tab, n)) for n in names)
 
 

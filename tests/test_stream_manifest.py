@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 from hyperfocus.canon import frobenius_orbit_reps
@@ -31,7 +32,8 @@ def stream_entries(gf, k):
     entries = []
     for a_idx, c in shard_list(gf):
         counters, survivors = stream_shard(gf, reps[a_idx], c, lo, hi)
-        blob = "".join(f"{d},{e},{f},{g},{h}\n" for _, _, d, e, f, g, h in survivors.tolist())
+        rows = np.asarray(survivors)[list("defgh")].tolist()
+        blob = "".join(f"{d},{e},{f},{g},{h}\n" for d, e, f, g, h in rows)
         entry = {"a_idx": a_idx, "c": c}
         entry.update((key, counters[key]) for key in STREAM_KEYS)
         entry["survivors_sha256"] = hashlib.sha256(blob.encode()).hexdigest()

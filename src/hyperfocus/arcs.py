@@ -18,8 +18,9 @@ product is zero and no line index repeats in its row.  In characteristic
 2 the secant through a and b meets l in (l.b)a + (l.a)b: a point of the
 secant whose product with l is 2(l.a)(l.b) = 0, so one scaling per pair
 gives the focus, and the focus count is the number of distinct focus
-indices in a row.  The per-arc functions are one-element calls into the
-same kernels.
+indices in a row.  The list kernels take an (n, k, 3) array as it is, as
+its own stack, so a caller builds each stack once and hands it, or slices
+of it, to all of them; the per-arc functions are one-element calls.
 
 Two consequences of hyperfocusedness drive the search (`search.py`):
 through every arc point the |K| - 1 secants meet l in pairwise distinct
@@ -140,7 +141,7 @@ def make_arcs(gf: GF, point_sets: Sequence[Iterable[Sequence[int]]]) -> List[Arc
     Raises what make_arc raises for the first set in the list that is no
     arc, with that set's list position as the error's `index`.
     """
-    point_sets = [list(pts) for pts in point_sets]
+    point_sets = point_sets if isinstance(point_sets, np.ndarray) else list(map(list, point_sets))
     out: List[Arc] = [()] * len(point_sets)
     errors: List[Tuple[int, ValueError]] = []
     for idx, stack in stacks_by_size(point_sets):

@@ -235,7 +235,7 @@ def canonical_forms(
     raised as each arc is reached, so the error is that of the first
     rejected arc in the list.
     """
-    arcs = list(arcs)
+    arcs = arcs if isinstance(arcs, np.ndarray) else list(arcs)
     tab = tables(gf)
     frob_x = tab.frob << gf.s
     n_keys = len(_ORDERINGS) * gf.s

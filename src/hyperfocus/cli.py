@@ -22,9 +22,9 @@ import re
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
-# classify_focus and hyperconic_witness are not called here: they are
-# imported for the benchmark's tracer (bench/run.py), which wraps them by name
-from hyperfocus.arcs import (  # noqa: F401
+import numpy as np
+
+from hyperfocus.arcs import (
     ArcError,
     are_arcs,
     classify_focus,
@@ -38,9 +38,11 @@ from hyperfocus.arcs import (  # noqa: F401
     translation_hyperoval,
 )
 from hyperfocus.canon import equivalence_classes
+# hyperconic_witness is not called here: it is imported for the benchmark's
+# tracer (bench/run.py), which wraps it by name, as it wraps classify_focus
 from hyperfocus.conics import hyperconic_witness  # noqa: F401
 from hyperfocus.field import GF, FieldError, make_field
-from hyperfocus.plane import LINE_AT_INFINITY, Point, all_lines, indexed_points, point_indices
+from hyperfocus.plane import LINE_AT_INFINITY, Line, all_lines, dots, indexed_points, point_indices
 from hyperfocus.search import (
     CLAIMS,
     COUNTER_KEYS,
@@ -203,13 +205,10 @@ def _record_points(gf: GF, rec: dict, i: int) -> List[List[int]]:
     return [_record_triple(gf, p, i, "point") for p in pts]
 
 
-def _scaled(gf: GF, triple_sets: Sequence[list]) -> List[Tuple[Point, ...]]:
-    """Each list of checked triples, scaled: one array call per list size."""
-    out: List[Tuple[Point, ...]] = [()] * len(triple_sets)
-    for idx, stack in stacks_by_size(triple_sets):
-        for i, row in zip(idx, indexed_points(gf, point_indices(gf, stack)).tolist()):
-            out[i] = tuple(map(tuple, row))
-    return out
+def _scaled_lines(gf: GF, triples: Sequence[List[int]]) -> List[Line]:
+    """Each checked line triple, scaled: one array call for the list."""
+    stack = np.array(triples, dtype=np.int64).reshape(-1, 3)
+    return list(map(tuple, indexed_points(gf, point_indices(gf, stack)).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -258,32 +257,34 @@ def cmd_verify(args) -> int:
         print("verified=0/0")
         return EX_OK
     gf = _record_field(records)
-    point_sets, line_sets = [], []
+    point_sets, stored = [], {}
     for i, rec in enumerate(records):
         point_sets.append(_record_points(gf, rec, i))
-        line_sets.append([_record_triple(gf, rec["line"], i, "line")] if "line" in rec else [])
-    arcs = _scaled(gf, point_sets)
-    arc_ok = are_arcs(gf, arcs)
+        if "line" in rec:
+            stored[i] = _record_triple(gf, rec["line"], i, "line")
+    stored = dict(zip(stored, _scaled_lines(gf, list(stored.values()))))
     # a non-arc claims only its size; an arc's claims are taken on its
     # stored line, else on the diagonal line of a 4-arc, else on Z = 0
-    derived = [dict.fromkeys(CLAIMS) | {"k": len(pts)} for pts in arcs]
-    proven = [i for i, ok in enumerate(arc_ok) if ok]
-    proven_arcs = [arcs[i] for i in proven]
-    lines = [
-        ln[0] if ln else diagonal_line(gf, pts) if len(pts) == 4 else LINE_AT_INFINITY
-        for ln, pts in zip(_scaled(gf, [line_sets[i] for i in proven]), proven_arcs)
-    ]
-    for i, claims in zip(proven, record_claims(gf, proven_arcs, lines)):
-        derived[i] = claims
+    derived: Dict[int, dict] = {}
+    for idx, stack in stacks_by_size(point_sets):
+        stack = indexed_points(gf, point_indices(gf, stack))  # the witness takes points as given
+        ok = are_arcs(gf, stack)
+        proven, arcs = list(itertools.compress(idx, ok)), stack[ok]
+        lines = [
+            stored.get(i) or (diagonal_line(gf, arc) if len(arc) == 4 else LINE_AT_INFINITY)
+            for i, arc in zip(proven, arcs)
+        ]
+        derived.update(zip(proven, record_claims(gf, arcs, lines)))
     ok_count = 0
-    for i, (rec, claims, is_arc) in enumerate(zip(records, derived, arc_ok)):
+    for i, (rec, pts) in enumerate(zip(records, point_sets)):
+        claims = derived.get(i, dict.fromkeys(CLAIMS) | {"k": len(pts)})
         k, size, hyper = claims["k"], claims["focus_count"], claims["hyperconic"]
         # as JSON text, so that 12.0 is not 12 and 1 is not true
         failed = [c for c in CLAIMS if c in rec and json.dumps(rec[c]) != json.dumps(claims[c])]
         ok = size == k - 1 and not failed
         ok_count += ok
         print(
-            f"arc={i} k={k} is_arc={str(is_arc).lower()} focus={size or 0} "
+            f"arc={i} k={k} is_arc={str(i in derived).lower()} focus={size or 0} "
             f"verdict={'-' if size is None else focus_verdict(k, size)} "
             f"hyperconic={'-' if hyper is None else str(hyper).lower()} "
             f"failed={','.join(failed) or '-'} ok={str(ok).lower()}"
@@ -326,17 +327,17 @@ def cmd_construct(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown construction {args.kind!r}")
 
-    claims = record_claims(gf, [arc] * len(lines), lines)
-    for line, c in zip(lines, claims):
-        if c["focus_count"] != len(arc) - 1:
+    for line in lines:
+        if classify_focus(gf, arc, line)[1] != len(arc) - 1:
             raise DataError(f"construction is not hyperfocused on the line {line}")
+    (claims,) = record_claims(gf, [arc], lines[:1])
     rec: Dict[str, object] = {
         "q": gf.q,
         "modulus": hex(gf.modulus),
         "points": [list(p) for p in arc],
         "construction": args.kind,
         "line": list(lines[0]),
-        **{c: claims[0][c] for c in ("k", "focus_count", "digest")},
+        **{c: claims[c] for c in ("k", "focus_count", "digest")},
     }
     if args.kind == "hyperoval":
         rec["sampled_exterior_lines"] = len(lines)
@@ -354,12 +355,9 @@ def cmd_classify(args) -> int:
         print("classes=0 arcs=0")
         return EX_OK
     gf = _record_field(records)
-    line_sets = [
-        [_record_triple(gf, rec["line"], i, "line")]
-        for i, rec in enumerate(records)
-        if "line" in rec
-    ]
-    lines = {line for (line,) in _scaled(gf, line_sets)}
+    lines = set(_scaled_lines(gf, [
+        _record_triple(gf, rec["line"], i, "line") for i, rec in enumerate(records) if "line" in rec
+    ]))
     if lines - {LINE_AT_INFINITY}:
         raise DataError(f"records carry mixed focus lines: {sorted(lines)}")
     # the first failing record, in file order, is the one reported
@@ -371,18 +369,19 @@ def cmd_classify(args) -> int:
         except DataError as exc:
             bad_points = exc
             break
-    point_sets = _scaled(gf, point_sets)
-    for i, (pts, ok) in enumerate(zip(point_sets, are_arcs(gf, point_sets))):
-        if not ok:
-            raise DataError(f"record {i} is not an arc")
-        if not is_exterior(gf, pts, LINE_AT_INFINITY):
-            raise DataError(f"record {i} meets the focus line")
-        if len(pts) < 3:
-            raise DataError(f"record {i} has fewer than 3 points")
+    failures, arcs = [], []
+    for idx, stack in stacks_by_size(point_sets):
+        stack = indexed_points(gf, point_indices(gf, stack))
+        no_arc = ~np.array(are_arcs(gf, stack))
+        meets = (dots(gf, stack, np.array(LINE_AT_INFINITY)) == 0).any(1)
+        for r in np.flatnonzero(no_arc | meets | (stack.shape[1] < 3))[:1].tolist():
+            why = "meets the focus line" if meets[r] else "has fewer than 3 points"
+            failures.append((idx[r], "is not an arc" if no_arc[r] else why))
+        arcs.extend(dict.fromkeys(tuple(sorted(map(tuple, row))) for row in stack.tolist()))
+    if failures:
+        raise DataError("record {} {}".format(*min(failures)))
     if bad_points is not None:
         raise bad_points
-    seen = dict.fromkeys(tuple(sorted(pts)) for pts in point_sets)
-    arcs = [tuple(pts) for pts in seen]
     classes = equivalence_classes(gf, arcs)
     print(f"classes={len(classes)} arcs={len(arcs)}")
     for ci, (dig, members) in enumerate(classes):

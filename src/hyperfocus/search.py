@@ -614,26 +614,26 @@ def record_claims(gf: GF, arcs: Sequence[Arc], lines: Sequence[Line]) -> List[di
     `focus_count` and `digest` are None when the line meets the arc, and
     `digest` is also None below 3 points (no triple to normalize);
     `hyperconic`, `conic` and `nucleus` are None below 6 points.
-    Exteriority is one array test per size group; the focus counts and
-    canonical forms are one list call per line, the witnesses one list
-    call, so each kernel runs once per size group and line.
+    Each size group is one stack, built once (an (n, k, 3) array is its
+    own); exteriority is one array test on it, the focus counts and digests
+    on a line take the rows exterior to it, and the witnesses all of it.
     """
     claims = [dict.fromkeys(CLAIMS) | {"k": len(arc)} for arc in arcs]
-    by_line: Dict[Line, List[int]] = {}
     for idx, stack in stacks_by_size(arcs):
         on_line = dots(gf, stack, np.array([lines[i] for i in idx])[:, None]) == 0
-        for i in np.array(idx)[~on_line.any(1)].tolist():
-            by_line.setdefault(lines[i], []).append(i)
-    for line, idx in by_line.items():
-        for i, (_, size) in zip(idx, focus_verdicts(gf, [arcs[i] for i in idx], line)):
-            claims[i]["focus_count"] = size
-        idx = [i for i in idx if len(arcs[i]) >= 3]
-        for i, form in zip(idx, canonical_forms(gf, [arcs[i] for i in idx], line)):
-            claims[i]["digest"] = form_digest(form)
-    big = [i for i, arc in enumerate(arcs) if len(arc) >= 6]
-    for i, wit in zip(big, hyperconic_witnesses(gf, [arcs[i] for i in big])):
-        conic, nucleus = (list(wit.conic), list(wit.nucleus)) if wit.found else (None, None)
-        claims[i].update(hyperconic=wit.found, conic=conic, nucleus=nucleus)
+        by_line: Dict[Line, List[int]] = {}
+        for r in np.flatnonzero(~on_line.any(1)).tolist():
+            by_line.setdefault(lines[idx[r]], []).append(r)
+        for line, rows in by_line.items():
+            for r, (_, size) in zip(rows, focus_verdicts(gf, stack[rows], line)):
+                claims[idx[r]]["focus_count"] = size
+            if stack.shape[1] >= 3:
+                for r, form in zip(rows, canonical_forms(gf, stack[rows], line)):
+                    claims[idx[r]]["digest"] = form_digest(form)
+        if stack.shape[1] >= 6:
+            for i, wit in zip(idx, hyperconic_witnesses(gf, stack)):
+                conic, nucleus = (list(wit.conic), list(wit.nucleus)) if wit.found else (None, None)
+                claims[i].update(hyperconic=wit.found, conic=conic, nucleus=nucleus)
     return claims
 
 
@@ -646,7 +646,7 @@ def _postprocess(
     # representative; the full family of frame-normalized arcs is the
     # orbit closure (Frobenius fixes the frame and the focus line)
     reps = np.array(list(reps_found), dtype=np.int64).reshape(-1, k, 3)
-    images = tables(gf).frob.take(reps, axis=1).swapaxes(0, 1).reshape(-1, k, 3).tolist()
+    images = tables(gf).frob.take(reps, axis=1).swapaxes(0, 1).reshape(-1, k, 3)
     try:
         unique = list(dict.fromkeys(make_arcs(gf, images)))
     except ArcError as exc:

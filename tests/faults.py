@@ -45,6 +45,7 @@ class Fault(NamedTuple):
 
 SEARCH = "src/hyperfocus/search.py"
 ARCS = "src/hyperfocus/arcs.py"
+CLI = "src/hyperfocus/cli.py"
 EXTENSION_TESTS = (
     "tests/test_search.py::test_column_pairs_needs_distinct_directions",
     "tests/test_search.py::test_column_pairs_focus_bound_is_strict",
@@ -125,6 +126,38 @@ FAULTS = (
         "if set(map(len, pts)) - {3}:",
         "if not pts:",
         ("tests/test_arcs.py::test_stacks_by_size_builds_flat_stacks_of_triples",),
+    ),
+    Fault(
+        "claims-ignore-exteriority",
+        SEARCH,
+        "for r in np.flatnonzero(~on_line.any(1)).tolist():",
+        "for r in range(len(idx)):",
+        (
+            "tests/test_search.py::test_record_claims_match_the_per_arc_calls",
+            "tests/test_cli.py::test_verify_digest_on_each_records_line",
+            "tests/test_cli.py::test_read_paths_report_the_first_failing_record",
+        ),
+    ),
+    Fault(
+        "verify-claims-on-unscaled-points",
+        CLI,
+        "stack = indexed_points(gf, point_indices(gf, stack))  # the witness takes points as given",
+        "pass",
+        (
+            "tests/test_cli.py::test_verify_rescaled_records",
+            "tests/test_cli.py::test_verify_sixty_records_and_an_edited_digest",
+        ),
+    ),
+    Fault(
+        "construct-checks-only-the-record-line",
+        CLI,
+        "for line in lines:",
+        "for line in lines[:1]:",
+        (
+            "tests/test_cli.py::test_construct_hyperoval",
+            "tests/test_cli.py::test_construct_hyperoval_roundtrip_q8",
+            "tests/test_cli.py::test_construct_hyperoval_derives_the_claims_once",
+        ),
     ),
 )
 

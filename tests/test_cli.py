@@ -10,6 +10,7 @@ import sys
 from contextlib import redirect_stdout, redirect_stderr
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hyperfocus.cli import (
@@ -25,13 +26,24 @@ from hyperfocus.cli import (
     parse_pairs,
 )
 from hyperfocus import arcs as arcs_module
+from hyperfocus import canon as canon_module
 from hyperfocus import cli as cli_module
 from hyperfocus import conics as conics_module
 from hyperfocus import search
-from hyperfocus.arcs import make_arc, translation_hyperoval
-from hyperfocus.canon import arc_digest
+from hyperfocus.arcs import (
+    HYPERFOCUSED,
+    are_arcs,
+    classify_focus,
+    focus_verdicts,
+    make_arc,
+    make_arcs,
+    translation_hyperoval,
+)
+from hyperfocus.canon import arc_digest, canonical_forms, digest
+from hyperfocus.conics import hyperconic_witnesses
 from hyperfocus.cli import UsageError
 from hyperfocus.field import make_field
+from hyperfocus.plane import LINE_AT_INFINITY
 
 from oracles import arc_oracle, moved_arc, scale, schemaless_config_hash
 
@@ -875,6 +887,69 @@ def test_k12_paths_run_one_kernel_per_size_group(gf32, monkeypatch):
     assert calls == [("_secant_indices", (60, 12))]
 
 
+
+def test_verify_rescaled_records(tmp_path):
+    """The 60 stored records with every point given as a seeded nonzero
+    multiple of itself verify as the stored file does, line for line.
+    The hyperconic witness compares its nucleus to the points as given
+    (each of the 60 holds its nucleus), so verify must scale the points
+    before it derives the claims: on the points as given it finds no
+    hyperconic."""
+    gf = make_field(5, 0x25)
+    rng = random.Random(11)
+    recs = [json.loads(line) for line in K12_RESULTS.read_text().splitlines()]
+    for rec in recs:
+        scalars = [rng.randrange(1, gf.q) for _ in rec["points"]]
+        rec["points"] = [[gf.mul(t, x) for x in p] for t, p in zip(scalars, rec["points"])]
+    assert sum(p[2] not in (0, 1) for rec in recs for p in rec["points"]) > 500
+    path = tmp_path / "rescaled.jsonl"
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in recs))
+    code, out, err = run_cli("verify", str(path))
+    assert (code, err) == (EX_OK, "")
+    assert out.splitlines()[-1] == "verified=60/60"
+    assert out == run_cli("verify", str(K12_RESULTS))[1]
+
+
+def test_k12_paths_build_one_stack_per_size_group(gf32, monkeypatch):
+    """The write path (`_postprocess`) and the read paths (`verify`,
+    `classify`) of the 60 stored 12-arcs build each size group's stack
+    from Python lists once and hand that array, or slices of it, to every
+    kernel: one build in post, one in verify, and in classify one more
+    for the deduplicated arcs.  A list kernel given an (n, k, 3) array
+    builds nothing."""
+    builds = []
+    real = arcs_module.stacks_by_size
+
+    def counted(point_sets):
+        for idx, stack in real(point_sets):
+            if not isinstance(point_sets, np.ndarray):
+                builds.append(stack.shape)
+            yield idx, stack
+
+    for module in (arcs_module, canon_module, conics_module, search, cli_module):
+        monkeypatch.setattr(module, "stacks_by_size", counted)
+    recs = [json.loads(line) for line in K12_RESULTS.read_text().splitlines()]
+    raw = [tuple(map(tuple, rec["points"])) for rec in recs]
+    assert search._postprocess(gf32, 12, raw, search.new_counters())[1] == recs
+    assert builds == [(60, 12, 3)]
+    builds.clear()
+    assert run_cli("verify", str(K12_RESULTS))[0] == EX_OK
+    assert builds == [(60, 12, 3)]
+    builds.clear()
+    assert run_cli("classify", str(K12_RESULTS))[0] == EX_OK
+    assert 1 <= len(builds) <= 2
+    builds.clear()
+    stack = np.array([rec["points"] for rec in recs], dtype=np.int64)
+    arcs = make_arcs(gf32, stack)
+    assert arcs == [tuple(map(tuple, rec["points"])) for rec in recs]
+    assert are_arcs(gf32, stack) == [True] * 60
+    assert focus_verdicts(gf32, stack, LINE_AT_INFINITY) == [(HYPERFOCUSED, 11)] * 60
+    assert {digest(form) for form in canonical_forms(gf32, stack)} == {recs[0]["digest"]}
+    nuclei = [list(w.nucleus) for w in hyperconic_witnesses(gf32, stack)]
+    assert nuclei == [rec["nucleus"] for rec in recs]
+    assert builds == []
+
+
 # --- construct --------------------------------------------------------------
 
 
@@ -942,6 +1017,29 @@ def test_construct_hyperoval(tmp_path):
     assert rec["focus_count"] == 33
     assert rec["sampled_exterior_lines"] == 5
     assert out_path.read_text().strip() == out.strip()
+
+
+def test_construct_hyperoval_derives_the_claims_once(monkeypatch):
+    """construct hyperoval checks k - 1 focuses on each of its five
+    sampled lines, and derives the record's claims, digest included, on
+    the first one only: one canonical-form call, not one per line."""
+    forms, checked = [], []
+
+    def counted_forms(gf, arcs, line):
+        forms.append(line)
+        return canonical_forms(gf, arcs, line)
+
+    def counted_focus(gf, arc, line):
+        checked.append(line)
+        return classify_focus(gf, arc, line)
+
+    monkeypatch.setattr(search, "canonical_forms", counted_forms)
+    monkeypatch.setattr(cli_module, "classify_focus", counted_focus)
+    code, out, _ = run_cli("construct", "hyperoval", "--s", "5", "--i", "1")
+    assert code == EX_OK
+    rec = json.loads(out)
+    assert forms == checked[:1] == [tuple(rec["line"])]
+    assert len(set(checked)) == rec["sampled_exterior_lines"] == 5
 
 
 def test_construct_hyperoval_roundtrip_q8(gf8, tmp_path):

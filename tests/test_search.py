@@ -18,10 +18,12 @@ from hyperfocus.arcs import (
     is_arc,
     make_arc,
     make_arcs,
+    translation_hyperoval,
 )
-from hyperfocus.canon import frobenius_orbit_reps
+from hyperfocus.canon import arc_digest, frobenius_orbit_reps
+from hyperfocus.conics import hyperconic_witness
 from hyperfocus.field import make_field
-from hyperfocus.plane import LINE_AT_INFINITY
+from hyperfocus.plane import LINE_AT_INFINITY, all_lines, all_points
 from hyperfocus.search import (
     FOCUS_BOUNDS,
     CheckpointMismatch,
@@ -46,14 +48,18 @@ from oracles import (
     SURVIVOR_DTYPE,
     Candidate8,
     _slope_census,
+    arc_accepts,
     census_stream,
     census_words,
     census_verdict,
     complete_to_hyperovals,
     enumerate_candidates8,
+    extend_arc,
     extension_oracle,
     free_columns,
     frobenius_point,
+    incident,
+    line_through,
     schema1_config_hash,
     schemaless_config_hash,
     shard_candidates,
@@ -351,6 +357,57 @@ def test_slope_table_matches_oracle(qname, request):
     assert slope.dtype == np.int64
     assert slope[1:].tolist() == slope_table(gf)[1:]
     assert slope[0].tolist() == [gf.q] * gf.q
+
+
+def test_record_claims_match_the_per_arc_calls(gf16):
+    """One record_claims call on arcs of 1 to 10 points, half of them in a
+    hyperconic, each on its own line, some of them meeting it, gives each
+    arc the claims that the per-arc calls give it: focus count and digest
+    on its line when it is exterior, else None, and the hyperconic
+    witness from 6 points on.  A stack of one size gives the same claims
+    as its list."""
+    rng = random.Random(16)
+    pts, lines = list(all_points(gf16)), list(all_lines(gf16))
+    oval = translation_hyperoval(gf16, 1)  # a conic and its nucleus
+    arcs = []
+    while len(arcs) < 60:
+        arc = ()
+        for p in rng.sample(pts, len(pts)):
+            if len(arc) == 1 + len(arcs) // 2 % 10:
+                break
+            if arc_accepts(gf16, arc, p):
+                arc = extend_arc(gf16, arc, p)
+        arcs += [arc, make_arc(gf16, rng.sample(oval, rng.randrange(6, 11)))]
+    # every third arc is given a line through one of its points
+    chosen = [
+        line_through(gf16, arc[0], rng.choice([p for p in pts if p != arc[0]]))
+        if i % 3 == 0 else rng.choice(lines)
+        for i, arc in enumerate(arcs)
+    ]
+    want = []
+    for arc, line in zip(arcs, chosen):
+        exterior = not any(incident(gf16, p, line) for p in arc)
+        claims = dict.fromkeys(search.CLAIMS) | {"k": len(arc)}
+        if exterior:
+            claims["focus_count"] = classify_focus(gf16, arc, line)[1]
+            if len(arc) >= 3:
+                claims["digest"] = arc_digest(gf16, arc, line)
+        if len(arc) >= 6:
+            wit = hyperconic_witness(gf16, arc)
+            claims.update(
+                hyperconic=wit.found,
+                conic=list(wit.conic) if wit.found else None,
+                nucleus=list(wit.nucleus) if wit.found else None,
+            )
+        want.append(claims)
+    assert sum(c["focus_count"] is None for c in want) >= 20
+    assert sum(bool(c["hyperconic"]) for c in want) >= 30
+    assert search.record_claims(gf16, arcs, chosen) == want
+    sevens = [i for i, arc in enumerate(arcs) if len(arc) == 7]
+    assert len(sevens) > 3
+    stack = np.array([arcs[i] for i in sevens])
+    got = search.record_claims(gf16, stack, [chosen[i] for i in sevens])
+    assert got == [want[i] for i in sevens]
 
 
 def test_postprocess_orbit_images_match_frobenius_point(gf32, monkeypatch):

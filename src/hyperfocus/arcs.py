@@ -7,20 +7,21 @@ hyperfocused on l when there are exactly |K| - 1 of them, the smallest
 count an arc can achieve, and sharply focused when there are exactly |K|.
 
 Both facts are decided from the C(k, 2) point pairs alone, for a whole
-list of point sets at a time: the sets are grouped by size, and each
-group is one (n, k, 3) int64 stack whose field products are gathers from
-the field's log/exp tables.  The secant through a and b is the cross
-product a x b, zero exactly when a and b are one point (or one is the
-zero triple); scaled, the secants of a stack are an (n, C(k, 2)) array of
-dense line indices.  Two secants of k distinct points coincide exactly
-when three of the points are collinear, so a set is an arc iff no cross
-product is zero and no line index repeats in its row.  In characteristic
-2 the secant through a and b meets l in (l.b)a + (l.a)b: a point of the
-secant whose product with l is 2(l.a)(l.b) = 0, so one scaling per pair
-gives the focus, and the focus count is the number of distinct focus
-indices in a row.  The list kernels take an (n, k, 3) array as it is, as
-its own stack, so a caller builds each stack once and hands it, or slices
-of it, to all of them; the per-arc functions are one-element calls.
+(n, k, 3) int64 stack of k-point sets at a time, its field products
+gathers from the field's log/exp tables.  The secant through a and b is
+the cross product a x b, zero exactly when a and b are one point (or one
+is the zero triple); scaled, the secants of a stack are an (n, C(k, 2))
+array of dense line indices.  Two secants of k distinct points coincide
+exactly when three of the points are collinear, so a set is an arc iff
+no cross product is zero and no line index repeats in its row.  In
+characteristic 2 the secant through a and b meets l in (l.b)a + (l.a)b:
+a point of the secant whose product with l is 2(l.a)(l.b) = 0, so one
+scaling per pair gives the focus, and the focus count is the number of
+distinct focus indices in a row.  The list kernels take one stack and
+have no size loop; a per-arc function calls them on `point_stack`'s
+one-row stack.  Lists of point sets are grouped by size
+(`stacks_by_size`) only where records are read: `search.record_claims`,
+`verify`, `classify` and the public `canon.canonical_forms`.
 
 Two consequences of hyperfocusedness drive the search (`search.py`):
 through every arc point the |K| - 1 secants meet l in pairwise distinct
@@ -120,43 +121,39 @@ def distinct_rows(lines: np.ndarray) -> np.ndarray:
     return (lines[..., :1] >= 0).all(-1) & (lines[..., 1:] != lines[..., :-1]).all(-1)
 
 
-def are_arcs(gf: GF, point_sets: Sequence[Sequence[Sequence[int]]]) -> List[bool]:
-    """is_arc of each set, one kernel call per set size."""
-    out = [False] * len(point_sets)
-    for idx, stack in stacks_by_size(point_sets):
-        for i, ok in zip(idx, distinct_rows(_secant_indices(gf, stack)).tolist()):
-            out[i] = ok
-    return out
+def point_stack(points: Iterable[Sequence[int]]) -> np.ndarray:
+    """One point set as a (1, k, 3) int64 stack; a point that is not a
+    triple raises ValueError."""
+    ((_, stack),) = stacks_by_size([list(points)])
+    return stack
+
+
+def are_arcs(gf: GF, stack: np.ndarray) -> List[bool]:
+    """is_arc of each row of an (n, k, 3) stack, in one kernel call."""
+    return distinct_rows(_secant_indices(gf, stack)).tolist()
 
 
 def is_arc(gf: GF, points: Sequence[Point]) -> bool:
     """True when the points, scaled or not, are distinct and no three are
     collinear; a point given twice or a zero triple gives False."""
-    return are_arcs(gf, [points])[0]
+    return are_arcs(gf, point_stack(points))[0]
 
 
-def make_arcs(gf: GF, point_sets: Sequence[Iterable[Sequence[int]]]) -> List[Arc]:
-    """make_arc of each set, one kernel call per set size.
+def make_arcs(gf: GF, stack: np.ndarray) -> List[Arc]:
+    """make_arc of each row of an (n, k, 3) stack, in one kernel call.
 
-    Raises what make_arc raises for the first set in the list that is no
-    arc, with that set's list position as the error's `index`.
+    Raises what make_arc raises for the first row that is no arc, with
+    that row's position as the error's `index`.
     """
-    point_sets = point_sets if isinstance(point_sets, np.ndarray) else list(map(list, point_sets))
-    out: List[Arc] = [()] * len(point_sets)
-    errors: List[Tuple[int, ValueError]] = []
-    for idx, stack in stacks_by_size(point_sets):
-        ranks = np.sort(point_indices(gf, stack), axis=1)
-        pts = indexed_points(gf, ranks)
-        lines = _secant_indices(gf, pts)
-        for i, row in zip(idx, pts.tolist()):
-            out[i] = tuple(map(tuple, row))
-        bad = np.flatnonzero(~distinct_rows(lines))
-        if bad.size:
-            r = bad[0]
-            errors.append((idx[r], _arc_error(ranks[r], out[idx[r]], lines[r])))
-    if errors:
-        index, exc = min(errors, key=lambda e: e[0])
-        exc.index = index
+    ranks = np.sort(point_indices(gf, stack), axis=1)
+    pts = indexed_points(gf, ranks)
+    lines = _secant_indices(gf, pts)
+    out = [tuple(map(tuple, row)) for row in pts.tolist()]
+    bad = np.flatnonzero(~distinct_rows(lines))
+    if bad.size:
+        r = int(bad[0])
+        exc = _arc_error(ranks[r], out[r], lines[r])
+        exc.index = r
         raise exc
     return out
 
@@ -184,15 +181,14 @@ def make_arc(gf: GF, points: Iterable[Sequence[int]]) -> Arc:
     twice (under any scaling) and NotAnArc, naming three collinear points,
     when two secants coincide.
     """
-    return make_arcs(gf, [points])[0]
+    return make_arcs(gf, point_stack(points))[0]
 
 
 def secants(gf: GF, arc: Arc) -> List[Line]:
     """The lines through two of the points, in `itertools.combinations`
     order; pairwise distinct exactly when the points form an arc.  Raises
     SamePoint for two points that span no line."""
-    ((_, stack),) = stacks_by_size([arc])
-    lines = _secant_indices(gf, stack)[0]
+    lines = _secant_indices(gf, point_stack(arc))[0]
     if (lines < 0).any():
         a, b = list(itertools.combinations(arc, 2))[np.argmin(lines)]
         raise SamePoint(f"{a} and {b} coincide")
@@ -201,7 +197,7 @@ def secants(gf: GF, arc: Arc) -> List[Line]:
 
 def is_exterior(gf: GF, arc: Arc, m: Line) -> bool:
     """No point of the arc lies on the line."""
-    return bool(dots(gf, np.array(arc, dtype=np.int64).reshape(-1, 3), np.array(m)).all())
+    return bool(dots(gf, point_stack(arc), np.array(m)).all())
 
 
 def _focus_indices(gf: GF, stack: np.ndarray, line: Line) -> np.ndarray:
@@ -226,23 +222,17 @@ def _focus_indices(gf: GF, stack: np.ndarray, line: Line) -> np.ndarray:
 def focus_set(gf: GF, arc: Arc, line: Line) -> Tuple[Point, ...]:
     """Intersections of the secants with an exterior line, deduplicated,
     in dense index order."""
-    ((_, stack),) = stacks_by_size([arc])
-    foci = np.unique(_focus_indices(gf, stack, line))
+    foci = np.unique(_focus_indices(gf, point_stack(arc), line))
     return tuple(map(tuple, indexed_points(gf, foci).tolist()))
 
 
-def focus_verdicts(
-    gf: GF, arcs: Sequence[Arc], line: Line
-) -> List[Tuple[str, int]]:
-    """classify_focus of each arc on one exterior line, one kernel call per
-    arc size: the focus count is the number of distinct foci in a row."""
-    out: List[Tuple[str, int]] = [(NEITHER, 0)] * len(arcs)
-    for idx, stack in stacks_by_size(arcs):
-        foci = np.sort(_focus_indices(gf, stack, line), axis=1)
-        counts = (foci[:, 1:] != foci[:, :-1]).sum(1) + (foci.shape[1] > 0)
-        for i, n in zip(idx, counts.tolist()):
-            out[i] = (focus_verdict(stack.shape[1], n), n)
-    return out
+def focus_verdicts(gf: GF, stack: np.ndarray, line: Line) -> List[Tuple[str, int]]:
+    """classify_focus of each row of an (n, k, 3) stack on one exterior
+    line, in one kernel call: the focus count is the number of distinct
+    foci in a row."""
+    foci = np.sort(_focus_indices(gf, stack, line), axis=1)
+    counts = (foci[:, 1:] != foci[:, :-1]).sum(1) + (foci.shape[1] > 0)
+    return [(focus_verdict(stack.shape[1], n), n) for n in counts.tolist()]
 
 
 def focus_verdict(k: int, count: int) -> str:
@@ -256,7 +246,7 @@ def focus_count(gf: GF, arc: Arc, line: Line) -> int:
 
 def classify_focus(gf: GF, arc: Arc, line: Line) -> Tuple[str, int]:
     """Verdict and focus-set size of the arc on an exterior line."""
-    return focus_verdicts(gf, [arc], line)[0]
+    return focus_verdicts(gf, point_stack(arc), line)[0]
 
 
 def diagonal_line(gf: GF, arc: Arc) -> Line:

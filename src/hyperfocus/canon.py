@@ -26,8 +26,9 @@ using the field's log/exp tables, then serializes only the winning row.
 canonical_forms runs that kernel once per equivalence class of a list:
 every other member of the class is recognised by exact lookups of its
 first triple's normalized images, which are computed for all arcs of
-one size in one numpy pass before the list is walked.  canonical_form is
-the one-arc call into it.
+one size in one numpy pass before the list is walked; it takes arcs of
+mixed sizes, from a list or a generator.  canonical_form is the one-arc
+call into it, and `classify` groups its arcs by form.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ def _check_arc(arc: Arc, line: Line, first: int) -> None:
     """Raise what canonical_form raises on an arc before any triple: its
     first point on the line (at position `first`), or too few points."""
     if first < len(arc):
-        raise LineMeetsArc(f"{arc[first]} lies on the line {line}")
+        raise LineMeetsArc(f"{tuple(map(int, arc[first]))} lies on the line {line}")
     if len(arc) < 3:
         raise ValueError("arc too small for a triple")
 
@@ -277,13 +278,3 @@ def digest(form: bytes) -> str:
 
 def arc_digest(gf: GF, arc: Arc, line: Line = LINE_AT_INFINITY) -> str:
     return digest(canonical_form(gf, arc, line))
-
-
-def equivalence_classes(
-    gf: GF, arcs: Iterable[Arc], line: Line = LINE_AT_INFINITY
-) -> List[Tuple[str, List[int]]]:
-    """Group arc indices by canonical form; classes ordered by form."""
-    groups: Dict[bytes, List[int]] = {}
-    for i, form in enumerate(canonical_forms(gf, arcs, line)):
-        groups.setdefault(form, []).append(i)
-    return [(digest(form), groups[form]) for form in sorted(groups)]

@@ -14,6 +14,7 @@ and digest from it.
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import itertools
 import json
@@ -37,7 +38,7 @@ from hyperfocus.arcs import (
     translation_arc,
     translation_hyperoval,
 )
-from hyperfocus.canon import equivalence_classes
+from hyperfocus.canon import canonical_forms, digest
 # hyperconic_witness is not called here: it is imported for the benchmark's
 # tracer (bench/run.py), which wraps it by name, as it wraps classify_focus
 from hyperfocus.conics import hyperconic_witness  # noqa: F401
@@ -369,23 +370,27 @@ def cmd_classify(args) -> int:
         except DataError as exc:
             bad_points = exc
             break
-    failures, arcs = [], []
+    # per size group, the scaled arcs sorted by rank, one row per point set
+    failures, groups = [], []
     for idx, stack in stacks_by_size(point_sets):
-        stack = indexed_points(gf, point_indices(gf, stack))
+        ranks = np.sort(point_indices(gf, stack), axis=1)
+        stack = indexed_points(gf, ranks)
         no_arc = ~np.array(are_arcs(gf, stack))
         meets = (dots(gf, stack, np.array(LINE_AT_INFINITY)) == 0).any(1)
         for r in np.flatnonzero(no_arc | meets | (stack.shape[1] < 3))[:1].tolist():
             why = "meets the focus line" if meets[r] else "has fewer than 3 points"
             failures.append((idx[r], "is not an arc" if no_arc[r] else why))
-        arcs.extend(dict.fromkeys(tuple(sorted(map(tuple, row))) for row in stack.tolist()))
+        rows = dict(zip(map(bytes, ranks), itertools.count()))  # one per rank row
+        groups.append(stack[list(rows.values())])
     if failures:
         raise DataError("record {} {}".format(*min(failures)))
     if bad_points is not None:
         raise bad_points
-    classes = equivalence_classes(gf, arcs)
-    print(f"classes={len(classes)} arcs={len(arcs)}")
-    for ci, (dig, members) in enumerate(classes):
-        print(f"class={ci} size={len(members)} digest={dig}")
+    forms = [form for stack in groups for form in canonical_forms(gf, stack)]
+    sizes = collections.Counter(forms)
+    print(f"classes={len(sizes)} arcs={len(forms)}")
+    for ci, form in enumerate(sorted(sizes)):
+        print(f"class={ci} size={sizes[form]} digest={digest(form)}")
     return EX_OK
 
 

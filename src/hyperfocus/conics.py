@@ -21,10 +21,9 @@ nondegenerate, since a line pair or a double line cannot hold five
 points no three of which are collinear.  The formula is a handful of
 field products, so it runs on whole numpy arrays of quintuples.
 
-`hyperconic_witnesses` takes a list of arcs and runs one kernel per arc
-size on an (n, k, 3) stack: the conics of all six drop-one quintuples of
-each arc's first six points at once, their nuclei, and the value of each
-conic at every arc point.
+`hyperconic_witnesses` runs one kernel on an (n, k, 3) stack of k-arcs,
+k >= 6: the conics of all six drop-one quintuples of each arc's first
+six points at once, their nuclei, and each conic's value at every point.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from hyperfocus.arcs import Arc, ArcError, distinct_rows, make_arc, stacks_by_size
+from hyperfocus.arcs import Arc, ArcError, distinct_rows, make_arc, point_stack
 from hyperfocus.field import GF, Tables, tables
 from hyperfocus.plane import Point, crosses, dots, index_pairs, indexed_points, point_indices
 
@@ -140,22 +139,17 @@ def _witness_kernel(gf: GF, stack: np.ndarray) -> Tuple[list, list, list, list]:
     )
 
 
-def hyperconic_witnesses(gf: GF, arcs: Sequence[Arc]) -> List[HyperconicWitness]:
-    """hyperconic_witness of each arc, one kernel call per arc size;
-    raises what it raises for the first arc in the list that it rejects."""
-    rows: List[Optional[tuple]] = [None] * len(arcs)
-    for idx, stack in stacks_by_size(arcs):
-        if stack.shape[1] >= 6:
-            for i, row in zip(idx, zip(*_witness_kernel(gf, stack))):
-                rows[i] = row
+def hyperconic_witnesses(gf: GF, stack: np.ndarray) -> List[HyperconicWitness]:
+    """hyperconic_witness of each arc of an (n, k, 3) stack, in one kernel
+    call; raises what it raises for the first arc that it rejects."""
+    if stack.shape[1] < 6:
+        raise ConicError("hyperconic check needs an arc of 6 or more points")
     out = []
-    for arc, row in zip(arcs, rows):
-        if row is None:
-            raise ConicError("hyperconic check needs an arc of 6 or more points")
-        first, general, conic, nuc = row
+    for r, (first, general, conic, nuc) in enumerate(zip(*_witness_kernel(gf, stack))):
         if first < 0:
             out.append(HyperconicWitness(False, None, None, None))
         elif not general:  # as the per-quintuple solve always did
+            arc = tuple(map(tuple, stack[r].tolist()))
             raise DegenerateInput(
                 f"quintuple {QUINTUPLES[first]} of {arc} is not in general position"
             )
@@ -174,7 +168,7 @@ def hyperconic_witness(gf: GF, arc: Arc) -> HyperconicWitness:
     every point but the nucleus.  A quintuple not in general position
     before it raises DegenerateInput.
     """
-    return hyperconic_witnesses(gf, [arc])[0]
+    return hyperconic_witnesses(gf, point_stack(arc))[0]
 
 
 def hyperconic_contains(gf: GF, arc: Arc) -> bool:

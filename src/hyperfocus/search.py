@@ -66,7 +66,7 @@ from hyperfocus.canon import canonical_forms, frobenius_orbit_reps, serialize_ar
 from hyperfocus.canon import digest as form_digest
 from hyperfocus.conics import hyperconic_witness, hyperconic_witnesses  # noqa: F401
 from hyperfocus.field import GF, tables
-from hyperfocus.plane import LINE_AT_INFINITY, Line, Point, dots, index_pairs
+from hyperfocus.plane import LINE_AT_INFINITY, Line, Point, dots, index_pairs, indexed_points
 
 # target size -> (min, max) focus count demanded of the 8-point stage
 FOCUS_BOUNDS = {10: (9, 9), 12: (11, 11), 14: (9, 13)}
@@ -450,7 +450,7 @@ def _completions(
             codes.append(np.hstack([np.broadcast_to(px[r] * q + py[r], (len(added), 8)), added]))
             owner += [r] * len(added)
     codes = np.sort(np.concatenate(codes), axis=1)
-    stack = np.stack([codes // q, codes % q, np.ones_like(codes)], axis=2)
+    stack = indexed_points(gf, codes)
     keep = np.zeros(len(stack), dtype=bool)
     for i in range(0, len(stack), _CANDIDATE_BLOCK):
         blk = stack[i:i + _CANDIDATE_BLOCK]

@@ -46,6 +46,7 @@ class Fault(NamedTuple):
 SEARCH = "src/hyperfocus/search.py"
 ARCS = "src/hyperfocus/arcs.py"
 CLI = "src/hyperfocus/cli.py"
+CONICS = "src/hyperfocus/conics.py"
 EXTENSION_TESTS = (
     "tests/test_search.py::test_column_pairs_needs_distinct_directions",
     "tests/test_search.py::test_column_pairs_focus_bound_is_strict",
@@ -128,6 +129,26 @@ FAULTS = (
         ("tests/test_arcs.py::test_stacks_by_size_builds_flat_stacks_of_triples",),
     ),
     Fault(
+        "make-arcs-reports-the-last-bad-row",
+        ARCS,
+        "r = int(bad[0])",
+        "r = int(bad[-1])",
+        (
+            "tests/test_arcs.py::test_list_kernels_match_oracles",
+            "tests/test_cli.py::test_postprocess_reports_the_first_failing_image",
+        ),
+    ),
+    Fault(
+        "witness-drops-its-size-check",
+        CONICS,
+        "if stack.shape[1] < 6:",
+        "if False:",
+        (
+            "tests/test_conics.py::test_witness_needs_six_points",
+            "tests/test_conics.py::test_witness_list_raises_for_the_first_bad_arc",
+        ),
+    ),
+    Fault(
         "claims-ignore-exteriority",
         SEARCH,
         "for r in np.flatnonzero(~on_line.any(1)).tolist():",
@@ -147,6 +168,13 @@ FAULTS = (
             "tests/test_cli.py::test_verify_rescaled_records",
             "tests/test_cli.py::test_verify_sixty_records_and_an_edited_digest",
         ),
+    ),
+    Fault(
+        "classify-dedupes-unsorted-ranks",
+        CLI,
+        "ranks = np.sort(point_indices(gf, stack), axis=1)",
+        "ranks = point_indices(gf, stack)",
+        ("tests/test_cli.py::test_classify_dedupes_a_permuted_rescaled_copy",),
     ),
     Fault(
         "construct-checks-only-the-record-line",

@@ -25,6 +25,7 @@ from hyperfocus.arcs import (
     PointInArc,
     PointOnSecant,
     make_arc,
+    stacks_by_size,
 )
 from hyperfocus.canon import frobenius_orbit_reps, serialize_arc
 from hyperfocus.conics import Conic, ConicError
@@ -474,6 +475,16 @@ def canonical_form_oracle(
     if best is None:
         raise ValueError("arc too small for a triple")
     return best
+
+
+def per_size_stack(kernel, gf: GF, point_sets: Sequence, *args) -> list:
+    """A list kernel's row for each set of a list of mixed sizes: one call
+    per size-group stack, its rows put back in list order."""
+    out = [None] * len(point_sets)
+    for idx, stack in stacks_by_size(point_sets):
+        for i, row in zip(idx, kernel(gf, stack, *args)):
+            out[i] = row
+    return out
 
 
 # ---------------------------------------------------------------------------

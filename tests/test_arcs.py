@@ -24,6 +24,7 @@ from oracles import (
     line_points,
     line_through,
     line_type,
+    per_size_stack,
     scale,
     tangents_through,
 )
@@ -336,12 +337,12 @@ def test_focus_set_matches_meet_oracle(qname, request):
 
 @pytest.mark.parametrize("qname", ["gf8", "gf16", "gf32"])
 def test_list_kernels_match_oracles(qname, request, monkeypatch):
-    """One list call, on sets of 2 to 11 points mixing arcs, non-arcs and
-    points given twice under two scalings, runs the secant kernel once
-    per set size and decides each set as the C(k, 3) oracle and the
-    per-set wrappers do; `make_arcs` raises the first non-arc's error with
-    its position.  Focus counts on lines other than Z = 0 match the
-    meet oracle."""
+    """On sets of 2 to 11 points mixing arcs, non-arcs and points given
+    twice under two scalings, taken as one stack per set size, the list
+    kernels run the secant kernel once per stack and decide each set as
+    the C(k, 3) oracle and the per-set wrappers do; `make_arcs` raises
+    the error of a stack's first non-arc with its row in the stack.  Focus
+    counts on lines other than Z = 0 match the meet oracle."""
     gf = request.getfixturevalue(qname)
     rng = random.Random(3 * gf.q)
     pts = list(all_points(gf))
@@ -362,7 +363,7 @@ def test_list_kernels_match_oracles(qname, request, monkeypatch):
         return kernel(gf, stack)
 
     monkeypatch.setattr(arcs, "_secant_indices", counted)
-    assert are_arcs(gf, sets) == want
+    assert per_size_stack(are_arcs, gf, sets) == want
     assert sorted(sizes) == sorted({len(s) for s in sets})
     assert [is_arc(gf, s) for s in sets] == want
 
@@ -371,19 +372,25 @@ def test_list_kernels_match_oracles(qname, request, monkeypatch):
         tuple(sorted((scale(gf, p) for p in s), key=lambda p: plane.point_index(gf, p)))
         for s in good
     ]
-    assert make_arcs(gf, good) == [make_arc(gf, s) for s in good] == scaled
-    first = want.index(False)
-    with pytest.raises(ArcError) as exc:
-        make_arcs(gf, sets)
-    assert exc.value.index == first
-    with pytest.raises(type(exc.value), match=re.escape(str(exc.value))):
-        make_arc(gf, sets[first])
+    assert per_size_stack(make_arcs, gf, good) == [make_arc(gf, s) for s in good] == scaled
+    rejected = 0
+    for idx, stack in stacks_by_size(sets):
+        bad = [r for r, i in enumerate(idx) if not want[i]]
+        if not bad:
+            continue
+        with pytest.raises(ArcError) as exc:
+            make_arcs(gf, stack)
+        assert exc.value.index == bad[0]
+        with pytest.raises(type(exc.value), match=re.escape(str(exc.value))):
+            make_arc(gf, sets[idx[bad[0]]])
+        rejected += 1
+    assert rejected > 2
 
     lines = [m for m in all_lines(gf) if m != LINE_AT_INFINITY]
     for m in rng.sample(lines, 3):
         ext = [a for a in good if is_exterior(gf, a, m)]
         assert len({len(a) for a in ext}) > 2
-        got = focus_verdicts(gf, ext, m)
+        got = per_size_stack(focus_verdicts, gf, ext, m)
         assert [n for _, n in got] == [len(focus_set_oracle(gf, a, m)) for a in ext]
         assert got == [classify_focus(gf, a, m) for a in ext]
         assert [focus_set(gf, a, m) for a in ext] == [focus_set_oracle(gf, a, m) for a in ext]
@@ -393,7 +400,8 @@ def test_stacks_by_size_builds_flat_stacks_of_triples(gf8):
     """Each size group is one (n, k, 3) int64 stack, and an (n, k, 3)
     array is its own.  The stacks are built from the flat run of the
     coordinates, which must still refuse points that are not triples: a
-    2- and a 4-element point hold six coordinates, as two triples would."""
+    2- and a 4-element point hold six coordinates, as two triples would,
+    and so do three 2-element points.  The per-arc calls refuse them too."""
     sets = [
         [(0, 0, 1), (1, 0, 1), (0, 1, 1)],
         [(1, 1, 1), (2, 3, 1)],
@@ -408,32 +416,36 @@ def test_stacks_by_size_builds_flat_stacks_of_triples(gf8):
     ((idx, same),) = stacks_by_size(stack)
     assert idx == [0, 1] and same is stack
     assert list(stacks_by_size([])) == list(stacks_by_size(stack[:0])) == []
-    for bad in ([(1, 2), (3, 4, 5, 6)], [(1, 2, 1), (3, 4)], [(1, 2, 1, 0), (3, 4, 1)]):
+    bads = ([(1, 2), (3, 4, 5, 6)], [(1, 2, 1), (3, 4)], [(1, 2, 1, 0), (3, 4, 1)], [(1, 2)] * 3)
+    for bad in bads:
         with pytest.raises(ValueError, match="not a triple"):
             list(stacks_by_size([[(0, 0, 1), (1, 0, 1)], bad]))
-        with pytest.raises(ValueError, match="not a triple"):
-            are_arcs(gf8, [bad])
+        for per_arc in (is_arc, lambda gf, pts: is_exterior(gf, pts, LINE_AT_INFINITY)):
+            with pytest.raises(ValueError, match="not a triple"):
+                per_arc(gf8, bad)
 
 
 def test_list_kernels_make_no_scalar_field_calls(gf32, monkeypatch):
     """On the 60 k=12 records the arc check, `make_arcs`, the focus counts
-    and the hyperconic witness run as numpy gathers: no `GF.mul`, `inv` or
-    `div` call, so no scalar cross product, dot product, scaling, join or
-    meet either.  A return to per-pair or per-triple Python arithmetic
-    fails here."""
+    and the hyperconic witness run on the records' one stack as numpy
+    gathers: no `GF.mul`, `inv` or `div` call, so no scalar cross product,
+    dot product, scaling, join or meet either.  A return to per-pair or
+    per-triple Python arithmetic fails here."""
     sets = [json.loads(line)["points"] for line in K12_RESULTS.read_text().splitlines()]
     want = [make_arc(gf32, s) for s in sets]
     wits = [hyperconic_witness(gf32, a) for a in want]
+    ((_, stack),) = stacks_by_size(sets)
+    ((_, arcs12),) = stacks_by_size(want)
 
     def refused(*args):
         raise AssertionError("scalar field arithmetic on the list path")
 
     for name in ("mul", "inv", "div"):
         monkeypatch.setattr(GF, name, refused)
-    assert make_arcs(gf32, sets) == want
-    assert are_arcs(gf32, sets) == [True] * 60
-    assert focus_verdicts(gf32, want, LINE_AT_INFINITY) == [(HYPERFOCUSED, 11)] * 60
-    assert hyperconic_witnesses(gf32, want) == wits
+    assert make_arcs(gf32, stack) == want
+    assert are_arcs(gf32, stack) == [True] * 60
+    assert focus_verdicts(gf32, arcs12, LINE_AT_INFINITY) == [(HYPERFOCUSED, 11)] * 60
+    assert hyperconic_witnesses(gf32, arcs12) == wits
     assert all(w.found for w in wits)
 
 

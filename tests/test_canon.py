@@ -14,6 +14,7 @@ from hyperfocus.arcs import (
     classify_focus,
     focus_count,
     make_arc,
+    stacks_by_size,
     translation_arc,
 )
 from hyperfocus import canon
@@ -22,7 +23,6 @@ from hyperfocus.canon import (
     canonical_form,
     canonical_forms,
     digest,
-    equivalence_classes,
     frobenius_orbit_reps,
     serialize_arc,
 )
@@ -193,13 +193,20 @@ def test_canonical_form_separates_focus_counts(gf8):
 
 
 def test_equivalence_classes(gf8):
+    """Grouped by canonical form, taken per size-group stack as `classify`
+    takes them, a translation arc and its image under a collineation
+    fixing Z = 0 share a class and a 4-arc is alone in another."""
     group = additive_closure(gf8, [(1, 1), (2, 4), (4, 6)])
     arc = translation_arc(gf8, group)
     rng = random.Random(37)
     t = random_z0_collineation(gf8, rng)
     moved = make_arc(gf8, [apply_point(gf8, t, p) for p in arc])
     quad = make_arc(gf8, QUAD)
-    classes = equivalence_classes(gf8, [arc, moved, quad])
+    groups = {}
+    for idx, stack in stacks_by_size([arc, moved, quad]):
+        for i, form in zip(idx, canonical_forms(gf8, stack)):
+            groups.setdefault(form, []).append(i)
+    classes = [(digest(form), groups[form]) for form in sorted(groups)]
     assert len(classes) == 2
     grouping = sorted(idx for _, idx in classes)
     assert grouping == [[0, 1], [2]]
@@ -379,6 +386,19 @@ def test_canonical_forms_errors_in_a_batch(gf8):
             canonical_forms(gf8, good + [bad] + good)
     with pytest.raises(LineMeetsArc):
         canonical_forms(gf8, [QUAD, QUAD], (1, 0, 1))
+
+
+def test_rejected_point_named_alike_for_lists_and_arrays(gf8):
+    """A point on the line is named as a tuple of ints whether the arcs
+    come as tuples, as lists or as an (n, k, 3) array: one exception type
+    and one text for all three."""
+    arcs = [QUAD, QUAD[1:] + ((1, 0, 0),)]
+    got = set()
+    for given in (arcs, [list(map(list, arc)) for arc in arcs], np.array(arcs)):
+        with pytest.raises(ValueError) as exc:
+            canonical_forms(gf8, given)
+        got.add((type(exc.value), str(exc.value)))
+    assert got == {(LineMeetsArc, "(1, 0, 0) lies on the line (0, 0, 1)")}
 
 
 def test_canonical_forms_empty(gf8):

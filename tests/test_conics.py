@@ -1,7 +1,9 @@
 """Conic fitting, nuclei, hyperconic containment."""
 
 import random
+import re
 
+import numpy as np
 import pytest
 
 from hyperfocus.arcs import make_arc, translation_hyperoval
@@ -26,6 +28,7 @@ from oracles import (
     lines_through,
     nucleus,
     on_conic,
+    per_size_stack,
     scale,
 )
 
@@ -220,18 +223,19 @@ def witness_cases(gf, rng):
 
 @pytest.mark.parametrize("qname", ["gf8", "gf16", "gf32"])
 def test_witness_list_matches_oracles(qname, request):
-    """One `hyperconic_witnesses` call on arcs of several sizes equals the
-    per-arc wrapper and the oracles: found exactly when the all-5-subsets
-    oracle finds a hyperconic, with the Gauss conic of the chosen
-    quintuple, its nucleus, every point on the conic or the nucleus, and
-    the first good quintuple in drop order 5, 4, ..., 0.  `conic_through`
-    agrees with the Gauss conic on general quintuples."""
+    """One `hyperconic_witnesses` call per size-group stack of arcs of
+    several sizes equals the per-arc wrapper and the oracles: found
+    exactly when the all-5-subsets oracle finds a hyperconic, with the
+    Gauss conic of the chosen quintuple, its nucleus, every point on the
+    conic or the nucleus, and the first good quintuple in drop order 5,
+    4, ..., 0.  `conic_through` agrees with the Gauss conic on general
+    quintuples."""
     gf = request.getfixturevalue(qname)
     rng = random.Random(5 * gf.q)
     cases = witness_cases(gf, rng)
     arcs = [arc for arc, _ in cases]
     assert len({len(a) for a in arcs}) > 1
-    wits = hyperconic_witnesses(gf, arcs)
+    wits = per_size_stack(hyperconic_witnesses, gf, arcs)
     assert wits == [hyperconic_witness(gf, a) for a in arcs]
     for (arc, quint), wit in zip(cases, wits):
         assert wit.found == hyperconic_oracle(gf, arc)
@@ -250,15 +254,38 @@ def test_witness_list_matches_oracles(qname, request):
 
 
 def test_witness_list_raises_for_the_first_bad_arc(gf8):
-    """A list call raises what the per-arc call raises for the first arc
-    it rejects: a quintuple of the first six points not in general
-    position before any witness, or fewer than six points."""
+    """A stack call raises what the per-arc call raises for the first arc
+    of the stack that it rejects: a quintuple of the first six points not
+    in general position before any witness, or fewer than six points."""
     good = translation_hyperoval(gf8, 1)[:6]
     flat = [(0, 0, 1), (0, 1, 1), (0, 2, 1), (1, 0, 1), (1, 1, 1), (2, 3, 1)]
+    flat2 = [(0, 0, 1), (1, 0, 1), (2, 0, 1), (0, 1, 1), (1, 1, 1), (3, 3, 1)]
     small = list(good[:5])
-    for arcs, error in (([good, flat, small], DegenerateInput), ([good, small, flat], ConicError)):
-        with pytest.raises(error) as exc:
-            hyperconic_witnesses(gf8, arcs)
-        assert type(exc.value) is error
-    with pytest.raises(DegenerateInput):
-        hyperconic_witness(gf8, flat)
+    for arcs in ([good, flat, flat2], [good, flat2, flat]):
+        with pytest.raises(DegenerateInput) as exc:
+            hyperconic_witnesses(gf8, np.array(arcs))
+        with pytest.raises(DegenerateInput, match=re.escape(str(exc.value))):
+            hyperconic_witness(gf8, arcs[1])
+    for call, arg in ((hyperconic_witnesses, np.array([small, small])), (hyperconic_witness, small)):
+        with pytest.raises(ConicError) as exc:
+            call(gf8, arg)
+        assert type(exc.value) is ConicError
+
+
+def test_witness_names_a_degenerate_arc_alike_for_lists_and_arrays(gf8):
+    """The witness names the arc it rejects as a tuple of point tuples,
+    whether the points come as tuples, as lists or as an array, and
+    whether through the per-arc call or a one-row stack."""
+    flat = [(0, 0, 1), (0, 1, 1), (0, 2, 1), (1, 0, 1), (1, 1, 1), (2, 3, 1)]
+    got = set()
+    for call, arg in (
+        (hyperconic_witness, flat),
+        (hyperconic_witness, [list(p) for p in flat]),
+        (hyperconic_witness, np.array(flat)),
+        (hyperconic_witnesses, np.array([flat])),
+    ):
+        with pytest.raises(ConicError) as exc:
+            call(gf8, arg)
+        got.add((type(exc.value), str(exc.value)))
+    text = f"quintuple (0, 1, 2, 3, 4) of {tuple(flat)} is not in general position"
+    assert got == {(DegenerateInput, text)}

@@ -157,3 +157,20 @@ def test_one_triu_indices_in_src():
     """Every pair index of the package comes from `plane.index_pairs`,
     built once per n."""
     assert _calls("triu_indices") == [("plane.py", "index_pairs")]
+
+
+def test_size_grouping_only_where_a_record_list_is_read():
+    """Lists of point sets are grouped by size only where a record list is
+    read, in the public `canonical_forms` and in the one-set helper of
+    the per-arc calls: the list kernels take one (n, k, 3) stack and have
+    no size loop of their own."""
+    callers = set(_calls("stacks_by_size"))
+    assert callers <= {
+        ("arcs.py", "point_stack"),
+        ("canon.py", "canonical_forms"),
+        ("search.py", "record_claims"),
+        ("cli.py", "cmd_verify"),
+        ("cli.py", "cmd_classify"),
+    }
+    kernels = {"are_arcs", "make_arcs", "focus_verdicts", "hyperconic_witnesses"}
+    assert not {name for _, name in callers} & kernels

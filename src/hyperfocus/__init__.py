@@ -14,6 +14,7 @@ from hyperfocus.arcs import (
     NEITHER,
     ArcError,
     classify_focus,
+    diagonal_line,
     focus_count,
     focus_set,
     make_arc,
@@ -46,6 +47,7 @@ __all__ = [
     "NEITHER",
     "ArcError",
     "classify_focus",
+    "diagonal_line",
     "focus_count",
     "focus_set",
     "make_arc",

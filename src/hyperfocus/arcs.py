@@ -250,22 +250,31 @@ def classify_focus(gf: GF, arc: Arc, line: Line) -> Tuple[str, int]:
 
 
 def diagonal_line(gf: GF, arc: Arc) -> Line:
-    """The line carrying the three diagonal points of a 4-arc.
+    """The line carrying the three diagonal points of a 4-arc."""
+    return diagonal_lines(gf, point_stack(arc))[0]
+
+
+def diagonal_lines(gf: GF, stack: np.ndarray) -> List[Line]:
+    """diagonal_line of each row of an (n, 4, 3) stack, in one kernel call.
 
     In characteristic 2 the diagonal points of a quadrangle are collinear,
     so every 4-arc is hyperfocused on its diagonal line.  Raises NotAnArc
-    for four collinear points, which have no diagonal points.
+    when a row is four collinear points, which have no diagonal points.
     """
-    if len(arc) != 4:
+    if stack.shape[1] != 4:
         raise ArcError("diagonal line needs exactly 4 points")
-    s = np.array(secants(gf, arc))  # ab, ac, ad, bc, bd, cd
-    d = crosses(gf, s[:3], s[:2:-1])  # ab x cd, ac x bd, ad x bc
-    ln = crosses(gf, d[0], d[1])
-    if not ln.any():
+    s = _secant_indices(gf, stack)  # ab, ac, ad, bc, bd, cd
+    for r, i in zip(*np.nonzero(s < 0)):
+        a, b = list(itertools.combinations(map(tuple, stack[r].tolist()), 2))[i]
+        raise SamePoint(f"{a} and {b} coincide")
+    s = indexed_points(gf, s)
+    d = crosses(gf, s[:, :3], s[:, :2:-1])  # ab x cd, ac x bd, ad x bc
+    ln = crosses(gf, d[:, 0], d[:, 1])
+    if not ln.any(1).all():
         raise NotAnArc("the four points are collinear")
-    if dots(gf, d[2], ln):
+    if dots(gf, d[:, 2], ln).any():
         raise ArcError("diagonal points not collinear: not characteristic 2?")
-    return tuple(indexed_points(gf, point_indices(gf, ln)).tolist())
+    return list(map(tuple, indexed_points(gf, point_indices(gf, ln)).tolist()))
 
 
 # --- translation constructions --------------------------------------------

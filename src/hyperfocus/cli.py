@@ -29,7 +29,7 @@ from hyperfocus.arcs import (
     ArcError,
     are_arcs,
     classify_focus,
-    diagonal_line,
+    diagonal_lines,
     double_translation_arc,
     additive_closure,
     focus_verdict,
@@ -271,10 +271,8 @@ def cmd_verify(args) -> int:
         stack = indexed_points(gf, point_indices(gf, stack))  # the witness takes points as given
         ok = are_arcs(gf, stack)
         proven, arcs = list(itertools.compress(idx, ok)), stack[ok]
-        lines = [
-            stored.get(i) or (diagonal_line(gf, arc) if len(arc) == 4 else LINE_AT_INFINITY)
-            for i, arc in zip(proven, arcs)
-        ]
+        lines = diagonal_lines(gf, arcs) if stack.shape[1] == 4 else [LINE_AT_INFINITY] * len(arcs)
+        lines = [stored.get(i) or line for i, line in zip(proven, lines)]
         derived.update(zip(proven, record_claims(gf, arcs, lines)))
     ok_count = 0
     for i, (rec, pts) in enumerate(zip(records, point_sets)):

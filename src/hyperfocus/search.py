@@ -13,12 +13,13 @@ shard's survivors are one record array of (a, c, d, e, f, g, h) and w,
 the focus word the stream counted them by, the one derivation of their
 focus sets.  Those with k - 1 focuses, the only ones that can extend,
 reach a census of their points and the extension, 256 at a time.  It
-adds (k - 8)/2 vertical pairs in free columns: direction tables give
-each survivor's admissible points, a column early exit drops those
-with too few free columns, and the arc and focus kernels decide the
-rest's candidates, so each completion is a hyperfocused arc.  Every
-emitted arc is re-verified once, after the orbit closure, by
-`record_claims`, the one derivation of a record's claims.
+adds (k - 8)/2 vertical pairs in free columns: a point is fixed by its
+slopes to (0,0) and (0,1), so the admissible points are pairs of w's
+slopes, a column early exit drops survivors with too few free columns,
+and arc and focus kernels decide the rest, so each completion is a
+hyperfocused arc.  Every emitted arc is re-verified once, after the
+orbit closure, by `record_claims`, the one derivation of a record's
+claims.
 
 Work is sharded by the (a-index, c) prefix.  One function runs a shard,
 in the process or in a pool worker, over direction tables built once
@@ -158,6 +159,18 @@ class _NumpyTables:
             # y), but no bit for vertical, so that q slopes fit 32 bits
             flat = np.where(slope < q, 1 << slope, 0).astype(np.uint32)
             tab.rays = flat[xs[:, None], xs[:, None, None] ^ xs].reshape(q * q, q)
+            # the point off column 0 with slopes m0 to (0,0) and m1 to (0,1), x = 1/(m0 + m1) and
+            # y = m0 x: cells[m0 * q + m1] is its cell x * q + y, anchors[a, m0 * q + m1] its
+            # directions to (0,0), (0,1), (1,0), (1,a), all bits if two coincide or one is vertical
+            x, y = np.divmod(np.arange(q, q * q), q)
+            bits = tab.rays[x, y] | tab.rays[q + x, y] | tab.rays[x ^ 1, y]
+            bits = bits | tab.rays[xs[:, None] * q + (x ^ 1), y]  # per a
+            bits[np.bitwise_count(bits) < 4] = np.uint32(0xFFFFFFFF)
+            m = slope[x, y] * q + slope[x, y ^ 1]
+            tab.cells = np.zeros(q * q, dtype=np.int32)
+            tab.cells[m] = x * q + y
+            tab.anchors = np.full((q, q * q), 0xFFFFFFFF, dtype=np.uint32)
+            tab.anchors[:, m] = bits
             cls._built[key] = tab
         return cls._built[key]
 
@@ -328,11 +341,9 @@ def resolve_engine(gf: GF, engine: str) -> str:
 # ---------------------------------------------------------------------------
 # 8-arc census
 
-# survivors per batch of `process_shard`, six-point frames and direction
-# tables per block of `closure_completions`, and candidates per kernel call
-# of `_completions`, so that the batches' arrays stay small next to the process
+# survivors per batch of `process_shard`, and candidates per kernel call of
+# `_completions`, so that the batches' arrays stay small next to the process
 _SURVIVOR_BLOCK = 256
-_TABLE_BLOCK = 64
 _CANDIDATE_BLOCK = 1 << 12
 
 
@@ -344,9 +355,8 @@ def prune8(survivors: np.ndarray, tab: _NumpyTables) -> Tuple[np.ndarray, ...]:
 
     Per survivor (a row of `stream_shard`'s record array): the x and the
     y of its 8 points (0,0), (0,1), (1,0), (1,a), (c,d), (c,e), (f,g),
-    (f,h) as two (n, 8) arrays, its focus mask, the stream's word w plus
-    the vertical bit q, and the number of directions (slope indices: y/x,
-    or q for vertical) that carry one secant, for `closure_survivors`.
+    (f,h) as two (n, 8) arrays, and its focus mask, the stream's word w
+    plus the vertical bit q.
     """
     fields = np.asarray(survivors)  # a recarray's field access runs in Python
     a, c, d, e, f, g, h = (fields[name] for name in "acdefgh")
@@ -354,6 +364,12 @@ def prune8(survivors: np.ndarray, tab: _NumpyTables) -> Tuple[np.ndarray, ...]:
     px = np.stack([zero, zero, one, one, c, c, f, f], axis=1)
     py = np.stack([zero, one, zero, a, d, e, g, h], axis=1)
     fmask = fields["w"] | np.uint64(1 << tab.q)
+    return px, py, fmask
+
+
+def _single_secants(px: np.ndarray, py: np.ndarray, tab: _NumpyTables) -> np.ndarray:
+    """Per 8-arc of a `prune8` census, how many directions (slope indices:
+    y/x, or q for vertical) carry exactly one of its 28 secants."""
     i, j = index_pairs(8)  # the 28 secants
     dx = px[:, i] ^ px[:, j]
     dy = py[:, i] ^ py[:, j]
@@ -361,8 +377,7 @@ def prune8(survivors: np.ndarray, tab: _NumpyTables) -> Tuple[np.ndarray, ...]:
     width = tab.q + 1
     slopes = tab.slope[dx, dy] + width * np.arange(len(px))[:, None]
     counts = np.bincount(slopes.ravel(), minlength=len(px) * width)
-    single = np.count_nonzero(counts.reshape(-1, width) == 1, axis=1)
-    return px, py, fmask, single
+    return np.count_nonzero(counts.reshape(-1, width) == 1, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -378,52 +393,61 @@ def closure_completions(
     secants through a focus of a hyperfocused k-arc match its points in
     pairs.  The 8 points are matched vertically among themselves, so the
     k - 8 added points form (k - 8)/2 vertical pairs, one pair in each of
-    some columns the 8-arc leaves free.
+    some columns the 8-arc leaves free, of `_admissible` points.
 
-    Row D[x, y] of a survivor's direction table is the bitmask of the
-    non-vertical directions from (x, y) to its 8 points.  A point is
-    admissible iff it has 8 (an arc point, a point of a used column or of
-    a secant has fewer) and they leave fewer than k - 1 non-vertical
-    focuses.  The part of (0,0), (0,1), (1,0), (1,a), (c,d), (c,e), the
-    six-point frame, is built once per (a, c, d, e) in the batch, for at
-    most `_TABLE_BLOCK` of them at a time, and blocks of `_TABLE_BLOCK`
-    tables of their survivors add the rows of (f,g) and (f,h) in `tab.rays`.
     A survivor with fewer than (k - 8)/2 columns of two admissible points
-    has no completion (the column early exit).  The others are the roots:
-    the result maps each one's index in the batch to its completions, by
-    one generate-and-test pass of `_completions` over all of them.
+    has no completion (the column early exit, one bincount over row * q +
+    x).  The others are the roots: the result maps each one's index in
+    the batch to its completions, by one generate-and-test pass of
+    `_completions` over all of them.
     """
-    n_pairs = (k - 8) // 2
-    q, xs, rays = tab.q, tab.xs, tab.rays
-
-    def part(rows, j: int) -> np.ndarray:
-        """The directions from point j of each survivor of `rows`."""
-        return rays.take(py[rows, j, None] * q + (xs ^ px[rows, j, None]), axis=0)
-
-    key = ((py[:, 3] * q + px[:, 4]) * q + py[:, 4]) * q + py[:, 5]  # a, c, d, e
-    _, first, group = np.unique(key, return_index=True, return_inverse=True)
-    flat = (fmask & np.uint64((1 << q) - 1)).astype(np.uint32)[:, None, None]  # no vertical
-    roots, oks = [], []  # the roots' indices in the batch, and their `ok` tables
-    for g in range(0, len(first), _TABLE_BLOCK):
-        frames = part(first[g:g + _TABLE_BLOCK], 0)
-        for j in range(1, 6):
-            frames |= part(first[g:g + _TABLE_BLOCK], j)
-        rows = np.flatnonzero((group >= g) & (group < g + _TABLE_BLOCK))
-        for i in range(0, len(rows), _TABLE_BLOCK):
-            blk = rows[i:i + _TABLE_BLOCK]
-            table = frames.take(group[blk] - g, axis=0)
-            table |= part(blk, 6)
-            table |= part(blk, 7)
-            ok = np.bitwise_count(table) == 8
-            ok &= np.bitwise_count(table | flat[blk]) < k - 1
-            n_free = (ok.view(np.uint8).sum(axis=2, dtype=np.uint8) >= 2).sum(axis=1)
-            hit = np.flatnonzero(n_free >= n_pairs)
-            roots += blk[hit].tolist()
-            oks.append(ok[hit])
-    if not roots:
+    n, q = len(px), tab.q
+    rows, cell = _admissible(px, py, fmask, k, tab)
+    per_column = np.bincount(rows * q + cell // q, minlength=n * q).reshape(n, q)
+    roots = np.flatnonzero(np.count_nonzero(per_column >= 2, axis=1) >= (k - 8) // 2)
+    if not len(roots):
         return {}
-    leaves = _completions(gf, px[roots], py[roots], np.concatenate(oks), k)
-    return dict(sorted(zip(roots, leaves)))
+    ok = np.zeros((n, q * q), dtype=bool)
+    ok[rows, cell] = True
+    leaves = _completions(gf, px[roots], py[roots], ok[roots].reshape(-1, q, q), k)
+    return dict(zip(roots.tolist(), leaves))
+
+
+def _admissible(
+    px: np.ndarray, py: np.ndarray, fmask: np.ndarray, k: int, tab: _NumpyTables
+) -> Tuple[np.ndarray, ...]:
+    """The (row, cell x * q + y) arrays of the points admissible for a
+    hyperfocused k-arc on Z=0 through each 8-arc of a `prune8` census:
+    its 8 non-vertical directions to them are distinct and leave fewer
+    than k - 1 non-vertical focuses.  A point off column 0 is fixed by
+    its slopes to (0,0) and (0,1).  If the focus word w has k - 2 bits,
+    all 8 directions lie in w, so the candidates are the ordered pairs of
+    w's slopes, first those whose `tab.anchors` directions lie in w; a
+    word with fewer bits takes all q(q - 1) pairs, and one with more has
+    no admissible point.  The rows of (c,d), (c,e), (f,g), (f,h) in
+    `tab.rays` complete the directions.
+    """
+    q = tab.q
+    w = (fmask & np.uint64((1 << q) - 1)).astype(np.uint32)  # no vertical
+    words = np.where(np.bitwise_count(w) < k - 2, np.uint32((1 << q) - 1), w)  # slopes to take
+    width = np.bitwise_count(words)
+    slopes = (words[:, None] >> tab.xs.astype(np.uint32)) & 1
+    ray_row = (py[:, 4:] * q * q + px[:, 4:] * q).T  # in the flat `tab.rays`
+    found = [(np.zeros(0, np.intp), np.zeros(0, np.int32))]
+    for size in np.flatnonzero(np.bincount(width)).tolist():
+        rows = np.flatnonzero(width == size)
+        # m[i, r] is the i-th slope of row r; key[i, j, r] its pair with m[j, r] in a's anchors
+        m = np.ascontiguousarray((np.flatnonzero(slopes[rows]) % q).reshape(-1, size).T)
+        key = (m * q + py[rows, 3] * q * q)[:, None] + m
+        fit = tab.anchors.take(key)
+        fit |= w[rows]
+        hit = np.flatnonzero(np.bitwise_count(fit, out=fit) < k - 1)
+        key, rows = key.take(hit), rows.take(hit % len(rows))
+        dirs, cell = tab.anchors.take(key), tab.cells.take(key % (q * q))
+        dirs |= np.bitwise_or.reduce(tab.rays.ravel().take(ray_row.take(rows, axis=1) ^ cell))
+        ok = (np.bitwise_count(dirs) == 8) & (np.bitwise_count(dirs | w[rows]) < k - 1)
+        found.append((rows[ok], cell[ok]))
+    return tuple(map(np.concatenate, zip(*found)))
 
 
 def _completions(
@@ -488,9 +512,9 @@ def process_shard(
     survivors = survivors[np.bitwise_count(survivors.view(np.ndarray)["w"]) == k - 2]
     raw: List[Tuple[Point, ...]] = []
     for i in range(0, len(survivors), _SURVIVOR_BLOCK):
-        px, py, fmask, single = prune8(survivors[i:i + _SURVIVOR_BLOCK], tab)
+        px, py, fmask = prune8(survivors[i:i + _SURVIVOR_BLOCK], tab)
         # tallied apart: k=14 survivors with under two one-secant directions (6-tangent focuses)
-        apart = (k == 14) & (single < 2)
+        apart = _single_secants(px, py, tab) < 2 if k == 14 else np.zeros(len(px), dtype=bool)
         counters["closure_survivors"] += int(np.count_nonzero(apart))
         roots = closure_completions(gf, px, py, fmask, k, tab)
         counters["dfs_roots"] += len(roots)

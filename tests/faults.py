@@ -55,6 +55,12 @@ EXTENSION_TESTS = (
     "tests/test_search.py::test_extend_grid_worked_example",
     "tests/test_search.py::test_process_shard_pins_q32",
 )
+# the enumeration of the extension's admissible points from slope pairs
+ENUMERATION_TESTS = EXTENSION_TESTS + (
+    "tests/test_search.py::test_admissible_points_match_oracle",
+    "tests/test_search.py::test_closure_mixed_batches_keep_roots",
+    "tests/test_search.py::test_closure_roots_match_oracle",
+)
 # the stream's focus word, the lemma filter on it, and the census mask built from it
 WORD_TESTS = (
     "tests/test_search.py::test_prune8_on_a_stream_survivor",
@@ -96,9 +102,31 @@ FAULTS = (
     Fault(
         "early-exit-needs-one-more-column",
         SEARCH,
-        "hit = np.flatnonzero(n_free >= n_pairs)",
-        "hit = np.flatnonzero(n_free > n_pairs)",
+        "roots = np.flatnonzero(np.count_nonzero(per_column >= 2, axis=1) >= (k - 8) // 2)",
+        "roots = np.flatnonzero(np.count_nonzero(per_column >= 2, axis=1) > (k - 8) // 2)",
         EXTENSION_TESTS,
+    ),
+    Fault(
+        "anchor-table-drops-the-1-a-direction",
+        SEARCH,
+        "bits = bits | tab.rays[xs[:, None] * q + (x ^ 1), y]  # per a",
+        "bits = np.tile(bits, (q, 1))",
+        ENUMERATION_TESTS,
+    ),
+    Fault(
+        "slope-pairs-unordered",
+        SEARCH,
+        "key = (m * q + py[rows, 3] * q * q)[:, None] + m",
+        "key = np.minimum(m[:, None], m) * q + py[rows, 3] * q * q + np.maximum(m[:, None], m)",
+        ENUMERATION_TESTS,
+    ),
+    Fault(
+        "loose-words-take-only-their-own-pairs",
+        SEARCH,
+        "words = np.where(np.bitwise_count(w) < k - 2, np.uint32((1 << q) - 1), w)"
+        "  # slopes to take",
+        "words = w",
+        ENUMERATION_TESTS,
     ),
     Fault(
         "stream-word-keeps-only-g",

@@ -896,12 +896,12 @@ def _direction_rows(gf: GF) -> List[List[List[int]]]:
     ]
 
 
-def _admissible_columns(
+def admissible_points(
     gf: GF, rows, pts: Sequence[Tuple[int, int]], k: int
 ) -> Tuple[int, List[Tuple[int, List[Tuple[int, int]]]]]:
     """The focus mask of the 8-arc `pts`, over all q + 1 directions, and
-    the columns it leaves free that hold at least two admissible points,
-    as (x, [(y, the point's direction bits to the 8-arc)]).
+    every column it leaves free with its admissible points, as (x, [(y,
+    the point's direction bits to the 8-arc)]).
 
     A point is admissible when its 8 directions to the arc are distinct
     and the arc's focus set stays below k once they are added.
@@ -920,9 +920,17 @@ def _admissible_columns(
         ok = [
             (y, d) for y, d in enumerate(dirs) if d.bit_count() == 8 and (d | focus).bit_count() < k
         ]
-        if len(ok) >= 2:
-            cols.append((x, ok))
+        cols.append((x, ok))
     return focus, cols
+
+
+def _admissible_columns(
+    gf: GF, rows, pts: Sequence[Tuple[int, int]], k: int
+) -> Tuple[int, List[Tuple[int, List[Tuple[int, int]]]]]:
+    """`admissible_points`, but only the free columns that hold at least
+    two admissible points."""
+    focus, cols = admissible_points(gf, rows, pts, k)
+    return focus, [(x, ok) for x, ok in cols if len(ok) >= 2]
 
 
 def free_columns(gf: GF, cands: Sequence[Candidate8], k: int) -> List[int]:

@@ -421,6 +421,40 @@ def test_verify_four_arc_uses_diagonal(tmp_path):
     assert "verified=1/1" in out
 
 
+def test_verify_four_arcs_build_one_stack(tmp_path, monkeypatch):
+    """A file of 4-arcs without stored lines is one stack: their diagonal
+    lines come from it in one call, not from one stack per arc, and each
+    arc verifies on its own diagonal line."""
+    builds = []
+    real = arcs_module.stacks_by_size
+
+    def counted(point_sets):
+        for idx, stack in real(point_sets):
+            if not isinstance(point_sets, np.ndarray):
+                builds.append(stack.shape)
+            yield idx, stack
+
+    for module in (arcs_module, canon_module, search, cli_module):
+        monkeypatch.setattr(module, "stacks_by_size", counted)
+    quads = [
+        [[x ^ dx, y ^ dy, 1] for dx, dy in ((0, 0), (0, 1), (1, 0), (1, 1))]
+        for x, y in ((0, 0), (2, 3), (4, 1), (6, 7), (3, 5))
+    ]
+    path = tmp_path / "quads.jsonl"
+    path.write_text("".join(
+        json.dumps({"q": 8, "modulus": "0xb", "points": quad}) + "\n" for quad in quads
+    ))
+    code, out, _ = run_cli("verify", str(path))
+    assert code == EX_OK and "verified=5/5" in out
+    assert out.count("verdict=hyperfocused") == 5
+    assert builds == [(5, 4, 3)]
+    gf = make_field(3)
+    builds.clear()
+    lines = [arcs_module.diagonal_line(gf, tuple(map(tuple, quad))) for quad in quads]
+    assert arcs_module.diagonal_lines(gf, np.array(quads)) == lines
+    assert len(builds) == 5
+
+
 def test_verify_flags_bad_arc(tmp_path):
     rec = {
         "q": 8,

@@ -55,6 +55,8 @@ from oracles import (
     complete_to_hyperovals,
     enumerate_candidates8,
     extend_arc,
+    _direction_rows,
+    admissible_points,
     extension_oracle,
     free_columns,
     frobenius_point,
@@ -148,8 +150,8 @@ def censused(gf, cands, bounds, tab):
     `bounds`, as the stream proves its survivors; each census row must
     agree with the scalar one."""
     census = prune8(survivor_array(gf, cands), tab)
-    _, _, fmask, single = census
-    for cand, mask, n_single in zip(cands, fmask.tolist(), single.tolist(), strict=True):
+    single = search._single_secants(*census[:2], tab)
+    for cand, mask, n_single in zip(cands, census[2].tolist(), single.tolist(), strict=True):
         assert census_verdict(gf, cand, bounds) == (mask, n_single)
     return census
 
@@ -159,7 +161,9 @@ def test_prune8_on_a_stream_survivor(gf32):
     scalar census and the projective views derived from the definitions."""
     _, survivors = stream_shard(gf32, 2, 2, *FOCUS_BOUNDS[12])
     cand = candidates(survivors)[0]
-    px, py, fmask, single = prune8(survivors[:1], search._NumpyTables(gf32))
+    tab = search._NumpyTables(gf32)
+    px, py, fmask = prune8(survivors[:1], tab)
+    single = search._single_secants(px, py, tab)
     assert list(zip(px[0].tolist(), py[0].tolist())) == list(cand.points())
     mask, counts = _slope_census(gf32, cand.points())
     assert int(fmask[0]) == mask and mask.bit_count() == 11
@@ -676,13 +680,13 @@ def test_extend_grid_worked_example(gf32):
     those of the scalar extension oracle."""
     tab = search._NumpyTables(gf32)
     known = Candidate8(a=2, c=2, d=1, e=6, f=6, g=2, h=9)
-    px, py, fmask, _ = censused(gf32, [known], FOCUS_BOUNDS[12], tab)
+    px, py, fmask = censused(gf32, [known], FOCUS_BOUNDS[12], tab)
     assert closure_completions(gf32, px, py, fmask, 12, tab) == {0: [K12_A]}
     produced = 0
     _, survivors = stream_shard(gf32, 2, 2, *FOCUS_BOUNDS[12])
     cands = candidates(survivors)
     assert known in cands
-    px, py, fmask, _ = censused(gf32, cands, FOCUS_BOUNDS[12], tab)
+    px, py, fmask = censused(gf32, cands, FOCUS_BOUNDS[12], tab)
     results = closure_completions(gf32, px, py, fmask, 12, tab)
     assert list(results) == list(range(len(cands))) == list(range(6))
     assert list(results.values()) == extension_oracle(gf32, cands, 12)
@@ -695,20 +699,24 @@ def test_extend_grid_worked_example(gf32):
             assert (kind, n) == (HYPERFOCUSED, 11)
             produced += 1
     assert produced == 6
-    # the six roots repeated over every slot of three direction-table
-    # blocks, then alternating with survivors of shard (1, 3), of another
-    # a and c: each copy keeps its own index and its leaves
-    n = 3 * search._TABLE_BLOCK
+    # the six roots repeated, then each between a survivor of shard (1, 3),
+    # of another a and c, and one of the 7-focus 8-arcs of shard (1, 2),
+    # whose words have fewer than k - 2 bits: each copy keeps its own
+    # index and its leaves
+    n = 192
     copies = np.arange(n) % 6
     tiled = closure_completions(gf32, px[copies], py[copies], fmask[copies], 12, tab)
     assert tiled == {r: results[r % 6] for r in range(n)}
     _, other = stream_shard(gf32, 1, 3, *FOCUS_BOUNDS[12])
-    both = [np.concatenate(v) for v in zip((px, py, fmask), prune8(other, tab)[:3])]
+    _, loose = stream_shard(gf32, 1, 2, 7, 8)
+    both = [np.concatenate(v) for v in zip((px, py, fmask), prune8(other, tab), prune8(loose, tab))]
+    assert set(np.bitwise_count(both[2]).tolist()) == {7, 11}
     slots = np.empty(n, dtype=np.int64)  # rows of `both`
-    slots[0::2] = copies[: n // 2]
-    slots[1::2] = 6 + np.arange(n // 2) % len(other)
+    slots[0::3] = copies[: n // 3]
+    slots[1::3] = 6 + np.arange(n // 3) % len(other)
+    slots[2::3] = 6 + len(other) + np.arange(n // 3) % len(loose)
     tiled = closure_completions(gf32, *(v[slots] for v in both), 12, tab)
-    assert tiled == {2 * i: results[i % 6] for i in range(n // 2)}
+    assert tiled == {3 * i: results[i % 6] for i in range(n // 3)}
 
 
 @pytest.fixture(scope="module")
@@ -734,7 +742,7 @@ def test_closure_path_on_real_survivors(gf32, shard_oracle):
     alone decides the shard."""
     tab = search._NumpyTables(gf32)
     survivors, n_free = shard_oracle(1, 2, 14)
-    px, py, fmask, _ = prune8(survivors, tab)
+    px, py, fmask = prune8(survivors, tab)
     assert closure_completions(gf32, px, py, fmask, 14, tab) == {}
     assert len(n_free) == len(survivors) > 5000 and max(n_free) < 3
     assert {m.bit_count() for m in fmask.tolist()} == {11, 12, 13}
@@ -766,7 +774,7 @@ def closure_batch(request):
                 if cs is None or c in cs
             ]
             survivors = np.concatenate(parts)[interleaved(parts)]
-            px, py, fmask, _ = prune8(survivors, tab)
+            px, py, fmask = prune8(survivors, tab)
             cache[key] = gf, survivors, closure_completions(gf, px, py, fmask, k, tab)
         return cache[key]
 
@@ -806,28 +814,93 @@ def test_closure_roots_match_oracle_q32(gf32, shard_oracle, k, shards, n_roots):
     order = interleaved(parts)
     survivors = np.concatenate(parts)[order]
     n_free = np.concatenate(counts)[order]
-    px, py, fmask, _ = prune8(survivors, tab)
+    px, py, fmask = prune8(survivors, tab)
     roots = set(closure_completions(gf32, px, py, fmask, k, tab))
     assert roots == set(np.flatnonzero(n_free >= (k - 8) // 2).tolist())
     assert len(roots) == n_roots
 
 
-def test_closure_frame_chunks_keep_roots(gf32, shard_oracle, monkeypatch):
-    """The six-point frames are built for at most `_TABLE_BLOCK` groups at
-    a time.  On one batch of the k=12 survivors of four shards in turn,
-    last first, whose (a, c, d, e) groups interleave, outnumber a chunk
-    and fall as their keys rise, chunks of one group and one table give
-    the default roots, leaves and root order, the order of the batch."""
+def test_closure_mixed_batches_keep_roots(gf32):
+    """The extension takes each row's slope pairs by the bit count of its
+    word.  On one batch of the 8-arcs with 7 to 14 focuses of four shards
+    of three a in turn, last first, whose words have 6 to 13 bits, the
+    roots, leaves and root order at k=12 are those of each shard's rows
+    and of each bit count's rows on their own, at their batch indices."""
     tab = search._NumpyTables(gf32)
-    parts = [shard_oracle(a, c, 12)[0] for a, c in [(7, 2), (1, 2), (2, 4), (2, 2)]]
-    px, py, fmask, _ = prune8(np.concatenate(parts)[interleaved(parts)[::-1]], tab)
+    parts = [stream_shard(gf32, a, c, 7, 14)[1] for a, c in [(7, 2), (1, 2), (2, 4), (2, 2)]]
+    order = interleaved(parts)[::-1]
+    px, py, fmask = prune8(np.concatenate(parts)[order], tab)
     want = closure_completions(gf32, px, py, fmask, 12, tab)
-    key = np.stack([py[:, 3], px[:, 4], py[:, 4], py[:, 5]], axis=1)
-    assert len(np.unique(key, axis=0)) > search._TABLE_BLOCK and len(want) == 6
-    monkeypatch.setattr(search, "_TABLE_BLOCK", 1)
-    got = closure_completions(gf32, px, py, fmask, 12, tab)
-    assert list(got.items()) == list(want.items())
-    assert list(got) == sorted(got)
+    bits = np.bitwise_count(fmask) - 1
+    assert set(bits.tolist()) == {6, 10, 11, 12, 13} and len(want) == 6
+    assert len(set(py[:, 3].tolist())) == 3
+    shard = np.repeat(np.arange(len(parts)), list(map(len, parts)))[order]
+    for kind in (shard, bits):
+        got = {}
+        for key in np.unique(kind):
+            rows = np.flatnonzero(kind == key)
+            got.update({
+                int(rows[r]): leaves
+                for r, leaves in closure_completions(
+                    gf32, px[rows], py[rows], fmask[rows], 12, tab
+                ).items()
+            })
+        assert sorted(got.items()) == list(want.items())
+    assert list(want) == sorted(want)
+
+
+ADMISSIBLE_CASES = {
+    # field, k: shards by a-index and c, the stream's focus bounds, and the
+    # (word has k - 2 bits, row has an admissible point) kinds of the batch
+    ("gf8", 10): (None, (7, 9), {(True, True), (False, False)}),
+    ("gf16", 16): ([(0, 3), (1, 14), (2, 9), (4, 5)], (7, 17), {
+        (True, True), (True, False), (False, True), (False, False)}),
+    ("gf32", 12): ([(1, 2), (0, 2), (6, 2)], (7, 14), {
+        (True, True), (True, False), (False, False)}),
+    ("gf32", 16): ([(1, 2), (0, 2), (6, 2)], (7, 16), {
+        (True, True), (True, False), (False, True), (False, False)}),
+}
+
+
+@pytest.mark.parametrize("field,k", sorted(ADMISSIBLE_CASES))
+def test_admissible_points_match_oracle(field, k, request):
+    """The admissible points of the extension, in one batch of stream
+    8-arcs of several a with 7 to k or more focuses: up to 30 seeded
+    rows of each (a, word size), shuffled.  Rows whose word has k - 2
+    bits take w's slope pairs, the others every pair.  Each row's
+    points, column by column, are the oracle's (`admissible_points`),
+    and so are its free columns of two or more (`free_columns`)."""
+    gf = request.getfixturevalue(field)
+    shards, bounds, kinds = ADMISSIBLE_CASES[field, k]
+    rng = random.Random(gf.q * k)
+    tab = search._NumpyTables(gf)
+    reps = frobenius_orbit_reps(gf, exclude=frozenset({0}))
+    pool = np.concatenate([
+        stream_shard(gf, reps[i], c, *bounds)[1] for i, c in shards or shard_list(gf)
+    ])
+    groups = {}
+    for r, key in enumerate(zip(pool["a"].tolist(), np.bitwise_count(pool["w"]).tolist())):
+        groups.setdefault(key, []).append(r)
+    picked = [r for rows in groups.values() for r in rng.sample(rows, min(30, len(rows)))]
+    rng.shuffle(picked)
+    batch = pool[picked]
+    px, py, fmask = prune8(batch, tab)
+    rows, cells = search._admissible(px, py, fmask, k, tab)
+    got = [{} for _ in picked]
+    for r, cell in sorted(zip(rows.tolist(), cells.tolist())):
+        got[r].setdefault(cell // gf.q, []).append(cell % gf.q)
+    oracle_rows = _direction_rows(gf)
+    seen = set()
+    for r, cand in enumerate(candidates(batch)):
+        _, cols = admissible_points(gf, oracle_rows, cand.points(), k)
+        want = {x: [y for y, _ in col] for x, col in cols if col}
+        assert got[r] == want
+        seen.add((int(np.bitwise_count(batch["w"][r])) == k - 2, bool(want)))
+    assert seen == kinds
+    assert len(set(batch["a"].tolist())) > 1
+    n_free = np.bincount(rows * gf.q + cells // gf.q, minlength=len(picked) * gf.q)
+    n_free = np.count_nonzero(n_free.reshape(len(picked), gf.q) >= 2, axis=1)
+    assert n_free.tolist() == free_columns(gf, candidates(batch), k)
 
 
 def test_column_pairs_needs_distinct_directions(gf32):
@@ -913,7 +986,7 @@ def test_closure_matches_hyperoval_oracle_q16(gf16, f, g, h, n_ovals):
     and exactly the completions of the scalar extension oracle."""
     cand = Candidate8(a=1, c=2, d=4, e=5, f=f, g=g, h=h)
     tab = search._NumpyTables(gf16)
-    px, py, fmask, _ = censused(gf16, [cand], (1, 17), tab)
+    px, py, fmask = censused(gf16, [cand], (1, 17), tab)
     arc8 = make_arc(gf16, [(x, y, 1) for x, y in cand.points()])
     ovals = {frozenset(o) for o in complete_to_hyperovals(gf16, arc8) if all(p[2] for p in o)}
     # no entry: the column early exit found too few free columns
@@ -1019,7 +1092,7 @@ def test_focus_bounds_lose_no_arc_q32(gf32, low_focus_q32):
     scalar extension oracle: each lies in exactly 42 hyperfocused
     16-arcs with 15 focuses, 588 distinct in all, and in no 18-arc."""
     tab = search._NumpyTables(gf32)
-    px, py, fmask, _ = prune8(np.concatenate(list(low_focus_q32.values())), tab)
+    px, py, fmask = prune8(np.concatenate(list(low_focus_q32.values())), tab)
     assert len(px) == 210
     for k in (10, 12, 14):
         assert closure_completions(gf32, px, py, fmask, k, tab) == {}
@@ -1110,7 +1183,7 @@ def test_survivors_below_k_minus_1_focuses_are_no_roots(field, k, bounds, n_low,
     tab = search._NumpyTables(gf)
     reps = frobenius_orbit_reps(gf, exclude=frozenset({0}))
     parts = [stream_shard(gf, reps[i], c, *bounds)[1] for i, c in shard_list(gf)]
-    px, py, fmask, _ = prune8(np.concatenate(parts), tab)
+    px, py, fmask = prune8(np.concatenate(parts), tab)
     low = np.bitwise_count(fmask) < k - 1
     assert np.count_nonzero(low) == n_low
     assert closure_completions(gf, px[low], py[low], fmask[low], k, tab) == {}
@@ -1190,14 +1263,16 @@ def random_eight_arc(gf, a, rng):
 @pytest.mark.parametrize("s", [3, 4, 5])
 def test_batched_census_matches_oracle(s):
     """On random 8-arcs of every a, in one batch three times the size
-    `process_shard` passes, `prune8` gives each one's points, and the
-    focus mask and the single-secant count of the scalar census."""
+    `process_shard` passes, `prune8` gives each one's points and the focus
+    mask, and `_single_secants` the single-secant count, of the scalar census."""
     gf = make_field(s)
     q = gf.q
     rng = random.Random(2000 + s)
     n = 3 * search._SURVIVOR_BLOCK + 7
     cands = [random_eight_arc(gf, 1 + i % (q - 1), rng) for i in range(n)]
-    px, py, fmask, single = prune8(survivor_array(gf, cands), search._NumpyTables(gf))
+    tab = search._NumpyTables(gf)
+    px, py, fmask = prune8(survivor_array(gf, cands), tab)
+    single = search._single_secants(px, py, tab)
     assert px.shape == py.shape == (len(cands), 8)
     rows = zip(cands, px.tolist(), py.tolist(), fmask.tolist(), single.tolist(), strict=True)
     for cand, xs, ys, mask, n_single in rows:

@@ -221,8 +221,9 @@ def _focus_indices(gf: GF, stack: np.ndarray, line: Line) -> np.ndarray:
 
 def focus_set(gf: GF, arc: Arc, line: Line) -> Tuple[Point, ...]:
     """Intersections of the secants with an exterior line, deduplicated,
-    in dense index order."""
-    foci = np.unique(_focus_indices(gf, point_stack(arc), line))
+    in dense index order (a sorted copy, without `np.unique`, which imports numpy.ma)."""
+    foci = np.sort(_focus_indices(gf, point_stack(arc), line), axis=None)
+    foci = foci[np.diff(foci, prepend=-1) != 0]
     return tuple(map(tuple, indexed_points(gf, foci).tolist()))
 
 

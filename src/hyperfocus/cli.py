@@ -47,6 +47,7 @@ from hyperfocus.plane import LINE_AT_INFINITY, Line, all_lines, dots, indexed_po
 from hyperfocus.search import (
     CLAIMS,
     COUNTER_KEYS,
+    FOCUS_BOUNDS,
     CheckpointMismatch,
     SearchConfig,
     SearchError,
@@ -217,7 +218,7 @@ def _scaled_lines(gf: GF, triples: Sequence[List[int]]) -> List[Line]:
 
 def cmd_search(args) -> int:
     gf = _field_from_args(args)
-    if args.k % 2 or not 10 <= args.k <= 14:
+    if args.k not in FOCUS_BOUNDS:
         raise UsageError(
             f"k={args.k} unsupported: the vertical-pair candidate family "
             "needs even k in 10..14"

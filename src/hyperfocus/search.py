@@ -11,7 +11,7 @@ A shard is filtered in numpy, bound first (`stream_shard`): focus
 bounds cut (d, e) pairs and cells before any (g, h) pair is formed.  A
 shard's survivors are one record array of (a, c, d, e, f, g, h) and w,
 the focus word the stream counted them by, the one derivation of their
-focus sets.  Those with k - 1 focuses, the only ones that can extend,
+focus sets, all k - 1 by the matching lemma (`FOCUS_BOUNDS`).  They
 reach a census of their points and the extension, 256 at a time.  It
 adds (k - 8)/2 vertical pairs in free columns: a point is fixed by its
 slopes to (0,0) and (0,1), so the admissible points are pairs of w's
@@ -69,8 +69,11 @@ from hyperfocus.conics import hyperconic_witness, hyperconic_witnesses  # noqa: 
 from hyperfocus.field import GF, tables
 from hyperfocus.plane import LINE_AT_INFINITY, Line, Point, dots, index_pairs, indexed_points
 
-# target size -> (min, max) focus count demanded of the 8-point stage
-FOCUS_BOUNDS = {10: (9, 9), 12: (11, 11), 14: (9, 13)}
+# supported k -> (min, max) focus count of the 8-point stage, by the matching lemma: a focus F
+# of a hyperfocused k-arc K matches K's points in k/2 pairs, s_F in a union S of four vertical
+# pairs of K; S's 8 - 2 s_F others need partners in K \ S, so s_F >= (16 - k)/2 > 0 for k <= 14:
+# S has all k - 1 focuses, k - 2 of them in the word w
+FOCUS_BOUNDS = {k: (k - 1, k - 1) for k in (10, 12, 14)}
 
 # hashed into every checkpoint: raise it whenever a change alters what a
 # shard yields or what a checkpoint holds, so old checkpoints are refused
@@ -387,7 +390,8 @@ def closure_completions(
     gf: GF, px: np.ndarray, py: np.ndarray, fmask: np.ndarray, k: int, tab: _NumpyTables
 ) -> Dict[int, List[Tuple[Point, ...]]]:
     """Every hyperfocused k-arc on Z=0 through each 8-arc of a `prune8`
-    census, given as its coordinates `px`, `py` and focus masks `fmask`.
+    census, given as its coordinates `px`, `py` and focus masks `fmask`,
+    for a k of `FOCUS_BOUNDS` (the matching lemma needs k <= 14).
 
     The vertical direction is a focus of every survivor, and the k/2
     secants through a focus of a hyperfocused k-arc match its points in
@@ -401,6 +405,8 @@ def closure_completions(
     the batch to its completions, by one generate-and-test pass of
     `_completions` over all of them.
     """
+    if k not in FOCUS_BOUNDS:  # the matching lemma holds for k <= 14 only
+        raise ValueError(f"k={k} is not supported (even k in 10..14)")
     n, q = len(px), tab.q
     rows, cell = _admissible(px, py, fmask, k, tab)
     per_column = np.bincount(rows * q + cell // q, minlength=n * q).reshape(n, q)
@@ -419,35 +425,29 @@ def _admissible(
     """The (row, cell x * q + y) arrays of the points admissible for a
     hyperfocused k-arc on Z=0 through each 8-arc of a `prune8` census:
     its 8 non-vertical directions to them are distinct and leave fewer
-    than k - 1 non-vertical focuses.  A point off column 0 is fixed by
-    its slopes to (0,0) and (0,1).  If the focus word w has k - 2 bits,
-    all 8 directions lie in w, so the candidates are the ordered pairs of
-    w's slopes, first those whose `tab.anchors` directions lie in w; a
-    word with fewer bits takes all q(q - 1) pairs, and one with more has
-    no admissible point.  The rows of (c,d), (c,e), (f,g), (f,h) in
-    `tab.rays` complete the directions.
+    than k - 1 non-vertical focuses.  By the matching lemma only rows
+    whose focus word w has k - 2 bits have any, with all 8 directions in
+    w.  A point off column 0 is fixed by its slopes to (0,0) and (0,1),
+    so the candidates are the ordered pairs of w's slopes, first those
+    whose `tab.anchors` directions lie in w.  The rows of (c,d), (c,e),
+    (f,g), (f,h) in `tab.rays` complete the directions.
     """
     q = tab.q
     w = (fmask & np.uint64((1 << q) - 1)).astype(np.uint32)  # no vertical
-    words = np.where(np.bitwise_count(w) < k - 2, np.uint32((1 << q) - 1), w)  # slopes to take
-    width = np.bitwise_count(words)
-    slopes = (words[:, None] >> tab.xs.astype(np.uint32)) & 1
+    rows = np.flatnonzero(np.bitwise_count(w) == k - 2)
+    slopes = (w[rows, None] >> tab.xs.astype(np.uint32)) & 1
     ray_row = (py[:, 4:] * q * q + px[:, 4:] * q).T  # in the flat `tab.rays`
-    found = [(np.zeros(0, np.intp), np.zeros(0, np.int32))]
-    for size in np.flatnonzero(np.bincount(width)).tolist():
-        rows = np.flatnonzero(width == size)
-        # m[i, r] is the i-th slope of row r; key[i, j, r] its pair with m[j, r] in a's anchors
-        m = np.ascontiguousarray((np.flatnonzero(slopes[rows]) % q).reshape(-1, size).T)
-        key = (m * q + py[rows, 3] * q * q)[:, None] + m
-        fit = tab.anchors.take(key)
-        fit |= w[rows]
-        hit = np.flatnonzero(np.bitwise_count(fit, out=fit) < k - 1)
-        key, rows = key.take(hit), rows.take(hit % len(rows))
-        dirs, cell = tab.anchors.take(key), tab.cells.take(key % (q * q))
-        dirs |= np.bitwise_or.reduce(tab.rays.ravel().take(ray_row.take(rows, axis=1) ^ cell))
-        ok = (np.bitwise_count(dirs) == 8) & (np.bitwise_count(dirs | w[rows]) < k - 1)
-        found.append((rows[ok], cell[ok]))
-    return tuple(map(np.concatenate, zip(*found)))
+    # m[i, r] is the i-th slope of row r; key[i, j, r] its pair with m[j, r] in a's anchors
+    m = np.ascontiguousarray((np.flatnonzero(slopes) % q).reshape(-1, k - 2).T)
+    key = (m * q + py[rows, 3] * q * q)[:, None] + m
+    fit = tab.anchors.take(key)
+    fit |= w[rows]
+    hit = np.flatnonzero(np.bitwise_count(fit, out=fit) < k - 1)
+    key, rows = key.take(hit), rows.take(hit % len(rows))
+    dirs, cell = tab.anchors.take(key), tab.cells.take(key % (q * q))
+    dirs |= np.bitwise_or.reduce(tab.rays.ravel().take(ray_row.take(rows, axis=1) ^ cell))
+    ok = (np.bitwise_count(dirs) == 8) & (np.bitwise_count(dirs | w[rows]) < k - 1)
+    return rows[ok], cell[ok]
 
 
 def _completions(
@@ -460,7 +460,7 @@ def _completions(
     `_CANDIDATE_BLOCK` rows keep the arcs with exactly k - 1 focuses.
     Each 8-arc's completions, points sorted as `make_arc` sorts them, are
     sorted by `serialize_arc`.  A root of `run_search` (k <= 14, q <= 32)
-    has one candidate; at q=32, k=16 one 8-arc can have 4.5 * 10^11.
+    has one candidate.
     """
     q = gf.q
     codes, owner = [], []  # candidates as rows of x * q + y codes, and their 8-arc
@@ -500,16 +500,12 @@ def process_shard(
 ) -> Tuple[Dict[str, int], List[Tuple[Point, ...]]]:
     """Filter and extend one (a, c) shard; returns counters and raw arcs.
 
-    The stream's survivors with k - 1 focuses pass the census and the
+    The stream's survivors, all with k - 1 focuses, pass the census and the
     extension in batches of `_SURVIVOR_BLOCK`; counters are tallied per batch.
     """
     resolve_engine(gf, engine)
     tab = _NumpyTables(gf)
     counters, survivors = stream_shard(gf, a, c, *FOCUS_BOUNDS[k])
-    # matching lemma: a focus F of a hyperfocused k-arc K matches K's points in k/2 pairs, s_F
-    # in a union S of four vertical pairs of K; S's 8 - 2 s_F others need partners in K \ S, so
-    # s_F >= (16 - k)/2 > 0 for k <= 14: S has all k - 1 focuses, k - 2 of them in the word w
-    survivors = survivors[np.bitwise_count(survivors.view(np.ndarray)["w"]) == k - 2]
     raw: List[Tuple[Point, ...]] = []
     for i in range(0, len(survivors), _SURVIVOR_BLOCK):
         px, py, fmask = prune8(survivors[i:i + _SURVIVOR_BLOCK], tab)
@@ -695,7 +691,7 @@ def _postprocess(
 def run_search(gf: GF, k: int, config: SearchConfig) -> SearchReport:
     """Stream, prune, extend, verify, dedupe, canonicalize, write JSONL."""
     t0 = time.monotonic()
-    if k % 2 or not 10 <= k <= 14:
+    if k not in FOCUS_BOUNDS:
         raise SearchError(f"k={k} is not supported (even k in 10..14)")
     if config.max_shards is not None and config.max_shards < 0:
         raise SearchError(f"max_shards={config.max_shards} must be >= 0")

@@ -50,8 +50,8 @@ CONICS = "src/hyperfocus/conics.py"
 EXTENSION_TESTS = (
     "tests/test_search.py::test_column_pairs_needs_distinct_directions",
     "tests/test_search.py::test_column_pairs_focus_bound_is_strict",
+    "tests/test_search.py::test_completion_keeps_only_arcs",
     "tests/test_search.py::test_extension_oracle_matches_closure",
-    "tests/test_search.py::test_closure_matches_hyperoval_oracle_q16",
     "tests/test_search.py::test_extend_grid_worked_example",
     "tests/test_search.py::test_process_shard_pins_q32",
 )
@@ -61,7 +61,7 @@ ENUMERATION_TESTS = EXTENSION_TESTS + (
     "tests/test_search.py::test_closure_mixed_batches_keep_roots",
     "tests/test_search.py::test_closure_roots_match_oracle",
 )
-# the stream's focus word, the lemma filter on it, and the census mask built from it
+# the stream's focus word, the lemma's focus bounds, and the census mask built from the word
 WORD_TESTS = (
     "tests/test_search.py::test_prune8_on_a_stream_survivor",
     "tests/test_search.py::test_stream_matches_census_every_shard",
@@ -88,9 +88,10 @@ FAULTS = (
         "keep[i + arcs] = [n == k - 1 for _, n in verdicts]",
         "keep[i + arcs] = [n in (k - 1, k) for _, n in verdicts]",
         EXTENSION_TESTS,
-        "no candidate the tests reach is an arc with exactly k focuses: all 72,870 arcs"
-        " among the q=16, k=16 candidates of every shard have 15, and the q=32 shards"
-        " hold no 12-point candidate with 12 focuses, so the two verdicts agree",
+        "no candidate the tests reach is an arc with exactly k focuses: the 48 candidates"
+        " of every q=8 shard at k=10 and the 72 of every q=32 shard at k=12 are arcs with"
+        " k - 1, k=14 has none, and the other candidates of the direct tests are no arcs,"
+        " so the two verdicts agree",
     ),
     Fault(
         "extension-skips-a-free-column",
@@ -121,12 +122,18 @@ FAULTS = (
         ENUMERATION_TESTS,
     ),
     Fault(
-        "loose-words-take-only-their-own-pairs",
+        "admissible-takes-loose-words",
         SEARCH,
-        "words = np.where(np.bitwise_count(w) < k - 2, np.uint32((1 << q) - 1), w)"
-        "  # slopes to take",
-        "words = w",
+        "rows = np.flatnonzero(np.bitwise_count(w) == k - 2)",
+        "rows = np.flatnonzero(np.bitwise_count(w) <= k - 2)",
         ENUMERATION_TESTS,
+    ),
+    Fault(
+        "extension-takes-any-k",
+        SEARCH,
+        "if k not in FOCUS_BOUNDS:  # the matching lemma holds for k <= 14 only",
+        "if False:",
+        ("tests/test_search.py::test_closure_completions_rejects_k_outside_the_bounds",),
     ),
     Fault(
         "stream-word-keeps-only-g",
@@ -136,10 +143,10 @@ FAULTS = (
         WORD_TESTS,
     ),
     Fault(
-        "lemma-filter-wants-k-focuses",
+        "focus-bounds-admit-k-2",
         SEARCH,
-        'survivors = survivors[np.bitwise_count(survivors.view(np.ndarray)["w"]) == k - 2]',
-        'survivors = survivors[np.bitwise_count(survivors.view(np.ndarray)["w"]) == k - 1]',
+        "FOCUS_BOUNDS = {k: (k - 1, k - 1) for k in (10, 12, 14)}",
+        "FOCUS_BOUNDS = {k: (k - 2, k - 1) for k in (10, 12, 14)}",
         WORD_TESTS,
     ),
     Fault(
@@ -148,6 +155,13 @@ FAULTS = (
         'fmask = fields["w"] | np.uint64(1 << tab.q)',
         'fmask = fields["w"].astype(np.uint64)',
         WORD_TESTS,
+    ),
+    Fault(
+        "focus-set-dedupes-by-unique",
+        ARCS,
+        "foci = foci[np.diff(foci, prepend=-1) != 0]",
+        "foci = np.unique(foci)",
+        ("tests/test_arcs.py::test_focus_set_leaves_numpy_ma_unimported",),
     ),
     Fault(
         "stacks-take-any-point-length",

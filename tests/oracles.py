@@ -9,7 +9,9 @@ subsets), and the shard-level entry points into the search.
 `stream_shard_python` is the per-candidate shard filter the numpy
 stream is checked against, and `extension_oracle` the depth-first
 extension search the generate-and-test `closure_completions` is checked
-against; the pipeline itself has no second engine.
+against; the pipeline itself has no second engine.  `dense_free_columns`
+counts free columns without the matching lemma, which the search's
+focus bounds assume.
 """
 
 import hashlib
@@ -942,6 +944,41 @@ def free_columns(gf: GF, cands: Sequence[Candidate8], k: int) -> List[int]:
     """
     rows = _direction_rows(gf)
     return [len(_admissible_columns(gf, rows, cand.points(), k)[1]) for cand in cands]
+
+
+def dense_free_columns(gf: GF, survivors: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Per row of a record array with fields a ... h (8-arcs, as
+    `stream_shard` returns them), its focus count and `free_columns`, in
+    numpy over all q^2 cells at once and with no focus bound assumed, so
+    no matching lemma.
+
+    The directions come from `_direction_rows`, built by scalar field
+    arithmetic, not from the package's tables.  A cell's 8 direction bits
+    to the arc have 8 bits iff they are distinct, which a cell of a
+    column the arc uses never has (two vertical directions); it is
+    admissible when they also leave the focus count below k.  Rows go in
+    blocks of 256, so that the (rows, q, q) words stay small.
+    """
+    q, block = gf.q, 256
+    table = np.array(_direction_rows(gf), dtype=np.uint64).reshape(q * q, q)  # [dx * q + y0, y]
+    xs = np.arange(q)
+    fields = np.asarray(survivors)
+    focus, n_free = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for i in range(0, len(fields), block):
+        a, c, d, e, f, g, h = (fields[name][i:i + block] for name in "acdefgh")
+        zero, one = np.zeros_like(a), np.ones_like(a)
+        px = [zero, zero, one, one, c, c, f, f]
+        py = [zero, one, zero, a, d, e, g, h]
+        mask = np.zeros(len(a), dtype=np.uint64)
+        for s, t in combinations(range(8), 2):
+            mask |= table[(px[s] ^ px[t]) * q + py[s], py[t]]
+        dirs = np.zeros((len(a), q, q), dtype=np.uint64)
+        for x0, y0 in zip(px, py):
+            dirs |= table.take((xs ^ x0[:, None]) * q + y0[:, None], axis=0)
+        ok = (np.bitwise_count(dirs) == 8) & (np.bitwise_count(dirs | mask[:, None, None]) < k)
+        focus.append(np.bitwise_count(mask).astype(np.int64))
+        n_free.append(np.count_nonzero(np.count_nonzero(ok, axis=2) >= 2, axis=1))
+    return np.concatenate(focus), np.concatenate(n_free)
 
 
 def extension_oracle(gf: GF, cands: Sequence[Candidate8], k: int) -> List[List[Arc]]:

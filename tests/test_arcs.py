@@ -2,8 +2,11 @@
 
 import ast
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -333,6 +336,28 @@ def test_focus_set_matches_meet_oracle(qname, request):
         with pytest.raises(LineMeetsArc):
             focus_set(gf, arc, through)
         checked += 1
+
+
+def test_focus_set_leaves_numpy_ma_unimported():
+    """`focus_set` dedupes by a sort: `np.unique` imports numpy.ma (about
+    0.5 MiB) on its first call.  In a fresh process numpy.ma is absent
+    after `import hyperfocus.cli` and stays absent after a call."""
+    script = (
+        "import sys\n"
+        "import hyperfocus.cli\n"
+        "from hyperfocus.arcs import focus_set, make_arc\n"
+        "from hyperfocus.field import make_field\n"
+        "before = 'numpy.ma' in sys.modules\n"
+        "gf = make_field(3)\n"
+        "arc = make_arc(gf, [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)])\n"
+        "print(focus_set(gf, arc, (0, 0, 1)), before, 'numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env,
+        timeout=120,
+    )
+    assert done.stdout == "((0, 1, 0), (1, 1, 0), (1, 0, 0)) False False\n"
 
 
 @pytest.mark.parametrize("qname", ["gf8", "gf16", "gf32"])

@@ -220,6 +220,23 @@ def test_search_cli_old_checkpoint(tmp_path):
     assert "written by a different configuration" in err
 
 
+def test_search_cli_refuses_a_k14_checkpoint_of_the_window(tmp_path):
+    """A k=14 checkpoint hashed with the window 9..13, as code that
+    streamed that window and filtered after the stream wrote it, is a
+    config mismatch under `FOCUS_BOUNDS[14]` = (13, 13): exit 2, before
+    any shard, and the checkpoint is left as it was."""
+    gf = make_field(5)
+    digest = search.config_hash(gf, 14, (9, 13))
+    assert digest != search.config_hash(gf, 14, search.FOCUS_BOUNDS[14])
+    ckpt = tmp_path / "part.ckpt"
+    search._save_checkpoint(str(ckpt), digest, (0, 2), search.new_counters(), [])
+    before = ckpt.read_bytes()
+    code, out, err = run_cli("search", "--s", "5", "--k", "14", "--checkpoint", str(ckpt))
+    assert code == EX_CHECKPOINT
+    assert "written by a different configuration" in err and out == ""
+    assert ckpt.read_bytes() == before
+
+
 def test_search_cli_has_no_engine_option():
     code, out, err = run_cli("search", "--s", "3", "--k", "10", "--engine", "numpy")
     assert code == EX_USAGE

@@ -53,6 +53,7 @@ from oracles import (
     census_words,
     census_verdict,
     complete_to_hyperovals,
+    dense_free_columns,
     enumerate_candidates8,
     extend_arc,
     _direction_rows,
@@ -234,27 +235,31 @@ def test_census_oracle_matches_python_oracle(gf8, gf32):
 
 @pytest.mark.parametrize("qname", ["gf8", "gf16"])
 def test_stream_matches_census_every_shard(qname, request):
-    """Every shard at q = 8 and 16, for the bounds of k = 10, 12 and 14:
-    `arcs8`, `focus_rejected`, `focus_9_10`, `prepared`, the survivor
-    records and their words w (the focus masks less the vertical bit)
-    equal the census oracle's.  At q = 16 the pair cap drops pairs at
-    k = 10 and 12 and none at k = 14, and the shards hold 483,626 8-arcs,
-    with 1,568 survivors at k = 12 and 25,388 at k = 14."""
+    """Every shard at q = 8 and 16, for the bounds of k = 10, 12 and 14
+    and the wide window 9..13: `arcs8`, `focus_rejected`, `focus_9_10`,
+    `prepared`, the survivor records and their words w (the focus masks
+    less the vertical bit) equal the census oracle's.  At q = 16 the pair
+    cap drops pairs at k = 10 and 12 and none at 9..13, and the shards
+    hold 483,626 8-arcs, with 1,568 survivors at k = 12, 21,748 at k = 14
+    and 25,388 at 9..13."""
     gf = request.getfixturevalue(qname)
     reps = frobenius_orbit_reps(gf, exclude=frozenset({0}))
-    total = {k: new_counters() for k in (10, 12, 14)}
+    total = {bounds: new_counters() for bounds in [*FOCUS_BOUNDS.values(), (9, 13)]}
     for a_idx, c in shard_list(gf):
         census = shard_census(gf, reps[a_idx], c)
-        for k in total:
-            want = census_stream(census, *FOCUS_BOUNDS[k])
-            counters, survivors = stream_shard(gf, reps[a_idx], c, *FOCUS_BOUNDS[k])
-            assert counters == want[0], (a_idx, c, k)
-            assert candidates(survivors) == want[1], (a_idx, c, k)
-            assert survivors.w.tolist() == census_words(gf, census, *FOCUS_BOUNDS[k])
-            merge_counters(total[k], counters)
+        for bounds in total:
+            want = census_stream(census, *bounds)
+            counters, survivors = stream_shard(gf, reps[a_idx], c, *bounds)
+            assert counters == want[0], (a_idx, c, bounds)
+            assert candidates(survivors) == want[1], (a_idx, c, bounds)
+            assert survivors.w.tolist() == census_words(gf, census, *bounds)
+            merge_counters(total[bounds], counters)
     if gf.q == 16:
-        assert {k: (v["arcs8"], v["prepared"]) for k, v in total.items()} == {
-            10: (483626, 0), 12: (483626, 1568), 14: (483626, 25388)
+        assert {b: (v["arcs8"], v["prepared"]) for b, v in total.items()} == {
+            (9, 9): (483626, 0),
+            (11, 11): (483626, 1568),
+            (13, 13): (483626, 21748),
+            (9, 13): (483626, 25388),
         }
 
 
@@ -464,6 +469,16 @@ def test_config_hash_distinguishes(gf32, gf8):
     h8 = config_hash(gf8, 12, FOCUS_BOUNDS[12])
     assert len({h12, h14, h8}) == 3
     assert config_hash(gf32, 12, FOCUS_BOUNDS[12]) == h12
+
+
+@pytest.mark.parametrize("k", [8, 11, 16])
+def test_closure_completions_rejects_k_outside_the_bounds(gf16, k):
+    """The extension assumes the matching lemma, which needs k <= 14: it
+    refuses every k that is no key of `FOCUS_BOUNDS`, before any work."""
+    tab = search._NumpyTables(gf16)
+    px, py, fmask = censused(gf16, [Candidate8(1, 2, 4, 5, 3, 10, 12)], (1, 17), tab)
+    with pytest.raises(ValueError, match=f"k={k} is not supported"):
+        closure_completions(gf16, px, py, fmask, k, tab)
 
 
 def test_run_search_rejects_bad_k(gf8):
@@ -721,31 +736,54 @@ def test_extend_grid_worked_example(gf32):
 
 @pytest.fixture(scope="module")
 def shard_oracle(gf32):
-    """The stream survivors of a q=32 shard at k, with the free columns
-    `free_columns` counts for each, computed once per (a, c, k)."""
+    """The stream survivors of a q=32 shard at k, for the bounds of k or
+    the given ones, with the free columns `free_columns` counts for each,
+    computed once per (a, c, k, bounds)."""
     cache = {}
 
-    def get(a, c, k):
-        if (a, c, k) not in cache:
-            _, survivors = stream_shard(gf32, a, c, *FOCUS_BOUNDS[k])
-            cache[a, c, k] = survivors, free_columns(gf32, candidates(survivors), k)
-        return cache[a, c, k]
+    def get(a, c, k, bounds=None):
+        key = (a, c, k, bounds or FOCUS_BOUNDS[k])
+        if key not in cache:
+            _, survivors = stream_shard(gf32, a, c, *key[3])
+            cache[key] = survivors, free_columns(gf32, candidates(survivors), k)
+        return cache[key]
 
     return get
 
 
 def test_closure_path_on_real_survivors(gf32, shard_oracle):
-    """Run the search on every k=14 survivor of one shard, at every focus
-    count they show (no 8-arc has 9 or 10 focuses, criterion 4): none is
-    a root, and by the oracle none has the 3 free columns of two
-    admissible points that a 14-arc needs, so the column early exit
-    alone decides the shard."""
+    """Run the search on every survivor of one shard in the window 9..13,
+    at every focus count they show (no 8-arc has 9 or 10 focuses,
+    criterion 4): none is a root at k=14, and by the oracle none has the
+    3 free columns of two admissible points that a 14-arc needs, so the
+    column early exit alone decides the shard.  The dense reference
+    counts the same free columns and focuses."""
     tab = search._NumpyTables(gf32)
-    survivors, n_free = shard_oracle(1, 2, 14)
+    survivors, n_free = shard_oracle(1, 2, 14, (9, 13))
     px, py, fmask = prune8(survivors, tab)
     assert closure_completions(gf32, px, py, fmask, 14, tab) == {}
     assert len(n_free) == len(survivors) > 5000 and max(n_free) < 3
     assert {m.bit_count() for m in fmask.tolist()} == {11, 12, 13}
+    focus, dense = dense_free_columns(gf32, survivors, 14)
+    assert dense.tolist() == n_free
+    assert focus.tolist() == np.bitwise_count(fmask).tolist()
+
+
+def test_k14_without_the_lemma_q32(gf32):
+    """The k=14 headline without the matching lemma.  The stream's
+    survivors in the window 9..13 over every q=32 shard are 112,900;
+    the 39,096 outside `FOCUS_BOUNDS[14]`, which the search never
+    extends, have 12 focuses (34,848) or 11 (4,248) by the dense
+    reference.  By the same reference none is a root: each has at most 2
+    free columns of two admissible points, where a 14-arc needs 3."""
+    reps = frobenius_orbit_reps(gf32, exclude=frozenset({0}))
+    parts = [stream_shard(gf32, reps[i], c, 9, 13)[1] for i, c in shard_list(gf32)]
+    survivors = np.concatenate(parts)
+    assert len(survivors) == 112900
+    low = survivors[np.bitwise_count(survivors["w"]) < 12]
+    focus, n_free = dense_free_columns(gf32, low, 14)
+    assert Counter(focus.tolist()) == {12: 34848, 11: 4248}
+    assert np.count_nonzero(n_free >= 3) == 0 and n_free.max() == 2
 
 
 def interleaved(parts):
@@ -758,8 +796,10 @@ def interleaved(parts):
 @pytest.fixture(scope="module")
 def closure_batch(request):
     """One batch of the stream 8-arcs with 7 to k focuses, taken from all
-    shards of a field in turn (or only those of a column c in `cs`), and
-    the extension's completions of it, computed once per (field, k, cs)."""
+    shards of a field in turn (or only those of a column c in `cs`), the
+    roots the oracle finds in it (2 admissible points in (k - 8)/2 free
+    columns) and the extension's completions of it, None for a k above
+    14, computed once per (field, k, cs)."""
     cache = {}
 
     def get(field, k, cs):
@@ -774,8 +814,13 @@ def closure_batch(request):
                 if cs is None or c in cs
             ]
             survivors = np.concatenate(parts)[interleaved(parts)]
-            px, py, fmask = prune8(survivors, tab)
-            cache[key] = gf, survivors, closure_completions(gf, px, py, fmask, k, tab)
+            n_free = np.array(free_columns(gf, candidates(survivors), k))
+            roots = set(np.flatnonzero(n_free >= (k - 8) // 2).tolist())
+            completions = None
+            if k in FOCUS_BOUNDS:
+                px, py, fmask = prune8(survivors, tab)
+                completions = closure_completions(gf, px, py, fmask, k, tab)
+            cache[key] = gf, survivors, roots, completions
         return cache[key]
 
     return get
@@ -789,15 +834,13 @@ def closure_batch(request):
 ])
 def test_closure_roots_match_oracle(field, k, cs, n_roots, closure_batch):
     """The roots of the extension, in one batch of the stream 8-arcs with
-    7 to k focuses taken from all shards in turn (at k=16 only those of
-    c = 14), are the candidates the oracle finds 2 admissible points in
-    (k - 8)/2 free columns of.  At k=16, unlike the smaller k, some of
-    them would be roots if points that bring the focus count to exactly
-    k were admitted."""
-    gf, survivors, completions = closure_batch(field, k, cs)
-    roots = set(completions)
-    n_free = np.array(free_columns(gf, candidates(survivors), k))
-    assert roots == set(np.flatnonzero(n_free >= (k - 8) // 2).tolist())
+    7 to k focuses taken from all shards in turn, are the candidates the
+    oracle finds 2 admissible points in (k - 8)/2 free columns of.  At
+    k=16 (only the shards of c = 14), where the matching lemma fails and
+    the extension refuses, the oracle's roots are pinned alone."""
+    _, _, roots, completions = closure_batch(field, k, cs)
+    if completions is not None:
+        assert set(completions) == roots
     assert len(roots) == n_roots
 
 
@@ -821,11 +864,12 @@ def test_closure_roots_match_oracle_q32(gf32, shard_oracle, k, shards, n_roots):
 
 
 def test_closure_mixed_batches_keep_roots(gf32):
-    """The extension takes each row's slope pairs by the bit count of its
-    word.  On one batch of the 8-arcs with 7 to 14 focuses of four shards
-    of three a in turn, last first, whose words have 6 to 13 bits, the
-    roots, leaves and root order at k=12 are those of each shard's rows
-    and of each bit count's rows on their own, at their batch indices."""
+    """The extension takes slope pairs only from the rows whose word has
+    k - 2 bits.  On one batch of the 8-arcs with 7 to 14 focuses of four
+    shards of three a in turn, last first, whose words have 6 to 13 bits,
+    the roots, leaves and root order at k=12 are those of each shard's
+    rows and of each bit count's rows on their own, at their batch
+    indices."""
     tab = search._NumpyTables(gf32)
     parts = [stream_shard(gf32, a, c, 7, 14)[1] for a, c in [(7, 2), (1, 2), (2, 4), (2, 2)]]
     order = interleaved(parts)[::-1]
@@ -866,10 +910,12 @@ ADMISSIBLE_CASES = {
 def test_admissible_points_match_oracle(field, k, request):
     """The admissible points of the extension, in one batch of stream
     8-arcs of several a with 7 to k or more focuses: up to 30 seeded
-    rows of each (a, word size), shuffled.  Rows whose word has k - 2
-    bits take w's slope pairs, the others every pair.  Each row's
-    points, column by column, are the oracle's (`admissible_points`),
-    and so are its free columns of two or more (`free_columns`)."""
+    rows of each (a, word size), shuffled.  Only rows whose word has
+    k - 2 bits have any.  Each row's points, column by column, are the
+    oracle's (`admissible_points`), and so are its free columns of two or
+    more (`free_columns`).  At k=16, where the matching lemma fails and
+    the extension refuses, rows with fewer bits have admissible points
+    too, and only the oracle's kinds of row are pinned."""
     gf = request.getfixturevalue(field)
     shards, bounds, kinds = ADMISSIBLE_CASES[field, k]
     rng = random.Random(gf.q * k)
@@ -884,20 +930,22 @@ def test_admissible_points_match_oracle(field, k, request):
     picked = [r for rows in groups.values() for r in rng.sample(rows, min(30, len(rows)))]
     rng.shuffle(picked)
     batch = pool[picked]
+    oracle_rows = _direction_rows(gf)
+    want, seen = [], set()
+    for r, cand in enumerate(candidates(batch)):
+        _, cols = admissible_points(gf, oracle_rows, cand.points(), k)
+        want.append({x: [y for y, _ in col] for x, col in cols if col})
+        seen.add((int(np.bitwise_count(batch["w"][r])) == k - 2, bool(want[-1])))
+    assert seen == kinds
+    assert len(set(batch["a"].tolist())) > 1
+    if k not in FOCUS_BOUNDS:
+        return
     px, py, fmask = prune8(batch, tab)
     rows, cells = search._admissible(px, py, fmask, k, tab)
     got = [{} for _ in picked]
     for r, cell in sorted(zip(rows.tolist(), cells.tolist())):
         got[r].setdefault(cell // gf.q, []).append(cell % gf.q)
-    oracle_rows = _direction_rows(gf)
-    seen = set()
-    for r, cand in enumerate(candidates(batch)):
-        _, cols = admissible_points(gf, oracle_rows, cand.points(), k)
-        want = {x: [y for y, _ in col] for x, col in cols if col}
-        assert got[r] == want
-        seen.add((int(np.bitwise_count(batch["w"][r])) == k - 2, bool(want)))
-    assert seen == kinds
-    assert len(set(batch["a"].tolist())) > 1
+    assert got == want
     n_free = np.bincount(rows * gf.q + cells // gf.q, minlength=len(picked) * gf.q)
     n_free = np.count_nonzero(n_free.reshape(len(picked), gf.q) >= 2, axis=1)
     assert n_free.tolist() == free_columns(gf, candidates(batch), k)
@@ -921,6 +969,29 @@ def test_column_pairs_needs_distinct_directions(gf32):
     (leaves,) = search._completions(gf32, np.array([x8]), np.array([y8]), ok[None], 12)
     assert all(is_arc(gf32, arc) for arc in leaves)
     assert leaves == [K12_A]
+
+
+def test_completion_keeps_only_arcs(gf8):
+    """The arc check of the completion on its own.  At q=8 a point set
+    has at most q + 1 = 9 focuses, so a 10-point candidate that is no
+    arc can still show k - 1 = 9.  Beside the admissible pair (6, 2),
+    (6, 4) that completes the 8-arc of candidate (1, 2, 4, 6, 4, 2, 6),
+    the table admits (3, 0) and (3, 1), and (3, 0) lies on Y = 0 with
+    (0, 0) and (1, 0): that candidate has 9 directions, and only the
+    arc is a completion."""
+    cand = Candidate8(1, 2, 4, 6, 4, 2, 6)
+    x8, y8 = [list(v) for v in zip(*cand.points())]
+    col3 = [(3, 0), (3, 1)]
+    bad = list(cand.points()) + col3
+    assert _slope_census(gf8, bad) is None
+    assert len({slope_index(gf8, p, r) for p, r in combinations(bad, 2)}) == 9
+    ok = np.zeros((8, 8), dtype=bool)
+    for x, y in [(6, 2), (6, 4)] + col3:
+        ok[x, y] = True
+    (leaves,) = search._completions(gf8, np.array([x8]), np.array([y8]), ok[None], 10)
+    arc = make_arc(gf8, [(x, y, 1) for x, y in cand.points() + ((6, 2), (6, 4))])
+    assert classify_focus(gf8, arc, LINE_AT_INFINITY) == (HYPERFOCUSED, 9)
+    assert leaves == [arc]
 
 
 def test_column_pairs_focus_bound_is_strict(gf32):
@@ -949,8 +1020,9 @@ def test_closure_finds_sixteen_arc_four_pairs_deep(gf32):
     hyperfocused 16-arc with 15 focuses in 8 vertical pairs.  Moved by
     (x, y) -> (x / 2, y + 5x) onto the normalized frame, four of its
     pairs are a candidate 8-arc, and the scalar extension oracle must
-    find the other four.  Generate and test, as `closure_completions`
-    does it, would face 449,499,818,556 candidates here."""
+    find the other four.  `closure_completions` refuses k=16, where the
+    matching lemma fails; its generate and test would face
+    449,499,818,556 candidates here."""
     gf = gf32
     span = [0]
     for g in (1, 2, 4, 8):
@@ -979,21 +1051,18 @@ def test_closure_finds_sixteen_arc_four_pairs_deep(gf32):
 
 @pytest.mark.parametrize("f,g,h,n_ovals", [(3, 4, 11, 0), (3, 10, 12, 1), (4, 2, 3, 2)])
 def test_closure_matches_hyperoval_oracle_q16(gf16, f, g, h, n_ovals):
-    """Depth 5, against an independent oracle: in PG(2,16) an 18-arc is a
+    """Depth 5, two independent oracles: in PG(2,16) an 18-arc is a
     hyperoval, hyperfocused (17 focuses) on every exterior line, so at
-    k = 18 the search must return exactly the hyperovals through the
-    8-arc that miss Z=0, as the point-by-point completion finds them,
-    and exactly the completions of the scalar extension oracle."""
+    k = 18 the scalar extension oracle must return exactly the hyperovals
+    through the 8-arc that miss Z=0, as the point-by-point completion
+    finds them.  (`closure_completions` refuses k=18, where the matching
+    lemma fails.)"""
     cand = Candidate8(a=1, c=2, d=4, e=5, f=f, g=g, h=h)
-    tab = search._NumpyTables(gf16)
-    px, py, fmask = censused(gf16, [cand], (1, 17), tab)
     arc8 = make_arc(gf16, [(x, y, 1) for x, y in cand.points()])
     ovals = {frozenset(o) for o in complete_to_hyperovals(gf16, arc8) if all(p[2] for p in o)}
-    # no entry: the column early exit found too few free columns
-    got = closure_completions(gf16, px, py, fmask, 18, tab).get(0, [])
+    got = extension_oracle(gf16, [cand], 18)[0]
     assert {frozenset(a) for a in got} == ovals
     assert len(got) == len(ovals) == n_ovals
-    assert sorted(got) == extension_oracle(gf16, [cand], 18)[0]
 
 
 @pytest.mark.parametrize("field,k,cs,n_arcs", [
@@ -1004,13 +1073,16 @@ def test_extension_oracle_matches_closure(field, k, cs, n_arcs, closure_batch):
     """Where both run, `closure_completions` and the scalar extension
     oracle find the same completions.  On the batches of the roots test
     above (every q=8 shard at k=10; the q=16 shards of c = 14 at k=16,
-    802 roots), each root's completions are the oracle's, and the oracle
-    finds none through the other 8-arcs.  The q=32 shard (2, 2) at k=12
-    and the q=16 hyperoval cases at k=18 are checked against the oracle
-    in their own tests above."""
-    gf, survivors, roots = closure_batch(field, k, cs)
+    802 roots, where only the oracles run), each root's completions are
+    the oracle's, and the oracle finds none through the 8-arcs that are
+    no root by `free_columns`.  The q=32 shard (2, 2) at k=12 and the
+    q=16 hyperoval cases at k=18 are checked against the oracle in their
+    own tests above."""
+    gf, survivors, roots, completions = closure_batch(field, k, cs)
     want = extension_oracle(gf, candidates(survivors), k)
-    assert {r: sorted(arcs) for r, arcs in roots.items()} == {r: want[r] for r in roots}
+    if completions is not None:
+        got = {r: sorted(arcs) for r, arcs in completions.items()}
+        assert got == {r: want[r] for r in completions}
     assert not any(arcs for r, arcs in enumerate(want) if r not in roots)
     assert sum(map(len, want)) == n_arcs
 
@@ -1087,15 +1159,17 @@ def test_no_stream_eight_arc_has_eight_focuses(s, n7, request):
 
 def test_focus_bounds_lose_no_arc_q32(gf32, low_focus_q32):
     """The 210 q=32 stream 8-arcs with 7 focuses reach no 10-, 12- or
-    14-arc, and no root of the extension, at those k.  The 14 of shard
-    (1, 2) are a depth-4 control on real stream output, run on the
-    scalar extension oracle: each lies in exactly 42 hyperfocused
-    16-arcs with 15 focuses, 588 distinct in all, and in no 18-arc."""
-    tab = search._NumpyTables(gf32)
-    px, py, fmask = prune8(np.concatenate(list(low_focus_q32.values())), tab)
-    assert len(px) == 210
+    14-arc: by the dense reference, which assumes no matching lemma, none
+    has the (k - 8)/2 free columns of two admissible points that such an
+    arc needs.  The 14 of shard (1, 2) are a depth-4 control on real
+    stream output, run on the scalar extension oracle: each lies in
+    exactly 42 hyperfocused 16-arcs with 15 focuses, 588 distinct in
+    all, and in no 18-arc."""
+    low = np.concatenate(list(low_focus_q32.values()))
+    assert len(low) == 210
     for k in (10, 12, 14):
-        assert closure_completions(gf32, px, py, fmask, k, tab) == {}
+        focus, n_free = dense_free_columns(gf32, low, k)
+        assert set(focus.tolist()) == {7} and n_free.max() < (k - 8) // 2
     cands = candidates(low_focus_q32[(1, 2)])
     roots = dict(enumerate(extension_oracle(gf32, cands, 16)))
     assert {r: len(arcs) for r, arcs in roots.items()} == {r: 42 for r in range(14)}
@@ -1118,10 +1192,10 @@ def test_process_shard_counts(gf8):
 
 
 def test_process_shard_batches_every_survivor(gf32, monkeypatch):
-    """Shard (0, 10) at k=14 has more than 5,000 survivors: the census
-    sees each of those with 13 focuses by the scalar census once, in
-    stream order, and the extension sees each census result, across many
-    survivor batches and many direction-table blocks."""
+    """Shard (0, 2), the k=14 shard with the most survivors, has 4,068:
+    the census sees each of them, all with 13 focuses by the scalar
+    census, once, in stream order, and the extension sees each census
+    result, across many survivor batches."""
     seen = {"census": [], "closure": [], "calls": 0}
     census, closure = search.prune8, search.closure_completions
 
@@ -1142,9 +1216,9 @@ def test_process_shard_batches_every_survivor(gf32, monkeypatch):
     monkeypatch.setattr(search, "prune8", census_spy)
     monkeypatch.setattr(search, "closure_completions", closure_spy)
     a = frobenius_orbit_reps(gf32, exclude=frozenset({0}))[0]
-    counters, raw = process_shard(gf32, 14, a, 10)
-    _, survivors = stream_shard(gf32, a, 10, *FOCUS_BOUNDS[14])
-    assert len(survivors) == counters["prepared"] > 5000
+    counters, raw = process_shard(gf32, 14, a, 2)
+    _, survivors = stream_shard(gf32, a, 2, *FOCUS_BOUNDS[14])
+    assert len(survivors) == counters["prepared"] == 4068
     cands = candidates(survivors)
     want = [cand for cand in cands if _slope_census(gf32, cand.points())[0].bit_count() == 13]
     assert seen["census"] == seen["closure"] == want
@@ -1153,10 +1227,11 @@ def test_process_shard_batches_every_survivor(gf32, monkeypatch):
 
 
 def test_process_shard_extends_only_k_minus_1_focuses(gf32, monkeypatch):
-    """The matching lemma, at `process_shard`'s filter: only survivors
-    with k - 1 focuses can extend, so at k=14 the census sees only those
-    with 13 by the scalar census.  Shard (1, 3) has 4,080 survivors, 144
-    with 11 focuses and 1,584 with 12; the census sees the other 2,352."""
+    """The matching lemma, in `FOCUS_BOUNDS`: only 8-arcs with k - 1
+    focuses can extend, so at k=14 the stream keeps only those with 13 by
+    the scalar census.  Shard (1, 3) holds 4,080 survivors in the window
+    9..13, 144 with 11 focuses and 1,584 with 12; the stream keeps and
+    the census sees the other 2,352, in the window's order."""
     seen = []
     census = search.prune8
 
@@ -1166,27 +1241,33 @@ def test_process_shard_extends_only_k_minus_1_focuses(gf32, monkeypatch):
 
     monkeypatch.setattr(search, "prune8", spy)
     counters, _ = process_shard(gf32, 14, 1, 3)
-    sizes = Counter(_slope_census(gf32, cand.points())[0].bit_count() for cand in seen)
-    assert sizes == {13: 2352} and counters["prepared"] == 4080
+    assert FOCUS_BOUNDS[14] == (13, 13) and counters["prepared"] == len(seen) == 2352
+    window = candidates(stream_shard(gf32, 1, 3, 9, 13)[1])
+    sizes = [_slope_census(gf32, cand.points())[0].bit_count() for cand in window]
+    assert Counter(sizes) == {11: 144, 12: 1584, 13: 2352}
+    assert seen == [cand for cand, n in zip(window, sizes) if n == 13]
 
 
 @pytest.mark.parametrize("field,k,bounds,n_low,n_roots", [
     ("gf8", 10, (7, 9), 14, 48),
-    ("gf16", 14, FOCUS_BOUNDS[14], 3640, 0),
+    ("gf16", 14, (9, 13), 3640, 0),
 ])
 def test_survivors_below_k_minus_1_focuses_are_no_roots(field, k, bounds, n_low, n_roots, request):
-    """The premise of that filter, on the survivors of every shard for
-    `bounds`: the n_low with fewer than k - 1 focuses are no root of the
-    extension, which finds n_roots among the others (at q=8, k=10 the
+    """The premise of those bounds, on the survivors of every shard for
+    the wider `bounds`: by the dense reference, which assumes no
+    matching lemma, the n_low with fewer than k - 1 focuses are no root,
+    and the extension finds n_roots among the others (at q=8, k=10 the
     14 stream 8-arcs with 7 focuses lie beside 48 roots with 9)."""
     gf = request.getfixturevalue(field)
     tab = search._NumpyTables(gf)
     reps = frobenius_orbit_reps(gf, exclude=frozenset({0}))
     parts = [stream_shard(gf, reps[i], c, *bounds)[1] for i, c in shard_list(gf)]
-    px, py, fmask = prune8(np.concatenate(parts), tab)
+    survivors = np.concatenate(parts)
+    px, py, fmask = prune8(survivors, tab)
     low = np.bitwise_count(fmask) < k - 1
     assert np.count_nonzero(low) == n_low
-    assert closure_completions(gf, px[low], py[low], fmask[low], k, tab) == {}
+    focus, n_free = dense_free_columns(gf, survivors[low], k)
+    assert focus.max() < k - 1 and n_free.max() < (k - 8) // 2
     assert len(closure_completions(gf, px[~low], py[~low], fmask[~low], k, tab)) == n_roots
 
 
@@ -1197,13 +1278,13 @@ SHARD_PINS = {
         [K12_A] * 3 + [K12_B] * 3,
     ),
     (14, 1, 3): (
-        dict(candidates=6888448, arcs8=2212408, focus_rejected=2208328,
-             prepared=4080, closure_survivors=2352),
+        dict(candidates=6888448, arcs8=2212408, focus_rejected=2210056,
+             prepared=2352, closure_survivors=2352),
         [],
     ),
     (14, 2, 10): (
-        dict(candidates=5166336, arcs8=1670074, focus_rejected=1669914,
-             prepared=160),
+        dict(candidates=5166336, arcs8=1670074, focus_rejected=1669954,
+             prepared=120),
         [],
     ),
 }

@@ -1,10 +1,11 @@
 """The q=32 stream, shard by shard, against a committed manifest.
 
-`tests/data/stream_q32.json` holds, for every (a-index, c) shard of
-the k=12 and k=14 runs, the five stream counters and the sha256 of the
-ordered (d, e, f, g, h) survivor list.  Totals and a few pinned shards
-cannot see a stream that moves survivors between shards, or loses and
-gains equal numbers; this can.  Regenerate (only from a stream already
+`tests/data/stream_q32.json` holds, for every (a-index, c) shard, the
+five stream counters and the sha256 of the ordered (d, e, f, g, h)
+survivor list, for the bounds of the k=12 run and, under the key 14,
+for the window 9..13 around those of the k=14 run.  Totals and a few
+pinned shards cannot see a stream that moves survivors between shards,
+or loses and gains equal numbers; this can.  Regenerate (only from a stream already
 known to be right) with
 
     PYTHONPATH=src python tests/test_stream_manifest.py
@@ -23,33 +24,46 @@ from hyperfocus.search import FOCUS_BOUNDS, shard_list, stream_shard
 
 MANIFEST = os.path.join(os.path.dirname(__file__), "data", "stream_q32.json")
 STREAM_KEYS = ("candidates", "arcs8", "focus_rejected", "focus_9_10", "prepared")
+# the manifest's bounds per key: k=14 keeps the window that the lemma-free
+# checks read, whose survivors with 13 focuses are those of FOCUS_BOUNDS[14]
+WINDOWS = {12: FOCUS_BOUNDS[12], 14: (9, 13)}
 
 
-def stream_entries(gf, k):
-    """One manifest entry per shard, in shard order."""
+def stream_shards(gf, k):
+    """Per shard, in shard order: its manifest entry, its survivors and
+    its a."""
     reps = frobenius_orbit_reps(gf, exclude=frozenset({0}))
-    lo, hi = FOCUS_BOUNDS[k]
-    entries = []
     for a_idx, c in shard_list(gf):
-        counters, survivors = stream_shard(gf, reps[a_idx], c, lo, hi)
+        counters, survivors = stream_shard(gf, reps[a_idx], c, *WINDOWS[k])
         rows = np.asarray(survivors)[list("defgh")].tolist()
         blob = "".join(f"{d},{e},{f},{g},{h}\n" for d, e, f, g, h in rows)
         entry = {"a_idx": a_idx, "c": c}
         entry.update((key, counters[key]) for key in STREAM_KEYS)
         entry["survivors_sha256"] = hashlib.sha256(blob.encode()).hexdigest()
-        entries.append(entry)
-    return entries
+        yield entry, survivors, reps[a_idx]
 
 
 @pytest.mark.parametrize("k", [12, 14])
 def test_stream_matches_manifest(gf32, k):
+    """Every shard's entry equals the manifest's.  At k=14 each shard's
+    stream for `FOCUS_BOUNDS[14]` keeps exactly the window's survivors
+    whose word has 12 bits, in order, with `arcs8 = prepared +
+    focus_rejected`: 73,804 over the 112,900 of the window."""
     with open(MANIFEST, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     assert (manifest["q"], int(manifest["modulus"], 0)) == (gf32.q, gf32.modulus)
     expected = manifest["shards"][str(k)]
     assert len(expected) == len(shard_list(gf32)) == 210
-    for got, want in zip(stream_entries(gf32, k), expected):
+    n_tight = 0
+    for (got, survivors, a), want in zip(stream_shards(gf32, k), expected):
         assert got == want
+        if k == 14:
+            counters, tight = stream_shard(gf32, a, got["c"], *FOCUS_BOUNDS[14])
+            assert np.array_equal(tight, survivors[np.bitwise_count(survivors.w) == 12])
+            assert counters["arcs8"] == counters["prepared"] + counters["focus_rejected"]
+            n_tight += counters["prepared"]
+    if k == 14:
+        assert n_tight == 73804 and sum(e["prepared"] for e in expected) == 112900
 
 
 if __name__ == "__main__":
@@ -57,7 +71,7 @@ if __name__ == "__main__":
     blob = {
         "q": gf.q,
         "modulus": hex(gf.modulus),
-        "shards": {str(k): stream_entries(gf, k) for k in (12, 14)},
+        "shards": {str(k): [entry for entry, _, _ in stream_shards(gf, k)] for k in WINDOWS},
     }
     os.makedirs(os.path.dirname(MANIFEST), exist_ok=True)
     with open(MANIFEST, "w", encoding="utf-8") as fh:

@@ -194,36 +194,35 @@ def stream_shard(
     """Shard filter: bound-first, batched over chunks of (d, e) pairs.
 
     For fixed (a, c, d, e) the six fixed points are the anchors and
-    (c, d), (c, e).  The row of a cell (f, g), f > c, is the bitmask of
-    its six directions to them: the anchors' part R4 is shared by the
-    shard, and (c, y)'s part Rc[y] by every pair holding y, so a pair's
-    rows are R4 | Rc[d] | Rc[e].  A cell is admissible, on no line
-    through two of the six points, iff its row has six bits; (f, g) and
-    (f, h) then make an 8-arc with any other admissible cell of the row.
-    Since f != c, the cell never lies on the line of (c, d) and (c, e),
-    so it is admissible iff R4 | Rc[d] and R4 | Rc[e] both have five
-    bits.  Those bits, over g, are one q-bit word W[y, f] per (y, f), so
-    the row of (d, e, f) holds n_ok = popcount(W[d, f] & W[e, f])
-    admissible cells: `arcs8` is the sum of C(n_ok, 2) over the shard,
-    from words alone, and `focus_rejected = arcs8 - prepared`.  A pair
-    (d, e) is skipped when d or e lies on a line through two anchors (the
-    anchors' directions from (c, y) repeat).
+    (c, d), (c, e).  A cell (f, g), f > c, is admissible, on no line
+    through two of the six points, iff its six directions to them are
+    distinct; (f, g) and (f, h) then make an 8-arc with any other
+    admissible cell of the row (d, e, f).  Since f != c, the cell never
+    lies on the line of (c, d) and (c, e), so it is admissible iff its
+    directions to the anchors and (c, y) are five for y = d and y = e.
+    Those bits, over g, are one q-bit word W[y, f] per (y, f), so the row
+    of (d, e, f) holds the n_ok = popcount(W[d, f] & W[e, f]) admissible
+    cells that the bits of W[d, f] & W[e, f] name: `arcs8` is the sum of
+    C(n_ok, 2) over the shard, from words alone, and `focus_rejected =
+    arcs8 - prepared`.  A pair (d, e) is skipped when d or e lies on a
+    line through two anchors (the anchors' directions from (c, y) repeat).
 
-    The focus set of the six points is base6 = base4 | A[d] | A[e], with
-    A[y] the directions from (c, y) to the anchors.  The focus count of
-    a subset is a lower bound for the whole set, so a cell whose 7-point
-    count popcount(base6 | row) exceeds max(hi, 10) is in no survivor
-    and no count of 9 or 10.  Every cell's 7-point set holds base6, so a
-    pair whose base6 is already over that cap keeps no cell and is
-    dropped before any of its rows is built.  The rows of the other pairs
-    are built in chunks, each chunk keeps only its live rows, those with
-    two cells left, and one (g, h) stage per shard takes them all.
+    The five-point word X[y, f, g] is the focus set of the anchors, (c, y)
+    and (f, g), so a cell's 7-point focus set is X[d, f, g] | X[e, f, g].
+    The focus count of a subset is a lower bound for the whole set, so a
+    cell whose 7-point count exceeds max(hi, 10) is in no survivor and no
+    count of 9 or 10.  Every cell's 7-point set holds the six points' set
+    base6, so a pair whose base6 is already over that cap is dropped
+    before any of its cells is built.  The cells of the other pairs are
+    built in chunks of at most `_CHUNK` words; each chunk keeps only its
+    admissible cells under the cap, as flat cell indices and 7-point
+    words, and `_cell_pairs` pairs the kept cells of each row, in blocks.
     No direction the stream computes is vertical (f, c > 1), and the
     vertical is a focus through (0,0)(0,1), so the words are 32-bit
     `tab.rays` bits without it and every focus test counts it as one.
-    Pair chunks hold at most `_CHUNK` words.  The survivors are one
-    record array of int64 fields a ... h and `_row_pairs`' word w, in
-    pairs, then (f, g, h) order.  `de_pairs` restricts the (d, e) pairs.
+    The survivors are one record array of int64 fields a ... h and
+    `_cell_pairs`' word w, in pairs, then (f, g, h) order.  `de_pairs`
+    restricts the (d, e) pairs.
     """
     tab = _NumpyTables(gf)
     q = tab.q
@@ -240,14 +239,15 @@ def stream_shard(
     # directions of the lines through two anchors: 0, a, 1, a ^ 1 (and vertical)
     base4 = np.uint32(1 | 1 << a | 1 << 1 | 1 << (a ^ 1))
     # rays[y0 * q + dx] holds the directions from (x0, y0) to (x0 ^ dx, *):
-    # r4[f] from the anchors to (f, *), anc from them to (c, *), rc[y, f]
-    # from (c, y) to (f, *)
+    # r4[f] from the anchors to (f, *), anc from them to (c, *), and x[y, f]
+    # from the anchors and (c, y) to (f, *)
     r4 = np.zeros((nf, q), dtype=np.uint32)
     anc = np.zeros(q, dtype=np.uint32)
     for ax, ay in anchors:
         r4 |= rays.take(ay * q + (fs ^ ax), axis=0)
         anc |= rays[ay * q + (c ^ ax)]
-    rc = rays.take(xs[:, None] * q + (fs ^ c), axis=0)
+    x = rays.take(xs[:, None] * q + (fs ^ c), axis=0)
+    x |= r4
     good = np.bitwise_count(anc) == 4
     d, e = de[:, 0], de[:, 1]
     # d == e puts one point twice: no 8-arc, and no split of the cell test
@@ -255,80 +255,76 @@ def stream_shard(
     d, e = de[:, 0], de[:, 1]
     # words[y, f]: bit g set iff (f, g) is off every line through two of
     # the anchors and (c, y); one little-endian word of q bits
-    words = np.packbits(np.bitwise_count(r4 | rc) == 5, axis=2, bitorder="little")
+    words = np.packbits(np.bitwise_count(x) == 5, axis=2, bitorder="little")
     words = words.view(f"<u{words.shape[2]}")[..., 0]
     n_ok = np.bitwise_count(words[d] & words[e]).astype(np.intp)
     counters["arcs8"] = int((n_ok * (n_ok - 1)).sum()) // 2
-    base6 = base4 | anc[d] | anc[e]
+    x |= (base4 | anc)[:, None, None]  # now the five-point focus words
     cap = max(hi, 10) - 1  # non-vertical focuses
-    pairs = np.flatnonzero(np.bitwise_count(base6) <= cap)
-    # per chunk, of its live rows: cell index (pair * nf + f - c - 1), keep, m7, n_keep
-    live_rows = [(
-        np.zeros(0, np.int64),
-        np.zeros((0, q), bool),
-        np.zeros((0, q), np.uint32),
-        np.zeros(0, np.uint8),
-    )]
+    pairs = np.flatnonzero(np.bitwise_count(base4 | anc[d] | anc[e]) <= cap)
+    # the kept cells, pair * nf * q + (f - c - 1) * q + g, and their 7-point words
+    cells, m7s = [np.zeros(0, np.int64)], [np.zeros(0, np.uint32)]
     step = max(1, _CHUNK // max(1, nf * q))
     for i in range(0, len(pairs), step):
         p = pairs[i:i + step]
-        dp, ep = d[p], e[p]
-        rows = rc.take(dp, axis=0)
-        rows |= rc.take(ep, axis=0)
-        rows |= r4
-        m7 = rows | base6[p, None, None]
-        keep = np.bitwise_count(rows) == 6
+        m7 = x.take(d[p], axis=0).reshape(len(p), -1)
+        m7 |= x.take(e[p], axis=0).reshape(len(p), -1)
+        # the admissible cells' bits, per chunk: a shard-long copy living
+        # across the chunks' temporaries raised the process's peak RSS
+        ok = words[d[p]] & words[e[p]]
+        keep = np.unpackbits(ok.view(np.uint8), axis=1, bitorder="little").view(bool)
         keep &= np.bitwise_count(m7) <= cap
-        keep, m7 = keep.reshape(-1, q), m7.reshape(-1, q)
-        n_keep = keep.view(np.uint8).sum(axis=1, dtype=np.uint8)
-        live = np.flatnonzero(n_keep >= 2)
-        cells = (p[:, None] * nf + np.arange(nf)).ravel()
-        live_rows.append((cells[live], keep[live], m7[live], n_keep[live]))
-    cells, keep, m7, n_keep = map(np.concatenate, zip(*live_rows))
-    n910, row, g, h, w = _row_pairs(lo - 1, hi - 1, keep, m7, n_keep)
+        flat = np.flatnonzero(keep)
+        pi, cell = np.divmod(flat, nf * q)
+        cells.append(p[pi] * (nf * q) + cell)
+        m7s.append(m7.ravel()[flat])
+    row, g = np.divmod(np.concatenate(cells), q)
+    n910, i, j, w = _cell_pairs(lo - 1, hi - 1, row, np.concatenate(m7s))
     counters["focus_9_10"] = n910
-    p, f = np.divmod(cells[row], nf)
-    survivors = np.empty(len(row), [(name, np.int64) for name in "acdefgh"] + [("w", w.dtype)])
-    for name, col in zip("acdefghw", (a, c, de[p, 0], de[p, 1], fs[f], g, h, w)):
+    p, f = np.divmod(row[i], nf)
+    survivors = np.empty(len(i), [(name, np.int64) for name in "acdefgh"] + [("w", w.dtype)])
+    for name, col in zip("acdefghw", (a, c, de[p, 0], de[p, 1], fs[f], g[i], g[j], w)):
         survivors[name] = col
     counters["prepared"] = len(survivors)
     counters["focus_rejected"] = counters["arcs8"] - counters["prepared"]
     return counters, survivors.view(np.recarray)
 
 
-def _row_pairs(lo: int, hi: int, keep, m7, n_keep) -> tuple:
-    """The (g, h) stage over rows of kept cells, g < h both kept.
+def _cell_pairs(lo: int, hi: int, row, m7) -> tuple:
+    """The (g, h) stage over kept cells in (row, g) order, given by their
+    row and `m7`: any two cells of a row make a pair.
 
     `m7` holds 32-bit focus words without the vertical, so `lo`..`hi`
     and the 8..9 of `focus_9_10` count non-vertical focuses.  Returns the
     number of pairs with 9 or 10 focuses and, as arrays in (row, g, h)
-    order, the row, g, h and word m7[g] | m7[h] (the 8-arc's focus set
-    but the vertical of (f, g)(f, h)) of the pairs with lo..hi bits.
-    Each row's kept cells are packed to its left in ascending g, so its
-    pairs are the slot pairs i < j < width with j below its count;
-    blocks of rows hold at most `_CHUNK` pairs.
+    order, the cell indices i < j and the word m7[i] | m7[j] (the 8-arc's
+    focus set but the vertical of (f, g)(f, h)) of the pairs with lo..hi
+    bits.  Each cell lists its partners to its right in its row; blocks
+    of whole rows hold at most `_CHUNK` pairs, or one row.
     """
-    n = len(n_keep)
-    width = int(n_keep.max(initial=0))
-    r_i, g_i = np.nonzero(keep)
-    slot = np.cumsum(keep, axis=1)[r_i, g_i] - 1
-    packed = np.zeros((n, width), dtype=np.uint32)
-    packed[r_i, slot] = m7[r_i, g_i]
-    gs = np.zeros((n, width), dtype=np.int64)
-    gs[r_i, slot] = g_i
-    si, sj = index_pairs(width)  # a row's slot pairs, in (g, h) order
-    n_pairs = max(1, len(si))
+    n = len(row)
+    start = np.append(np.flatnonzero(np.diff(row, prepend=-1)), n)  # each row's first cell
+    size = np.diff(start)
+    later = np.repeat(start[1:], size) - np.arange(n) - 1  # partners right of each cell
+    before = np.concatenate(([0], np.cumsum(size * (size - 1) // 2)))  # pairs before each row
     n910 = 0
-    hits = [np.zeros(0, np.intp)]  # flat indices into the (n, n_pairs) pair blocks
-    block = max(1, _CHUNK // n_pairs)
-    for j in range(0, n, block):
-        pm = packed[j:j + block]
-        cnt = np.bitwise_count(pm[:, si] | pm[:, sj])
-        pair = sj < n_keep[j:j + block, None]
-        n910 += int(np.count_nonzero(pair & (cnt >= 8) & (cnt <= 9)))
-        hits.append(j * n_pairs + np.flatnonzero(pair & (cnt >= lo) & (cnt <= hi)))
-    row, p = np.divmod(np.concatenate(hits), n_pairs)
-    return n910, row, gs[row, si[p]], gs[row, sj[p]], packed[row, si[p]] | packed[row, sj[p]]
+    hits = [(np.zeros(0, np.int32), np.zeros(0, np.int32), m7[:0])]
+    r = 0
+    while r < len(size):
+        s = max(r + 1, int(np.searchsorted(before, before[r] + _CHUNK, "right")) - 1)
+        cell = np.arange(start[r], start[s], dtype=np.int32)  # int32 halves the block
+        n_later = later[start[r]:start[s]]
+        i = np.repeat(cell, n_later)
+        j = np.repeat((cell + 1 - np.cumsum(n_later) + n_later).astype(np.int32), n_later)
+        j += np.arange(len(j), dtype=np.int32)
+        w = m7[i] | m7[j]
+        bits = np.bitwise_count(w)
+        n910 += int(np.count_nonzero((bits >= 8) & (bits <= 9)))
+        hit = np.flatnonzero((bits >= lo) & (bits <= hi))
+        hits.append((i[hit], j[hit], w[hit]))
+        r = s
+    i, j, w = map(np.concatenate, zip(*hits))
+    return n910, i, j, w
 
 
 # `resolve_engine` and the `engine` and `tables` arguments of `process_shard`

@@ -73,6 +73,16 @@ WORD_TESTS = (
     "tests/test_search.py::test_survivors_below_k_minus_1_focuses_are_no_roots",
     "tests/test_search.py::test_process_shard_pins_q32",
 )
+# the stream's cells, their admissibility and 7-point cut, and its (g, h) stage
+STREAM_TESTS = (
+    "tests/test_search.py::test_cell_pairs_match_brute_force",
+    "tests/test_search.py::test_stream_engines_agree_q8",
+    "tests/test_search.py::test_stream_engines_agree_q32_sampled",
+    "tests/test_search.py::test_stream_matches_census_every_shard",
+    "tests/test_search.py::test_stream_matches_census_on_random_pairs_q32",
+    "tests/test_search.py::test_stream_chunking_keeps_survivors",
+    "tests/test_stream_manifest.py::test_stream_matches_manifest",
+)
 
 FAULTS = (
     Fault(
@@ -138,9 +148,46 @@ FAULTS = (
     Fault(
         "stream-word-keeps-only-g",
         SEARCH,
-        "return n910, row, gs[row, si[p]], gs[row, sj[p]], packed[row, si[p]] | packed[row, sj[p]]",
-        "return n910, row, gs[row, si[p]], gs[row, sj[p]], packed[row, si[p]]",
+        "w = m7[i] | m7[j]",
+        "w = m7[i]",
         WORD_TESTS,
+    ),
+    Fault(
+        "stream-keeps-inadmissible-cells",
+        SEARCH,
+        'keep = np.unpackbits(ok.view(np.uint8), axis=1, bitorder="little").view(bool)',
+        "keep = np.ones((len(p), nf * q), bool)",
+        STREAM_TESTS,
+    ),
+    Fault(
+        "pair-stage-misses-each-rows-last-cell",
+        SEARCH,
+        "later = np.repeat(start[1:], size) - np.arange(n) - 1  # partners right of each cell",
+        "later = np.maximum(np.repeat(start[1:], size) - np.arange(n) - 2, 0)",
+        STREAM_TESTS,
+    ),
+    Fault(
+        "pair-stage-in-one-block",
+        SEARCH,
+        's = max(r + 1, int(np.searchsorted(before, before[r] + _CHUNK, "right")) - 1)',
+        "s = len(size)",
+        ("tests/test_search.py::test_stream_memory_peak_q32",),
+    ),
+    Fault(
+        "seven-point-cut-at-hi",
+        SEARCH,
+        "cap = max(hi, 10) - 1  # non-vertical focuses",
+        "cap = hi - 1",
+        STREAM_TESTS,
+    ),
+    Fault(
+        "stream-words-drop-g-0",
+        SEARCH,
+        "ok = words[d[p]] & words[e[p]]",
+        "ok = words[d[p]] & words[e[p]] & ~words.dtype.type(1)",
+        STREAM_TESTS,
+        "bit g = 0 of a word is never set: a cell (f, 0) lies on Y = 0 through the anchors"
+        " (0,0) and (1,0), so its directions to the anchors and (c, y) are never five",
     ),
     Fault(
         "focus-bounds-admit-k-2",

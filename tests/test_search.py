@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 from pathlib import Path
@@ -319,10 +320,10 @@ def test_stream_survivor_records(gf8, gf32):
 @pytest.mark.parametrize("k,a,c", [(12, 2, 2), (12, 1, 2), (14, 1, 11)])
 def test_stream_chunking_keeps_survivors(gf32, monkeypatch, k, a, c):
     """With a chunk of one word, each pair chunk holds one (d, e) pair and
-    each (g, h) block one row, so the shard's live rows come from hundreds
-    of chunks; the survivors, their order and the counters stay those of
-    the default chunks.  The shards' survivors lie in 2, 110 and 16 (d, e)
-    pairs."""
+    each (g, h) block one row with pairs, so the shard's kept cells come
+    from hundreds of chunks; the survivors, their order and the counters
+    stay those of the default chunks.  The shards' survivors lie in 2, 110
+    and 16 (d, e) pairs."""
     want = stream_shard(gf32, a, c, *FOCUS_BOUNDS[k])
     monkeypatch.setattr(search, "_CHUNK", 1)
     counters, survivors = stream_shard(gf32, a, c, *FOCUS_BOUNDS[k])
@@ -332,19 +333,67 @@ def test_stream_chunking_keeps_survivors(gf32, monkeypatch, k, a, c):
 
 def test_stream_without_live_rows(gf32, monkeypatch):
     """Pairs whose rows hold 8-arcs but no row with two cells under the
-    7-point cut give no (g, h) stage input and an empty record array."""
+    7-point cut give no (g, h) stage input, only lone cells, and an empty
+    record array."""
     sizes = []
-    row_pairs = search._row_pairs
+    cell_pairs = search._cell_pairs
 
-    def spy(lo, hi, keep, m7, n_keep):
-        sizes.append(len(n_keep))
-        return row_pairs(lo, hi, keep, m7, n_keep)
+    def spy(lo, hi, row, m7):
+        sizes.append(int(np.count_nonzero(np.unique(row, return_counts=True)[1] >= 2)))
+        return cell_pairs(lo, hi, row, m7)
 
-    monkeypatch.setattr(search, "_row_pairs", spy)
+    monkeypatch.setattr(search, "_cell_pairs", spy)
     counters, survivors = stream_shard(gf32, 1, 11, 9, 13, de_pairs=[(2, 17), (2, 18)])
     assert sizes == [0] and counters["arcs8"] > 0
     assert counters["prepared"] == len(survivors) == 0
     assert survivors.dtype == SURVIVOR_DTYPE
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 300])
+@pytest.mark.parametrize("lo,hi", [(0, 32), (9, 11)])
+def test_cell_pairs_match_brute_force(monkeypatch, chunk, lo, hi):
+    """The (g, h) stage lists, in (row, g, h) order, every two kept cells
+    of a row with their word m7[g] | m7[h], counts those with 8 or 9 bits
+    and keeps those with lo..hi bits, whether its blocks hold the default
+    `_CHUNK` pairs, one row, or a few rows each; rows of 1, 2 and 24
+    cells among them."""
+    rng = np.random.default_rng(27)
+    sizes = [1, 2, 24, 1, 1, 5, 24, 2, 3, 1, 17, 2]
+    row = np.repeat(np.sort(rng.choice(10_000, len(sizes), replace=False)), sizes)
+    m7 = np.zeros(len(row), np.uint32)
+    for cell, n in enumerate(rng.integers(2, 7, len(row))):
+        m7[cell] = sum(1 << int(b) for b in rng.choice(32, n, replace=False))
+    if chunk is not None:
+        monkeypatch.setattr(search, "_CHUNK", chunk)
+    cells = combinations(range(len(row)), 2)
+    pairs = [(i, j, int(m7[i] | m7[j])) for i, j in cells if row[i] == row[j]]
+    bits = [w.bit_count() for _, _, w in pairs]
+    n910, i, j, w = search._cell_pairs(lo, hi, row, m7)
+    assert n910 == sum(8 <= b <= 9 for b in bits) > 0
+    want = [p for p, b in zip(pairs, bits) if lo <= b <= hi]
+    assert list(zip(i.tolist(), j.tolist(), w.tolist())) == want and len(want) > 0
+    assert w.dtype == np.uint32
+    if (lo, hi) == (0, 32):
+        assert len(want) == sum(n * (n - 1) // 2 for n in sizes)
+
+
+def test_stream_memory_peak_q32(gf32):
+    """The heaviest k=14 shard's stream allocates under 2 MiB at its peak
+    (1.36 MiB measured with numpy 2.4): pair chunks and (g, h) blocks
+    hold at most `_CHUNK` words or pairs.  One (g, h) block over the
+    whole shard peaks at 2.38 MiB."""
+    stream_shard(gf32, 1, 2, *FOCUS_BOUNDS[14])  # the field's tables are built outside the trace
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        stream_shard(gf32, 1, 2, *FOCUS_BOUNDS[14])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_resolve_engine(gf32):

@@ -14,12 +14,12 @@ the focus word the stream counted them by, the one derivation of their
 focus sets, all k - 1 by the matching lemma (`FOCUS_BOUNDS`).  They
 reach a census of their points and the extension, 256 at a time.  It
 adds (k - 8)/2 vertical pairs in free columns: a point is fixed by its
-slopes to (0,0) and (0,1), so the admissible points are pairs of w's
-slopes, a column early exit drops survivors with too few free columns,
-and arc and focus kernels decide the rest, so each completion is a
-hyperfocused arc.  Every emitted arc is re-verified once, after the
-orbit closure, by `record_claims`, the one derivation of a record's
-claims.
+slopes to (0,0) and (0,1), so the admissible points are pairs of their
+tangent directions in w, a column early exit drops survivors with too
+few free columns, and arc and focus kernels decide the rest, so each
+completion is a hyperfocused arc.  Every emitted arc is re-verified
+once, after the orbit closure, by `record_claims`, the one derivation
+of a record's claims.
 
 Work is sharded by the (a-index, c) prefix.  One function runs a shard,
 in the process or in a pool worker, over direction tables built once
@@ -367,16 +367,16 @@ def prune8(survivors: np.ndarray, tab: _NumpyTables) -> Tuple[np.ndarray, ...]:
 
 
 def _single_secants(px: np.ndarray, py: np.ndarray, tab: _NumpyTables) -> np.ndarray:
-    """Per 8-arc of a `prune8` census, how many directions (slope indices:
-    y/x, or q for vertical) carry exactly one of its 28 secants."""
+    """Per 8-arc of a `prune8` census, how many directions carry exactly one
+    of its 28 secants: bits of the secants' `tab.rays` words that no secant
+    shares with those before it (the vertical, with 4 secants, has no bit)."""
     i, j = index_pairs(8)  # the 28 secants
-    dx = px[:, i] ^ px[:, j]
-    dy = py[:, i] ^ py[:, j]
-    # per-direction secant counts, one bincount over row-offset slopes
-    width = tab.q + 1
-    slopes = tab.slope[dx, dy] + width * np.arange(len(px))[:, None]
-    counts = np.bincount(slopes.ravel(), minlength=len(px) * width)
-    return np.count_nonzero(counts.reshape(-1, width) == 1, axis=1)
+    q = tab.q
+    # the flat `tab.rays` index from (x0, y0) to (x, y) is (y0 * q + x0) * q ^ (x * q + y)
+    bits = tab.rays.ravel().take(((py * q + px) * q).T[i] ^ (px * q + py).T[j])
+    seen = np.bitwise_or.accumulate(bits, axis=0)
+    twice = np.bitwise_or.reduce(bits[1:] & seen[:-1], axis=0)
+    return np.bitwise_count(seen[-1] & ~twice)
 
 
 # ---------------------------------------------------------------------------
@@ -420,22 +420,23 @@ def _admissible(
 ) -> Tuple[np.ndarray, ...]:
     """The (row, cell x * q + y) arrays of the points admissible for a
     hyperfocused k-arc on Z=0 through each 8-arc of a `prune8` census:
-    its 8 non-vertical directions to them are distinct and leave fewer
-    than k - 1 non-vertical focuses.  By the matching lemma only rows
-    whose focus word w has k - 2 bits have any, with all 8 directions in
-    w.  A point off column 0 is fixed by its slopes to (0,0) and (0,1),
-    so the candidates are the ordered pairs of w's slopes, first those
+    its 8 non-vertical directions to them are distinct and in the focus
+    word w, which needs k - 2 bits (the matching lemma).  So a point sees
+    each P of the 8-arc in P's tangent word, the k - 8 bits of w that no
+    secant through P takes, and is fixed by its slopes to (0,0) and (0,1):
+    the candidates are the (k - 8)^2 pairs of their tangent directions
     whose `tab.anchors` directions lie in w.  The rows of (c,d), (c,e),
     (f,g), (f,h) in `tab.rays` complete the directions.
     """
     q = tab.q
     w = (fmask & np.uint64((1 << q) - 1)).astype(np.uint32)  # no vertical
     rows = np.flatnonzero(np.bitwise_count(w) == k - 2)
-    slopes = (w[rows, None] >> tab.xs.astype(np.uint32)) & 1
+    # m[i, 0, r], m[i, 1, r]: the i-th slopes of the tangent words of (0,0) and (0,1), w but
+    # the `tab.rays` bits to the 8 points; key[i, j, r] is m[i, 0, r], m[j, 1, r] in a's anchors
+    tangents = tab.rays.ravel().take(px[rows] * q + py[rows] + tab.xs[:2, None, None] * q * q)
+    m = _peel(~np.bitwise_or.reduce(tangents, axis=2) & w[rows], k - 8)
     ray_row = (py[:, 4:] * q * q + px[:, 4:] * q).T  # in the flat `tab.rays`
-    # m[i, r] is the i-th slope of row r; key[i, j, r] its pair with m[j, r] in a's anchors
-    m = np.ascontiguousarray((np.flatnonzero(slopes) % q).reshape(-1, k - 2).T)
-    key = (m * q + py[rows, 3] * q * q)[:, None] + m
+    key = (m[:, 0] * q + py[rows, 3] * q * q)[:, None] + m[:, 1]
     fit = tab.anchors.take(key)
     fit |= w[rows]
     hit = np.flatnonzero(np.bitwise_count(fit, out=fit) < k - 1)
@@ -444,6 +445,16 @@ def _admissible(
     dirs |= np.bitwise_or.reduce(tab.rays.ravel().take(ray_row.take(rows, axis=1) ^ cell))
     ok = (np.bitwise_count(dirs) == 8) & (np.bitwise_count(dirs | w[rows]) < k - 1)
     return rows[ok], cell[ok]
+
+
+def _peel(t: np.ndarray, n: int) -> np.ndarray:
+    """The indices of the n lowest set bits of each uint32 word of `t`, lowest first, on axis 0."""
+    out = np.empty((n,) + t.shape, dtype=np.int64)
+    for i in range(n):
+        low = t & -t  # the lowest bit, of index popcount(low - 1)
+        out[i] = np.bitwise_count(low - 1)
+        t = t ^ low
+    return out
 
 
 def _completions(

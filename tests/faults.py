@@ -55,9 +55,11 @@ EXTENSION_TESTS = (
     "tests/test_search.py::test_extend_grid_worked_example",
     "tests/test_search.py::test_process_shard_pins_q32",
 )
-# the enumeration of the extension's admissible points from slope pairs
+# the enumeration of the extension's admissible points from tangent slope pairs
 ENUMERATION_TESTS = EXTENSION_TESTS + (
     "tests/test_search.py::test_admissible_points_match_oracle",
+    "tests/test_search.py::test_tangent_words_match_oracle",
+    "tests/test_search.py::test_peel_matches_flatnonzero",
     "tests/test_search.py::test_closure_mixed_batches_keep_roots",
     "tests/test_search.py::test_closure_roots_match_oracle",
 )
@@ -72,6 +74,13 @@ WORD_TESTS = (
     "tests/test_search.py::test_process_shard_extends_only_k_minus_1_focuses",
     "tests/test_search.py::test_survivors_below_k_minus_1_focuses_are_no_roots",
     "tests/test_search.py::test_process_shard_pins_q32",
+)
+# the k=14 tally of one-secant directions
+TALLY_TESTS = (
+    "tests/test_search.py::test_prune8_on_a_stream_survivor",
+    "tests/test_search.py::test_batched_census_matches_oracle",
+    "tests/test_search.py::test_process_shard_pins_q32",
+    "tests/test_extend_manifest.py::test_extension_matches_manifest",
 )
 # the stream's cells, their admissibility and 7-point cut, and its (g, h) stage
 STREAM_TESTS = (
@@ -125,11 +134,40 @@ FAULTS = (
         ENUMERATION_TESTS,
     ),
     Fault(
-        "slope-pairs-unordered",
+        "tangent-pairs-swapped",
         SEARCH,
-        "key = (m * q + py[rows, 3] * q * q)[:, None] + m",
-        "key = np.minimum(m[:, None], m) * q + py[rows, 3] * q * q + np.maximum(m[:, None], m)",
+        "key = (m[:, 0] * q + py[rows, 3] * q * q)[:, None] + m[:, 1]",
+        "key = (m[:, 1] * q + py[rows, 3] * q * q)[:, None] + m[:, 0]",
         ENUMERATION_TESTS,
+    ),
+    Fault(
+        "tangent-word-of-0-0-keeps-a",
+        SEARCH,
+        "tangents = tab.rays.ravel().take(px[rows] * q + py[rows] + tab.xs[:2, None, None] * q * q)",
+        "tangents = tab.rays.ravel().take(px[rows] * q + py[rows] + tab.xs[:2, None, None] * q * q)"
+        "; tangents[0, :, 3] = 0",
+        ENUMERATION_TESTS,
+    ),
+    Fault(
+        "tangent-word-of-0-1-from-the-rays-of-0-0",
+        SEARCH,
+        "tangents = tab.rays.ravel().take(px[rows] * q + py[rows] + tab.xs[:2, None, None] * q * q)",
+        "tangents = tab.rays.ravel().take(px[rows] * q + py[rows] + tab.xs[:2, None, None] * 0)",
+        ENUMERATION_TESTS,
+    ),
+    Fault(
+        "peel-one-slope-short",
+        SEARCH,
+        "m = _peel(~np.bitwise_or.reduce(tangents, axis=2) & w[rows], k - 8)",
+        "m = _peel(~np.bitwise_or.reduce(tangents, axis=2) & w[rows], k - 9)",
+        ENUMERATION_TESTS,
+    ),
+    Fault(
+        "tally-counts-each-secant-against-itself",
+        SEARCH,
+        "twice = np.bitwise_or.reduce(bits[1:] & seen[:-1], axis=0)",
+        "twice = np.bitwise_or.reduce(bits & seen, axis=0)",
+        TALLY_TESTS,
     ),
     Fault(
         "admissible-takes-loose-words",

@@ -950,6 +950,8 @@ ADMISSIBLE_CASES = {
         (True, True), (True, False), (False, True), (False, False)}),
     ("gf32", 12): ([(1, 2), (0, 2), (6, 2)], (7, 14), {
         (True, True), (True, False), (False, False)}),
+    ("gf32", 14): ([(1, 7), (6, 4), (0, 2)], (9, 14), {
+        (True, True), (True, False), (False, False)}),
     ("gf32", 16): ([(1, 2), (0, 2), (6, 2)], (7, 16), {
         (True, True), (True, False), (False, True), (False, False)}),
 }
@@ -998,6 +1000,66 @@ def test_admissible_points_match_oracle(field, k, request):
     n_free = np.bincount(rows * gf.q + cells // gf.q, minlength=len(picked) * gf.q)
     n_free = np.count_nonzero(n_free.reshape(len(picked), gf.q) >= 2, axis=1)
     assert n_free.tolist() == free_columns(gf, candidates(batch), k)
+
+
+TANGENT_SHARDS = {
+    # field, k: the shards by a-index and c whose stream survivors are taken (None: all)
+    ("gf8", 10): None,
+    ("gf32", 12): [(0, 9), (6, 2)],
+    ("gf32", 14): [(1, 7), (6, 4)],
+}
+
+
+@pytest.mark.parametrize("field,k", sorted(TANGENT_SHARDS))
+def test_tangent_words_match_oracle(field, k, request, monkeypatch):
+    """The tangent words of (0,0) and (0,1) that `_admissible` peels its
+    candidate slopes from, on stream survivors.  Each point of an 8-arc
+    has 7 secants in 7 directions, one vertical; at (0,0) and (0,1) the
+    other 6 are distinct bits of w, and the tangent word is the rest of
+    w, k - 8 bits.  The directions come from the oracle's `slope_index`."""
+    gf = request.getfixturevalue(field)
+    tab = search._NumpyTables(gf)
+    reps = frobenius_orbit_reps(gf, exclude=frozenset({0}))
+    survivors = np.concatenate([
+        stream_shard(gf, reps[i], c, *FOCUS_BOUNDS[k])[1]
+        for i, c in TANGENT_SHARDS[field, k] or shard_list(gf)
+    ])
+    assert len(survivors) >= 40
+    want = []
+    for cand, w in zip(candidates(survivors), survivors["w"].tolist(), strict=True):
+        pts = cand.points()
+        for base in pts[:2]:
+            dirs = [slope_index(gf, base, p) for p in pts if p != base]
+            assert len(set(dirs)) == 7 and dirs.count(gf.q) == 1
+            secants = sum(1 << s for s in dirs if s != gf.q)
+            assert secants & w == secants
+            want.append(w & ~secants)
+            assert want[-1].bit_count() == k - 8
+    peeled = []
+    peel = search._peel
+    monkeypatch.setattr(search, "_peel", lambda t, n: peeled.append((t.copy(), n)) or peel(t, n))
+    search._admissible(*prune8(survivors, tab), k, tab)
+    [(got, n)] = peeled
+    assert n == k - 8
+    assert got.T.ravel().tolist() == want
+
+
+def test_peel_matches_flatnonzero():
+    """`_peel` lists each word's set bits, lowest first, as `np.flatnonzero`
+    lists them, on seeded uint32 words with bits 0 and 31 set, along a new
+    first axis; with n under a word's bit count it takes the n lowest."""
+    rng = random.Random(28)
+    for n in range(2, 33):
+        words = [
+            sum(1 << b for b in [0, 31] + rng.sample(range(1, 31), n - 2)) for _ in range(40)
+        ]
+        t = np.array(words, dtype=np.uint32).reshape(8, 5)
+        bits = np.unpackbits(t.reshape(-1, 1).view(np.uint8), axis=1, bitorder="little")
+        got = search._peel(t, n)
+        assert got.shape == (n, 8, 5) and got.dtype == np.int64
+        assert got.reshape(n, -1).T.tolist() == [np.flatnonzero(b).tolist() for b in bits]
+        assert np.array_equal(search._peel(t, n - 1), got[:-1])
+        assert t.ravel().tolist() == words
 
 
 def test_column_pairs_needs_distinct_directions(gf32):

@@ -18,6 +18,7 @@ from hyperfocus.arcs import (
     focus_count,
     focus_set,
     make_arc,
+    secants,
     translation_arc,
     translation_hyperoval,
 )
@@ -51,6 +52,7 @@ __all__ = [
     "focus_count",
     "focus_set",
     "make_arc",
+    "secants",
     "translation_arc",
     "translation_hyperoval",
     "ConicError",

@@ -47,7 +47,6 @@ from hyperfocus.plane import LINE_AT_INFINITY, Line, all_lines, dots, indexed_po
 from hyperfocus.search import (
     CLAIMS,
     COUNTER_KEYS,
-    FOCUS_BOUNDS,
     CheckpointMismatch,
     SearchConfig,
     SearchError,
@@ -117,29 +116,6 @@ def _field_from_args(args) -> GF:
         return make_field(args.s, modulus)
     except FieldError as exc:
         raise UsageError(str(exc)) from None
-
-
-def _search_workers(requested: Optional[int]) -> int:
-    """--workers, else HYPERFOCUS_THREADS, else 1; warns above the CPU count."""
-    n, source = requested, "--workers"
-    if n is None:
-        env = os.environ.get("HYPERFOCUS_THREADS")
-        if env is None:
-            return 1
-        try:
-            n = int(env)
-        except ValueError:
-            raise UsageError(f"HYPERFOCUS_THREADS={env!r} is not an integer") from None
-        source = "HYPERFOCUS_THREADS"
-    if n < 1:
-        raise UsageError(f"{source} must be >= 1")
-    cpus = os.cpu_count()
-    if cpus is not None and n > cpus:
-        print(
-            f"warning: {source}={n} exceeds the {cpus} CPUs of this machine",
-            file=sys.stderr,
-        )
-    return n
 
 
 def load_records(path: str) -> List[dict]:
@@ -218,11 +194,10 @@ def _scaled_lines(gf: GF, triples: Sequence[List[int]]) -> List[Line]:
 
 def cmd_search(args) -> int:
     gf = _field_from_args(args)
-    if args.k not in FOCUS_BOUNDS:
-        raise UsageError(
-            f"k={args.k} unsupported: the vertical-pair candidate family "
-            "needs even k in 10..14"
-        )
+    cpus = os.cpu_count()
+    if cpus is not None and args.workers > cpus:
+        warning = f"warning: --workers={args.workers} exceeds the {cpus} CPUs of this machine"
+        print(warning, file=sys.stderr)
     config = SearchConfig(
         workers=args.workers,
         checkpoint=args.checkpoint,
@@ -315,7 +290,7 @@ def cmd_construct(args) -> int:
             _, arc = double_translation_arc(gf, group, shifts[0])
         except ArcError as exc:
             raise UsageError(f"doubling failed: {exc}") from None
-    elif args.kind == "hyperoval":
+    else:  # "hyperoval", the last of argparse's choices
         if args.i is None or args.i == 0:
             raise UsageError("hyperoval needs --i >= 1 with gcd(i, s) = 1")
         try:
@@ -324,8 +299,6 @@ def cmd_construct(args) -> int:
             raise UsageError(str(exc)) from None
         # a hyperoval is hyperfocused on every exterior line: sample five
         lines = list(itertools.islice((m for m in all_lines(gf) if is_exterior(gf, arc, m)), 5))
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown construction {args.kind!r}")
 
     for line in lines:
         if classify_focus(gf, arc, line)[1] != len(arc) - 1:
@@ -417,7 +390,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--out", default=None)
     sp.add_argument("--checkpoint", default=None)
-    sp.add_argument("--workers", type=int, default=None)
+    sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--max-shards", type=int, default=None)
     sp.add_argument("--progress", action="store_true")
 
@@ -450,8 +423,6 @@ def _parser() -> _Parser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _parser().parse_args(argv)
-        if args.command == "search":
-            args.workers = _search_workers(args.workers)
         # the names are read per call, so a wrapped cmd_* is the one run
         handlers = {
             "search": cmd_search,

@@ -157,7 +157,7 @@ class _NumpyTables:
             tab.q = q = gf.q
             tab.xs = xs = np.arange(q)
             # slope[dx, dy] = dy / dx, and q (vertical) on the row dx = 0
-            slope = tab.slope = np.vstack([np.full((1, q), q), tables(gf).div(xs, xs[1:, None])])
+            slope = np.vstack([np.full((1, q), q), tables(gf).div(xs, xs[1:, None])])
             # rays[y0 * q + dx, y]: the direction from any (x0, y0) to (x0 ^ dx,
             # y), but no bit for vertical, so that q slopes fit 32 bits
             flat = np.where(slope < q, 1 << slope, 0).astype(np.uint32)
@@ -702,6 +702,8 @@ def run_search(gf: GF, k: int, config: SearchConfig) -> SearchReport:
         raise SearchError(f"k={k} is not supported (even k in 10..14)")
     if config.max_shards is not None and config.max_shards < 0:
         raise SearchError(f"max_shards={config.max_shards} must be >= 0")
+    if config.workers < 1:
+        raise SearchError(f"workers={config.workers} must be >= 1")
     _require_small_field(gf)  # before any work
     bounds = FOCUS_BOUNDS[k]
     digest = config_hash(gf, k, bounds)
@@ -720,36 +722,29 @@ def run_search(gf: GF, k: int, config: SearchConfig) -> SearchReport:
         todo = todo[: config.max_shards]
 
     reps = frobenius_orbit_reps(gf, exclude=frozenset({0}))
-    workers = max(1, int(config.workers))
-
     t_start = time.monotonic()
     done_before = done
-
-    def handle(a_idx: int, c: int, delta: Dict[str, int], raw, shard_s: float) -> None:
-        nonlocal done
-        merge_counters(counters, delta)
-        found_raw.extend(raw)
-        done += 1
-        if config.checkpoint:
-            _save_checkpoint(config.checkpoint, digest, (a_idx, c), counters, found_raw)
-        if config.progress:
-            # rate and ETA cover the shards of this invocation
-            ran = done - done_before
-            rate = ran / max(time.monotonic() - t_start, 1e-9)
-            print(
-                f"shard a_idx={a_idx} c={c} prepared={counters['prepared']} "
-                f"raw={len(found_raw)} shard_s={shard_s:.3f} "
-                f"done={done}/{len(shards)} rate={rate:.3f}/s "
-                f"eta_s={(len(todo) - ran) / rate:.1f}",
-                file=sys.stderr,
-                flush=True,
-            )
-
     tasks = [(gf, k, a_idx, reps[a_idx], c) for a_idx, c in todo]
-    pool = Pool(min(workers, len(todo))) if workers > 1 and len(todo) > 1 else None
+    pool = Pool(min(config.workers, len(todo))) if config.workers > 1 and len(todo) > 1 else None
     with pool or contextlib.nullcontext():
-        for result in (pool.imap if pool else map)(_run_shard, tasks):
-            handle(*result)
+        for a_idx, c, delta, raw, shard_s in (pool.imap if pool else map)(_run_shard, tasks):
+            merge_counters(counters, delta)
+            found_raw.extend(raw)
+            done += 1
+            if config.checkpoint:
+                _save_checkpoint(config.checkpoint, digest, (a_idx, c), counters, found_raw)
+            if config.progress:
+                # rate and ETA cover the shards of this invocation
+                ran = done - done_before
+                rate = ran / max(time.monotonic() - t_start, 1e-9)
+                print(
+                    f"shard a_idx={a_idx} c={c} prepared={counters['prepared']} "
+                    f"raw={len(found_raw)} shard_s={shard_s:.3f} "
+                    f"done={done}/{len(shards)} rate={rate:.3f}/s "
+                    f"eta_s={(len(todo) - ran) / rate:.1f}",
+                    file=sys.stderr,
+                    flush=True,
+                )
 
     completed = done == len(shards)
     cursor = shards[done - 1] if done else None

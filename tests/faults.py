@@ -47,6 +47,7 @@ SEARCH = "src/hyperfocus/search.py"
 ARCS = "src/hyperfocus/arcs.py"
 CLI = "src/hyperfocus/cli.py"
 CONICS = "src/hyperfocus/conics.py"
+INIT = "src/hyperfocus/__init__.py"
 EXTENSION_TESTS = (
     "tests/test_search.py::test_column_pairs_needs_distinct_directions",
     "tests/test_search.py::test_column_pairs_focus_bound_is_strict",
@@ -313,6 +314,23 @@ FAULTS = (
             "tests/test_cli.py::test_construct_hyperoval_roundtrip_q8",
             "tests/test_cli.py::test_construct_hyperoval_derives_the_claims_once",
         ),
+    ),
+    Fault(
+        "run-search-accepts-zero-workers",
+        SEARCH,
+        "if config.workers < 1:",
+        "if config.workers < 0:",
+        (
+            "tests/test_search.py::test_run_search_rejects_workers_below_one",
+            "tests/test_cli.py::test_search_cli_workers_below_one",
+        ),
+    ),
+    Fault(
+        "secants-not-exported",
+        INIT,
+        '"secants",',
+        '# "secants" dropped',
+        ("tests/test_source.py::test_src_names_have_src_callers",),
     ),
 )
 

@@ -11,12 +11,14 @@ stream is checked against, and `extension_oracle` the depth-first
 extension search the generate-and-test `closure_completions` is checked
 against; the pipeline itself has no second engine.  `dense_free_columns`
 counts free columns without the matching lemma, which the search's
-focus bounds assume.
+focus bounds assume, and `join_arcs` finds the arcs from the stream's
+survivors by the lemma alone, with no extension.
 """
 
 import hashlib
 import json
-from itertools import combinations, permutations
+from collections import Counter
+from itertools import combinations, permutations, product
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -1036,6 +1038,36 @@ def extension_oracle(gf: GF, cands: Sequence[Candidate8], k: int) -> List[List[A
         walk(0, focus)
         out.append(sorted(leaves))
     return out
+
+
+def join_arcs(gf: GF, survivors: np.ndarray, k: int) -> Tuple[Counter, List[Tuple[Arc, bool]]]:
+    """The matching lemma's join over one shard's tight survivors (a row
+    of `stream_shard` per 8-arc with k - 1 focuses), with no extension.
+
+    Put the non-anchor vertical pairs of a hyperfocused k-arc K through
+    the frame in columns c1 < c2 < ....  Its (k - 6)/2 eight-arcs
+    {anchors, c1, cj} are survivors of shard (a, c1), and by the lemma
+    they share (d, e) and the focus word w.  So each group of survivors
+    keyed by (a, c, d, e, w) whose members lie in (k - 6)/2 distinct
+    columns f gives candidates: the frame, (c, d), (c, e) and one member
+    (f, g), (f, h) per column, every choice of members if a column holds
+    several.  Returns how many groups have each count of distinct f, and
+    each candidate, its k affine points (x, y, 1) sorted, with whether it
+    is an arc (`arc_oracle`) with k - 1 directions, i.e. hyperfocused on
+    Z = 0.
+    """
+    groups: Dict[tuple, Dict[int, list]] = {}
+    for a, c, d, e, f, g, h, w in np.asarray(survivors).tolist():
+        groups.setdefault((a, c, d, e, w), {}).setdefault(f, []).append(((f, g), (f, h)))
+    cands = []
+    for (a, c, d, e, _), columns in groups.items():
+        for cols in combinations(sorted(columns), (k - 6) // 2):
+            for pairs in product(*(columns[f] for f in cols)):
+                pts = [(0, 0), (0, 1), (1, 0), (1, a), (c, d), (c, e)]
+                cands.append(tuple(sorted((x, y, 1) for x, y in pts + [p for pr in pairs for p in pr])))
+    table = slope_table(gf) if cands else None
+    hyper = [arc_oracle(gf, arc) and census_size(gf, table, arc) == k - 1 for arc in cands]
+    return Counter(map(len, groups.values())), list(zip(cands, hyper))
 
 
 def schemaless_config_hash(gf: GF, k: int, bounds: Tuple[int, int]) -> str:

@@ -323,7 +323,7 @@ def test_search_cli_bad_k():
     for k in ("13", "8", "16"):
         code, _, err = run_cli("search", "--s", "3", "--k", k)
         assert code == EX_USAGE
-        assert "usage error" in err
+        assert f"k={k} is not supported" in err
 
 
 def test_search_cli_bad_field():
@@ -341,26 +341,14 @@ def test_search_cli_bad_field():
     assert code == EX_USAGE
 
 
-def test_search_cli_workers_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("HYPERFOCUS_THREADS", "2")
-    code, out, _ = run_cli(
-        "search", "--s", "3", "--k", "10", "--max-shards", "1"
-    )
-    assert code == EX_OK
-    assert "workers=2" in out
-    monkeypatch.setenv("HYPERFOCUS_THREADS", "zero")
-    code, _, err = run_cli(
-        "search", "--s", "3", "--k", "10", "--max-shards", "1"
-    )
-    assert code == EX_USAGE
+def test_search_cli_workers_below_one():
+    """`run_search` refuses a worker count below 1; the CLI maps it to 64."""
     for bad in ("0", "-2"):
-        monkeypatch.setenv("HYPERFOCUS_THREADS", bad)
-        code, _, err = run_cli("search", "--s", "3", "--k", "10", "--max-shards", "1")
-        assert code == EX_USAGE and "HYPERFOCUS_THREADS must be >= 1" in err
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             "search", "--s", "3", "--k", "10", "--max-shards", "1", "--workers", bad
         )
-        assert code == EX_USAGE and "--workers must be >= 1" in err
+        assert code == EX_USAGE and out == ""
+        assert f"search error: workers={bad} must be >= 1" in err
 
 
 def test_search_cli_progress_fields(capsys):
@@ -395,18 +383,15 @@ def test_search_elapsed_covers_shards(gf8, capsys):
 
 
 def test_search_cli_warns_above_cpu_count(monkeypatch, capsys):
-    """One stderr line when --workers or HYPERFOCUS_THREADS asks for more
-    processes than CPUs; a one-shard run never starts a pool."""
+    """One stderr line when --workers asks for more processes than CPUs;
+    a one-shard run never starts a pool."""
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(search, "Pool", None)
     argv = ["search", "--s", "3", "--k", "10", "--max-shards", "1"]
     assert main(argv + ["--workers", "3"]) == EX_OK
-    err = capsys.readouterr().err.splitlines()
-    assert err == ["warning: --workers=3 exceeds the 2 CPUs of this machine"]
-    monkeypatch.setenv("HYPERFOCUS_THREADS", "5")
-    assert main(argv) == EX_OK
-    err = capsys.readouterr().err.splitlines()
-    assert err == ["warning: HYPERFOCUS_THREADS=5 exceeds the 2 CPUs of this machine"]
+    out, err = capsys.readouterr()
+    assert err.splitlines() == ["warning: --workers=3 exceeds the 2 CPUs of this machine"]
+    assert " workers=3" in out
     assert main(argv + ["--workers", "2"]) == EX_OK
     assert capsys.readouterr().err == ""
 

@@ -70,7 +70,6 @@ from oracles import (
     shard_census,
     shard_size,
     slope_index,
-    slope_table,
     stream_shard_python,
     survivor_array,
     tangents_through,
@@ -405,18 +404,6 @@ def test_resolve_engine(gf32):
             resolve_engine(gf32, name)
 
 
-@pytest.mark.parametrize("qname", ["gf8", "gf16", "gf32"])
-def test_slope_table_matches_oracle(qname, request):
-    """`_NumpyTables.slope` is one division of the field's tables: on
-    every row dx != 0 it is the oracle's scalar dy / dx, and the row
-    dx = 0 holds q, the vertical."""
-    gf = request.getfixturevalue(qname)
-    slope = search._NumpyTables(gf).slope
-    assert slope.dtype == np.int64
-    assert slope[1:].tolist() == slope_table(gf)[1:]
-    assert slope[0].tolist() == [gf.q] * gf.q
-
-
 def test_record_claims_match_the_per_arc_calls(gf16):
     """One record_claims call on arcs of 1 to 10 points, half of them in a
     hyperconic, each on its own line, some of them meeting it, gives each
@@ -537,6 +524,19 @@ def test_run_search_rejects_bad_k(gf8):
         run_search(gf8, 16, SearchConfig())
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_run_search_rejects_workers_below_one(gf8, tmp_path, monkeypatch, workers):
+    """A worker count below 1 is refused before any shard runs and before
+    any checkpoint is written, not run as one worker."""
+    ran = []
+    monkeypatch.setattr(search, "process_shard", lambda *args: ran.append(args))
+    ckpt = tmp_path / "run.ckpt"
+    config = SearchConfig(workers=workers, checkpoint=str(ckpt), max_shards=1)
+    with pytest.raises(SearchError, match=f"workers={workers} must be >= 1"):
+        run_search(gf8, 10, config)
+    assert ran == [] and not ckpt.exists()
+
+
 def test_run_search_rejects_q64():
     """Focus bitmasks need q < 64; the search refuses before any shard."""
     with pytest.raises(SearchError, match="q=64"):
@@ -591,7 +591,7 @@ def test_run_search_determinism_q8(gf8, tmp_path):
 
 def same_tables(tab, other):
     """The two table sets hold equal arrays."""
-    names = ("slope", "rays")
+    names = ("rays", "cells", "anchors")
     return all(np.array_equal(getattr(tab, n), getattr(other, n)) for n in names)
 
 

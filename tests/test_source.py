@@ -35,7 +35,8 @@ def _reads(node) -> Counter:
 
 def test_src_names_have_src_callers():
     """Every top-level function and class of the package is exported or
-    named by the package outside its own definition: helpers that only
+    named by the package outside its own definition, where a statement's
+    own local variables and arguments name nothing: helpers that only
     tests reach belong in tests/.  Likewise every method is read by the
     package outside its own body, unless it is a dunder, overrides a
     base class's method or is public on an exported class, and every
@@ -52,9 +53,16 @@ def test_src_names_have_src_callers():
             key = (path.name, getattr(node, "name", None))
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs.append(key)
+            # a local variable or argument of the statement names nothing outside it
+            bound = {n.arg for n in ast.walk(node) if isinstance(n, ast.arg)}
+            bound |= {
+                n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+            }
             for n in ast.walk(node):
-                if isinstance(n, (ast.Name, ast.Attribute)):
-                    named[n.id if isinstance(n, ast.Name) else n.attr].add(key)
+                if isinstance(n, ast.Attribute):
+                    named[n.attr].add(key)
+                elif isinstance(n, ast.Name) and n.id not in bound:
+                    named[n.id].add(key)
     orphans = [
         f"{module}:{name}"
         for module, name in defs
@@ -149,7 +157,7 @@ def test_search_tables_built_only_by_the_cache(monkeypatch):
     monkeypatch.setattr(search._NumpyTables, "_built", {})
     fresh = search._NumpyTables(gf)
     assert fresh is not tab
-    names = ("slope", "rays")
+    names = ("rays", "cells", "anchors")
     assert all(np.array_equal(getattr(fresh, n), getattr(tab, n)) for n in names)
 
 

@@ -34,7 +34,7 @@ from hyperfocus.canon import (
     canonical_forms,
     frobenius_orbit_reps,
 )
-from hyperfocus.search import SearchConfig, SearchError, SearchReport, run_search
+from hyperfocus.search import SearchConfig, SearchError, SearchReport, run_search, stream_shard
 
 __all__ = [
     "GF",
@@ -67,4 +67,5 @@ __all__ = [
     "SearchError",
     "SearchReport",
     "run_search",
+    "stream_shard",
 ]

@@ -34,6 +34,12 @@ Restricting a to orbit representatives finds one arc per Frobenius
 orbit; the reported result is the orbit closure, i.e. every
 hyperfocused k-arc through the normalized frame, since the Frobenius
 collineation fixes the frame and the focus line.
+
+Within a shard the four frame maps (x, y) -> (x, y + λx + t), (λ, t) =
+(0, 0), (a, 0), (1, 1), (a + 1, 1), fix the frame as a set, each column
+and Z=0, so they carry 8-arcs, survivors and completions onto each other
+and a focus word's bit m to m + λ.  The stream runs one (d, e) pair and
+the extension one survivor per orbit, counted once per member.
 """
 
 from __future__ import annotations
@@ -174,6 +180,15 @@ class _NumpyTables:
             tab.cells[m] = x * q + y
             tab.anchors = np.full((q, q * q), 0xFFFFFFFF, dtype=np.uint32)
             tab.anchors[:, m] = bits
+            # frame[a, k, x]: map k of a's frame, (x, y) -> (x, y ^ frame[a, k, x]), adds λx + t
+            # for (λ, t) = (0, 0), (a, 0), (1, 1), (a + 1, 1); maps k and k' compose to k ^ k'
+            k = np.arange(4)
+            lam = xs[:, None] * (k & 1) ^ k >> 1
+            tab.frame = (tables(gf).mul(lam[..., None], xs) ^ (k >> 1)[:, None]).astype(np.int64)
+            # flip[l, b]: the byte b with each bit m moved to m ^ l
+            e8 = np.arange(8)
+            bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+            tab.flip = np.packbits(bits[:, e8[:, None] ^ e8], axis=2, bitorder="little")[..., 0].T
             cls._built[key] = tab
         return cls._built[key]
 
@@ -191,7 +206,45 @@ def stream_shard(
     hi: int,
     de_pairs: Optional[Sequence[Tuple[int, int]]] = None,
 ) -> Tuple[Dict[str, int], np.recarray]:
-    """Shard filter: bound-first, batched over chunks of (d, e) pairs.
+    """Shard filter: the counters and survivors, 8-arcs with lo..hi
+    focuses, of the (d, e) pairs `de_pairs` (all d < e by default), in
+    pairs, then (f, g, h) order: one record array of int64 fields a ... h
+    and the uint32 focus word w.  Each pair takes the survivors of its
+    orbit's least pair (`_stream_orbits`) moved by its map, which moves
+    bit m of w to m ^ λ, and keeps its own (d, e), reversed or repeated.
+    """
+    tab = _NumpyTables(gf)
+    q, shift = tab.q, tab.frame[a]
+    counters, least, p, (de, src, move, weight) = _stream_orbits(gf, a, c, lo, hi, de_pairs)
+    fields = np.asarray(least)
+    n = np.bincount(p, minlength=len(weight))[src]  # survivors per pair of de
+    at = np.repeat(np.searchsorted(p, src) - np.cumsum(n) + n, n) + np.arange(n.sum())
+    pair = np.repeat(np.arange(len(de)), n)
+    k, f = move[pair], fields["f"][at]
+    gh = np.stack((fields["g"][at], fields["h"][at])) ^ shift[k, f]
+    gh.sort(axis=0)
+    order = np.argsort(((pair * q + f) * q + gh[0]) * q + gh[1])
+    pair, k = pair[order], k[order]
+    survivors = least[at[order]]  # a, c and f as they are
+    survivors["d"], survivors["e"] = de[pair].T
+    survivors["g"], survivors["h"] = gh[:, order]
+    survivors["w"] = _moved_words(tab, survivors["w"], shift[k, 1] ^ shift[k, 0])
+    return counters, survivors
+
+
+def _moved_words(tab: _NumpyTables, w: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Focus words w with each bit m moved to m ^ lam, as a frame map moves
+    slopes: byte j takes byte j ^ (lam >> 3), its bits flipped by lam & 7."""
+    b = w.astype("<u4").view(np.uint8).reshape(-1, 4)
+    b = np.take_along_axis(b, np.arange(4) ^ lam[:, None] >> 3, axis=1)
+    return tab.flip[lam[:, None] & 7, b].view("<u4").ravel()
+
+
+def _stream_orbits(gf: GF, a: int, c: int, lo: int, hi: int, de_pairs) -> tuple:
+    """The stream, bound-first and batched over chunks of (d, e) pairs, of
+    the least pair (m, m ^ d ^ e) of each orbit of the frame maps met by
+    the pairs, m the least d ^ u or e ^ u, u a map's shift on column c.
+    Its counts weigh once per pair of its orbit.
 
     For fixed (a, c, d, e) the six fixed points are the anchors and
     (c, d), (c, e).  A cell (f, g), f > c, is admissible, on no line
@@ -220,9 +273,10 @@ def stream_shard(
     No direction the stream computes is vertical (f, c > 1), and the
     vertical is a focus through (0,0)(0,1), so the words are 32-bit
     `tab.rays` bits without it and every focus test counts it as one.
-    The survivors are one record array of int64 fields a ... h and
-    `_cell_pairs`' word w, in pairs, then (f, g, h) order.  `de_pairs`
-    restricts the (d, e) pairs.
+
+    Returns the counters; the least pairs' survivors in (pair, f, g, h)
+    order and each one's least pair index p; and the pairs kept, with
+    each one's least pair index and map, and each least pair's weight.
     """
     tab = _NumpyTables(gf)
     q = tab.q
@@ -252,13 +306,22 @@ def stream_shard(
     d, e = de[:, 0], de[:, 1]
     # d == e puts one point twice: no 8-arc, and no split of the cell test
     de = de[good[d] & good[e] & (d != e)]
-    d, e = de[:, 0], de[:, 1]
+    # each pair's orbit is named by its least pair; `move` is a map between the two
+    low = np.minimum(de[:, 0] ^ tab.frame[a, :, c, None], de[:, 1] ^ tab.frame[a, :, c, None])
+    move = low.argmin(0)
+    m = low.min(0)
+    orbit = m * q + (m ^ de[:, 0] ^ de[:, 1])
+    weight = np.bincount(orbit, minlength=q * q)
+    least = np.flatnonzero(weight)
+    weight = weight[least]
+    src = np.searchsorted(least, orbit)
+    d, e = np.divmod(least, q)
     # words[y, f]: bit g set iff (f, g) is off every line through two of
     # the anchors and (c, y); one little-endian word of q bits
     words = np.packbits(np.bitwise_count(x) == 5, axis=2, bitorder="little")
     words = words.view(f"<u{words.shape[2]}")[..., 0]
     n_ok = np.bitwise_count(words[d] & words[e]).astype(np.intp)
-    counters["arcs8"] = int((n_ok * (n_ok - 1)).sum()) // 2
+    counters["arcs8"] = int((n_ok * (n_ok - 1)).sum(1) @ weight) // 2
     x |= (base4 | anc)[:, None, None]  # now the five-point focus words
     cap = max(hi, 10) - 1  # non-vertical focuses
     pairs = np.flatnonzero(np.bitwise_count(base4 | anc[d] | anc[e]) <= cap)
@@ -279,24 +342,25 @@ def stream_shard(
         cells.append(p[pi] * (nf * q) + cell)
         m7s.append(m7.ravel()[flat])
     row, g = np.divmod(np.concatenate(cells), q)
-    n910, i, j, w = _cell_pairs(lo - 1, hi - 1, row, np.concatenate(m7s))
+    n910, i, j, w = _cell_pairs(lo - 1, hi - 1, row, np.concatenate(m7s), weight[row // nf])
     counters["focus_9_10"] = n910
     p, f = np.divmod(row[i], nf)
     survivors = np.empty(len(i), [(name, np.int64) for name in "acdefgh"] + [("w", w.dtype)])
-    for name, col in zip("acdefghw", (a, c, de[p, 0], de[p, 1], fs[f], g[i], g[j], w)):
+    for name, col in zip("acdefghw", (a, c, d[p], e[p], fs[f], g[i], g[j], w)):
         survivors[name] = col
-    counters["prepared"] = len(survivors)
+    counters["prepared"] = int(weight[p].sum())
     counters["focus_rejected"] = counters["arcs8"] - counters["prepared"]
-    return counters, survivors.view(np.recarray)
+    return counters, survivors.view(np.recarray), p, (de, src, move, weight)
 
 
-def _cell_pairs(lo: int, hi: int, row, m7) -> tuple:
+def _cell_pairs(lo: int, hi: int, row, m7, weight) -> tuple:
     """The (g, h) stage over kept cells in (row, g) order, given by their
     row and `m7`: any two cells of a row make a pair.
 
     `m7` holds 32-bit focus words without the vertical, so `lo`..`hi`
     and the 8..9 of `focus_9_10` count non-vertical focuses.  Returns the
-    number of pairs with 9 or 10 focuses and, as arrays in (row, g, h)
+    number of pairs with 9 or 10 focuses, each counted `weight` times of
+    its first cell (the rows a row stands for) and, as arrays in (row, g, h)
     order, the cell indices i < j and the word m7[i] | m7[j] (the 8-arc's
     focus set but the vertical of (f, g)(f, h)) of the pairs with lo..hi
     bits.  Each cell lists its partners to its right in its row; blocks
@@ -319,7 +383,7 @@ def _cell_pairs(lo: int, hi: int, row, m7) -> tuple:
         j += np.arange(len(j), dtype=np.int32)
         w = m7[i] | m7[j]
         bits = np.bitwise_count(w)
-        n910 += int(np.count_nonzero((bits >= 8) & (bits <= 9)))
+        n910 += int(weight.take(i[(bits >= 8) & (bits <= 9)]).sum())
         hit = np.flatnonzero((bits >= lo) & (bits <= hi))
         hits.append((i[hit], j[hit], w[hit]))
         r = s
@@ -347,7 +411,8 @@ _CANDIDATE_BLOCK = 1 << 12
 
 
 # `prune8` and `closure_completions` keep their names for bench/run.py,
-# whose `--trace 1` wraps them as the prepare and closure stages.
+# whose `--trace 1` wraps them as the prepare and closure stages; its
+# stream span, `stream_shard`, no longer runs inside `process_shard`.
 def prune8(survivors: np.ndarray, tab: _NumpyTables) -> Tuple[np.ndarray, ...]:
     """What later stages read of a batch of stream survivors, 8-arcs whose
     focus counts the stream has proved within the bounds; it checks nothing.
@@ -507,24 +572,56 @@ def process_shard(
 ) -> Tuple[Dict[str, int], List[Tuple[Point, ...]]]:
     """Filter and extend one (a, c) shard; returns counters and raw arcs.
 
-    The stream's survivors, all with k - 1 focuses, pass the census and the
-    extension in batches of `_SURVIVOR_BLOCK`; counters are tallied per batch.
+    One survivor per orbit of the frame maps (`_frame_orbits`), all with
+    k - 1 focuses, passes the census and the extension in batches of
+    `_SURVIVOR_BLOCK`; its tallies count once per member, and each member
+    of a root's orbit takes its completions moved by the map, in stream order.
     """
     resolve_engine(gf, engine)
     tab = _NumpyTables(gf)
-    counters, survivors = stream_shard(gf, a, c, *FOCUS_BOUNDS[k])
-    raw: List[Tuple[Point, ...]] = []
-    for i in range(0, len(survivors), _SURVIVOR_BLOCK):
-        px, py, fmask = prune8(survivors[i:i + _SURVIVOR_BLOCK], tab)
+    counters, survivors, p, (*_, weight) = _stream_orbits(gf, a, c, *FOCUS_BOUNDS[k], None)
+    orbit = _frame_orbits(tab, a, c, survivors, p)
+    size = np.bincount(orbit, minlength=len(orbit)) * weight[p]
+    reps = np.flatnonzero(size)
+    roots: Dict[int, List[Tuple[Point, ...]]] = {}
+    for i in range(0, len(reps), _SURVIVOR_BLOCK):
+        rows = reps[i:i + _SURVIVOR_BLOCK]
+        n = size[rows]
+        px, py, fmask = prune8(survivors[rows], tab)
         # tallied apart: k=14 survivors with under two one-secant directions (6-tangent focuses)
         apart = _single_secants(px, py, tab) < 2 if k == 14 else np.zeros(len(px), dtype=bool)
-        counters["closure_survivors"] += int(np.count_nonzero(apart))
-        roots = closure_completions(gf, px, py, fmask, k, tab)
-        counters["dfs_roots"] += len(roots)
-        for r, arcs in roots.items():
-            counters["closure_extended" if apart[r] else "extended"] += len(arcs)
-            raw.extend(arcs)
+        counters["closure_survivors"] += int(n[apart].sum())
+        for r, arcs in closure_completions(gf, px, py, fmask, k, tab).items():
+            counters["dfs_roots"] += int(n[r])
+            counters["closure_extended" if apart[r] else "extended"] += int(n[r]) * len(arcs)
+            roots[int(rows[r])] = arcs
+    # a root's orbit, member by member, keyed by (d, e, f, g, h): the stream's order
+    members, maps = {}, tab.frame[a].tolist()
+    for r, arcs in roots.items():
+        _, _, d, e, f, g, h, _ = survivors[r].tolist()
+        for s in maps:
+            key = (*sorted((d ^ s[c], e ^ s[c])), f, *sorted((g ^ s[f], h ^ s[f])))
+            members[key] = [tuple(sorted((x, y ^ s[x], z) for x, y, z in arc)) for arc in arcs]
+    raw: List[Tuple[Point, ...]] = []
+    for key in sorted(members):
+        raw += sorted(members[key], key=lambda arc: serialize_arc(gf, arc))
     return counters, raw
+
+
+def _frame_orbits(tab: _NumpyTables, a: int, c: int, survivors, p: np.ndarray) -> np.ndarray:
+    """Per survivor of `_stream_orbits` over a whole (a, c) shard, in
+    (p, f, g, h) order, the index of the first of its orbit under the maps
+    that keep its pair (shift column c by 0 or d ^ e): the image with the
+    least (p, f, g ^ u, h ^ u) key, u a map's shift on column f.
+    """
+    fields = np.asarray(survivors)
+    q, shift = tab.q, tab.frame[a]
+    f = fields["f"]
+    gh = np.stack((fields["g"], fields["h"]))[:, None] ^ shift[:, f]
+    gh.sort(axis=0)
+    key = ((p * q + f) * q + gh[0]) * q + gh[1]  # per map and survivor
+    keeps = (shift[:, c, None] == 0) | (shift[:, c, None] == fields["d"] ^ fields["e"])
+    return np.searchsorted(key[0], np.where(keeps, key, key[0]).min(0))
 
 
 # ---------------------------------------------------------------------------

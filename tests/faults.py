@@ -94,6 +94,16 @@ STREAM_TESTS = (
     "tests/test_stream_manifest.py::test_stream_matches_manifest",
 )
 
+# the frame maps: their table, the orbit codes of the stream and of process_shard, the moved words
+FRAME_TESTS = (
+    "tests/test_search.py::test_frame_maps_match_oracle",
+    "tests/test_search.py::test_stream_survivors_closed_under_frame_maps_q32",
+    "tests/test_search.py::test_stream_matches_census_every_shard",
+    "tests/test_search.py::test_stream_matches_census_on_random_pairs_q32",
+    "tests/test_search.py::test_process_shard_matches_extension_oracle",
+    "tests/test_search.py::test_process_shard_pins_q32",
+)
+
 FAULTS = (
     Fault(
         "extension-arc-check-dropped",
@@ -109,9 +119,10 @@ FAULTS = (
         "keep[i + arcs] = [n in (k - 1, k) for _, n in verdicts]",
         EXTENSION_TESTS,
         "no candidate the tests reach is an arc with exactly k focuses: the 48 candidates"
-        " of every q=8 shard at k=10 and the 72 of every q=32 shard at k=12 are arcs with"
-        " k - 1, k=14 has none, and the other candidates of the direct tests are no arcs,"
-        " so the two verdicts agree",
+        " of every q=8 shard at k=10 and the 72 of every q=32 shard at k=12 (36 in"
+        " process_shard, one root per orbit of the frame maps) are arcs with k - 1, k=14"
+        " has none, and the other candidates of the direct tests are no arcs, so the two"
+        " verdicts agree",
     ),
     Fault(
         "extension-skips-a-free-column",
@@ -241,6 +252,36 @@ FAULTS = (
         'fmask = fields["w"] | np.uint64(1 << tab.q)',
         'fmask = fields["w"].astype(np.uint64)',
         WORD_TESTS,
+    ),
+    Fault(
+        "frame-map-drops-t",
+        SEARCH,
+        "tab.frame = (tables(gf).mul(lam[..., None], xs) ^ (k >> 1)[:, None]).astype(np.int64)",
+        "tab.frame = tables(gf).mul(lam[..., None], xs).astype(np.int64)",
+        FRAME_TESTS,
+    ),
+    Fault(
+        "orbit-weight-ignores-stabilizer",
+        SEARCH,
+        "size = np.bincount(orbit, minlength=len(orbit)) * weight[p]",
+        "size = 4 * (orbit == np.arange(len(orbit)))",
+        FRAME_TESTS,
+    ),
+    Fault(
+        "word-shift-skips-bit-16",
+        SEARCH,
+        "b = np.take_along_axis(b, np.arange(4) ^ lam[:, None] >> 3, axis=1)",
+        "b = np.take_along_axis(b, np.arange(4) ^ lam[:, None] >> 3 & 1, axis=1)",
+        FRAME_TESTS,
+    ),
+    Fault(
+        # each pair of a subset takes its least pair's survivors as they are, images on a
+        # pair that may lie outside the subset, instead of moving them onto its own pair
+        "subset-keeps-outside-images",
+        SEARCH,
+        "move = low.argmin(0)",
+        "move = np.zeros(len(de), np.intp)",
+        FRAME_TESTS,
     ),
     Fault(
         "focus-set-dedupes-by-unique",

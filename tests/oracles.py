@@ -839,6 +839,20 @@ def survivor_array(gf: GF, cands: Sequence[Candidate8]) -> np.recarray:
     )
 
 
+def frame_images(gf: GF, cand: Candidate8, w: int) -> List[Tuple[Candidate8, int]]:
+    """A candidate and its focus word w moved by each of the four maps
+    (x, y) -> (x, y + λx + t), (λ, t) = (0, 0), (a, 0), (1, 1), (a + 1, 1),
+    in that order: ordinates re-sorted, and bit m of w, the direction of
+    slope m, moved to m + λ.  Each map fixes every column and Z = 0, and
+    the frame {(0,0), (0,1), (1,0), (1,a)} as a set."""
+    out = []
+    for lam, t in ((0, 0), (cand.a, 0), (1, 1), (cand.a ^ 1, 1)):
+        d, e, g, h = (y ^ gf.mul(lam, x) ^ t for x, y in cand.points()[4:])
+        word = sum(1 << (m ^ lam) for m in range(gf.q) if w >> m & 1)
+        out.append((cand._replace(d=min(d, e), e=max(d, e), g=min(g, h), h=max(g, h)), word))
+    return out
+
+
 def shard_size(gf: GF, c: int) -> int:
     """Closed-form candidate count of one (a, c) shard."""
     pairs = gf.q * (gf.q - 1) // 2

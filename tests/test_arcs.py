@@ -341,23 +341,32 @@ def test_focus_set_matches_meet_oracle(qname, request):
 def test_focus_set_leaves_numpy_ma_unimported():
     """`focus_set` dedupes by a sort: `np.unique` imports numpy.ma (about
     0.5 MiB) on its first call.  In a fresh process numpy.ma is absent
-    after `import hyperfocus.cli` and stays absent after a call."""
+    after `import hyperfocus.cli` and stays absent after a call, and after
+    the search's orbit codes: `stream_shard` on a whole shard and on pairs
+    out of order, and `process_shard` at k=12 (with roots) and k=14."""
     script = (
         "import sys\n"
         "import hyperfocus.cli\n"
         "from hyperfocus.arcs import focus_set, make_arc\n"
         "from hyperfocus.field import make_field\n"
+        "from hyperfocus.search import process_shard, stream_shard\n"
         "before = 'numpy.ma' in sys.modules\n"
         "gf = make_field(3)\n"
         "arc = make_arc(gf, [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)])\n"
         "print(focus_set(gf, arc, (0, 0, 1)), before, 'numpy.ma' in sys.modules)\n"
+        "gf = make_field(5)\n"
+        "stream_shard(gf, 2, 2, 11, 11)\n"
+        "stream_shard(gf, 2, 2, 11, 11, de_pairs=[(6, 1), (3, 3), (1, 6), (0, 4)])\n"
+        "print(process_shard(gf, 12, 2, 2)[0]['dfs_roots'],"
+        " process_shard(gf, 14, 2, 10)[0]['prepared'])\n"
+        "print('numpy.ma' in sys.modules)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env,
         timeout=120,
     )
-    assert done.stdout == "((0, 1, 0), (1, 1, 0), (1, 0, 0)) False False\n"
+    assert done.stdout == "((0, 1, 0), (1, 1, 0), (1, 0, 0)) False False\n6 120\nFalse\n"
 
 
 @pytest.mark.parametrize("qname", ["gf8", "gf16", "gf32"])

@@ -60,6 +60,7 @@ from oracles import (
     _direction_rows,
     admissible_points,
     extension_oracle,
+    frame_images,
     free_columns,
     frobenius_point,
     incident,
@@ -241,10 +242,14 @@ def test_stream_matches_census_every_shard(qname, request):
     less the vertical bit) equal the census oracle's.  At q = 16 the pair
     cap drops pairs at k = 10 and 12 and none at 9..13, and the shards
     hold 483,626 8-arcs, with 1,568 survivors at k = 12, 21,748 at k = 14
-    and 25,388 at 9..13."""
+    and 25,388 at 9..13.  Each survivor's four images under the frame
+    maps are survivors with the image's word, its bits moved by λ
+    (`frame_orbits`); the orbits have two members at q = 8, and two or
+    four at q = 16."""
     gf = request.getfixturevalue(qname)
     reps = frobenius_orbit_reps(gf, exclude=frozenset({0}))
     total = {bounds: new_counters() for bounds in [*FOCUS_BOUNDS.values(), (9, 13)]}
+    sizes = Counter()
     for a_idx, c in shard_list(gf):
         census = shard_census(gf, reps[a_idx], c)
         for bounds in total:
@@ -254,6 +259,8 @@ def test_stream_matches_census_every_shard(qname, request):
             assert candidates(survivors) == want[1], (a_idx, c, bounds)
             assert survivors.w.tolist() == census_words(gf, census, *bounds)
             merge_counters(total[bounds], counters)
+            sizes.update(map(len, frame_orbits(gf, survivors).values()))
+    assert sizes == {"gf8": {2: 48}, "gf16": {2: 6120, 4: 9116}}[qname]
     if gf.q == 16:
         assert {b: (v["arcs8"], v["prepared"]) for b, v in total.items()} == {
             (9, 9): (483626, 0),
@@ -332,14 +339,15 @@ def test_stream_chunking_keeps_survivors(gf32, monkeypatch, k, a, c):
 
 def test_stream_without_live_rows(gf32, monkeypatch):
     """Pairs whose rows hold 8-arcs but no row with two cells under the
-    7-point cut give no (g, h) stage input, only lone cells, and an empty
-    record array."""
+    7-point cut give no (g, h) stage input, only lone cells, each with
+    the weight of its pair's orbit, and an empty record array."""
     sizes = []
     cell_pairs = search._cell_pairs
 
-    def spy(lo, hi, row, m7):
+    def spy(lo, hi, row, m7, weight):
         sizes.append(int(np.count_nonzero(np.unique(row, return_counts=True)[1] >= 2)))
-        return cell_pairs(lo, hi, row, m7)
+        assert len(weight) == len(row) > 0 and set(weight.tolist()) <= {1, 2}
+        return cell_pairs(lo, hi, row, m7, weight)
 
     monkeypatch.setattr(search, "_cell_pairs", spy)
     counters, survivors = stream_shard(gf32, 1, 11, 9, 13, de_pairs=[(2, 17), (2, 18)])
@@ -352,10 +360,10 @@ def test_stream_without_live_rows(gf32, monkeypatch):
 @pytest.mark.parametrize("lo,hi", [(0, 32), (9, 11)])
 def test_cell_pairs_match_brute_force(monkeypatch, chunk, lo, hi):
     """The (g, h) stage lists, in (row, g, h) order, every two kept cells
-    of a row with their word m7[g] | m7[h], counts those with 8 or 9 bits
-    and keeps those with lo..hi bits, whether its blocks hold the default
-    `_CHUNK` pairs, one row, or a few rows each; rows of 1, 2 and 24
-    cells among them."""
+    of a row with their word m7[g] | m7[h], counts those with 8 or 9 bits,
+    each as often as its row's weight, and keeps those with lo..hi bits,
+    whether its blocks hold the default `_CHUNK` pairs, one row, or a few
+    rows each; rows of 1, 2 and 24 cells among them."""
     rng = np.random.default_rng(27)
     sizes = [1, 2, 24, 1, 1, 5, 24, 2, 3, 1, 17, 2]
     row = np.repeat(np.sort(rng.choice(10_000, len(sizes), replace=False)), sizes)
@@ -367,32 +375,49 @@ def test_cell_pairs_match_brute_force(monkeypatch, chunk, lo, hi):
     cells = combinations(range(len(row)), 2)
     pairs = [(i, j, int(m7[i] | m7[j])) for i, j in cells if row[i] == row[j]]
     bits = [w.bit_count() for _, _, w in pairs]
-    n910, i, j, w = search._cell_pairs(lo, hi, row, m7)
+    n910, i, j, w = search._cell_pairs(lo, hi, row, m7, np.ones(len(row), np.int64))
     assert n910 == sum(8 <= b <= 9 for b in bits) > 0
     want = [p for p, b in zip(pairs, bits) if lo <= b <= hi]
     assert list(zip(i.tolist(), j.tolist(), w.tolist())) == want and len(want) > 0
     assert w.dtype == np.uint32
+    # a row that stands for 1, 2 or 4 rows counts its pairs with 9 or 10 focuses as often
+    weight = np.repeat(rng.choice([1, 2, 4], len(sizes)), sizes)
+    weighted = search._cell_pairs(lo, hi, row, m7, weight)
+    assert weighted[0] == sum(weight[i] for (i, _, _), b in zip(pairs, bits) if 8 <= b <= 9)
+    assert all(np.array_equal(u, v) for u, v in zip(weighted[1:], (i, j, w)))
     if (lo, hi) == (0, 32):
         assert len(want) == sum(n * (n - 1) // 2 for n in sizes)
 
 
-def test_stream_memory_peak_q32(gf32):
-    """The heaviest k=14 shard's stream allocates under 2 MiB at its peak
-    (1.36 MiB measured with numpy 2.4): pair chunks and (g, h) blocks
-    hold at most `_CHUNK` words or pairs.  One (g, h) block over the
-    whole shard peaks at 2.38 MiB."""
-    stream_shard(gf32, 1, 2, *FOCUS_BOUNDS[14])  # the field's tables are built outside the trace
+def traced_peak(call):
+    """The bytes `call()` allocates at its peak, by tracemalloc."""
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     tracemalloc.reset_peak()
     base = tracemalloc.get_traced_memory()[0]
     try:
-        stream_shard(gf32, 1, 2, *FOCUS_BOUNDS[14])
-        peak = tracemalloc.get_traced_memory()[1] - base
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+def test_stream_memory_peak_q32(gf32):
+    """The heaviest k=14 shard's stream allocates under 2 MiB at its peak
+    (0.99 MiB measured with numpy 2.4, 1.36 MiB before it streamed one
+    pair per orbit of the frame maps): pair chunks and (g, h) blocks hold
+    at most `_CHUNK` words or pairs.  One (g, h) block over the whole
+    shard now peaks at only 1.36 MiB, so the (g, h) stage is also traced
+    alone, on 2,000 rows of 24 cells: 0.82 MiB in blocks, 9.1 MiB in one
+    block of its 552,000 pairs."""
+    stream_shard(gf32, 1, 2, *FOCUS_BOUNDS[14])  # the field's tables are built outside the trace
+    peak = traced_peak(lambda: stream_shard(gf32, 1, 2, *FOCUS_BOUNDS[14]))
     assert peak < 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+    row = np.repeat(np.arange(2000), 24)
+    m7, weight = np.ones(len(row), np.uint32), np.ones(len(row), np.int64)
+    peak = traced_peak(lambda: search._cell_pairs(31, 31, row, m7, weight))
+    assert peak < 2 * 2**20, f"(g, h) stage peak {peak / 2**20:.2f} MiB"
 
 
 def test_resolve_engine(gf32):
@@ -1302,11 +1327,27 @@ def test_process_shard_counts(gf8):
     assert counters["closure_survivors"] == 0  # a k=14 tally
 
 
+def frame_orbits(gf, survivors):
+    """A shard's survivors, as (candidate, word) pairs in stream order, by
+    orbit of the frame maps (`frame_images`), each orbit keyed by its
+    first member; the survivors must be closed under the maps."""
+    words = dict(zip(candidates(survivors), survivors.w.tolist()))
+    order = {cand: i for i, cand in enumerate(words)}
+    orbits = {}
+    for cand, w in words.items():
+        images = frame_images(gf, cand, w)
+        assert all(words.get(image) == word for image, word in images)
+        first = min((image for image, _ in images), key=order.get)
+        orbits.setdefault(first, set()).update(image for image, _ in images)
+    return orbits
+
+
 def test_process_shard_batches_every_survivor(gf32, monkeypatch):
-    """Shard (0, 2), the k=14 shard with the most survivors, has 4,068:
-    the census sees each of them, all with 13 focuses by the scalar
-    census, once, in stream order, and the extension sees each census
-    result, across many survivor batches."""
+    """Shard (0, 2), the k=14 shard with the most survivors, has 4,068
+    in 1,266 orbits of two and 384 of four under the frame maps.  The
+    census sees the first survivor of each orbit, all with 13 focuses by
+    the scalar census, once, in stream order, and the extension sees each
+    census result, across many survivor batches."""
     seen = {"census": [], "closure": [], "calls": 0}
     census, closure = search.prune8, search.closure_completions
 
@@ -1331,9 +1372,12 @@ def test_process_shard_batches_every_survivor(gf32, monkeypatch):
     _, survivors = stream_shard(gf32, a, 2, *FOCUS_BOUNDS[14])
     assert len(survivors) == counters["prepared"] == 4068
     cands = candidates(survivors)
-    want = [cand for cand in cands if _slope_census(gf32, cand.points())[0].bit_count() == 13]
+    assert all(_slope_census(gf32, cand.points())[0].bit_count() == 13 for cand in cands)
+    orbits = frame_orbits(gf32, survivors)
+    assert Counter(map(len, orbits.values())) == {2: 1266, 4: 384}
+    want = [cand for cand in cands if cand in orbits]
     assert seen["census"] == seen["closure"] == want
-    assert seen["calls"] > 10
+    assert seen["calls"] == 7
     assert raw == [] and counters["dfs_roots"] == 0
 
 
@@ -1341,8 +1385,9 @@ def test_process_shard_extends_only_k_minus_1_focuses(gf32, monkeypatch):
     """The matching lemma, in `FOCUS_BOUNDS`: only 8-arcs with k - 1
     focuses can extend, so at k=14 the stream keeps only those with 13 by
     the scalar census.  Shard (1, 3) holds 4,080 survivors in the window
-    9..13, 144 with 11 focuses and 1,584 with 12; the stream keeps and
-    the census sees the other 2,352, in the window's order."""
+    9..13, 144 with 11 focuses and 1,584 with 12; the stream keeps the
+    other 2,352, in the window's order, and the census sees the first of
+    each of their 1,176 orbits of two under the frame maps."""
     seen = []
     census = search.prune8
 
@@ -1352,11 +1397,15 @@ def test_process_shard_extends_only_k_minus_1_focuses(gf32, monkeypatch):
 
     monkeypatch.setattr(search, "prune8", spy)
     counters, _ = process_shard(gf32, 14, 1, 3)
-    assert FOCUS_BOUNDS[14] == (13, 13) and counters["prepared"] == len(seen) == 2352
     window = candidates(stream_shard(gf32, 1, 3, 9, 13)[1])
     sizes = [_slope_census(gf32, cand.points())[0].bit_count() for cand in window]
     assert Counter(sizes) == {11: 144, 12: 1584, 13: 2352}
-    assert seen == [cand for cand, n in zip(window, sizes) if n == 13]
+    tight = stream_shard(gf32, 1, 3, *FOCUS_BOUNDS[14])[1]
+    assert candidates(tight) == [cand for cand, n in zip(window, sizes) if n == 13]
+    orbits = frame_orbits(gf32, tight)
+    assert FOCUS_BOUNDS[14] == (13, 13) and counters["prepared"] == len(tight) == 2352
+    assert sum(map(len, orbits.values())) == 2352 and len(seen) == len(orbits) == 1176
+    assert seen == [cand for cand in candidates(tight) if cand in orbits]
 
 
 @pytest.mark.parametrize("field,k,bounds,n_low,n_roots", [
@@ -1409,6 +1458,98 @@ def test_process_shard_pins_q32(gf32, k, a, c):
     counters, raw = process_shard(gf32, k, a, c, "auto")
     assert counters == {**new_counters(), **expected}
     assert raw == arcs
+
+
+@pytest.mark.parametrize("s", [3, 4, 5])
+def test_frame_maps_match_oracle(s):
+    """For every a, the four maps of `tab.frame` add λx + t to y as
+    `frame_images` does from `gf.mul`, fix the frame as a set, compose
+    as k ^ k' (a Klein four-group) and move a word's bits as the oracle
+    does, on words of every λ."""
+    gf = make_field(s)
+    q = gf.q
+    tab = search._NumpyTables(gf)
+    rng = random.Random(3000 + s)
+    for a in range(1, q):
+        for x in range(q):
+            images = frame_images(gf, Candidate8(a, x, 0, 0, x, 0, 0), 1)
+            assert [image.d for image, _ in images] == tab.frame[a, :, x].tolist()
+        frame = {(0, 0), (0, 1), (1, 0), (1, a)}
+        for k in range(4):
+            assert {(x, y ^ int(tab.frame[a, k, x])) for x, y in frame} == frame
+            for k2 in range(4):
+                assert np.array_equal(tab.frame[a, k] ^ tab.frame[a, k2], tab.frame[a, k ^ k2])
+        words = rng.sample(range(1 << q), 8)
+        for k, lam in enumerate((0, a, 1, a ^ 1)):
+            cand = Candidate8(a, 2, 0, 1, 3, 0, 1)
+            want = [frame_images(gf, cand, w)[k][1] for w in words]
+            moved = search._moved_words(tab, np.array(words, np.uint32), np.full(8, lam))
+            assert moved.tolist() == want
+
+
+@pytest.mark.parametrize("a,c,k", [(20, 2, 14), (31, 24, 12), (5, 14, 12), (1, 2, 12)])
+def test_stream_survivors_closed_under_frame_maps_q32(gf32, a, c, k):
+    """The closure under the frame maps that
+    `test_stream_matches_census_every_shard` checks at q = 8 and 16, on
+    q=32 shards: for a whose maps move bit 16 of a word
+    (λ = a or a + 1 at least 16: a = 20 and 31) and for a = 1, whose maps
+    have λ = 0 or 1.  Then on pair subsets, against the census oracle: a
+    pair of an orbit of four and one (d, e) with e = d + λc + t, of an
+    orbit of two, each moved off its least pair, reversed, and with the
+    rest of its orbit outside the subset or in it."""
+    survivors = stream_shard(gf32, a, c, *FOCUS_BOUNDS[k])[1]
+    assert len(frame_orbits(gf32, survivors)) > 0
+    u = search._NumpyTables(gf32).frame[a, :, c].tolist()
+    pairs = dict.fromkeys(zip(survivors.d.tolist(), survivors.e.tolist()))
+    four = next((d, e) for d, e in pairs if d ^ e not in u)
+    two = next((d, e) for d, e in pairs if d ^ e in u)
+    m = next(m for m in u if m not in (0, two[0] ^ two[1]))  # `two` to its orbit's other pair
+    subsets = [
+        [(four[1] ^ u[1], four[0] ^ u[1])],
+        [(two[0] ^ m, two[1] ^ m)],
+        [four, (two[1] ^ m, two[0] ^ m), two, (four[0] ^ u[3], four[1] ^ u[3])],
+    ]
+    for de in subsets:
+        census = shard_census(gf32, a, c, de)
+        want = census_stream(census, *FOCUS_BOUNDS[k])
+        counters, got = stream_shard(gf32, a, c, *FOCUS_BOUNDS[k], de_pairs=de)
+        assert counters == want[0] and candidates(got) == want[1] and len(got) > 0
+        assert got.w.tolist() == census_words(gf32, census, *FOCUS_BOUNDS[k])
+
+
+@pytest.mark.parametrize("field,k,shards", [
+    ("gf8", 10, None),
+    ("gf32", 12, [(2, 2)]),
+    ("gf32", 14, [(2, 10), (1, 3)]),
+])
+def test_process_shard_matches_extension_oracle(field, k, shards, request):
+    """`process_shard`, which extends one survivor per orbit of the frame
+    maps and moves its completions onto the others, gives the counters
+    and raw arcs of `extension_oracle` run on every survivor: on every
+    q=8 shard at k=10 (48 roots) and on the pinned q=32 shards, whose
+    orbits have two and four members.  A root has (k - 8)/2 free columns
+    of two admissible points (`free_columns`); at k=14 a survivor with
+    under two one-secant directions tallies apart."""
+    gf = request.getfixturevalue(field)
+    reps = frobenius_orbit_reps(gf, exclude=frozenset({0}))
+    if shards is None:
+        shards = [(reps[a_idx], c) for a_idx, c in shard_list(gf)]
+    n_roots = 0
+    for a, c in shards:
+        counters, survivors = stream_shard(gf, a, c, *FOCUS_BOUNDS[k])
+        cands = candidates(survivors)
+        leaves = extension_oracle(gf, cands, k)
+        apart = [k == 14 and census_verdict(gf, cand, (1, gf.q + 1))[1] < 2 for cand in cands]
+        roots = [n >= (k - 8) // 2 for n in free_columns(gf, cands, k)]
+        counters.update(
+            extended=sum(len(arcs) for arcs, t in zip(leaves, apart) if not t),
+            closure_extended=sum(len(arcs) for arcs, t in zip(leaves, apart) if t),
+            closure_survivors=sum(apart),
+            dfs_roots=sum(roots),
+        )
+        assert process_shard(gf, k, a, c) == (counters, [arc for arcs in leaves for arc in arcs])
+        n_roots += sum(roots)
+    assert n_roots == {"gf8": 48, "gf32": 6 if k == 12 else 0}[field]
 
 
 @pytest.mark.parametrize("s", [3, 4, 5])
